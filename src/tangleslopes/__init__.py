@@ -13,28 +13,12 @@ the Seifert reference. Everything is exact rational arithmetic.
 ['-14', '14']
 """
 
-from .diagram import (
-    DiagramPoint,
-    WeightState,
-    is_edge,
-    parents,
-    uv_coords,
-    vertex_point,
-    vertex_triple,
-)
-from .edgepaths import (
-    ConstantPath,
-    VertexPath,
-    constant_path,
-    endpoint_point,
-    endpoint_state,
-    enumerate_paths,
-    tau,
-    validate,
-)
+from .diagram import WeightState, uv_coords
+from .edgepaths import ConstantPath, VertexPath
 from .errors import (
     CasePreconditionViolated,
     DegeneratePoint,
+    FamilyCheckFailed,
     FamilyRange,
     FractionalEndpoint,
     Infeasible,
@@ -47,109 +31,49 @@ from .errors import (
     ZeroDenominator,
 )
 from .plotting import render_svg, render_tsv
-from .slopes import (
-    CandidateSystem,
-    NodeTrace,
-    boundary_slope,
-    build_system,
-    replay,
-    seifert_leaf_path,
-    seifert_system,
-    seifert_tau,
-    tau_product,
-    tau_sum,
-    verify_system,
-)
-from .solver import (
-    SlopeReport,
-    default_c_bound,
-    kn_system,
-    report,
-    solve,
-    solve_montesinos,
-    solve_sn,
-)
-from .tangles import (
-    Leaf,
-    Product,
-    Sum,
-    TangleExpr,
-    crossing_count,
-    family_crossing_count,
-    family_index,
-    kn,
-    mirror,
-    montesinos_factors,
-    parse,
-    render,
-)
-from .transforms import TransformOutcome, common_scaling, glue_sum, rotate_reflect
+from .slopes import CandidateSystem, NodeTrace, verify_system
+from .solver import SlopeReport, kn_system, solve, solve_montesinos, solve_sn
+from .tangles import Leaf, Product, Sum, TangleExpr, kn, parse, render
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateSystem",
-    "CasePreconditionViolated",
-    "ConstantPath",
-    "DegeneratePoint",
-    "DiagramPoint",
-    "FamilyRange",
-    "FractionalEndpoint",
-    "Infeasible",
-    "Leaf",
-    "MismatchedWeights",
-    "NodeTrace",
-    "ParseError",
-    "Product",
-    "SeifertUndefined",
-    "SlopeReport",
-    "Sum",
-    "TangleExpr",
-    "TangleSlopesError",
-    "TransformOutcome",
-    "UndefinedCase",
-    "UnsupportedShape",
-    "VertexPath",
-    "WeightState",
-    "ZeroDenominator",
-    "boundary_slope",
-    "build_system",
-    "common_scaling",
-    "constant_path",
-    "crossing_count",
-    "default_c_bound",
-    "endpoint_point",
-    "endpoint_state",
-    "enumerate_paths",
-    "family_crossing_count",
-    "family_index",
-    "glue_sum",
-    "is_edge",
+    # entry points
     "kn",
     "kn_system",
-    "mirror",
-    "montesinos_factors",
-    "parents",
     "parse",
     "render",
     "render_svg",
     "render_tsv",
-    "replay",
-    "report",
-    "rotate_reflect",
-    "seifert_leaf_path",
-    "seifert_system",
-    "seifert_tau",
     "solve",
     "solve_montesinos",
     "solve_sn",
-    "tau",
-    "tau_product",
-    "tau_sum",
     "uv_coords",
-    "validate",
     "verify_system",
-    "vertex_point",
-    "vertex_triple",
+    # what a report holds
+    "CandidateSystem",
+    "ConstantPath",
+    "Leaf",
+    "NodeTrace",
+    "Product",
+    "SlopeReport",
+    "Sum",
+    "TangleExpr",
+    "VertexPath",
+    "WeightState",
+    # errors
+    "CasePreconditionViolated",
+    "DegeneratePoint",
+    "FamilyCheckFailed",
+    "FamilyRange",
+    "FractionalEndpoint",
+    "Infeasible",
+    "MismatchedWeights",
+    "ParseError",
+    "SeifertUndefined",
+    "TangleSlopesError",
+    "UndefinedCase",
+    "UnsupportedShape",
+    "ZeroDenominator",
     "__version__",
 ]

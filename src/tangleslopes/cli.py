@@ -14,9 +14,9 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import TangleSlopesError
+from .errors import FamilyCheckFailed, TangleSlopesError
 from .plotting import render_svg, render_tsv
-from .solver import kn_system, solve, solve_sn
+from .solver import family_nodes, kn_system, solve, solve_sn
 from .tangles import kn, parse, render
 
 log = logging.getLogger("tangleslopes.cli")
@@ -135,11 +135,10 @@ def _triple_text(state):
 
 def format_trace(system, n):
     """The intermediate values of the distinguished family system."""
-    root, lsum, rsum = system.nodes[0], system.nodes[1], system.nodes[4]
+    root, lsum, (l1, l2), rsum = family_nodes(system)
     lines = [
         "family system n=%d" % n,
-        "  leaf triples  %s %s"
-        % (_triple_text(system.nodes[2].state), _triple_text(system.nodes[3].state)),
+        "  leaf triples  %s %s" % (_triple_text(l1.state), _triple_text(l2.state)),
         "  glued         %s" % _triple_text(lsum.state),
         "  transformed   %s  tau'=%s" % (_triple_text(root.transformed), root.tau_prime),
         "  right tau     %s" % rsum.tau,
@@ -193,7 +192,7 @@ def _verify_one(n, c_bound, scale_bound):
     high = Fraction(2 * (n + 1) ** 2 - 4)
     try:
         kn_system(n)
-    except RuntimeError as exc:
+    except FamilyCheckFailed as exc:
         return False, "n=%d FAIL (trace: %s)" % (n, exc)
     rep = solve_sn(kn(n), c_bound, scale_bound)
     if not {high, -high} <= set(rep.slopes):
@@ -307,12 +306,19 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
+    except FamilyCheckFailed as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_VERIFY
     except (TangleSlopesError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_VERIFY
+    except RecursionError:
+        print(
+            "error: expression nests too deeply (Python recursion limit %d)"
+            % sys.getrecursionlimit(),
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_IO

@@ -19,6 +19,10 @@ The properties checked by `validate`:
 The twist number tau of a path is 2*(e_minus - e_plus) where e_plus counts
 slope-increasing edges and e_minus slope-decreasing ones; the last edge
 counts fractionally when partial. Constants have tau = 0.
+
+`enumerate_paths` lists the descents from <p/q> to the u = 0 line, and
+`u_zero_paths` extends one descent along that line by vertical runs. Both
+solvers build their per-tangle choices from these two.
 """
 
 from dataclasses import dataclass
@@ -114,32 +118,38 @@ def validate(path):
     return problems
 
 
-def endpoint_state(path):
-    """Integer weight state at the end of the path."""
+def end_weights(path):
+    """Weight state at the end of the path, a partial last edge included.
+
+    A partial edge ends at the barycentric mix (1-f) * previous + f * last of
+    its two vertex states, cleared to integers; sheets multiply the result.
+    """
     if path.is_constant:
         return path.state
-    if path.final_fraction != 1:
-        raise FractionalEndpoint(
-            "path ends %s of the way along its last edge" % (path.final_fraction,)
-        )
-    return vertex_triple(path.vertices[-1]).scaled(path.sheets)
-
-
-def endpoint_point(path):
-    """Diagram coordinates of the end of the path, fractional edges included."""
-    if path.is_constant:
-        return uv_coords(path.state)
-    if len(path.vertices) == 1 or path.final_fraction == 1:
-        return vertex_point(path.vertices[-1])
-    w1 = vertex_triple(path.vertices[-2])
-    w2 = vertex_triple(path.vertices[-1])
-    f = path.final_fraction
-    # barycentric combination (1-f) * previous + f * last, cleared to integers
+    vs, f = path.vertices, path.final_fraction
+    w2 = vertex_triple(vs[-1])
+    if len(vs) == 1 or f == 1:
+        return w2.scaled(path.sheets)
+    w1 = vertex_triple(vs[-2])
     k1, k2 = f.denominator - f.numerator, f.numerator
     mixed = WeightState(
         k1 * w1.a + k2 * w2.a, k1 * w1.b + k2 * w2.b, k1 * w1.c + k2 * w2.c
     )
-    return uv_coords(mixed)
+    return mixed.scaled(path.sheets)
+
+
+def endpoint_state(path):
+    """Integer weight state at the end of a path that ends on a vertex."""
+    if not path.is_constant and path.final_fraction != 1:
+        raise FractionalEndpoint(
+            "path ends %s of the way along its last edge" % (path.final_fraction,)
+        )
+    return end_weights(path)
+
+
+def endpoint_point(path):
+    """Diagram coordinates of the end of the path, fractional edges included."""
+    return uv_coords(end_weights(path))
 
 
 def tau(path):
@@ -156,53 +166,23 @@ def tau(path):
     return total
 
 
-def _run_blocked(last_fraction_vertex, m, d):
-    # first step of a vertical run is blocked when it would cut a triangle
-    return is_edge(last_fraction_vertex, Fraction(m + d))
+def enumerate_paths(start):
+    """Every descent from <start> to an integer vertex on u = 0.
 
-
-def enumerate_paths(start, target_u_zero=True, c_bound=8):
-    """All valid edgepaths from <start>, plus the constant family seed.
-
-    With target_u_zero, paths descend all the way to integer vertices on
-    u = 0 and extend along vertical runs to every reachable integer m with
-    |m| <= c_bound. Without it, only the descents themselves are produced
-    (no vertical runs), which is what the Montesinos closure solve consumes.
-
-    The first element is always the constant edgepath at the start vertex,
-    representing the whole constant family; callers scale it as needed.
+    A descent steps to a parent vertex (smaller denominator) each time and
+    never cuts across a triangle. An integer start has only its trivial
+    one-vertex path. Sorted by length, then vertices.
     """
     start = Fraction(start)
-    results = [constant_path(start)]
     if start.denominator == 1:
-        # already on u = 0: the single trivial path
-        results.append(VertexPath(start, (start,)))
-        return results
+        return [VertexPath(start, (start,))]
 
     paths = []
-
-    def extend_runs(vs):
-        m = int(vs[-1])
-        if abs(m) <= c_bound:
-            paths.append(VertexPath(start, vs))
-        for d in (-1, 1):
-            if _run_blocked(vs[-2], m, d):
-                continue
-            k = m + d
-            run = vs
-            while (k <= c_bound) if d > 0 else (k >= -c_bound):
-                run = run + (Fraction(k),)
-                if abs(k) <= c_bound:
-                    paths.append(VertexPath(start, run))
-                k += d
 
     def descend(vs):
         here = vs[-1]
         if here.denominator == 1:
-            if target_u_zero:
-                extend_runs(vs)
-            else:
-                paths.append(VertexPath(start, vs))
+            paths.append(VertexPath(start, vs))
             return
         for nxt in parents(here):
             if len(vs) >= 2 and is_edge(vs[-2], nxt):
@@ -211,5 +191,32 @@ def enumerate_paths(start, target_u_zero=True, c_bound=8):
 
     descend((start,))
     paths.sort(key=lambda p: (len(p.vertices), p.vertices))
-    results.extend(paths)
-    return results
+    return paths
+
+
+def u_zero_paths(descent, c_bound, steps=None):
+    """The descent and its vertical runs, each kept when it ends within
+    +-c_bound.
+
+    A run walks along u = 0 away from the descent's endpoint m, one integer
+    at a time, until it passes c_bound on its own side or has taken `steps`
+    steps. Its first step may not cut across a triangle, and a trivial path
+    (integer tangle) does not run. Yields the descent, then the runs toward
+    -infinity, then those toward +infinity, each by length.
+    """
+    vs = descent.vertices
+    m = int(vs[-1])
+    if abs(m) <= c_bound:
+        yield descent
+    if len(vs) < 2:
+        return
+    for d in (-1, 1):
+        if is_edge(vs[-2], Fraction(m + d)):
+            continue  # first run step would cut a triangle
+        run = vs
+        k = m + d
+        while d * k <= c_bound and (steps is None or abs(k - m) <= steps):
+            run = run + (Fraction(k),)
+            if abs(k) <= c_bound:
+                yield VertexPath(descent.tangle, run)
+            k += d

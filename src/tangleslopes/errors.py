@@ -52,3 +52,7 @@ class SeifertUndefined(TangleSlopesError):
 
 class UnsupportedShape(TangleSlopesError):
     """Expression shape outside the solvers' scope."""
+
+
+class FamilyCheckFailed(TangleSlopesError):
+    """A value in the family witness system disagrees with its closed form."""

@@ -22,23 +22,13 @@ stored system can be verified independently (`verify_system`).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import WeightState, vertex_triple
-from .edgepaths import VertexPath, endpoint_state, tau, validate
+from .diagram import WeightState
+from .edgepaths import VertexPath, end_weights, endpoint_state, tau, validate
 from .errors import Infeasible, MismatchedWeights, SeifertUndefined, UndefinedCase
 from .tangles import Leaf, Product, montesinos_factors, render
-from .transforms import common_scaling, glue_sum, rotate_reflect
+from .transforms import glue_scaled, rotate_reflect
 
 ZERO = Fraction(0)
-
-
-def tau_sum(t1, t2):
-    """Twist number of a sum gluing."""
-    return t1 + t2
-
-
-def tau_product(t1, tp1, t2):
-    """Twist number of a product gluing; tp1 is the left transform's tau'."""
-    return -t1 + tp1 + t2
 
 
 # ---------------------------------------------------------------------------
@@ -145,32 +135,7 @@ class CandidateSystem:
         return tuple(path.describe() for path in self.assignment)
 
 
-def _leaf_state(path):
-    if path.is_constant:
-        return path.state
-    if path.final_fraction == 1:
-        return endpoint_state(path)
-    w1 = vertex_triple(path.vertices[-2])
-    w2 = vertex_triple(path.vertices[-1])
-    f = path.final_fraction
-    k1, k2 = f.denominator - f.numerator, f.numerator
-    mixed = WeightState(
-        k1 * w1.a + k2 * w2.a, k1 * w1.b + k2 * w2.b, k1 * w1.c + k2 * w2.c
-    )
-    return mixed.scaled(path.sheets)
-
-
-def _glue(w1, w2, scale_bound):
-    ks = common_scaling(w1, w2, scale_bound)
-    if ks is None:
-        raise MismatchedWeights(
-            "states %r and %r admit no common (a, b) scaling" % (w1, w2)
-        )
-    k1, k2 = ks
-    return glue_sum(w1.scaled(k1), w2.scaled(k2)).primitive(), ks
-
-
-def replay(expr, paths, scale_bound=None):
+def replay(expr, paths):
     """Recompute node traces for an assignment; returns (nodes, state, tau).
 
     Deterministic: gluing always uses the least common (a, b) rescaling, and
@@ -190,15 +155,25 @@ def replay(expr, paths, scale_bound=None):
         if isinstance(node, Leaf):
             path = paths[cursor[0]]
             cursor[0] += 1
-            st, t = _leaf_state(path), tau(path)
+            st, t = end_weights(path), tau(path)
             nodes[idx] = NodeTrace(render(node), "leaf", st, t)
             return st, t
         ls, lt = visit(node.left)
         rs, rt = visit(node.right)
+        outcome = None
         if isinstance(node, Product):
             outcome = rotate_reflect(ls)
-            st, ks = _glue(outcome.state, rs, scale_bound)
-            t = tau_product(lt, outcome.tau_prime, rt)
+            ls, lt = outcome.state, outcome.tau_prime - lt
+        glued = glue_scaled(ls, rs)
+        if glued is None:
+            raise MismatchedWeights(
+                "states %r and %r admit no common (a, b) scaling" % (ls, rs)
+            )
+        st, ks = glued
+        t = lt + rt
+        if outcome is None:
+            nodes[idx] = NodeTrace(render(node), "sum", st, t, scales=ks)
+        else:
             nodes[idx] = NodeTrace(
                 render(node),
                 "product",
@@ -210,10 +185,6 @@ def replay(expr, paths, scale_bound=None):
                 tau_prime=outcome.tau_prime,
                 transformed=outcome.state,
             )
-        else:
-            st, ks = _glue(ls, rs, scale_bound)
-            t = tau_sum(lt, rt)
-            nodes[idx] = NodeTrace(render(node), "sum", st, t, scales=ks)
         return st, t
 
     state, total = visit(expr)
@@ -222,9 +193,9 @@ def replay(expr, paths, scale_bound=None):
     return tuple(nodes), state, total
 
 
-def build_system(expr, paths, scale_bound=None, note="", reference_tau=None):
+def build_system(expr, paths, note="", reference_tau=None):
     """Assemble a CandidateSystem from a leaf-path assignment."""
-    nodes, state, total = replay(expr, paths, scale_bound)
+    nodes, state, total = replay(expr, paths)
     slope = total - reference_tau if reference_tau is not None else None
     return CandidateSystem(expr, tuple(paths), nodes, state, total, slope, note)
 

@@ -2,21 +2,25 @@
 
 Two closure regimes:
 
-* solve_sn handles expressions with at least one product. Per-leaf
-  edgepaths (constant families bounded by c_bound, plus descents with
-  vertical runs) are combined bottom-up. States glue at sum nodes after
-  rescaling to a common (a, b) (multipliers capped by scale_bound), pass
-  through the rotation transform at product nodes, and a system closes
-  when the root state carries no net slope weight (c = 0) and no leftover
-  slope-infinity edges.
+* solve_sn handles expressions with at least one product. Each leaf gets
+  a table of choices: its constant family sampled on weights up to
+  c_bound, and every descent to u = 0 with its vertical runs, ending
+  within +-c_bound (an integer leaf keeps its trivial path regardless).
+  Tables combine bottom-up through one glue step: the left state (after
+  the rotation transform at a product node) and the right state are
+  rescaled to a common (a, b), multipliers capped by scale_bound, and
+  glued. A system closes when the root state carries no net slope weight
+  (c = 0) and no leftover slope-infinity edges.
 
 * solve_montesinos handles sums of three or more rational tangles. The
   common endpoint abscissa u is one unknown: each leaf contributes either
   its constant family or a partially traversed final edge, v is affine in
   u on each piece, and sum v = 0 is solved exactly piece by piece
   (type I). Systems whose paths all reach the u = 0 line close when the
-  integer endpoints sum to zero (type II); such a system is counted as a
-  slope only when no path travels along u = 0 and the penultimate-vertex
+  integer endpoints sum to zero (type II). Their choices are the same
+  descents, endpoints and vertical runs capped by c_bound, runs at most
+  TYPE_II_RUN_WINDOW steps long. Such a system is counted as a slope only
+  when no path travels along u = 0 and the penultimate-vertex
   denominators y_i satisfy sum 1/y_i <= 1. Everything found is stored,
   inessential candidates flagged.
 
@@ -32,9 +36,17 @@ from fractions import Fraction
 from itertools import product as iterproduct
 from math import gcd, prod
 
-from .diagram import WeightState, is_edge
-from .edgepaths import ConstantPath, VertexPath, constant_path, endpoint_state, enumerate_paths, tau
-from .errors import SeifertUndefined, UnsupportedShape
+from .diagram import WeightState
+from .edgepaths import (
+    ConstantPath,
+    VertexPath,
+    constant_path,
+    endpoint_state,
+    enumerate_paths,
+    tau,
+    u_zero_paths,
+)
+from .errors import FamilyCheckFailed, SeifertUndefined, UnsupportedShape
 from .slopes import build_system, seifert_system, seifert_tau
 from .tangles import (
     Leaf,
@@ -45,7 +57,7 @@ from .tangles import (
     kn,
     render,
 )
-from .transforms import common_scaling, glue_sum, rotate_reflect
+from .transforms import glue_scaled, rotate_reflect
 
 log = logging.getLogger("tangleslopes.solver")
 
@@ -151,16 +163,17 @@ def _leaf_table(leaf, c_bound):
         for a in range(1, k + 1):
             path = ConstantPath(pq, WeightState(a, q * k - a, p * k))
             _insert(table, path.state.primitive(), ZERO, (path.describe(),), (path,))
-    for path in enumerate_paths(pq, target_u_zero=True, c_bound=c_bound):
-        if path.is_constant:
-            continue
-        _insert(
-            table,
-            endpoint_state(path).primitive(),
-            tau(path),
-            (path.describe(),),
-            (path,),
-        )
+    for descent in enumerate_paths(pq):
+        # an integer leaf keeps its trivial path whatever the bound
+        paths = (descent,) if q == 1 else u_zero_paths(descent, c_bound)
+        for path in paths:
+            _insert(
+                table,
+                endpoint_state(path).primitive(),
+                tau(path),
+                (path.describe(),),
+                (path,),
+            )
     return table
 
 
@@ -170,28 +183,44 @@ def _bucket_by_direction(table):
         buckets.setdefault(_direction(key), []).append(key)
     return buckets
 
+
+def _sorted_taus(table):
+    return {key: sorted(entries.items()) for key, entries in table.items()}
+
+
+def _glue_into(out, lw, rw, lents, rents, scale_bound):
+    """Glue lw to rw and combine every (left tau, right tau) pair of traces.
+
+    lents and rents are (tau, traces) lists; a product's left taus arrive
+    already turned into tau' - tau(left).
+    """
+    glued = glue_scaled(lw, rw, scale_bound)
+    if glued is None:
+        return
+    state = glued[0]
+    for lt, ltraces in lents:
+        for rt, rtraces in rents:
+            _combine(out, state, lt + rt, ltraces, rtraces)
+
+
 def _merge_sum(left, right, scale_bound):
     out = {}
     lbuckets = _bucket_by_direction(left)
     rbuckets = _bucket_by_direction(right)
+    rtaus = _sorted_taus(right)
     for direction in sorted(set(lbuckets) & set(rbuckets)):
         for lkey in lbuckets[direction]:
             lw = WeightState(*lkey)
+            lents = sorted(left[lkey].items())
             for rkey in rbuckets[direction]:
-                rw = WeightState(*rkey)
-                ks = common_scaling(lw, rw, scale_bound)
-                if ks is None:
-                    continue
-                glued = glue_sum(lw.scaled(ks[0]), rw.scaled(ks[1])).primitive()
-                for lt in sorted(left[lkey]):
-                    for rt in sorted(right[rkey]):
-                        _combine(out, glued, lt + rt, left[lkey][lt], right[rkey][rt])
+                _glue_into(out, lw, WeightState(*rkey), lents, rtaus[rkey], scale_bound)
     return out
 
 
 def _merge_product(left, right, scale_bound):
     out = {}
     rbuckets = _bucket_by_direction(right)
+    rtaus = _sorted_taus(right)
     for lkey in sorted(left):
         if lkey[2] == 0:
             log.debug("product: dropped untransformable c=0 state %r", lkey)
@@ -200,16 +229,10 @@ def _merge_product(left, right, scale_bound):
         if not outcome.feasible:
             continue
         tw = outcome.state
+        # product twist: -tau(left) + tau' + tau(right)
+        lents = [(outcome.tau_prime - lt, traces) for lt, traces in sorted(left[lkey].items())]
         for rkey in rbuckets.get(_direction(_statekey(tw)), ()):
-            rw = WeightState(*rkey)
-            ks = common_scaling(tw, rw, scale_bound)
-            if ks is None:
-                continue
-            glued = glue_sum(tw.scaled(ks[0]), rw.scaled(ks[1])).primitive()
-            for lt in sorted(left[lkey]):
-                for rt in sorted(right[rkey]):
-                    t = -lt + outcome.tau_prime + rt
-                    _combine(out, glued, t, left[lkey][lt], right[rkey][rt])
+            _glue_into(out, tw, WeightState(*rkey), lents, rtaus[rkey], scale_bound)
     return out
 
 
@@ -236,9 +259,7 @@ def _materialize(expr, grouped, reference):
         candidates = sorted(grouped[group_key], key=lambda c: (c[0], c[1]))
         for sort_key, note, assignment in candidates[:SYSTEMS_PER_SLOPE]:
             systems.append(
-                build_system(
-                    expr, assignment, scale_bound=None, note=note, reference_tau=reference
-                )
+                build_system(expr, assignment, note=note, reference_tau=reference)
             )
     return systems
 
@@ -315,9 +336,7 @@ def _leaf_segments(pq):
         _Segment("const", (), ZERO, Fraction(p, q), Fraction(q - 1, q), ONE)
     ]
     seen = set()
-    for path in enumerate_paths(pq, target_u_zero=False):
-        if path.is_constant or len(path.vertices) == 1:
-            continue
+    for path in enumerate_paths(pq):
         vs = path.vertices
         for j in range(len(vs) - 1):
             prefix = vs[: j + 2]
@@ -384,29 +403,17 @@ def _segment_label(segment):
 
 
 def _type_ii_options(pq, c_bound):
-    """(vertices, endpoint, ran, y) choices for a leaf ending on u = 0."""
+    """(path, endpoint, ran, y) choices for a leaf ending on u = 0."""
     options = []
     window = min(c_bound, TYPE_II_RUN_WINDOW)
-    for path in enumerate_paths(pq, target_u_zero=False):
-        if path.is_constant:
-            continue
-        vs = path.vertices
-        m0 = int(vs[-1])
+    for descent in enumerate_paths(pq):
+        vs = descent.vertices
+        if abs(vs[-1]) > c_bound + 1:
+            continue  # neither it nor a first run step ends within +-c_bound
         y = vs[-2].denominator if len(vs) > 1 else 1
-        if abs(m0) <= c_bound:
-            options.append((vs, m0, False, y))
-        if len(vs) < 2:
-            continue  # integer tangles keep only their trivial path
-        for d in (-1, 1):
-            if is_edge(vs[-2], Fraction(m0 + d)):
-                continue  # first run step would cut a triangle
-            run = vs
-            for step in range(1, window + 1):
-                m = m0 + d * step
-                if abs(m) > c_bound:
-                    break
-                run = run + (Fraction(m),)
-                options.append((run, m, True, 1))
+        for path in u_zero_paths(descent, c_bound, steps=window):
+            ran = path is not descent
+            options.append((path, int(path.vertices[-1]), ran, 1 if ran else y))
     return options
 
 
@@ -464,10 +471,7 @@ def solve_montesinos(expr, c_bound=None):
             ran = any(r for _, _, r, _ in combo)
             slim = sum(Fraction(1, y) for _, _, _, y in combo)
             essential = not ran and slim <= 1
-            assignment = [
-                VertexPath(l.fraction, vs)
-                for l, (vs, _, _, _) in zip(leaves, combo)
-            ]
+            assignment = [path for path, _, _, _ in combo]
             stage(
                 assignment,
                 "" if essential else "inessential-candidate",
@@ -495,6 +499,16 @@ def solve(expr, c_bound=None, scale_bound=None):
 # the distinguished family system
 
 
+def family_nodes(system):
+    """(root, left sum, left leaves, right sum) of a kn(n) system's trace.
+
+    The trace is preorder over (L1 + L2) o (R1 + R2): root, left sum, L1,
+    L2, right sum, R1, R2.
+    """
+    root, lsum, l1, l2, rsum = system.nodes[:5]
+    return root, lsum, (l1, l2), rsum
+
+
 def kn_system(n):
     """The published closed system for the n-th family knot, fully checked.
 
@@ -512,12 +526,10 @@ def kn_system(n):
     )
     long = VertexPath(Fraction(1, n + 1), climb)
     reference = seifert_tau(expr)
-    system = build_system(
-        expr, (lneg, lpos, short, long), scale_bound=None, reference_tau=reference
-    )
-    root, lsum, rsum = system.nodes[0], system.nodes[1], system.nodes[4]
+    system = build_system(expr, (lneg, lpos, short, long), reference_tau=reference)
+    root, lsum, lleaves, rsum = family_nodes(system)
     checks = (
-        ("left leaf triples", (system.nodes[2].state, system.nodes[3].state),
+        ("left leaf triples", tuple(leaf.state for leaf in lleaves),
          (WeightState(1, nn - 1, -(n + 1)), WeightState(1, nn - 1, n))),
         ("left glued state", lsum.state, WeightState(1, nn - 1, -1)),
         ("left tau", lsum.tau, ZERO),
@@ -531,7 +543,7 @@ def kn_system(n):
     )
     for name, got, expected in checks:
         if got != expected:
-            raise RuntimeError(
+            raise FamilyCheckFailed(
                 "family system check '%s' failed: %r != %r" % (name, got, expected)
             )
     return system

@@ -69,29 +69,6 @@ class Product(TangleExpr):
         return (self.left, self.right)
 
 
-def nodes_with_parity(expr, parity=0):
-    """Yield (node, reflection_parity) pairs over the whole tree.
-
-    The left operand of a product gets reflected once more than its parent;
-    every other child inherits its parent's parity.
-    """
-    yield expr, parity
-    if isinstance(expr, Product):
-        yield from nodes_with_parity(expr.left, parity + 1)
-        yield from nodes_with_parity(expr.right, parity)
-    elif isinstance(expr, Sum):
-        yield from nodes_with_parity(expr.left, parity)
-        yield from nodes_with_parity(expr.right, parity)
-
-
-def reflection_parity(expr, node):
-    """Reflection parity of `node` (by identity) inside `expr`."""
-    for n, k in nodes_with_parity(expr):
-        if n is node:
-            return k
-    raise ValueError("node is not part of the expression")
-
-
 def montesinos_factors(expr, parity=0):
     """List the maximal product-free subtrees with their reflection parity.
 

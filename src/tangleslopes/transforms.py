@@ -2,7 +2,8 @@
 
 Gluing two candidate surfaces along a tangle sum requires matching (a, b)
 weights; the c weights add, as do slope-infinity edge counts. Either side
-may first be replicated into parallel sheets to reach a common (a, b).
+may first be replicated into parallel sheets to reach a common (a, b);
+`glue_scaled` does both steps and reduces the result.
 
 The tangle product reflects and quarter-rotates its left operand. On
 weights (a, b, c) the move splits into four cases according to the special
@@ -65,6 +66,18 @@ def common_scaling(w1, w2, scale_bound=None):
     if scale_bound is not None and (k1 > scale_bound or k2 > scale_bound):
         return None
     return k1, k2
+
+
+def glue_scaled(w1, w2, scale_bound=None):
+    """Glue two states at their least common (a, b), reduced to primitive.
+
+    Returns (glued state, (k1, k2)), or None when common_scaling finds no
+    multipliers.
+    """
+    ks = common_scaling(w1, w2, scale_bound)
+    if ks is None:
+        return None
+    return glue_sum(w1.scaled(ks[0]), w2.scaled(ks[1])).primitive(), ks
 
 
 @dataclass(frozen=True)

@@ -11,19 +11,18 @@ from fractions import Fraction
 from tangleslopes import (
     Product,
     WeightState,
-    constant_path,
     kn,
     kn_system,
-    mirror,
     parse,
-    rotate_reflect,
-    seifert_tau,
     solve,
     solve_sn,
     verify_system,
 )
 from tangleslopes.cli import main
-from tangleslopes.edgepaths import tau
+from tangleslopes.edgepaths import constant_path, tau
+from tangleslopes.slopes import seifert_tau
+from tangleslopes.tangles import mirror
+from tangleslopes.transforms import rotate_reflect
 
 
 def high_slope(n):

@@ -1,10 +1,12 @@
 import json
 import os
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
+from tangleslopes import solver
 from tangleslopes.cli import build_parser, entrypoint, main
 
 PRETZEL_237 = "-1/2 + 1/3 + 1/7"
@@ -82,6 +84,23 @@ def test_empty_result_exit(capsys):
 def test_bad_bounds_exit(capsys):
     code, _, err = run(capsys, "slopes", PRETZEL_237, "--c-bound", "0")
     assert code == 2
+
+
+def test_deep_expression_exit(capsys):
+    code, _, err = run(capsys, "slopes", " + ".join(["1/3"] * 1200))
+    assert code == 2
+    assert "nests too deeply" in err
+
+
+def test_failed_family_check_exit(monkeypatch, capsys):
+    # a wrong reference twist makes the family system's checks disagree
+    monkeypatch.setattr(solver, "seifert_tau", lambda expr: Fraction(1))
+    code, _, err = run(capsys, "kn", "--n", "2")
+    assert code == 1
+    assert "family system check" in err
+    code, out, _ = run(capsys, "verify", "--n-max", "2")
+    assert code == 1
+    assert out.splitlines()[0].startswith("n=2 FAIL (trace: family system check")
 
 
 def test_verify_ok_and_byte_identical(capsys):

@@ -2,15 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from tangleslopes import (
-    DegeneratePoint,
-    WeightState,
-    is_edge,
-    parents,
-    uv_coords,
-    vertex_point,
-    vertex_triple,
-)
+from tangleslopes import DegeneratePoint, WeightState, uv_coords
+from tangleslopes.diagram import is_edge, parents, vertex_point, vertex_triple
 
 
 def test_vertex_triple():

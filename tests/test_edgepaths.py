@@ -2,16 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from tangleslopes import (
-    ConstantPath,
-    FractionalEndpoint,
-    VertexPath,
-    WeightState,
+from tangleslopes import ConstantPath, FractionalEndpoint, VertexPath, WeightState
+from tangleslopes.edgepaths import (
     constant_path,
+    end_weights,
     endpoint_point,
     endpoint_state,
     enumerate_paths,
     tau,
+    u_zero_paths,
     validate,
 )
 
@@ -108,6 +107,14 @@ def test_endpoint_point_barycentric():
     assert (pt.u, pt.v) == (Fraction(3, 5), Fraction(2, 5))
 
 
+def test_end_weights_mixes_partial_edge_and_scales_by_sheets():
+    assert end_weights(path(THIRD, HALF, final_fraction=HALF)) == WeightState(2, 3, 2)
+    doubled = VertexPath(THIRD, (THIRD, HALF), final_fraction=HALF, sheets=2)
+    assert end_weights(doubled) == WeightState(4, 6, 4)
+    assert end_weights(path(THIRD, HALF, 1)) == endpoint_state(path(THIRD, HALF, 1))
+    assert end_weights(constant_path(THIRD)) == WeightState(1, 2, 1)
+
+
 def test_tau_counts_slope_decreasing_edges():
     assert tau(path(-HALF, 0)) == -2
     assert tau(path(HALF, 0)) == 2
@@ -125,51 +132,55 @@ def test_tau_ignores_sheets():
     assert tau(threefold) == -4
 
 
-def test_enumerate_paths_starts_with_constant_seed():
-    paths = enumerate_paths(Fraction(-1, 2), c_bound=3)
-    assert paths[0].is_constant
+def u_zero(start, c_bound, steps=None):
+    return [p for d in enumerate_paths(start) for p in u_zero_paths(d, c_bound, steps)]
 
 
 def test_enumerate_paths_reaches_integer_runs_both_ways():
-    paths = enumerate_paths(Fraction(-1, 2), c_bound=3)
-    ends = {p.vertices[-1] for p in paths if not p.is_constant}
+    paths = u_zero(Fraction(-1, 2), 3)
+    ends = {p.vertices[-1] for p in paths}
     assert {Fraction(0), Fraction(-3), Fraction(3)} <= ends
-    assert all(abs(p.vertices[-1]) <= 3 for p in paths if not p.is_constant)
+    assert all(abs(p.vertices[-1]) <= 3 for p in paths)
 
 
 def test_enumerate_paths_blocks_run_into_triangle():
     # arriving at 0 from -1/2 blocks the immediate run toward -1
-    paths = enumerate_paths(Fraction(-1, 2), c_bound=3)
-    for p in paths:
-        if p.is_constant or len(p.vertices) < 3:
-            continue
-        if p.vertices[:2] == (Fraction(-1, 2), Fraction(0)):
+    for p in u_zero(Fraction(-1, 2), 3):
+        if len(p.vertices) >= 3 and p.vertices[:2] == (Fraction(-1, 2), Fraction(0)):
             assert p.vertices[2] != Fraction(-1)
+
+
+def test_u_zero_paths_respect_steps():
+    for descent in enumerate_paths(Fraction(3, 7)):
+        for p in u_zero_paths(descent, 8, steps=2):
+            assert len(p.vertices) - len(descent.vertices) <= 2
+    assert len(u_zero(Fraction(3, 7), 8, steps=2)) < len(u_zero(Fraction(3, 7), 8))
 
 
 def test_enumerate_paths_all_validate():
     for start in (Fraction(-1, 2), Fraction(1, 3), Fraction(3, 7), Fraction(2)):
-        for p in enumerate_paths(start, c_bound=4):
+        for p in u_zero(start, 4):
             assert validate(p) == [], (start, p)
 
 
 def test_enumerate_paths_descents_only():
-    paths = enumerate_paths(Fraction(3, 7), target_u_zero=False)
-    assert all(p.is_constant or p.vertices[-1].denominator == 1 for p in paths)
-    # no vertical runs in descent mode
+    paths = enumerate_paths(Fraction(3, 7))
+    assert paths and all(p.vertices[-1].denominator == 1 for p in paths)
+    # no vertical runs: denominators strictly fall along every descent
     for p in paths:
-        if not p.is_constant:
-            dens = [v.denominator for v in p.vertices]
-            assert dens == sorted(dens, reverse=True)
+        dens = [v.denominator for v in p.vertices]
+        assert dens == sorted(set(dens), reverse=True)
+        assert validate(p) == []
 
 
 def test_enumerate_paths_integer_start_is_trivial():
-    paths = enumerate_paths(Fraction(2), c_bound=4)
-    nonconst = [p for p in paths if not p.is_constant]
-    assert len(nonconst) == 1 and nonconst[0].vertices == (Fraction(2),)
+    paths = enumerate_paths(Fraction(2))
+    assert paths == [VertexPath(Fraction(2), (Fraction(2),))]
+    # the trivial path neither runs nor survives a bound below its endpoint
+    assert list(u_zero_paths(paths[0], 4)) == paths
+    assert list(u_zero_paths(paths[0], 1)) == []
 
 
 def test_enumerate_paths_deterministic():
-    a = enumerate_paths(Fraction(3, 7), c_bound=5)
-    b = enumerate_paths(Fraction(3, 7), c_bound=5)
-    assert a == b
+    assert enumerate_paths(Fraction(3, 7)) == enumerate_paths(Fraction(3, 7))
+    assert u_zero(Fraction(3, 7), 5) == u_zero(Fraction(3, 7), 5)

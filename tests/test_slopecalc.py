@@ -12,19 +12,18 @@ from tangleslopes import (
     Sum,
     VertexPath,
     WeightState,
-    boundary_slope,
-    build_system,
     kn,
     parse,
+    verify_system,
+)
+from tangleslopes.edgepaths import tau, validate
+from tangleslopes.slopes import (
+    boundary_slope,
+    build_system,
     replay,
     seifert_leaf_path,
     seifert_system,
     seifert_tau,
-    tau,
-    tau_product,
-    tau_sum,
-    validate,
-    verify_system,
 )
 
 
@@ -118,12 +117,6 @@ def test_reference_paths_validate():
         path = seifert_leaf_path(Fraction(p, q))
         assert validate(path) == [], Fraction(p, q)
         assert path.final_fraction == 1
-
-
-def test_tau_sum_and_product_rules():
-    assert tau_sum(Fraction(4), Fraction(-6)) == -2
-    assert tau_product(Fraction(0), Fraction(2), Fraction(-16)) == -14
-    assert tau_product(Fraction(3), Fraction(-2), Fraction(1)) == -4
 
 
 def test_replay_reproduces_the_family_trace():

@@ -9,13 +9,13 @@ from tangleslopes import (
     WeightState,
     kn,
     kn_system,
-    mirror,
     parse,
     solve,
     solve_montesinos,
     solve_sn,
     verify_system,
 )
+from tangleslopes.tangles import mirror
 
 PRETZEL_237 = "-1/2 + 1/3 + 1/7"
 

@@ -9,14 +9,16 @@ from tangleslopes import (
     Product,
     Sum,
     ZeroDenominator,
+    kn,
+    parse,
+    render,
+)
+from tangleslopes.tangles import (
     crossing_count,
     family_crossing_count,
     family_index,
-    kn,
     mirror,
     montesinos_factors,
-    parse,
-    render,
 )
 
 

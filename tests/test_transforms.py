@@ -10,10 +10,8 @@ from tangleslopes import (
     MismatchedWeights,
     UndefinedCase,
     WeightState,
-    common_scaling,
-    glue_sum,
-    rotate_reflect,
 )
+from tangleslopes.transforms import common_scaling, glue_sum, rotate_reflect
 
 
 def test_glue_sum_adds_c_and_n_inf():
