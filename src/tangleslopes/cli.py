@@ -312,13 +312,6 @@ def main(argv=None):
     except (TangleSlopesError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except RecursionError:
-        print(
-            "error: expression nests too deeply (Python recursion limit %d)"
-            % sys.getrecursionlimit(),
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_IO

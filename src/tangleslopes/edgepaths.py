@@ -21,8 +21,9 @@ slope-increasing edges and e_minus slope-decreasing ones; the last edge
 counts fractionally when partial. Constants have tau = 0.
 
 `enumerate_paths` lists the descents from <p/q> to the u = 0 line, and
-`u_zero_paths` extends one descent along that line by vertical runs. Both
-solvers build their per-tangle choices from these two.
+`u_zero_paths` extends one descent along that line by vertical runs. The
+product-expression solver builds its per-tangle choices from both; the
+Montesinos solver uses the descents alone.
 """
 
 from dataclasses import dataclass
@@ -194,15 +195,16 @@ def enumerate_paths(start):
     return paths
 
 
-def u_zero_paths(descent, c_bound, steps=None):
+def u_zero_paths(descent, c_bound):
     """The descent and its vertical runs, each kept when it ends within
     +-c_bound.
 
     A run walks along u = 0 away from the descent's endpoint m, one integer
-    at a time, until it passes c_bound on its own side or has taken `steps`
-    steps. Its first step may not cut across a triangle, and a trivial path
-    (integer tangle) does not run. Yields the descent, then the runs toward
-    -infinity, then those toward +infinity, each by length.
+    at a time, until it passes c_bound on its own side. Its first step may
+    not cut across a triangle, and a trivial path (integer tangle) does not
+    run. Yields the descent, then the runs toward -infinity, then those
+    toward +infinity, each by length. Only the product-expression solve
+    takes runs; the Montesinos solve takes the descents alone.
     """
     vs = descent.vertices
     m = int(vs[-1])
@@ -215,7 +217,7 @@ def u_zero_paths(descent, c_bound, steps=None):
             continue  # first run step would cut a triangle
         run = vs
         k = m + d
-        while d * k <= c_bound and (steps is None or abs(k - m) <= steps):
+        while d * k <= c_bound:
             run = run + (Fraction(k),)
             if abs(k) <= c_bound:
                 yield VertexPath(descent.tangle, run)

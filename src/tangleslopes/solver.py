@@ -17,12 +17,13 @@ Two closure regimes:
   its constant family or a partially traversed final edge, v is affine in
   u on each piece, and sum v = 0 is solved exactly piece by piece
   (type I). Systems whose paths all reach the u = 0 line close when the
-  integer endpoints sum to zero (type II). Their choices are the same
-  descents, endpoints and vertical runs capped by c_bound, runs at most
-  TYPE_II_RUN_WINDOW steps long. Such a system is counted as a slope only
-  when no path travels along u = 0 and the penultimate-vertex
-  denominators y_i satisfy sum 1/y_i <= 1. Everything found is stored,
-  inessential candidates flagged.
+  integer endpoints sum to zero (type II). Their choices are the descents
+  alone, ending within +-c_bound; no path travels along u = 0. Such a
+  system is counted as a slope when the penultimate-vertex denominators
+  y_i satisfy sum 1/y_i <= 1, and is stored flagged as an inessential
+  candidate otherwise. Every leaf has at least as many type-I segments
+  as descents, so the type-II product is never larger than the type-I
+  one, and both are enumerated in full.
 
 Both attach the Seifert reference system (slope 0) when the normalization
 exists. All output is exhaustively sorted; nothing depends on hash or
@@ -34,7 +35,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iterproduct
-from math import gcd, prod
+from math import gcd
 
 from .diagram import WeightState
 from .edgepaths import (
@@ -66,8 +67,6 @@ ONE = Fraction(1)
 
 SYSTEMS_PER_SLOPE = 16
 TRACES_PER_STATE = 8
-TYPE_II_RUN_WINDOW = 6
-TYPE_II_COMBO_GUARD = 200000
 
 
 @dataclass(frozen=True)
@@ -403,17 +402,14 @@ def _segment_label(segment):
 
 
 def _type_ii_options(pq, c_bound):
-    """(path, endpoint, ran, y) choices for a leaf ending on u = 0."""
+    """(descent, endpoint m, y) for each descent of a leaf ending within
+    +-c_bound; y is the denominator of its penultimate vertex."""
     options = []
-    window = min(c_bound, TYPE_II_RUN_WINDOW)
     for descent in enumerate_paths(pq):
         vs = descent.vertices
-        if abs(vs[-1]) > c_bound + 1:
-            continue  # neither it nor a first run step ends within +-c_bound
-        y = vs[-2].denominator if len(vs) > 1 else 1
-        for path in u_zero_paths(descent, c_bound, steps=window):
-            ran = path is not descent
-            options.append((path, int(path.vertices[-1]), ran, 1 if ran else y))
+        m = int(vs[-1])
+        if abs(m) <= c_bound:
+            options.append((descent, m, vs[-2].denominator if len(vs) > 1 else 1))
     return options
 
 
@@ -458,25 +454,15 @@ def solve_montesinos(expr, c_bound=None):
         stage(assignment, note, counted=(note == ""))
 
     per_leaf = [_type_ii_options(l.fraction, c_bound) for l in leaves]
-    combos = prod(len(o) for o in per_leaf)
-    if combos > TYPE_II_COMBO_GUARD:
-        notes.append(
-            "u=0 closure enumeration skipped: %d combinations exceed %d"
-            % (combos, TYPE_II_COMBO_GUARD)
+    for combo in iterproduct(*per_leaf):
+        if sum(m for _, m, _ in combo) != 0:
+            continue
+        essential = sum(Fraction(1, y) for _, _, y in combo) <= 1
+        stage(
+            [path for path, _, _ in combo],
+            "" if essential else "inessential-candidate",
+            counted=essential,
         )
-    else:
-        for combo in iterproduct(*per_leaf):
-            if sum(m for _, m, _, _ in combo) != 0:
-                continue
-            ran = any(r for _, _, r, _ in combo)
-            slim = sum(Fraction(1, y) for _, _, _, y in combo)
-            essential = not ran and slim <= 1
-            assignment = [path for path, _, _, _ in combo]
-            stage(
-                assignment,
-                "" if essential else "inessential-candidate",
-                counted=essential,
-            )
 
     systems = _materialize(expr, grouped, reference)
     if not grouped:

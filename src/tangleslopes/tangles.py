@@ -12,6 +12,8 @@ grammar
     fraction := ['-'] int ['/' int]
 
 with `+` binding tighter than `o` and both operators left-associative.
+A tree deeper than MAX_DEPTH levels is a ParseError, so the recursive tree
+walks stay within Python's recursion limit.
 """
 
 from dataclasses import dataclass
@@ -112,6 +114,21 @@ def _tokenize(text):
     return tokens
 
 
+MAX_DEPTH = 500
+_BINDING = {"o": 1, "+": 2}  # an open parenthesis binds 0: reductions stop there
+
+
+def _reduce(operands, pending, floor):
+    """Apply the pending operators that bind at least as tightly as floor."""
+    while pending and _BINDING.get(pending[-1][0], 0) >= floor:
+        op, position = pending.pop()
+        (right, rdepth), (left, ldepth) = operands.pop(), operands.pop()
+        depth = 1 + max(ldepth, rdepth)
+        if depth > MAX_DEPTH:
+            raise ParseError("expression nests too deeply (over %d levels)" % MAX_DEPTH, position)
+        operands.append(((Sum if op == "+" else Product)(left, right), depth))
+
+
 class _Parser:
     def __init__(self, text):
         self.text = text
@@ -134,30 +151,27 @@ class _Parser:
         return tok
 
     def expr(self):
-        node = self.sum()
-        while self.peek() == "o":
-            self.take()
-            node = Product(node, self.sum())
-        return node
-
-    def sum(self):
-        node = self.atom()
-        while self.peek() == "+":
-            self.take()
-            node = Sum(node, self.atom())
-        return node
-
-    def atom(self):
-        tok = self.peek()
-        if tok == "(":
-            open_pos = self.here()
-            self.take()
-            node = self.expr()
-            if self.peek() != ")":
-                raise ParseError("unbalanced parenthesis", open_pos)
-            self.take()
-            return node
-        return self.fraction()
+        """Operator precedence without recursion: operands are (node, tree
+        depth) pairs; pending holds operators and open parentheses."""
+        operands, pending, opened = [], [], 0
+        while True:
+            while self.peek() == "(":
+                pending.append(self.take())
+                opened += 1
+            operands.append((self.fraction(), 1))
+            while opened and self.peek() == ")":
+                _reduce(operands, pending, 1)
+                pending.pop()
+                opened -= 1
+                self.take()
+            if self.peek() not in _BINDING:
+                break
+            _reduce(operands, pending, _BINDING[self.peek()])
+            pending.append(self.take())
+        _reduce(operands, pending, 1)
+        if pending:
+            raise ParseError("unbalanced parenthesis", pending[-1][1])
+        return operands[0][0]
 
     def fraction(self):
         sign = 1

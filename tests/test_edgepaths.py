@@ -132,8 +132,8 @@ def test_tau_ignores_sheets():
     assert tau(threefold) == -4
 
 
-def u_zero(start, c_bound, steps=None):
-    return [p for d in enumerate_paths(start) for p in u_zero_paths(d, c_bound, steps)]
+def u_zero(start, c_bound):
+    return [p for d in enumerate_paths(start) for p in u_zero_paths(d, c_bound)]
 
 
 def test_enumerate_paths_reaches_integer_runs_both_ways():
@@ -148,13 +148,6 @@ def test_enumerate_paths_blocks_run_into_triangle():
     for p in u_zero(Fraction(-1, 2), 3):
         if len(p.vertices) >= 3 and p.vertices[:2] == (Fraction(-1, 2), Fraction(0)):
             assert p.vertices[2] != Fraction(-1)
-
-
-def test_u_zero_paths_respect_steps():
-    for descent in enumerate_paths(Fraction(3, 7)):
-        for p in u_zero_paths(descent, 8, steps=2):
-            assert len(p.vertices) - len(descent.vertices) <= 2
-    assert len(u_zero(Fraction(3, 7), 8, steps=2)) < len(u_zero(Fraction(3, 7), 8))
 
 
 def test_enumerate_paths_all_validate():

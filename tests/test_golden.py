@@ -17,19 +17,19 @@ GOLDEN = (
     ("kn(2)", None, "b084c0a778f139c2c116347bf8f3ecc68739dd9bcba5aa6499109d65fb486651"),
     ("kn(3)", None, "67871f13d705990a13bafdfdcb2739ff3e5181b0b6d82c9c4e95ab5711ed536f"),
     ("kn(4)", None, "20c46fde421d33a4b93fa62e8ccd1f50fd88926650483d89a7478724151bc588"),
-    ("-1/2 + 1/3 + 1/3", None, "9ab64e37db8bb6b2116d516cc45d288f731e831e098e0615e68c4ea71d7ff11c"),
-    ("-1/2 + 1/3 + 1/5", None, "f94e1ec970137a5253453638fe46efbdf7e3cb8f4e7d9e0f0907074b699f3c3b"),
-    ("-1/2 + 1/3 + 1/7", None, "5f2a2d1c38db2237c2bc2a9c242af59b346ce6e6ad1e082ab322e059b944c821"),
+    ("-1/2 + 1/3 + 1/3", None, "bbaef03dec384575aa02435bd541c1323db3166229ebfc0f796bfba38ea50feb"),
+    ("-1/2 + 1/3 + 1/5", None, "fb5243df1a8c7cca24bca080be963f9124ab4550a319ee93fce9db65b22bf6a8"),
+    ("-1/2 + 1/3 + 1/7", None, "50d3b878ca85e5af983c0fa13e6a75fc0efd10091ef733a76c4dcf3004e307e5"),
     ("(1/2 + 1/3) o 1/4", None, "d6f82b14beae8dbfa23c21f4d1f1e9cb103a57b47bf71caf8ae4d1d674c5d7f2"),
     (
         "(1/2+1/3) o (1/4 + -1/3) o (1/5+1/2)",
         None,
         "63fab5b1b709c06ac08db6827d6b46db2b983c07695ef115703233e9727730d4",
     ),
-    # the u=0 enumeration is skipped here; the digest pins that note
-    ("-3/7 + 5/11 + 2/9 + 1/4", None, "395508b9e97178e0c18ebf11bf5db8849d45fd86ccd46fcf12cd68f3d7e65a41"),
+    # four tangles: the digest pins the complete u=0 search, no skip note
+    ("-3/7 + 5/11 + 2/9 + 1/4", None, "2dbef73abf9ccf98e40c10cca96a671c83c29e68591b5e910b4409035a2c31b1"),
     # no even-denominator tangle: systems with null slopes
-    ("2 + 1/3 + 1/7", None, "b9f99163187c849d91c2643a33f88a9be37b9f4b905f4d5ef01f3efe75c86efc"),
+    ("2 + 1/3 + 1/7", None, "c6fc6296c75d8631d0b053a89e4c0fcf434453190d436727ea46f408ce83c928"),
     # the integer leaf keeps its trivial path even past c_bound
     ("(2 + 1/3) o 1/2", 1, "01a4f643a14ea89505dc0eb00b30d2aeec383656c820faab9274b96d0aed55b2"),
 )

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,6 +16,7 @@ from tangleslopes import (
     solve_sn,
     verify_system,
 )
+from tangleslopes.solver import _leaf_segments, _type_ii_options
 from tangleslopes.tangles import mirror
 
 PRETZEL_237 = "-1/2 + 1/3 + 1/7"
@@ -159,22 +161,21 @@ def test_montesinos_u_zero_closure_is_exact():
     )
 
 
+def _has_vertical_run(path):
+    vs = () if path.is_constant else path.vertices
+    return len(vs) > 2 and vs[-1].denominator == 1 and vs[-2].denominator == 1
+
+
 def test_montesinos_inessential_candidates_are_flagged():
     rep = solve_montesinos(parse("-1/2 + 1/3 + 1/5"))
     flagged = [s for s in rep.systems if s.note == "inessential-candidate"]
-    assert flagged
-    # u=0 systems with vertical runs never count toward the slope set
+    assert sorted(s.slope for s in flagged) == [10, 14, 16]
+    # u=0 systems are descents only; the flag means sum 1/y > 1
     for system in flagged:
-        if any(
-            not p.is_constant
-            and len(p.vertices) > 2
-            and p.vertices[-1].denominator == 1
-            and p.vertices[-2].denominator == 1
-            for p in system.assignment
-        ):
-            break
-    else:
-        pytest.fail("expected a flagged system with a vertical run")
+        assert not any(_has_vertical_run(p) for p in system.assignment)
+        ys = [p.vertices[-2].denominator if len(p.vertices) > 1 else 1
+              for p in system.assignment]
+        assert sum(Fraction(1, y) for y in ys) > 1
 
 
 def test_montesinos_essential_sum_rule():
@@ -193,9 +194,28 @@ def test_montesinos_undefined_reference():
     assert all(s.slope is None for s in rep.systems)
 
 
-def test_montesinos_combo_guard():
-    rep = solve_montesinos(parse("-1/2 + 1/3 + 1/3 + 1/3 + 1/3"))
-    assert any("exceed" in note for note in rep.notes)
+def test_montesinos_u_zero_search_never_skips():
+    for text in ("-1/2 + 1/3 + 1/3 + 1/3 + 1/3", "-3/7 + 5/11 + 2/9 + 1/4"):
+        rep = solve_montesinos(parse(text))
+        assert not any("skipped" in note for note in rep.notes), text
+
+
+def test_montesinos_slopes_grow_with_c_bound():
+    text = "-1/5 + -2/7 + 5/6 + -3/4"
+    default = set(solve_montesinos(parse(text)).slopes)
+    assert {Fraction(-10), Fraction(-6)} <= default
+    for c_bound in (2, 3, 4):
+        assert set(solve_montesinos(parse(text), c_bound=c_bound).slopes) <= default
+    assert Fraction(12) in solve_montesinos(parse("3/5 + 1/9 + -7/9 + -3/8")).slopes
+
+
+def test_type_i_segments_outnumber_u_zero_options():
+    # bounds the u=0 product by the type-I product, which runs unguarded
+    for q in range(1, 13):
+        for p in range(-3 * q, 3 * q + 1):
+            if p and gcd(p, q) == 1:
+                pq = Fraction(p, q)
+                assert len(_leaf_segments(pq)) >= len(_type_ii_options(pq, 32)), pq
 
 
 def test_montesinos_monotone_in_c_bound():

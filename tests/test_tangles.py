@@ -59,6 +59,25 @@ def test_parse_errors_carry_positions(text, position):
     assert "position %d" % position in str(err.value)
 
 
+def test_parse_rejects_deep_nesting():
+    deep = (
+        " + ".join(["1/3"] * 1200),
+        " o ".join(["1/3"] * 1200),
+        "1/3 + (" * 1200 + "1/3" + ")" * 1200,
+        "(" * 1200 + "1/3" + " + 1/3)" * 1200,
+    )
+    for text in deep:
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse(text)
+    # parentheses alone add no tree depth, and parsing does not recurse
+    assert parse("(" * 1200 + "1/3" + ")" * 1200) == Leaf(Fraction(1, 3))
+    # the cap is on depth, not size: 500 levels parse and walk
+    for text in (" + ".join(["1/3"] * 500), "1/3 o (" * 499 + "1/3" + ")" * 499):
+        e = parse(text)
+        assert len(list(e.leaves())) == 500
+        assert render(mirror(e)).count("-1/3") == 500
+
+
 def test_zero_denominator_is_a_parse_error():
     with pytest.raises(ZeroDenominator):
         parse("1/0")
