@@ -16,14 +16,16 @@ Two closure regimes:
   common endpoint abscissa u is one unknown: each leaf contributes either
   its constant family or a partially traversed final edge, v is affine in
   u on each piece, and sum v = 0 is solved exactly piece by piece
-  (type I). Systems whose paths all reach the u = 0 line close when the
+  (type I). The type-I walk visits only the prefixes of segment choices
+  whose validity intervals overlap; it skips no combination that can
+  close. Systems whose paths all reach the u = 0 line close when the
   integer endpoints sum to zero (type II). Their choices are the descents
   alone, ending within +-c_bound; no path travels along u = 0. Such a
   system is counted as a slope when the penultimate-vertex denominators
   y_i satisfy sum 1/y_i <= 1, and is stored flagged as an inessential
   candidate otherwise. Every leaf has at least as many type-I segments
-  as descents, so the type-II product is never larger than the type-I
-  one, and both are enumerated in full.
+  as descents, so the type-II product is never larger than the full
+  type-I one; it is enumerated in full.
 
 Both attach the Seifert reference system (slope 0) when the normalization
 exists. All output is exhaustively sorted; nothing depends on hash or
@@ -368,14 +370,26 @@ def _segment_path(pq, segment, u0):
 
 
 def _type_i_candidates(leaves, notes):
-    """Solve sum v_i(u) = 0 over every segment combination; yield systems."""
+    """Solve sum v_i(u) = 0 on every segment combination whose validity
+    intervals overlap; yield systems in product order.
+
+    A depth-first walk over the leaves carries each prefix's running
+    coeff, offset and interval [lo, hi). Extending a prefix only narrows
+    its interval, so a prefix whose interval is empty is dropped together
+    with every extension: no combination that can close is skipped.
+    """
     per_leaf = [_leaf_segments(l.fraction) for l in leaves]
-    for combo in iterproduct(*per_leaf):
-        coeff = sum(s.coeff for s in combo)
-        offset = sum(s.offset for s in combo)
-        lo = max(s.lo for s in combo)
-        hi = min(s.hi for s in combo)
-        if lo >= hi:
+    stack = [((), ZERO, ZERO, ZERO, ONE)]  # every lo >= 0 and every hi <= 1
+    while stack:
+        combo, coeff, offset, lo, hi = stack.pop()
+        if len(combo) < len(per_leaf):
+            # pushed in reverse, so extensions pop in product order
+            for s in reversed(per_leaf[len(combo)]):
+                slo, shi = max(lo, s.lo), min(hi, s.hi)
+                if slo < shi:
+                    stack.append(
+                        (combo + (s,), coeff + s.coeff, offset + s.offset, slo, shi)
+                    )
             continue
         if coeff == 0:
             if offset == 0:
@@ -389,9 +403,7 @@ def _type_i_candidates(leaves, notes):
                     yield lo, combo, "degenerate-family-endpoint"
             continue
         u0 = -offset / coeff
-        if u0 <= 0:  # u = 0 closures belong to the integer solve
-            continue
-        if all(s.lo <= u0 < s.hi for s in combo):
+        if 0 < u0 and lo <= u0 < hi:  # u = 0 closures belong to the integer solve
             yield u0, combo, ""
 
 

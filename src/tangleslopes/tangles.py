@@ -31,9 +31,11 @@ class TangleExpr:
 
     def nodes(self):
         """Yield every node of the subtree, depth first, left to right."""
-        yield self
-        for child in self._children():
-            yield from child.nodes()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node._children()))
 
     def leaves(self):
         """Yield the Leaf nodes in left-to-right order."""
@@ -47,13 +49,26 @@ class TangleExpr:
     def __str__(self):
         return render(self)
 
+    def _key(self):
+        # the preorder (node type, leaf fraction) sequence determines a
+        # binary tree; built without recursion, unlike dataclass equality
+        return tuple((type(n), getattr(n, "fraction", None)) for n in self.nodes())
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if not isinstance(other, TangleExpr):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
 class Leaf(TangleExpr):
     fraction: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sum(TangleExpr):
     left: TangleExpr
     right: TangleExpr
@@ -62,7 +77,7 @@ class Sum(TangleExpr):
         return (self.left, self.right)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Product(TangleExpr):
     left: TangleExpr
     right: TangleExpr

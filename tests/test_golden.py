@@ -28,6 +28,12 @@ GOLDEN = (
     ),
     # four tangles: the digest pins the complete u=0 search, no skip note
     ("-3/7 + 5/11 + 2/9 + 1/4", None, "2dbef73abf9ccf98e40c10cca96a671c83c29e68591b5e910b4409035a2c31b1"),
+    # six tangles: pins the type-I walk over overlapping segment prefixes
+    (
+        "3/7 + -5/9 + 2/9 + -4/7 + 5/8 + 1/9",
+        None,
+        "d14aeee2a54e9df91695e4aa51921e7a016b7bdbf8b050725bdd95ada28f5fb4",
+    ),
     # no even-denominator tangle: systems with null slopes
     ("2 + 1/3 + 1/7", None, "c6fc6296c75d8631d0b053a89e4c0fcf434453190d436727ea46f408ce83c928"),
     # the integer leaf keeps its trivial path even past c_bound

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product as iterproduct
 from math import gcd
 
 import pytest
@@ -16,8 +18,13 @@ from tangleslopes import (
     solve_sn,
     verify_system,
 )
-from tangleslopes.solver import _leaf_segments, _type_ii_options
-from tangleslopes.tangles import mirror
+from tangleslopes.solver import (
+    _leaf_segments,
+    _segment_label,
+    _type_i_candidates,
+    _type_ii_options,
+)
+from tangleslopes.tangles import Leaf, mirror
 
 PRETZEL_237 = "-1/2 + 1/3 + 1/7"
 
@@ -216,6 +223,56 @@ def test_type_i_segments_outnumber_u_zero_options():
             if p and gcd(p, q) == 1:
                 pq = Fraction(p, q)
                 assert len(_leaf_segments(pq)) >= len(_type_ii_options(pq, 32)), pq
+
+
+def _type_i_by_product(leaves, notes):
+    """The exhaustive segment product the depth-first walk replaced."""
+    for combo in iterproduct(*[_leaf_segments(l.fraction) for l in leaves]):
+        coeff = sum(s.coeff for s in combo)
+        offset = sum(s.offset for s in combo)
+        lo = max(s.lo for s in combo)
+        hi = min(s.hi for s in combo)
+        if lo >= hi:
+            continue
+        if coeff == 0:
+            if offset == 0:
+                notes.append(
+                    "degenerate closure family on u in [%s, %s) for %s"
+                    % (lo, hi, "; ".join(_segment_label(s) for s in combo))
+                )
+                if lo > 0:
+                    yield lo, combo, "degenerate-family-endpoint"
+            continue
+        u0 = -offset / coeff
+        if u0 <= 0:
+            continue
+        if all(s.lo <= u0 < s.hi for s in combo):
+            yield u0, combo, ""
+
+
+def test_type_i_walk_matches_segment_product():
+    # same candidates, same order, same degenerate-family notes
+    rng = random.Random(4)
+    sums = [[Fraction(f) for f in ("-3/4", "2/3", "3/5", "-4/5")]]
+    for i in range(24):
+        leaves = []
+        for _ in range(rng.randint(3, 5)):
+            if i % 4 == 0 and not leaves:
+                leaves.append(Fraction(rng.choice([-2, -1, 1, 2])))
+                continue
+            q = rng.randint(2, 9)
+            p = rng.choice([p for p in range(1 - q, q) if p and gcd(p, q) == 1])
+            leaves.append(Fraction(p, q))
+        sums.append(leaves)
+    degenerate = 0
+    for pqs in sums:
+        leaves = [Leaf(pq) for pq in pqs]
+        walk_notes, product_notes = [], []
+        walk = list(_type_i_candidates(leaves, walk_notes))
+        assert walk == list(_type_i_by_product(leaves, product_notes)), pqs
+        assert walk_notes == product_notes, pqs
+        degenerate += bool(walk_notes)
+    assert degenerate >= 3
 
 
 def test_montesinos_monotone_in_c_bound():

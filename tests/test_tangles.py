@@ -78,6 +78,21 @@ def test_parse_rejects_deep_nesting():
         assert render(mirror(e)).count("-1/3") == 500
 
 
+def test_tree_equality_and_hash_do_not_recurse():
+    for text in ("1/3 + (" * 499 + "1/3" + ")" * 499, "1/3 o (" * 499 + "1/3" + ")" * 499):
+        a, b = parse(text), parse(text)
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+    assert parse("(1/2 + 1/3) + 1/5") != parse("1/2 + (1/3 + 1/5)")
+    assert parse("1/2 + 1/3") != parse("1/2 o 1/3")
+    leaf = Leaf(Fraction(1, 3))
+    assert leaf != Sum(leaf, leaf)
+    assert leaf == Leaf(Fraction(1, 3)) and hash(leaf) == hash(Leaf(Fraction(1, 3)))
+    for n in range(2, 7):
+        assert family_index(kn(n)) == n
+
+
 def test_zero_denominator_is_a_parse_error():
     with pytest.raises(ZeroDenominator):
         parse("1/0")
