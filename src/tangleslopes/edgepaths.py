@@ -18,7 +18,8 @@ The properties checked by `validate`:
 
 The twist number tau of a path is 2*(e_minus - e_plus) where e_plus counts
 slope-increasing edges and e_minus slope-decreasing ones; the last edge
-counts fractionally when partial. Constants have tau = 0.
+counts fractionally when partial. Constants have tau = 0. tau is an int
+unless the last edge is partial.
 
 `enumerate_paths` lists the descents from <p/q> to the u = 0 line, and
 `u_zero_paths` extends one descent along that line by vertical runs. The
@@ -154,17 +155,18 @@ def endpoint_point(path):
 
 
 def tau(path):
-    """Twist number 2*(e_minus - e_plus), last edge weighted when partial."""
+    """Twist number 2*(e_minus - e_plus), last edge weighted when partial.
+
+    Whole steps count as an int, so a path that ends on a vertex (or a
+    constant) has an int tau; only a partial last edge makes a Fraction.
+    """
     if path.is_constant:
-        return Fraction(0)
+        return 0
     vs = path.vertices
-    total = Fraction(0)
-    for i in range(len(vs) - 1):
-        step = Fraction(2) if vs[i + 1] < vs[i] else Fraction(-2)
-        if i == len(vs) - 2:
-            step *= path.final_fraction
-        total += step
-    return total
+    steps = [2 if b < a else -2 for a, b in zip(vs, vs[1:])]
+    if not steps or path.final_fraction == 1:
+        return sum(steps)
+    return sum(steps[:-1]) + steps[-1] * path.final_fraction
 
 
 def enumerate_paths(start):

@@ -10,7 +10,14 @@ Two closure regimes:
   the rotation transform at a product node) and the right state are
   rescaled to a common (a, b), multipliers capped by scale_bound, and
   glued. A system closes when the root state carries no net slope weight
-  (c = 0) and no leftover slope-infinity edges.
+  (c = 0) and no leftover slope-infinity edges. A merged table keeps, per
+  (state, tau), only back-pointers to the (left state, tau) and (right
+  state, tau) pairs that glue to it; tau is an integer numerator over one
+  denominator per table (the lcm of the children's, and at a product of
+  the tau' denominators too). Witnesses are built only for the closed
+  root entries, by a walk down the back-pointers that keeps the
+  TRACES_PER_STATE smallest descriptors per entry: the same lists an
+  eager merge capping every node would hold.
 
 * solve_montesinos handles sums of three or more rational tangles. The
   common endpoint abscissa u is one unknown: each leaf contributes either
@@ -37,7 +44,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iterproduct
-from math import gcd
+from math import gcd, lcm
 
 from .diagram import WeightState
 from .edgepaths import (
@@ -133,48 +140,47 @@ def _direction(key):
     return (key[0] // g, key[1] // g) if g else (key[0], key[1])
 
 
-def _insert(table, state, t, desc, assignment):
-    entries = table.setdefault(_statekey(state), {}).setdefault(t, [])
+class _Table(dict):
+    """State key -> {tau numerator: entry}, every tau over `den`.
+
+    A leaf table's entries are its witnesses: (descriptor, assignment)
+    pairs, the TRACES_PER_STATE smallest, sorted. A merged table's entries
+    are back-pointers (left key, left tau, right key, right tau) into its
+    `left` and `right` child tables, each tau a numerator over that
+    child's own `den`.
+    """
+
+    def __init__(self, den=1, left=None, right=None):
+        super().__init__()
+        self.den, self.left, self.right = den, left, right
+
+
+def _keep(entries, desc, assignment):
+    """Insert into a descriptor-sorted list capped at TRACES_PER_STATE."""
     if len(entries) == TRACES_PER_STATE and desc >= entries[-1][0]:
         return
     insort(entries, (desc, assignment), key=lambda e: e[0])
     del entries[TRACES_PER_STATE:]
 
 
-def _combine(table, state, t, lents, rents):
-    # entries are sorted by descriptor, so concatenations arrive in order
-    # and whole blocks can be skipped once they fall past the cap
-    entries = table.setdefault(_statekey(state), {}).setdefault(t, [])
-    for ldesc, lassign in lents:
-        if len(entries) == TRACES_PER_STATE and ldesc + rents[0][0] >= entries[-1][0]:
-            break
-        for rdesc, rassign in rents:
-            desc = ldesc + rdesc
-            if len(entries) == TRACES_PER_STATE and desc >= entries[-1][0]:
-                break
-            insort(entries, (desc, lassign + rassign), key=lambda e: e[0])
-            del entries[TRACES_PER_STATE:]
-
-
 def _leaf_table(leaf, c_bound):
     pq = leaf.fraction
     p, q = pq.numerator, pq.denominator
-    table = {}
+    table = _Table()
+
+    def add(state, t, path):
+        entries = table.setdefault(_statekey(state), {}).setdefault(t, [])
+        _keep(entries, (path.describe(),), (path,))
+
     for k in range(1, c_bound // abs(p) + 1):
         for a in range(1, k + 1):
             path = ConstantPath(pq, WeightState(a, q * k - a, p * k))
-            _insert(table, path.state.primitive(), ZERO, (path.describe(),), (path,))
+            add(path.state.primitive(), 0, path)
     for descent in enumerate_paths(pq):
         # an integer leaf keeps its trivial path whatever the bound
         paths = (descent,) if q == 1 else u_zero_paths(descent, c_bound)
         for path in paths:
-            _insert(
-                table,
-                endpoint_state(path).primitive(),
-                tau(path),
-                (path.describe(),),
-                (path,),
-            )
+            add(endpoint_state(path).primitive(), tau(path), path)
     return table
 
 
@@ -185,55 +191,70 @@ def _bucket_by_direction(table):
     return buckets
 
 
-def _sorted_taus(table):
-    return {key: sorted(entries.items()) for key, entries in table.items()}
+def _scaled_taus(table, den):
+    """key -> [(tau numerator over den, own numerator)] for a child table."""
+    k = den // table.den
+    return {key: [(t * k, t) for t in entries] for key, entries in table.items()}
 
 
-def _glue_into(out, lw, rw, lents, rents, scale_bound):
-    """Glue lw to rw and combine every (left tau, right tau) pair of traces.
+def _glue_into(out, lw, rw, lkey, rkey, lents, rents, scale_bound):
+    """Glue lw to rw and point every (left tau, right tau) pair back.
 
-    lents and rents are (tau, traces) lists; a product's left taus arrive
-    already turned into tau' - tau(left).
+    lents and rents are (tau over out.den, child's own tau) lists; a
+    product's left taus arrive already turned into tau' - tau(left).
     """
     glued = glue_scaled(lw, rw, scale_bound)
     if glued is None:
         return
-    state = glued[0]
-    for lt, ltraces in lents:
-        for rt, rtraces in rents:
-            _combine(out, state, lt + rt, ltraces, rtraces)
+    entries = out.setdefault(_statekey(glued[0]), {})
+    for lt, lback in lents:
+        for rt, rback in rents:
+            entries.setdefault(lt + rt, []).append((lkey, lback, rkey, rback))
 
 
 def _merge_sum(left, right, scale_bound):
-    out = {}
+    out = _Table(lcm(left.den, right.den), left, right)
     lbuckets = _bucket_by_direction(left)
     rbuckets = _bucket_by_direction(right)
-    rtaus = _sorted_taus(right)
+    ltaus = _scaled_taus(left, out.den)
+    rtaus = _scaled_taus(right, out.den)
     for direction in sorted(set(lbuckets) & set(rbuckets)):
         for lkey in lbuckets[direction]:
             lw = WeightState(*lkey)
-            lents = sorted(left[lkey].items())
             for rkey in rbuckets[direction]:
-                _glue_into(out, lw, WeightState(*rkey), lents, rtaus[rkey], scale_bound)
+                _glue_into(
+                    out, lw, WeightState(*rkey), lkey, rkey,
+                    ltaus[lkey], rtaus[rkey], scale_bound,
+                )
     return out
 
 
 def _merge_product(left, right, scale_bound):
-    out = {}
-    rbuckets = _bucket_by_direction(right)
-    rtaus = _sorted_taus(right)
+    turned = []
+    den = lcm(left.den, right.den)
     for lkey in sorted(left):
         if lkey[2] == 0:
             log.debug("product: dropped untransformable c=0 state %r", lkey)
             continue
         outcome = rotate_reflect(WeightState(*lkey), allow_infeasible=True)
-        if not outcome.feasible:
-            continue
+        if outcome.feasible:
+            turned.append((lkey, outcome))
+            den = lcm(den, outcome.tau_prime.denominator)
+    out = _Table(den, left, right)
+    rbuckets = _bucket_by_direction(right)
+    ltaus = _scaled_taus(left, den)
+    rtaus = _scaled_taus(right, den)
+    for lkey, outcome in turned:
         tw = outcome.state
         # product twist: -tau(left) + tau' + tau(right)
-        lents = [(outcome.tau_prime - lt, traces) for lt, traces in sorted(left[lkey].items())]
+        tp = outcome.tau_prime
+        shift = tp.numerator * (den // tp.denominator)
+        lents = [(shift - lt, back) for lt, back in ltaus[lkey]]
         for rkey in rbuckets.get(_direction(_statekey(tw)), ()):
-            _glue_into(out, tw, WeightState(*rkey), lents, rtaus[rkey], scale_bound)
+            _glue_into(
+                out, tw, WeightState(*rkey), lkey, rkey,
+                lents, rtaus[rkey], scale_bound,
+            )
     return out
 
 
@@ -251,6 +272,38 @@ def _eval_tables(node, c_bound, scale_bound, memo):
             result = _merge_product(left, right, scale_bound)
     memo[id(node)] = result
     return result
+
+
+def _witnesses(table, key, t, memo):
+    """The TRACES_PER_STATE smallest (descriptor, assignment) pairs of one
+    table entry, sorted by descriptor.
+
+    A subtree's leaf count is fixed, so a concatenated descriptor sorts as
+    the pair (left, right): the smallest ones come from the smallest ones
+    of each side, and no entry needs more than TRACES_PER_STATE witnesses
+    of its children. memo maps (table id, key, tau) to the lists built so
+    far, so an entry reached twice, or through a shared subtree, is built
+    once. Recurses once per tree level, as deep as _eval_tables does.
+    """
+    if table.left is None:
+        return table[key][t]
+    if (id(table), key, t) in memo:
+        return memo[id(table), key, t]
+    best = []
+    for lk, lt, rk, rt in table[key][t]:
+        lents = _witnesses(table.left, lk, lt, memo)
+        rents = _witnesses(table.right, rk, rt, memo)
+        # both lists are sorted, so whole blocks past the cap are skipped
+        for ldesc, lassign in lents:
+            if len(best) == TRACES_PER_STATE and ldesc + rents[0][0] >= best[-1][0]:
+                break
+            for rdesc, rassign in rents:
+                desc = ldesc + rdesc
+                if len(best) == TRACES_PER_STATE and desc >= best[-1][0]:
+                    break
+                _keep(best, desc, lassign + rassign)
+    memo[id(table), key, t] = best
+    return best
 
 
 def _materialize(expr, grouped, reference):
@@ -284,17 +337,27 @@ def solve_sn(expr, c_bound=None, scale_bound=None):
         reference = None
         notes.append(str(exc))
     table = _eval_tables(expr, c_bound, scale_bound, {})
-    grouped = {}
+    closed = {}
     slopes = set()
     for key in sorted(table):
         if key[2] != 0 or key[3] != 0:
             continue
         for t in sorted(table[key]):
-            slope = t - reference if reference is not None else None
+            slope = Fraction(t, table.den) - reference if reference is not None else None
             if slope is not None:
                 slopes.add(slope)
-            for desc, assignment in table[key][t]:
-                grouped.setdefault(slope, []).append(((key, t, desc), "", assignment))
+            closed.setdefault(slope, []).append((key, t))
+    # lazy groups: _materialize draws them, so the root witness build is
+    # timed there
+    memo = {}
+    grouped = {
+        slope: (
+            ((key, t, desc), "", assignment)
+            for key, t in entries
+            for desc, assignment in _witnesses(table, key, t, memo)
+        )
+        for slope, entries in closed.items()
+    }
     systems = _materialize(expr, grouped, reference)
     if not grouped:
         notes.append(

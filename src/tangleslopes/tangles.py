@@ -49,6 +49,15 @@ class TangleExpr:
     def __str__(self):
         return render(self)
 
+    # repr, copy and pickle go through the text form: the dataclass repr and
+    # the default copy and pickle protocols recurse once per tree level
+    # (several frames each), past the recursion limit at MAX_DEPTH levels
+    def __repr__(self):
+        return "parse(%r)" % render(self)
+
+    def __reduce__(self):
+        return parse, (render(self),)
+
     def _key(self):
         # the preorder (node type, leaf fraction) sequence determines a
         # binary tree; built without recursion, unlike dataclass equality
@@ -63,12 +72,12 @@ class TangleExpr:
         return hash(self._key())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Leaf(TangleExpr):
     fraction: Fraction
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sum(TangleExpr):
     left: TangleExpr
     right: TangleExpr
@@ -77,7 +86,7 @@ class Sum(TangleExpr):
         return (self.left, self.right)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Product(TangleExpr):
     left: TangleExpr
     right: TangleExpr

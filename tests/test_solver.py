@@ -1,4 +1,5 @@
 import random
+from bisect import insort
 from fractions import Fraction
 from itertools import product as iterproduct
 from math import gcd
@@ -19,12 +20,22 @@ from tangleslopes import (
     verify_system,
 )
 from tangleslopes.solver import (
+    TRACES_PER_STATE,
+    _Table,
+    _eval_tables,
     _leaf_segments,
+    _leaf_table,
+    _merge_product,
+    _merge_sum,
     _segment_label,
+    _statekey,
     _type_i_candidates,
     _type_ii_options,
+    _witnesses,
+    default_c_bound,
 )
-from tangleslopes.tangles import Leaf, mirror
+from tangleslopes.tangles import Leaf, Product, Sum, mirror
+from tangleslopes.transforms import glue_scaled, rotate_reflect
 
 PRETZEL_237 = "-1/2 + 1/3 + 1/7"
 
@@ -292,3 +303,120 @@ def test_all_emitted_systems_verify():
     for rep in reports:
         for system in rep.systems:
             assert verify_system(system) == [], (rep.expr, system.note)
+
+
+def _eager_tables(node, c_bound, scale_bound, memo):
+    """The merge the back-pointer tables replaced: every node carries the
+    TRACES_PER_STATE smallest (descriptor, assignment) traces of each
+    (state, tau), tau a Fraction, combined eagerly at every node."""
+
+    def combine(table, state, t, lents, rents):
+        entries = table.setdefault(_statekey(state), {}).setdefault(t, [])
+        for ldesc, lassign in lents:
+            if len(entries) == TRACES_PER_STATE and ldesc + rents[0][0] >= entries[-1][0]:
+                break
+            for rdesc, rassign in rents:
+                desc = ldesc + rdesc
+                if len(entries) == TRACES_PER_STATE and desc >= entries[-1][0]:
+                    break
+                insort(entries, (desc, lassign + rassign), key=lambda e: e[0])
+                del entries[TRACES_PER_STATE:]
+
+    if id(node) in memo:
+        return memo[id(node)]
+    if isinstance(node, Leaf):
+        table = {
+            key: {Fraction(t): list(traces) for t, traces in entries.items()}
+            for key, entries in _leaf_table(node, c_bound).items()
+        }
+    else:
+        left = _eager_tables(node.left, c_bound, scale_bound, memo)
+        right = _eager_tables(node.right, c_bound, scale_bound, memo)
+        table = {}
+        for lkey in sorted(left):
+            lw, shift = WeightState(*lkey), None
+            if isinstance(node, Product):
+                if lkey[2] == 0:
+                    continue
+                outcome = rotate_reflect(lw, allow_infeasible=True)
+                if not outcome.feasible:
+                    continue
+                lw, shift = outcome.state, outcome.tau_prime
+            lents = sorted(left[lkey].items())
+            if shift is not None:  # product twist: tau' - tau(left) + tau(right)
+                lents = [(shift - lt, traces) for lt, traces in lents]
+            for rkey in sorted(right):
+                glued = glue_scaled(lw, WeightState(*rkey), scale_bound)
+                if glued is None:
+                    continue
+                for lt, ltraces in lents:
+                    for rt, rtraces in sorted(right[rkey].items()):
+                        combine(table, glued[0], lt + rt, ltraces, rtraces)
+    memo[id(node)] = table
+    return table
+
+
+def _random_product(rng):
+    def leaf():
+        q = rng.randint(2, 5)
+        p = rng.choice([p for p in range(1 - q, q) if p and gcd(p, q) == 1])
+        return Leaf(Fraction(p, q))
+
+    def factor():
+        return leaf() if rng.random() < 0.4 else Sum(leaf(), leaf())
+
+    expr = Product(factor(), factor())
+    if rng.random() < 0.4:
+        expr = Product(expr, factor())
+    return expr
+
+
+def test_root_witnesses_match_eager_traces():
+    # same closed root entries, same (descriptor, assignment) lists, same order
+    rng = random.Random(5)
+    f, g = parse("1/2 + -1/3"), parse("2/5")
+    cases = [(kn(n), None, 8) for n in range(2, 6)]
+    cases.append((Product(Product(f, g), Product(f, g)), 6, 4))  # shared subtrees
+    cases += [(_random_product(rng), rng.choice([2, 4, 8]), rng.choice([2, 8])) for _ in range(22)]
+    closed_entries = 0
+    for expr, c_bound, scale_bound in cases:
+        c_bound = c_bound or default_c_bound(expr)
+        table = _eval_tables(expr, c_bound, scale_bound, {})
+        eager = _eager_tables(expr, c_bound, scale_bound, {})
+        assert sorted(table) == sorted(eager), expr
+        memo = {}
+        for key in sorted(table):
+            taus = {Fraction(t, table.den): t for t in table[key]}
+            assert sorted(taus) == sorted(eager[key]), (expr, key)
+            if key[2] == 0 and key[3] == 0:
+                for tau, t in sorted(taus.items()):
+                    assert _witnesses(table, key, t, memo) == eager[key][tau], (expr, key, tau)
+                    closed_entries += 1
+    assert closed_entries >= 100
+
+
+def test_merged_taus_share_one_denominator():
+    # the solve's own states never carry slope-infinity edges, so tau' is
+    # always +-2 there; feed a case-3 state (tau' = -4/3) in directly
+    left, right = _Table(den=5), _Table(den=2)
+    left[_statekey(WeightState(3, 1, 2, n_inf=1))] = {7: [], -4: []}
+    left[_statekey(WeightState(1, 2, 3))] = {1: []}
+    right[_statekey(WeightState(1, 0, -2))] = {3: []}
+    right[_statekey(WeightState(1, 1, 1))] = {-1: []}
+    product = _merge_product(left, right, 8)
+    assert product.den == 30 and product.left is left and product.right is right
+    glued = 0
+    for entries in product.values():
+        for t, backs in entries.items():
+            for lk, lt, rk, rt in backs:
+                turn = rotate_reflect(WeightState(*lk)).tau_prime
+                assert Fraction(t, 30) == turn - Fraction(lt, 5) + Fraction(rt, 2)
+                glued += 1
+    assert glued == 2
+    third = _Table(den=3)
+    lkey, rkey = _statekey(WeightState(2, 2, 1)), _statekey(WeightState(1, 1, 1))
+    third[lkey] = {1: []}
+    total = _merge_sum(third, right, 8)
+    # 1/3 + -1/2 = -1/6
+    assert total.den == 6
+    assert total == {_statekey(WeightState(2, 2, 3)): {-1: [(lkey, 1, rkey, -1)]}}

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -91,6 +93,18 @@ def test_tree_equality_and_hash_do_not_recurse():
     assert leaf == Leaf(Fraction(1, 3)) and hash(leaf) == hash(Leaf(Fraction(1, 3)))
     for n in range(2, 7):
         assert family_index(kn(n)) == n
+
+
+def test_repr_copy_and_pickle_do_not_recurse():
+    for text in ("1/3 + (" * 499 + "1/3" + ")" * 499, "1/3 o (" * 499 + "1/3" + ")" * 499):
+        e = parse(text)
+        assert eval(repr(e), {"parse": parse}) == e
+        assert copy.deepcopy(e) == e
+        back = pickle.loads(pickle.dumps(e))
+        assert back == e and render(back) == render(e)
+    leaf = Leaf(Fraction(-2, 3))
+    assert repr(leaf) == "parse('-2/3')"
+    assert copy.copy(leaf) == leaf and pickle.loads(pickle.dumps(leaf)) == leaf
 
 
 def test_zero_denominator_is_a_parse_error():
