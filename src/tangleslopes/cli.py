@@ -27,7 +27,7 @@ EXIT_USAGE = 2
 EXIT_EMPTY = 3
 EXIT_IO = 4
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,6 @@ def report_document(rep):
         "schema_version": SCHEMA_VERSION,
         "expr": render(rep.expr),
         "c_bound": rep.c_bound,
-        "scale_bound": rep.scale_bound,
         "crossings": {"count": rep.crossings, "source": rep.crossing_source},
         "slopes": [_frac(s) for s in rep.slopes],
         "certified": [_frac(s) for s in rep.certified],
@@ -117,7 +116,6 @@ def format_table(rep):
         ("expression", render(rep.expr)),
         ("crossings", "%d (%s)" % (rep.crossings, rep.crossing_source)),
         ("c_bound", str(rep.c_bound)),
-        ("scale_bound", str(rep.scale_bound) if rep.scale_bound is not None else "-"),
         ("slopes", " ".join(str(s) for s in rep.slopes) or "(none)"),
         ("certified", " ".join(str(s) for s in rep.certified) or "(none)"),
         ("diameter", str(rep.diameter) if rep.diameter is not None else "-"),
@@ -175,26 +173,26 @@ def _emit_report(rep, args):
 
 def cmd_slopes(args):
     expr = parse(args.expr)
-    rep = solve(expr, args.c_bound, args.scale_bound)
+    rep = solve(expr, args.c_bound)
     return _emit_report(rep, args)
 
 
 def cmd_kn(args):
     system = kn_system(args.n)
-    rep = solve_sn(kn(args.n), args.c_bound, args.scale_bound)
+    rep = solve_sn(kn(args.n), args.c_bound)
     if args.format == "table":
         args.trace = format_trace(system, args.n)
     return _emit_report(rep, args)
 
 
-def _verify_one(n, c_bound, scale_bound):
+def _verify_one(n, c_bound):
     """Returns (passed, stdout line) for one family index."""
     high = Fraction(2 * (n + 1) ** 2 - 4)
     try:
         kn_system(n)
     except FamilyCheckFailed as exc:
         return False, "n=%d FAIL (trace: %s)" % (n, exc)
-    rep = solve_sn(kn(n), c_bound, scale_bound)
+    rep = solve_sn(kn(n), c_bound)
     if not {high, -high} <= set(rep.slopes):
         return False, "n=%d FAIL (slopes: expected %s and %s in %s)" % (
             n,
@@ -222,7 +220,7 @@ def cmd_verify(args):
         return EXIT_USAGE
     failures = []
     for n in range(2, args.n_max + 1):
-        passed, line = _verify_one(n, args.c_bound, args.scale_bound)
+        passed, line = _verify_one(n, args.c_bound)
         print(line)
         if not passed:
             failures.append(line)
@@ -238,7 +236,7 @@ def cmd_plot(args):
         print("error: give exactly one of EXPR or --n", file=sys.stderr)
         return EXIT_USAGE
     expr = kn(args.n) if args.n is not None else parse(args.expr)
-    rep = solve(expr, args.c_bound, args.scale_bound)
+    rep = solve(expr, args.c_bound)
     if not rep.systems:
         for note in rep.notes:
             print("diagnostic: %s" % note, file=sys.stderr)
@@ -263,33 +261,32 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def bounds(p):
+    def c_bound_flag(p):
         p.add_argument("--c-bound", type=int, default=None, dest="c_bound")
-        p.add_argument("--scale-bound", type=int, default=None, dest="scale_bound")
 
     p_slopes = sub.add_parser("slopes", help="solve one expression")
     p_slopes.add_argument("expr")
-    bounds(p_slopes)
+    c_bound_flag(p_slopes)
     p_slopes.add_argument("--format", choices=("json", "table"), default="json")
     p_slopes.add_argument("--out", default=None)
     p_slopes.set_defaults(func=cmd_slopes, trace=None)
 
     p_kn = sub.add_parser("kn", help="solve the n-th family knot")
     p_kn.add_argument("--n", type=int, required=True)
-    bounds(p_kn)
+    c_bound_flag(p_kn)
     p_kn.add_argument("--format", choices=("json", "table"), default="json")
     p_kn.add_argument("--out", default=None)
     p_kn.set_defaults(func=cmd_kn, trace=None)
 
     p_verify = sub.add_parser("verify", help="check the family invariants")
     p_verify.add_argument("--n-max", type=int, default=4, dest="n_max")
-    bounds(p_verify)
+    c_bound_flag(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_plot = sub.add_parser("plot", help="draw stored systems")
     p_plot.add_argument("expr", nargs="?", default=None)
     p_plot.add_argument("--n", type=int, default=None)
-    bounds(p_plot)
+    c_bound_flag(p_plot)
     p_plot.add_argument("--format", choices=("svg", "tsv"), default="svg")
     p_plot.add_argument("--out", default=None)
     p_plot.set_defaults(func=cmd_plot)

@@ -30,7 +30,8 @@ class FractionalEndpoint(TangleSlopesError):
 
 
 class MismatchedWeights(TangleSlopesError):
-    """glue_sum called on states whose (a, b) weights differ."""
+    """glue_sum called on states whose (a, b) weights differ, or replay
+    gluing states whose (a : b) directions differ."""
 
 
 class UndefinedCase(TangleSlopesError):

@@ -127,9 +127,6 @@ class CandidateSystem:
     slope: Fraction  # None when normalization is unavailable
     note: str = ""
 
-    def leaf_paths(self):
-        return tuple(zip(self.expr.leaves(), self.assignment))
-
     def descriptor(self):
         """Deterministic sort key for the assignment."""
         return tuple(path.describe() for path in self.assignment)
@@ -218,11 +215,6 @@ def seifert_system(expr):
     return CandidateSystem(
         expr, tuple(paths), tuple(nodes), None, reference, ZERO, "seifert-reference"
     )
-
-
-def boundary_slope(system):
-    """tau(S) - tau(S0) for a closed candidate system."""
-    return system.tau - seifert_tau(system.expr)
 
 
 def verify_system(system):

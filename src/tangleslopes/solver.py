@@ -8,9 +8,10 @@ Two closure regimes:
   within +-c_bound (an integer leaf keeps its trivial path regardless).
   Tables combine bottom-up through one glue step: the left state (after
   the rotation transform at a product node) and the right state are
-  rescaled to a common (a, b), multipliers capped by scale_bound, and
-  glued. A system closes when the root state carries no net slope weight
-  (c = 0) and no leftover slope-infinity edges. A merged table keeps, per
+  rescaled to their least common (a, b) and glued; every pair whose
+  (a : b) directions agree is glued, so c_bound is the only bound. A
+  system closes when the root state carries no net slope weight (c = 0)
+  and no leftover slope-infinity edges. A merged table keeps, per
   (state, tau), only back-pointers to the (left state, tau) and (right
   state, tau) pairs that glue to it; tau is an integer numerator over one
   denominator per table (the lcm of the children's, and at a product of
@@ -89,7 +90,6 @@ class SlopeReport:
     crossing_source: str  # "family-exact" | "diagram-count"
     ratio: Fraction  # None when no slopes
     c_bound: int
-    scale_bound: int  # None for the Montesinos solve
     notes: tuple = ()
 
 
@@ -99,7 +99,7 @@ def default_c_bound(expr):
     return max(8, n * n + n + 2) if n is not None else 32
 
 
-def report(expr, systems, slopes, c_bound, scale_bound, notes=()):
+def report(expr, systems, slopes, c_bound, notes=()):
     """Aggregate systems and slopes into a SlopeReport."""
     slopes = tuple(sorted(set(slopes)))
     n = family_index(expr)
@@ -122,7 +122,6 @@ def report(expr, systems, slopes, c_bound, scale_bound, notes=()):
         source,
         ratio,
         c_bound,
-        scale_bound,
         tuple(notes),
     )
 
@@ -197,13 +196,13 @@ def _scaled_taus(table, den):
     return {key: [(t * k, t) for t in entries] for key, entries in table.items()}
 
 
-def _glue_into(out, lw, rw, lkey, rkey, lents, rents, scale_bound):
+def _glue_into(out, lw, rw, lkey, rkey, lents, rents):
     """Glue lw to rw and point every (left tau, right tau) pair back.
 
     lents and rents are (tau over out.den, child's own tau) lists; a
     product's left taus arrive already turned into tau' - tau(left).
     """
-    glued = glue_scaled(lw, rw, scale_bound)
+    glued = glue_scaled(lw, rw)
     if glued is None:
         return
     entries = out.setdefault(_statekey(glued[0]), {})
@@ -212,7 +211,7 @@ def _glue_into(out, lw, rw, lkey, rkey, lents, rents, scale_bound):
             entries.setdefault(lt + rt, []).append((lkey, lback, rkey, rback))
 
 
-def _merge_sum(left, right, scale_bound):
+def _merge_sum(left, right):
     out = _Table(lcm(left.den, right.den), left, right)
     lbuckets = _bucket_by_direction(left)
     rbuckets = _bucket_by_direction(right)
@@ -223,13 +222,12 @@ def _merge_sum(left, right, scale_bound):
             lw = WeightState(*lkey)
             for rkey in rbuckets[direction]:
                 _glue_into(
-                    out, lw, WeightState(*rkey), lkey, rkey,
-                    ltaus[lkey], rtaus[rkey], scale_bound,
+                    out, lw, WeightState(*rkey), lkey, rkey, ltaus[lkey], rtaus[rkey]
                 )
     return out
 
 
-def _merge_product(left, right, scale_bound):
+def _merge_product(left, right):
     turned = []
     den = lcm(left.den, right.den)
     for lkey in sorted(left):
@@ -251,25 +249,20 @@ def _merge_product(left, right, scale_bound):
         shift = tp.numerator * (den // tp.denominator)
         lents = [(shift - lt, back) for lt, back in ltaus[lkey]]
         for rkey in rbuckets.get(_direction(_statekey(tw)), ()):
-            _glue_into(
-                out, tw, WeightState(*rkey), lkey, rkey,
-                lents, rtaus[rkey], scale_bound,
-            )
+            _glue_into(out, tw, WeightState(*rkey), lkey, rkey, lents, rtaus[rkey])
     return out
 
 
-def _eval_tables(node, c_bound, scale_bound, memo):
+def _eval_tables(node, c_bound, memo):
     if id(node) in memo:
         return memo[id(node)]
     if isinstance(node, Leaf):
         result = _leaf_table(node, c_bound)
     else:
-        left = _eval_tables(node.left, c_bound, scale_bound, memo)
-        right = _eval_tables(node.right, c_bound, scale_bound, memo)
-        if isinstance(node, Sum):
-            result = _merge_sum(left, right, scale_bound)
-        else:
-            result = _merge_product(left, right, scale_bound)
+        left = _eval_tables(node.left, c_bound, memo)
+        right = _eval_tables(node.right, c_bound, memo)
+        merge = _merge_sum if isinstance(node, Sum) else _merge_product
+        result = merge(left, right)
     memo[id(node)] = result
     return result
 
@@ -318,7 +311,7 @@ def _materialize(expr, grouped, reference):
     return systems
 
 
-def solve_sn(expr, c_bound=None, scale_bound=None):
+def solve_sn(expr, c_bound=None):
     """Enumerate closed systems for an expression with products."""
     if expr.is_montesinos():
         raise UnsupportedShape(
@@ -326,17 +319,15 @@ def solve_sn(expr, c_bound=None, scale_bound=None):
         )
     if c_bound is None:
         c_bound = default_c_bound(expr)
-    if scale_bound is None:
-        scale_bound = 8
-    if c_bound < 1 or scale_bound < 1:
-        raise ValueError("c_bound and scale_bound must be at least 1")
+    if c_bound < 1:
+        raise ValueError("c_bound must be at least 1")
     notes = []
     try:
         reference = seifert_tau(expr)
     except SeifertUndefined as exc:
         reference = None
         notes.append(str(exc))
-    table = _eval_tables(expr, c_bound, scale_bound, {})
+    table = _eval_tables(expr, c_bound, {})
     closed = {}
     slopes = set()
     for key in sorted(table):
@@ -360,15 +351,12 @@ def solve_sn(expr, c_bound=None, scale_bound=None):
     }
     systems = _materialize(expr, grouped, reference)
     if not grouped:
-        notes.append(
-            "no closed systems within c_bound=%d, scale_bound=%d"
-            % (c_bound, scale_bound)
-        )
+        notes.append("no closed systems within c_bound=%d" % c_bound)
     if reference is not None:
         systems.append(seifert_system(expr))
         slopes.add(ZERO)
     systems.sort(key=_system_order)
-    return report(expr, systems, slopes, c_bound, scale_bound, notes)
+    return report(expr, systems, slopes, c_bound, notes)
 
 
 def _system_order(system):
@@ -546,14 +534,14 @@ def solve_montesinos(expr, c_bound=None):
         systems.append(seifert_system(expr))
         slopes.add(ZERO)
     systems.sort(key=_system_order)
-    return report(expr, systems, slopes, c_bound, None, sorted(set(notes)))
+    return report(expr, systems, slopes, c_bound, sorted(set(notes)))
 
 
-def solve(expr, c_bound=None, scale_bound=None):
+def solve(expr, c_bound=None):
     """Dispatch on expression shape."""
     if expr.is_montesinos():
         return solve_montesinos(expr, c_bound)
-    return solve_sn(expr, c_bound, scale_bound)
+    return solve_sn(expr, c_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -276,13 +276,11 @@ def kn(n):
     return Product(factor, factor)
 
 
-def family_index(expr, include_mirror=True):
+def family_index(expr):
     """Return n when expr is kn(n) (or its mirror), else None."""
     if not isinstance(expr, Product):
         return None
-    for candidate in (expr, mirror(expr) if include_mirror else None):
-        if candidate is None:
-            continue
+    for candidate in (expr, mirror(expr)):
         for side in (candidate.left, candidate.right):
             if not isinstance(side, Sum):
                 break

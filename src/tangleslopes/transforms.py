@@ -1,9 +1,11 @@
 """Structural moves on weighted surfaces: sum gluing and rotation-reflection.
 
 Gluing two candidate surfaces along a tangle sum requires matching (a, b)
-weights; the c weights add, as do slope-infinity edge counts. Either side
-may first be replicated into parallel sheets to reach a common (a, b);
-`glue_scaled` does both steps and reduces the result.
+weights; the c weights add, as do slope-infinity edge counts. Two states
+whose (a : b) directions agree always reach a common (a, b) by
+replicating each side into parallel sheets, and `common_scaling` gives the
+least such multipliers; `glue_scaled` does both steps and reduces the
+result.
 
 The tangle product reflects and quarter-rotates its left operand. On
 weights (a, b, c) the move splits into four cases according to the special
@@ -49,12 +51,10 @@ def glue_sum(w1, w2):
     )
 
 
-def common_scaling(w1, w2, scale_bound=None):
-    """Sheet multipliers (k1, k2) putting both states at a common (a, b).
-
-    Returns None when the (a : b) directions differ or, with a bound given,
-    when a multiplier would exceed it.
-    """
+def common_scaling(w1, w2):
+    """Least sheet multipliers (k1, k2) putting both states at a common
+    (a, b); None when their (a : b) directions differ or a state has
+    a = b = 0."""
     if w1.a * w2.b != w2.a * w1.b:
         return None
     s1 = gcd(w1.a, w1.b)
@@ -62,19 +62,16 @@ def common_scaling(w1, w2, scale_bound=None):
     if s1 == 0 or s2 == 0:
         return None
     common = lcm(s1, s2)
-    k1, k2 = common // s1, common // s2
-    if scale_bound is not None and (k1 > scale_bound or k2 > scale_bound):
-        return None
-    return k1, k2
+    return common // s1, common // s2
 
 
-def glue_scaled(w1, w2, scale_bound=None):
+def glue_scaled(w1, w2):
     """Glue two states at their least common (a, b), reduced to primitive.
 
-    Returns (glued state, (k1, k2)), or None when common_scaling finds no
-    multipliers.
+    Returns (glued state, (k1, k2)), or None when common_scaling gives
+    None.
     """
-    ks = common_scaling(w1, w2, scale_bound)
+    ks = common_scaling(w1, w2)
     if ks is None:
         return None
     return glue_sum(w1.scaled(ks[0]), w2.scaled(ks[1])).primitive(), ks

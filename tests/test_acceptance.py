@@ -151,8 +151,8 @@ def test_criterion_5c_mirror_antisymmetry():
     assert len(MIRROR_CORPUS) == 20
     for text in MIRROR_CORPUS:
         expr = parse(text)
-        rep = solve(expr, c_bound=8, scale_bound=8)
-        mrep = solve(mirror(expr), c_bound=8, scale_bound=8)
+        rep = solve(expr, c_bound=8)
+        mrep = solve(mirror(expr), c_bound=8)
         assert set(mrep.slopes) == {-s for s in rep.slopes}, text
 
 

@@ -23,10 +23,14 @@ def test_slopes_json_ok(capsys):
     code, out, err = run(capsys, "slopes", PRETZEL_237)
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["slopes"] == ["0", "16", "37/2", "20"]
     assert doc["crossings"] == {"count": 12, "source": "diagram-count"}
-    assert doc["scale_bound"] is None
+    # c_bound is the only search bound a report carries
+    assert sorted(doc) == [
+        "c_bound", "certified", "crossings", "diameter", "expr", "notes",
+        "ratio", "schema_version", "slopes", "systems",
+    ]
 
 
 def test_slopes_json_matches_schema(capsys):
@@ -34,7 +38,12 @@ def test_slopes_json_matches_schema(capsys):
     schema = json.loads(
         resources.files("tangleslopes.schemas").joinpath("report.schema.json").read_text()
     )
-    for argv in (("slopes", PRETZEL_237), ("kn", "--n", "2"), ("slopes", "1/3 + 1/3 + 1/3")):
+    for argv in (
+        ("slopes", PRETZEL_237),
+        ("kn", "--n", "2"),
+        ("slopes", "1/3 + 1/3 + 1/3"),
+        ("slopes", "(1/2+1/3) o (1/4 + -1/3) o (1/5+1/2)"),
+    ):
         main(list(argv))
         out = capsys.readouterr().out
         if out:
@@ -84,6 +93,19 @@ def test_empty_result_exit(capsys):
 def test_bad_bounds_exit(capsys):
     code, _, err = run(capsys, "slopes", PRETZEL_237, "--c-bound", "0")
     assert code == 2
+
+
+def test_removed_scale_flag_is_a_usage_error(capsys):
+    # c_bound is the only search bound; the old --scale-bound flag is gone
+    for argv in (
+        ("slopes", PRETZEL_237),
+        ("kn", "--n", "2"),
+        ("verify", "--n-max", "2"),
+        ("plot", "--n", "2"),
+    ):
+        code, out, err = run(capsys, *argv, "--scale-bound", "4")
+        assert code == 2, argv
+        assert out == "" and "--scale-bound" in err
 
 
 def test_deep_expression_exit(capsys):

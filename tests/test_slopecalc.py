@@ -18,7 +18,6 @@ from tangleslopes import (
 )
 from tangleslopes.edgepaths import tau, validate
 from tangleslopes.slopes import (
-    boundary_slope,
     build_system,
     replay,
     seifert_leaf_path,
@@ -184,7 +183,6 @@ def test_build_system_and_boundary_slope():
     assert system.closure == WeightState(1, 0, 0)
     assert system.tau == 2
     assert system.slope == 20
-    assert boundary_slope(system) == 20
     assert verify_system(system) == []
 
 

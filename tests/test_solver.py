@@ -47,7 +47,7 @@ def test_family_report_n2():
     assert rep.diameter == 28
     assert rep.crossings == 8 and rep.crossing_source == "family-exact"
     assert rep.ratio == Fraction(7, 2)
-    assert rep.c_bound == 8 and rep.scale_bound == 8
+    assert rep.c_bound == 8
 
 
 def test_family_report_n3():
@@ -103,8 +103,8 @@ def test_per_slope_system_cap():
 
 
 def test_monotone_in_bounds():
-    small = solve_sn(kn(2), c_bound=6, scale_bound=4)
-    large = solve_sn(kn(2), c_bound=10, scale_bound=8)
+    small = solve_sn(kn(2), c_bound=6)
+    large = solve_sn(kn(2), c_bound=10)
     assert set(small.slopes) <= set(large.slopes)
 
 
@@ -125,14 +125,12 @@ def test_shape_dispatch_and_guards():
     with pytest.raises(ValueError):
         solve_sn(kn(2), c_bound=0)
     with pytest.raises(ValueError):
-        solve_sn(kn(2), scale_bound=0)
-    with pytest.raises(ValueError):
         solve_montesinos(parse(PRETZEL_237), c_bound=-1)
 
 
 def test_solve_dispatches_by_shape():
-    assert solve(parse(PRETZEL_237)).scale_bound is None
-    assert solve(kn(2)).scale_bound == 8
+    assert solve(kn(2)) == solve_sn(kn(2))
+    assert solve(parse(PRETZEL_237)) == solve_montesinos(parse(PRETZEL_237))
 
 
 def test_montesinos_fixture_237():
@@ -305,7 +303,7 @@ def test_all_emitted_systems_verify():
             assert verify_system(system) == [], (rep.expr, system.note)
 
 
-def _eager_tables(node, c_bound, scale_bound, memo):
+def _eager_tables(node, c_bound, memo):
     """The merge the back-pointer tables replaced: every node carries the
     TRACES_PER_STATE smallest (descriptor, assignment) traces of each
     (state, tau), tau a Fraction, combined eagerly at every node."""
@@ -330,8 +328,8 @@ def _eager_tables(node, c_bound, scale_bound, memo):
             for key, entries in _leaf_table(node, c_bound).items()
         }
     else:
-        left = _eager_tables(node.left, c_bound, scale_bound, memo)
-        right = _eager_tables(node.right, c_bound, scale_bound, memo)
+        left = _eager_tables(node.left, c_bound, memo)
+        right = _eager_tables(node.right, c_bound, memo)
         table = {}
         for lkey in sorted(left):
             lw, shift = WeightState(*lkey), None
@@ -346,7 +344,7 @@ def _eager_tables(node, c_bound, scale_bound, memo):
             if shift is not None:  # product twist: tau' - tau(left) + tau(right)
                 lents = [(shift - lt, traces) for lt, traces in lents]
             for rkey in sorted(right):
-                glued = glue_scaled(lw, WeightState(*rkey), scale_bound)
+                glued = glue_scaled(lw, WeightState(*rkey))
                 if glued is None:
                     continue
                 for lt, ltraces in lents:
@@ -375,14 +373,14 @@ def test_root_witnesses_match_eager_traces():
     # same closed root entries, same (descriptor, assignment) lists, same order
     rng = random.Random(5)
     f, g = parse("1/2 + -1/3"), parse("2/5")
-    cases = [(kn(n), None, 8) for n in range(2, 6)]
-    cases.append((Product(Product(f, g), Product(f, g)), 6, 4))  # shared subtrees
-    cases += [(_random_product(rng), rng.choice([2, 4, 8]), rng.choice([2, 8])) for _ in range(22)]
+    cases = [(kn(n), None) for n in range(2, 6)]
+    cases.append((Product(Product(f, g), Product(f, g)), 6))  # shared subtrees
+    cases += [(_random_product(rng), rng.choice([2, 4, 8])) for _ in range(22)]
     closed_entries = 0
-    for expr, c_bound, scale_bound in cases:
+    for expr, c_bound in cases:
         c_bound = c_bound or default_c_bound(expr)
-        table = _eval_tables(expr, c_bound, scale_bound, {})
-        eager = _eager_tables(expr, c_bound, scale_bound, {})
+        table = _eval_tables(expr, c_bound, {})
+        eager = _eager_tables(expr, c_bound, {})
         assert sorted(table) == sorted(eager), expr
         memo = {}
         for key in sorted(table):
@@ -403,7 +401,7 @@ def test_merged_taus_share_one_denominator():
     left[_statekey(WeightState(1, 2, 3))] = {1: []}
     right[_statekey(WeightState(1, 0, -2))] = {3: []}
     right[_statekey(WeightState(1, 1, 1))] = {-1: []}
-    product = _merge_product(left, right, 8)
+    product = _merge_product(left, right)
     assert product.den == 30 and product.left is left and product.right is right
     glued = 0
     for entries in product.values():
@@ -416,7 +414,7 @@ def test_merged_taus_share_one_denominator():
     third = _Table(den=3)
     lkey, rkey = _statekey(WeightState(2, 2, 1)), _statekey(WeightState(1, 1, 1))
     third[lkey] = {1: []}
-    total = _merge_sum(third, right, 8)
+    total = _merge_sum(third, right)
     # 1/3 + -1/2 = -1/6
     assert total.den == 6
     assert total == {_statekey(WeightState(2, 2, 3)): {-1: [(lkey, 1, rkey, -1)]}}

@@ -166,7 +166,6 @@ def test_family_index_detects_members_and_mirrors():
     assert family_index(kn(2)) == 2
     assert family_index(kn(7)) == 7
     assert family_index(mirror(kn(3))) == 3
-    assert family_index(mirror(kn(3)), include_mirror=False) is None
     assert family_index(parse("1/2 + 1/3")) is None
     assert family_index(parse("(-1/2 + 1/3) o (-1/2 + 1/4)")) is None
 

@@ -38,11 +38,9 @@ def test_common_scaling_direction_mismatch():
     assert common_scaling(WeightState(1, 5, 0), WeightState(1, 4, 0)) is None
 
 
-def test_common_scaling_respects_bound():
+def test_common_scaling_is_unbounded():
     a, b = WeightState(5, 10, 1), WeightState(7, 14, 1)
     assert common_scaling(a, b) == (7, 5)
-    assert common_scaling(a, b, scale_bound=6) is None
-    assert common_scaling(a, b, scale_bound=7) == (7, 5)
 
 
 def test_case1_example():
