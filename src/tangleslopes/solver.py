@@ -6,10 +6,13 @@ Two closure regimes:
   a table of choices: its constant family sampled on weights up to
   c_bound, and every descent to u = 0 with its vertical runs, ending
   within +-c_bound (an integer leaf keeps its trivial path regardless).
-  Tables combine bottom-up through one glue step: the left state (after
-  the rotation transform at a product node) and the right state are
-  rescaled to their least common (a, b) and glued; every pair whose
-  (a : b) directions agree is glued, so c_bound is the only bound. A
+  Tables combine bottom-up through one glue step on integer state keys:
+  the left state (after the rotation transform at a product node) and
+  the right state are rescaled to their least common (a, b) and glued.
+  Keys are bucketed by (a : b) direction, each with its sheet count
+  gcd(a, b), and every pair within a bucket is glued in integers, so
+  c_bound is the only bound; slopes.replay re-glues each materialized
+  system through transforms.glue_scaled, the reference for it. A
   system closes when the root state carries no net slope weight (c = 0)
   and no leftover slope-infinity edges. A merged table keeps, per
   (state, tau), only back-pointers to the (left state, tau) and (right
@@ -52,7 +55,6 @@ from .edgepaths import (
     ConstantPath,
     VertexPath,
     constant_path,
-    endpoint_state,
     enumerate_paths,
     tau,
     u_zero_paths,
@@ -68,7 +70,7 @@ from .tangles import (
     kn,
     render,
 )
-from .transforms import glue_scaled, rotate_reflect
+from .transforms import rotate_reflect
 
 log = logging.getLogger("tangleslopes.solver")
 
@@ -134,11 +136,6 @@ def _statekey(w):
     return (w.a, w.b, w.c, w.n_inf, w.has_zero)
 
 
-def _direction(key):
-    g = gcd(key[0], key[1])
-    return (key[0] // g, key[1] // g) if g else (key[0], key[1])
-
-
 class _Table(dict):
     """State key -> {tau numerator: entry}, every tau over `den`.
 
@@ -167,26 +164,37 @@ def _leaf_table(leaf, c_bound):
     p, q = pq.numerator, pq.denominator
     table = _Table()
 
-    def add(state, t, path):
-        entries = table.setdefault(_statekey(state), {}).setdefault(t, [])
+    def add(key, t, path):
+        entries = table.setdefault(key, {}).setdefault(t, [])
         _keep(entries, (path.describe(),), (path,))
 
     for k in range(1, c_bound // abs(p) + 1):
         for a in range(1, k + 1):
             path = ConstantPath(pq, WeightState(a, q * k - a, p * k))
-            add(path.state.primitive(), 0, path)
+            add(_statekey(path.state.primitive()), 0, path)
     for descent in enumerate_paths(pq):
         # an integer leaf keeps its trivial path whatever the bound
         paths = (descent,) if q == 1 else u_zero_paths(descent, c_bound)
+        m, descent_tau = int(descent.vertices[-1]), tau(descent)
         for path in paths:
-            add(endpoint_state(path).primitive(), tau(path), path)
+            # every path ends on the vertex <end>, state (1, 0, end), and
+            # each unit step of a run along u = 0 adds -2 times its rise
+            end = int(path.vertices[-1])
+            add((1, 0, end, 0, False), descent_tau - 2 * (end - m), path)
     return table
 
 
 def _bucket_by_direction(table):
+    """(a : b) direction -> [(key, sheet count gcd(a, b))], keys sorted.
+
+    Keys with a = b = 0 have no direction and glue to nothing
+    (common_scaling returns None for them), so they are left out.
+    """
     buckets = {}
     for key in sorted(table):
-        buckets.setdefault(_direction(key), []).append(key)
+        s = gcd(key[0], key[1])
+        if s:
+            buckets.setdefault((key[0] // s, key[1] // s), []).append((key, s))
     return buckets
 
 
@@ -196,19 +204,33 @@ def _scaled_taus(table, den):
     return {key: [(t * k, t) for t in entries] for key, entries in table.items()}
 
 
-def _glue_into(out, lw, rw, lkey, rkey, lents, rents):
-    """Glue lw to rw and point every (left tau, right tau) pair back.
+def _glue_into(out, lw, ls, lkey, lents, rbucket, rtaus):
+    """Glue the key lw, of sheet count ls, to every key of its (a : b)
+    bucket on the right, and point every (left tau, right tau) pair back
+    to (lkey, rkey).
 
-    lents and rents are (tau over out.den, child's own tau) lists; a
-    product's left taus arrive already turned into tau' - tau(left).
+    This is transforms.glue_scaled on integer keys. In a bucket of
+    direction (da, db) a key is (s*da, s*db, c, n_inf, has_zero), s its
+    sheet count. Both sides go to L = lcm(s1, s2) sheets (multipliers
+    k_i = L / s_i), c and n_inf add, has_zero ORs, and the sum is divided
+    by g = gcd(L, c, n_inf) to stay primitive. lents and rtaus hold
+    (tau over out.den, child's own tau) lists; a product's left taus
+    arrive already turned into tau' - tau(left), and its lkey is the
+    untransformed left key.
     """
-    glued = glue_scaled(lw, rw)
-    if glued is None:
-        return
-    entries = out.setdefault(_statekey(glued[0]), {})
-    for lt, lback in lents:
-        for rt, rback in rents:
-            entries.setdefault(lt + rt, []).append((lkey, lback, rkey, rback))
+    a, b, c, t, has_zero = lw
+    for rkey, rs in rbucket:
+        common = lcm(ls, rs)
+        k1, k2 = common // ls, common // rs
+        gc = c * k1 + rkey[2] * k2
+        gt = t * k1 + rkey[3] * k2
+        g = gcd(common, gc, gt)
+        glued = (a * k1 // g, b * k1 // g, gc // g, gt // g, has_zero or rkey[4])
+        entries = out.setdefault(glued, {})
+        rents = rtaus[rkey]
+        for lt, lback in lents:
+            for rt, rback in rents:
+                entries.setdefault(lt + rt, []).append((lkey, lback, rkey, rback))
 
 
 def _merge_sum(left, right):
@@ -218,12 +240,9 @@ def _merge_sum(left, right):
     ltaus = _scaled_taus(left, out.den)
     rtaus = _scaled_taus(right, out.den)
     for direction in sorted(set(lbuckets) & set(rbuckets)):
-        for lkey in lbuckets[direction]:
-            lw = WeightState(*lkey)
-            for rkey in rbuckets[direction]:
-                _glue_into(
-                    out, lw, WeightState(*rkey), lkey, rkey, ltaus[lkey], rtaus[rkey]
-                )
+        rbucket = rbuckets[direction]
+        for lkey, ls in lbuckets[direction]:
+            _glue_into(out, lkey, ls, lkey, ltaus[lkey], rbucket, rtaus)
     return out
 
 
@@ -243,13 +262,14 @@ def _merge_product(left, right):
     ltaus = _scaled_taus(left, den)
     rtaus = _scaled_taus(right, den)
     for lkey, outcome in turned:
-        tw = outcome.state
+        tw = _statekey(outcome.state)
+        ts = gcd(tw[0], tw[1])  # > 0: a feasible rotation output has a + b > 0
         # product twist: -tau(left) + tau' + tau(right)
         tp = outcome.tau_prime
         shift = tp.numerator * (den // tp.denominator)
         lents = [(shift - lt, back) for lt, back in ltaus[lkey]]
-        for rkey in rbuckets.get(_direction(_statekey(tw)), ()):
-            _glue_into(out, tw, WeightState(*rkey), lkey, rkey, lents, rtaus[rkey])
+        rbucket = rbuckets.get((tw[0] // ts, tw[1] // ts), ())
+        _glue_into(out, tw, ts, lkey, lents, rbucket, rtaus)
     return out
 
 

@@ -5,6 +5,8 @@ from itertools import product as iterproduct
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tangleslopes import (
     FamilyRange,
@@ -34,6 +36,7 @@ from tangleslopes.solver import (
     _witnesses,
     default_c_bound,
 )
+from tangleslopes.edgepaths import endpoint_state, tau as path_tau
 from tangleslopes.tangles import Leaf, Product, Sum, mirror
 from tangleslopes.transforms import glue_scaled, rotate_reflect
 
@@ -418,3 +421,109 @@ def test_merged_taus_share_one_denominator():
     # 1/3 + -1/2 = -1/6
     assert total.den == 6
     assert total == {_statekey(WeightState(2, 2, 3)): {-1: [(lkey, 1, rkey, -1)]}}
+
+
+# The merges glue integer keys in place; transforms.glue_scaled is the
+# reference. The solve itself only builds n_inf = 0, has_zero False
+# states, so these feed hand-built one-key tables that reach the rest.
+
+_directions = st.tuples(
+    st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6)
+).filter(lambda d: gcd(*d) == 1)
+_sheets = st.integers(min_value=1, max_value=12)
+_rests = st.tuples(  # (c, n_inf, has_zero)
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=0, max_value=6),
+    st.booleans(),
+)
+
+
+def _key(direction, sheets, rest):
+    return (sheets * direction[0], sheets * direction[1]) + rest
+
+
+def _one_key_table(key, t, den=1):
+    table = _Table(den)
+    table[key] = {t: []}
+    return table
+
+
+@settings(max_examples=400, deadline=None)
+@given(_directions, _sheets, _rests, _sheets, _rests)
+def test_sum_glue_matches_glue_scaled(direction, ls, lrest, rs, rrest):
+    lkey, rkey = _key(direction, ls, lrest), _key(direction, rs, rrest)
+    out = _merge_sum(_one_key_table(lkey, 3), _one_key_table(rkey, -5))
+    glued, _ = glue_scaled(WeightState(*lkey), WeightState(*rkey))
+    assert out == {_statekey(glued): {-2: [(lkey, 3, rkey, -5)]}}
+
+
+@st.composite
+def _turnable_keys(draw):
+    """Left keys of every rotate_reflect case with a feasible outcome."""
+    which = draw(st.integers(min_value=1, max_value=4))
+    b = draw(st.integers(min_value=0, max_value=8))
+    sign = draw(st.sampled_from((-1, 1)))
+    small = st.integers(min_value=1, max_value=5)
+    if which == 1:
+        a = draw(small)
+        return (a, b, sign * (a + draw(st.integers(0, 8))), 0, False)
+    if which == 2:
+        c = draw(small)
+        return (c + draw(st.integers(0, 8)), b, sign * c, 0, True)
+    if which == 3:
+        t = draw(small)
+        a = t + draw(small)
+        return (a, b, sign * (a - t + draw(st.integers(0, 8))), t, False)
+    t, c = draw(small), draw(small)
+    return (c + t + draw(small), b, sign * c, t, True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_turnable_keys(), _sheets, _rests)
+def test_product_glue_matches_glue_scaled(lkey, rs, rrest):
+    turn = rotate_reflect(WeightState(*lkey))
+    s = gcd(turn.state.a, turn.state.b)
+    rkey = _key((turn.state.a // s, turn.state.b // s), rs, rrest)
+    out = _merge_product(_one_key_table(lkey, 3, den=2), _one_key_table(rkey, 1, den=3))
+    glued, _ = glue_scaled(turn.state, WeightState(*rkey))
+    assert list(out) == [_statekey(glued)]
+    [(t, backs)] = out[_statekey(glued)].items()
+    assert Fraction(t, out.den) == turn.tau_prime - Fraction(3, 2) + Fraction(1, 3)
+    assert backs == [(lkey, 3, rkey, 1)]
+
+
+def test_keys_without_direction_glue_to_nothing():
+    zero = (0, 0, 3, 1, True)
+    for other in (zero, (0, 0, -2, 0, False), (1, 2, 3, 0, False)):
+        assert glue_scaled(WeightState(*zero), WeightState(*other)) is None
+        assert _merge_sum(_one_key_table(zero, 0), _one_key_table(other, 0)) == {}
+        assert _merge_sum(_one_key_table(other, 0), _one_key_table(zero, 0)) == {}
+    # a rotation output always has a + b > 0, so a product never pairs it
+    # with a right key that has no direction
+    left = _one_key_table((1, 2, -4, 0, False), 0)
+    assert _merge_product(left, _one_key_table(zero, 0)) == {}
+
+
+@pytest.mark.parametrize("c_bound", [1, 4, 32])
+def test_leaf_table_taus_and_keys_match_their_paths(c_bound):
+    # every leaf p/q with q <= 7 and |p/q| <= 3, integer leaves included
+    leaves = [
+        Fraction(p, q)
+        for q in range(1, 8)
+        for p in range(-3 * q, 3 * q + 1)
+        if p and gcd(p, q) == 1
+    ]
+    runs = 0
+    for pq in leaves:
+        for key, entries in _leaf_table(Leaf(pq), c_bound).items():
+            for t, witnesses in entries.items():
+                for _, (path,) in witnesses:
+                    if path.is_constant:
+                        assert (t, key) == (0, _statekey(path.state.primitive()))
+                        continue
+                    assert t == path_tau(path), (pq, path)
+                    assert key == _statekey(endpoint_state(path).primitive())
+                    # a descent's penultimate vertex is never an integer
+                    vs = path.vertices
+                    runs += len(vs) > 1 and vs[-2].denominator == 1
+    assert runs
