@@ -18,10 +18,10 @@ Two closure regimes:
   (state, tau), only back-pointers to the (left state, tau) and (right
   state, tau) pairs that glue to it; tau is an integer numerator over one
   denominator per table (the lcm of the children's, and at a product of
-  the tau' denominators too). Witnesses are built only for the closed
-  root entries, by a walk down the back-pointers that keeps the
-  TRACES_PER_STATE smallest descriptors per entry: the same lists an
-  eager merge capping every node would hold.
+  the tau' denominators too). A witness is built only for the closed
+  root entries, by a walk down the back-pointers that keeps the smallest
+  descriptor per entry: the one an eager merge keeping only the smallest
+  at every node would hold.
 
 * solve_montesinos handles sums of three or more rational tangles. The
   common endpoint abscissa u is one unknown: each leaf contributes either
@@ -38,13 +38,14 @@ Two closure regimes:
   as descents, so the type-II product is never larger than the full
   type-I one; it is enumerated in full.
 
-Both attach the Seifert reference system (slope 0) when the normalization
-exists. All output is exhaustively sorted; nothing depends on hash or
-insertion order, so identical inputs give identical reports.
+Both list one system per distinct (tau, note), the one with the smallest
+descriptor, and attach the Seifert reference system (slope 0) when the
+normalization exists; no other cap applies. All output is exhaustively
+sorted; nothing depends on hash or insertion order, so identical inputs
+give identical reports.
 """
 
 import logging
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iterproduct
@@ -76,9 +77,6 @@ log = logging.getLogger("tangleslopes.solver")
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-SYSTEMS_PER_SLOPE = 16
-TRACES_PER_STATE = 8
 
 
 @dataclass(frozen=True)
@@ -139,9 +137,9 @@ def _statekey(w):
 class _Table(dict):
     """State key -> {tau numerator: entry}, every tau over `den`.
 
-    A leaf table's entries are its witnesses: (descriptor, assignment)
-    pairs, the TRACES_PER_STATE smallest, sorted. A merged table's entries
-    are back-pointers (left key, left tau, right key, right tau) into its
+    A leaf table's entry is its witness: the (descriptor, assignment) pair
+    with the smallest descriptor. A merged table's entries are lists of
+    back-pointers (left key, left tau, right key, right tau) into its
     `left` and `right` child tables, each tau a numerator over that
     child's own `den`.
     """
@@ -151,22 +149,16 @@ class _Table(dict):
         self.den, self.left, self.right = den, left, right
 
 
-def _keep(entries, desc, assignment):
-    """Insert into a descriptor-sorted list capped at TRACES_PER_STATE."""
-    if len(entries) == TRACES_PER_STATE and desc >= entries[-1][0]:
-        return
-    insort(entries, (desc, assignment), key=lambda e: e[0])
-    del entries[TRACES_PER_STATE:]
-
-
 def _leaf_table(leaf, c_bound):
     pq = leaf.fraction
     p, q = pq.numerator, pq.denominator
     table = _Table()
 
     def add(key, t, path):
-        entries = table.setdefault(key, {}).setdefault(t, [])
-        _keep(entries, (path.describe(),), (path,))
+        entries = table.setdefault(key, {})
+        desc = (path.describe(),)
+        if t not in entries or desc < entries[t][0]:
+            entries[t] = (desc, (path,))
 
     for k in range(1, c_bound // abs(p) + 1):
         for a in range(1, k + 1):
@@ -288,47 +280,61 @@ def _eval_tables(node, c_bound, memo):
 
 
 def _witnesses(table, key, t, memo):
-    """The TRACES_PER_STATE smallest (descriptor, assignment) pairs of one
-    table entry, sorted by descriptor.
+    """The (descriptor, assignment) pair of one table entry with the
+    smallest descriptor.
 
     A subtree's leaf count is fixed, so a concatenated descriptor sorts as
-    the pair (left, right): the smallest ones come from the smallest ones
-    of each side, and no entry needs more than TRACES_PER_STATE witnesses
-    of its children. memo maps (table id, key, tau) to the lists built so
-    far, so an entry reached twice, or through a shared subtree, is built
-    once. Recurses once per tree level, as deep as _eval_tables does.
+    the pair (left, right), and the smallest one of an entry joins the
+    smallest ones of the child entries it points back to. memo maps
+    (table id, key, tau) to the pairs built so far, so an entry reached
+    twice, or through a shared subtree, is built once. Recurses once per
+    tree level, as deep as _eval_tables does.
     """
     if table.left is None:
         return table[key][t]
     if (id(table), key, t) in memo:
         return memo[id(table), key, t]
-    best = []
+    best = None
     for lk, lt, rk, rt in table[key][t]:
-        lents = _witnesses(table.left, lk, lt, memo)
-        rents = _witnesses(table.right, rk, rt, memo)
-        # both lists are sorted, so whole blocks past the cap are skipped
-        for ldesc, lassign in lents:
-            if len(best) == TRACES_PER_STATE and ldesc + rents[0][0] >= best[-1][0]:
-                break
-            for rdesc, rassign in rents:
-                desc = ldesc + rdesc
-                if len(best) == TRACES_PER_STATE and desc >= best[-1][0]:
-                    break
-                _keep(best, desc, lassign + rassign)
-    memo[id(table), key, t] = best
-    return best
+        left = _witnesses(table.left, lk, lt, memo)
+        right = _witnesses(table.right, rk, rt, memo)
+        if best is None or (left[0], right[0]) < (best[0][0], best[1][0]):
+            best = left, right
+    (ldesc, lassign), (rdesc, rassign) = best
+    witness = memo[id(table), key, t] = (ldesc + rdesc, lassign + rassign)
+    return witness
 
 
 def _materialize(expr, grouped, reference):
-    """Build capped, deterministically ordered systems per slope group."""
+    """Build one system per (tau, note) group, from the candidate
+    (descriptor, assignment) pair with the smallest descriptor."""
     systems = []
-    for group_key in sorted(grouped, key=lambda s: (s is None, s)):
-        candidates = sorted(grouped[group_key], key=lambda c: (c[0], c[1]))
-        for sort_key, note, assignment in candidates[:SYSTEMS_PER_SLOPE]:
-            systems.append(
-                build_system(expr, assignment, note=note, reference_tau=reference)
-            )
+    for (_, note), candidates in grouped.items():
+        _, assignment = min(candidates, key=lambda c: c[0])
+        systems.append(
+            build_system(expr, assignment, note=note, reference_tau=reference)
+        )
     return systems
+
+
+def _seifert(expr, notes):
+    """The Seifert reference system, or None with the reason in notes."""
+    try:
+        return seifert_system(expr)
+    except SeifertUndefined as exc:
+        notes.append(str(exc))
+        return None
+
+
+def _finish(expr, grouped, seifert, slopes, c_bound, notes):
+    """Materialize the groups, attach the Seifert reference, and report."""
+    reference = seifert.tau if seifert is not None else None
+    systems = _materialize(expr, grouped, reference)
+    if seifert is not None:
+        systems.append(seifert)
+        slopes.add(ZERO)
+    systems.sort(key=_system_order)
+    return report(expr, systems, slopes, c_bound, notes)
 
 
 def solve_sn(expr, c_bound=None):
@@ -342,41 +348,25 @@ def solve_sn(expr, c_bound=None):
     if c_bound < 1:
         raise ValueError("c_bound must be at least 1")
     notes = []
-    try:
-        reference = seifert_tau(expr)
-    except SeifertUndefined as exc:
-        reference = None
-        notes.append(str(exc))
+    seifert = _seifert(expr, notes)
+    reference = seifert.tau if seifert is not None else None
     table = _eval_tables(expr, c_bound, {})
     closed = {}
-    slopes = set()
-    for key in sorted(table):
-        if key[2] != 0 or key[3] != 0:
-            continue
-        for t in sorted(table[key]):
-            slope = Fraction(t, table.den) - reference if reference is not None else None
-            if slope is not None:
-                slopes.add(slope)
-            closed.setdefault(slope, []).append((key, t))
+    for key, entries in table.items():
+        if key[2] == 0 and key[3] == 0:
+            for t in entries:
+                closed.setdefault(Fraction(t, table.den), []).append((key, t))
     # lazy groups: _materialize draws them, so the root witness build is
     # timed there
     memo = {}
     grouped = {
-        slope: (
-            ((key, t, desc), "", assignment)
-            for key, t in entries
-            for desc, assignment in _witnesses(table, key, t, memo)
-        )
-        for slope, entries in closed.items()
+        (total, ""): (_witnesses(table, key, t, memo) for key, t in entries)
+        for total, entries in closed.items()
     }
-    systems = _materialize(expr, grouped, reference)
+    slopes = set() if reference is None else {total - reference for total in closed}
     if not grouped:
         notes.append("no closed systems within c_bound=%d" % c_bound)
-    if reference is not None:
-        systems.append(seifert_system(expr))
-        slopes.add(ZERO)
-    systems.sort(key=_system_order)
-    return report(expr, systems, slopes, c_bound, notes)
+    return _finish(expr, grouped, seifert, slopes, c_bound, notes)
 
 
 def _system_order(system):
@@ -513,22 +503,18 @@ def solve_montesinos(expr, c_bound=None):
     if c_bound < 1:
         raise ValueError("c_bound must be at least 1")
     notes = []
-    try:
-        reference = seifert_tau(expr)
-    except SeifertUndefined as exc:
-        reference = None
-        notes.append(str(exc))
+    seifert = _seifert(expr, notes)
+    reference = seifert.tau if seifert is not None else None
 
     grouped = {}
     slopes = set()
 
     def stage(assignment, note, counted):
         total = sum((tau(p) for p in assignment), ZERO)
-        slope = total - reference if reference is not None else None
-        if counted and slope is not None:
-            slopes.add(slope)
+        if counted and reference is not None:
+            slopes.add(total - reference)
         desc = tuple(p.describe() for p in assignment)
-        grouped.setdefault(slope, []).append(((note, desc), note, tuple(assignment)))
+        grouped.setdefault((total, note), []).append((desc, tuple(assignment)))
 
     for u0, combo, note in _type_i_candidates(leaves, notes):
         assignment = [
@@ -547,14 +533,9 @@ def solve_montesinos(expr, c_bound=None):
             counted=essential,
         )
 
-    systems = _materialize(expr, grouped, reference)
     if not grouped:
         notes.append("no closed systems within c_bound=%d" % c_bound)
-    if reference is not None:
-        systems.append(seifert_system(expr))
-        slopes.add(ZERO)
-    systems.sort(key=_system_order)
-    return report(expr, systems, slopes, c_bound, sorted(set(notes)))
+    return _finish(expr, grouped, seifert, slopes, c_bound, sorted(set(notes)))
 
 
 def solve(expr, c_bound=None):

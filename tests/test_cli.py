@@ -155,8 +155,9 @@ def test_plot_svg_file(tmp_path, capsys):
     assert root.tag.endswith("svg")
     polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
     assert len(polylines) >= 5
-    # constants render as horizontal segments through their own point
-    assert any(el.get("points") == "360,272.5 560,272.5 660,272.5" for el in polylines)
+    # constants render as horizontal segments through their own point:
+    # kn_system(2)'s constant on -1/2 passes through u = 5/6
+    assert any(el.get("points") == "360,435 560,435 660,435" for el in polylines)
 
 
 def test_plot_tsv_rows(capsys):

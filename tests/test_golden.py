@@ -14,28 +14,28 @@ from tangleslopes import kn, parse, solve
 from tangleslopes.cli import format_json
 
 GOLDEN = (
-    ("kn(2)", None, "24d5401f0abbdf90a1fdd3678856ee581844c6ed6f74048dad138c7af213dc13"),
-    ("kn(3)", None, "3d4500c1daa632e0bfb02c0fbe36abeb0e4c64bb0f353d27093924ed572cb616"),
-    ("kn(4)", None, "86bf05943aba4af6b0a7d0b34f1d81ccdf4e767d2a8c8631539e0c9a0f95f677"),
-    ("kn(6)", None, "f0230912c50b3cd33a20670f31c765222f06116a642ec2785d8d0b89402cefa1"),
-    ("kn(8)", None, "c72e8d8cf6500d2987e4237e6b6f7d6ac2e85577325a2645ddb4004bd2d93ab5"),
-    ("kn(10)", None, "49564501c699bd2239eeb42c8548cba62ec607b25bdfbf808043d0366043c046"),
-    ("-1/2 + 1/3 + 1/3", None, "cded4f23fcb32a6ef582475921646c0e7bcd2418687a2ad3e01b5186b39dc84b"),
+    ("kn(2)", None, "11ff13bf58491406f80bc646c97b66f1eac5e3ca52addbb6b60de44d2fb84af9"),
+    ("kn(3)", None, "33b30918b316472829dee770e1b5a444092512494a8f278f9b47d77812fa194d"),
+    ("kn(4)", None, "24779d35839580d82a81c3d4aea9a7dfaa405ed65fbaaf6497c7737879113ee0"),
+    ("kn(6)", None, "5c850e7e5c7ad0a1bf8999cfece667cc79be41e11a24a1ce5730ede60670133b"),
+    ("kn(8)", None, "161ba54e24a41adb096ae85c0a285207e54658b2ef06a95c7dd9aaed75506478"),
+    ("kn(10)", None, "fccd3a95fd948cd74b823403079246eaec6d8e25e6f9749961dbe66cc5f80535"),
+    ("-1/2 + 1/3 + 1/3", None, "707211ff29b3dc5d4a3f2dec212d156b4f1d02d8b03a351dc5b5c53e5a1e4c79"),
     ("-1/2 + 1/3 + 1/5", None, "7dee1ae7dbe01a75e270378877bef3ce792928781adefb9087aa369126500743"),
     ("-1/2 + 1/3 + 1/7", None, "a6fdd7d87c17a5682451c7aa4bf85fc552f6bfa9f21b7474c11f5a1b569ad708"),
-    ("(1/2 + 1/3) o 1/4", None, "fd5be9fbfd7df094535b5c6449f6da5429eef112163f86c1b9d3973eaa84bfa2"),
+    ("(1/2 + 1/3) o 1/4", None, "14fa8bcd088a446e26231c6ce81acbe2182c276c7897f33943f3fcda4d83393e"),
     (
         "(1/2+1/3) o (1/4 + -1/3) o (1/5+1/2)",
         None,
-        "3d316eeb81c8688179a33e7a6577b125470cbdb8598974cbdf3aa3e495f747cf",
+        "0464613e45529e27e49fff89bc80a9365cf0e1aeac8e5ca109c2d9e4bf718159",
     ),
     # four tangles: the digest pins the complete u=0 search, no skip note
-    ("-3/7 + 5/11 + 2/9 + 1/4", None, "1ceacbde5cbecb2beffab388ff8d62a6e66ff929272c21be26bdba7a63813c35"),
+    ("-3/7 + 5/11 + 2/9 + 1/4", None, "53179aae35a7af62d8a0b7a3cf673cf29e81f26d4a5b52f0b612e0e74521cdb2"),
     # six tangles: pins the type-I walk over overlapping segment prefixes
     (
         "3/7 + -5/9 + 2/9 + -4/7 + 5/8 + 1/9",
         None,
-        "4c4951e56c3aeb01e5e43135d4125b66458f38ba8ac25d9c59f8a6d07e14e6bc",
+        "0e295d116edff6be89585d5e8b502b92e86d0a0bc033504cfc9df49622a8a641",
     ),
     # no even-denominator tangle: systems with null slopes
     ("2 + 1/3 + 1/7", None, "22b5afdeec80f6a6579c87504de24ff44816c39b650b15119da12cd5d2e0c840"),

@@ -1,5 +1,4 @@
 import random
-from bisect import insort
 from fractions import Fraction
 from itertools import product as iterproduct
 from math import gcd
@@ -22,7 +21,6 @@ from tangleslopes import (
     verify_system,
 )
 from tangleslopes.solver import (
-    TRACES_PER_STATE,
     _Table,
     _eval_tables,
     _leaf_segments,
@@ -95,14 +93,33 @@ def test_every_listed_slope_is_realized():
         assert set(rep.slopes) <= realized
 
 
-def test_per_slope_system_cap():
-    rep = solve_sn(kn(3))
-    by_slope = {}
-    for system in rep.systems:
-        by_slope.setdefault(system.slope, []).append(system)
-    for slope, group in by_slope.items():
-        enumerated = [s for s in group if s.note != "seifert-reference"]
-        assert len(enumerated) <= 16, slope
+def _closed_root_taus(expr):
+    table = _eval_tables(expr, default_c_bound(expr), {})
+    return {
+        Fraction(t, table.den)
+        for key, entries in table.items()
+        if key[2] == 0 and key[3] == 0
+        for t in entries
+    }
+
+
+def test_one_system_per_tau_and_note():
+    texts = ("1/3 o 1/2", "(1/2 + 1/3) o 1/4", PRETZEL_237, "-1/2 + 1/3 + 1/3")
+    for expr in (kn(3),) + tuple(parse(text) for text in texts):
+        rep = solve(expr)
+        listed = [(s.tau, s.note) for s in rep.systems if s.note != "seifert-reference"]
+        assert len(listed) == len(set(listed)), expr
+        if not expr.is_montesinos():
+            assert {t for t, _ in listed} == _closed_root_taus(expr), expr
+
+
+def test_null_slope_systems_list_every_tau():
+    # 1/3 o 1/2 has no even-denominator tangle in its first factor, so it
+    # has no normalization: each closed tau is listed once, slope None
+    rep = solve(parse("1/3 o 1/2"))
+    assert rep.slopes == ()
+    assert all(s.slope is None and s.note == "" for s in rep.systems)
+    assert sorted(s.tau for s in rep.systems) == [-4, 2, 6]
 
 
 def test_monotone_in_bounds():
@@ -308,26 +325,20 @@ def test_all_emitted_systems_verify():
 
 def _eager_tables(node, c_bound, memo):
     """The merge the back-pointer tables replaced: every node carries the
-    TRACES_PER_STATE smallest (descriptor, assignment) traces of each
-    (state, tau), tau a Fraction, combined eagerly at every node."""
+    smallest (descriptor, assignment) trace of each (state, tau), tau a
+    Fraction, combined eagerly at every node."""
 
-    def combine(table, state, t, lents, rents):
-        entries = table.setdefault(_statekey(state), {}).setdefault(t, [])
-        for ldesc, lassign in lents:
-            if len(entries) == TRACES_PER_STATE and ldesc + rents[0][0] >= entries[-1][0]:
-                break
-            for rdesc, rassign in rents:
-                desc = ldesc + rdesc
-                if len(entries) == TRACES_PER_STATE and desc >= entries[-1][0]:
-                    break
-                insort(entries, (desc, lassign + rassign), key=lambda e: e[0])
-                del entries[TRACES_PER_STATE:]
+    def combine(table, state, t, ltrace, rtrace):
+        entries = table.setdefault(_statekey(state), {})
+        trace = (ltrace[0] + rtrace[0], ltrace[1] + rtrace[1])
+        if t not in entries or trace[0] < entries[t][0]:
+            entries[t] = trace
 
     if id(node) in memo:
         return memo[id(node)]
     if isinstance(node, Leaf):
         table = {
-            key: {Fraction(t): list(traces) for t, traces in entries.items()}
+            key: {Fraction(t): trace for t, trace in entries.items()}
             for key, entries in _leaf_table(node, c_bound).items()
         }
     else:
@@ -345,14 +356,14 @@ def _eager_tables(node, c_bound, memo):
                 lw, shift = outcome.state, outcome.tau_prime
             lents = sorted(left[lkey].items())
             if shift is not None:  # product twist: tau' - tau(left) + tau(right)
-                lents = [(shift - lt, traces) for lt, traces in lents]
+                lents = [(shift - lt, trace) for lt, trace in lents]
             for rkey in sorted(right):
                 glued = glue_scaled(lw, WeightState(*rkey))
                 if glued is None:
                     continue
-                for lt, ltraces in lents:
-                    for rt, rtraces in sorted(right[rkey].items()):
-                        combine(table, glued[0], lt + rt, ltraces, rtraces)
+                for lt, ltrace in lents:
+                    for rt, rtrace in sorted(right[rkey].items()):
+                        combine(table, glued[0], lt + rt, ltrace, rtrace)
     memo[id(node)] = table
     return table
 
@@ -373,7 +384,7 @@ def _random_product(rng):
 
 
 def test_root_witnesses_match_eager_traces():
-    # same closed root entries, same (descriptor, assignment) lists, same order
+    # same closed root entries, same smallest (descriptor, assignment)
     rng = random.Random(5)
     f, g = parse("1/2 + -1/3"), parse("2/5")
     cases = [(kn(n), None) for n in range(2, 6)]
@@ -516,14 +527,13 @@ def test_leaf_table_taus_and_keys_match_their_paths(c_bound):
     runs = 0
     for pq in leaves:
         for key, entries in _leaf_table(Leaf(pq), c_bound).items():
-            for t, witnesses in entries.items():
-                for _, (path,) in witnesses:
-                    if path.is_constant:
-                        assert (t, key) == (0, _statekey(path.state.primitive()))
-                        continue
-                    assert t == path_tau(path), (pq, path)
-                    assert key == _statekey(endpoint_state(path).primitive())
-                    # a descent's penultimate vertex is never an integer
-                    vs = path.vertices
-                    runs += len(vs) > 1 and vs[-2].denominator == 1
+            for t, (_, (path,)) in entries.items():
+                if path.is_constant:
+                    assert (t, key) == (0, _statekey(path.state.primitive()))
+                    continue
+                assert t == path_tau(path), (pq, path)
+                assert key == _statekey(endpoint_state(path).primitive())
+                # a descent's penultimate vertex is never an integer
+                vs = path.vertices
+                runs += len(vs) > 1 and vs[-2].denominator == 1
     assert runs
