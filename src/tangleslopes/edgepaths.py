@@ -23,8 +23,9 @@ unless the last edge is partial.
 
 `enumerate_paths` lists the descents from <p/q> to the u = 0 line, and
 `u_zero_paths` extends one descent along that line by vertical runs. The
-product-expression solver builds its per-tangle choices from both; the
-Montesinos solver uses the descents alone.
+product-expression solver builds its per-tangle choices from both: it
+reads the run ends from `u_zero_ends` and builds a run with `run_to` only
+where it needs a witness. The Montesinos solver uses the descents alone.
 """
 
 from dataclasses import dataclass
@@ -197,30 +198,52 @@ def enumerate_paths(start):
     return paths
 
 
-def u_zero_paths(descent, c_bound):
-    """The descent and its vertical runs, each kept when it ends within
-    +-c_bound.
+def u_zero_ends(descent, c_bound):
+    """The endpoints, within +-c_bound, of the descent and its vertical runs.
 
     A run walks along u = 0 away from the descent's endpoint m, one integer
-    at a time, until it passes c_bound on its own side. Its first step may
-    not cut across a triangle, and a trivial path (integer tangle) does not
-    run. Yields the descent, then the runs toward -infinity, then those
-    toward +infinity, each by length. Only the product-expression solve
-    takes runs; the Montesinos solve takes the descents alone.
+    at a time. Its first step may not cut across a triangle, and a trivial
+    path (integer tangle) does not run. Yields m, then the run ends toward
+    -infinity, then those toward +infinity, each by length; every end
+    occurs once.
     """
     vs = descent.vertices
     m = int(vs[-1])
     if abs(m) <= c_bound:
-        yield descent
+        yield m
     if len(vs) < 2:
         return
-    for d in (-1, 1):
-        if is_edge(vs[-2], Fraction(m + d)):
-            continue  # first run step would cut a triangle
-        run = vs
-        k = m + d
-        while d * k <= c_bound:
-            run = run + (Fraction(k),)
-            if abs(k) <= c_bound:
-                yield VertexPath(descent.tangle, run)
-            k += d
+    if not is_edge(vs[-2], Fraction(m - 1)):
+        yield from range(min(m - 1, c_bound), -c_bound - 1, -1)
+    if not is_edge(vs[-2], Fraction(m + 1)):
+        yield from range(max(m + 1, -c_bound), c_bound + 1)
+
+
+class _Integers(dict):
+    """k -> Fraction(k), each built once: the runs share their vertices."""
+
+    def __missing__(self, k):
+        value = self[k] = Fraction(k)
+        return value
+
+
+_INTEGERS = _Integers()
+
+
+def run_to(descent, end):
+    """The descent continued along u = 0 to the integer `end`; the descent
+    itself when it already ends there."""
+    vs = descent.vertices
+    m = int(vs[-1])
+    if end == m:
+        return descent
+    d = 1 if end > m else -1
+    run = tuple(map(_INTEGERS.__getitem__, range(m + d, end + d, d)))
+    return VertexPath(descent.tangle, vs + run)
+
+
+def u_zero_paths(descent, c_bound):
+    """The descent and its vertical runs, each kept when it ends within
+    +-c_bound, in the order of u_zero_ends."""
+    for end in u_zero_ends(descent, c_bound):
+        yield run_to(descent, end)

@@ -2,26 +2,45 @@
 
 Two closure regimes:
 
-* solve_sn handles expressions with at least one product. Each leaf gets
-  a table of choices: its constant family sampled on weights up to
-  c_bound, and every descent to u = 0 with its vertical runs, ending
-  within +-c_bound (an integer leaf keeps its trivial path regardless).
-  Tables combine bottom-up through one glue step on integer state keys:
-  the left state (after the rotation transform at a product node) and
-  the right state are rescaled to their least common (a, b) and glued.
-  Keys are bucketed by (a : b) direction, each with its sheet count
-  gcd(a, b), and every pair within a bucket is glued in integers, so
-  c_bound is the only bound; slopes.replay re-glues each materialized
-  system through transforms.glue_scaled, the reference for it. A
-  system closes when the root state carries no net slope weight (c = 0)
-  and no leftover slope-infinity edges. A merged table keeps, per
-  (state, tau), only back-pointers to the (left state, tau) and (right
-  state, tau) pairs that glue to it; tau is an integer numerator over one
-  denominator per table (the lcm of the children's, and at a product of
-  the tau' denominators too). A witness is built only for the closed
-  root entries, by a walk down the back-pointers that keeps the smallest
-  descriptor per entry: the one an eager merge keeping only the smallest
-  at every node would hold.
+* solve_sn handles expressions with at least one product. It makes three
+  passes over the distinct nodes of the expression; a subtree object
+  shared by several parents, as in kn(n), is one node.
+
+  1. Key pass, bottom-up, integers only. A leaf's keys are the primitive
+     states of its constant family, (a, q*k - a, p*k) with
+     1 <= a <= k <= c_bound // |p| and gcd(a, k) = 1, and the vertices
+     <m> that end its descents and their vertical runs within +-c_bound
+     (an integer leaf keeps its trivial path regardless). A merge glues
+     the left key (after the rotation transform at a product node) to
+     each right key of the same (a : b) direction: both are rescaled to
+     their least common (a, b) and added, in integers, so c_bound is the
+     only bound. Each glued key records the (left key, right key) pairs
+     behind it. The root glues only pairs that close, leaving no net
+     slope weight (c = 0) and no slope-infinity edges. That holds exactly
+     when the two per-sheet (c, n_inf) are negatives of each other, so
+     the root indexes its right operand by direction and per-sheet
+     (c, n_inf), and each left key looks up its negated class.
+  2. Demand pass, top-down. The root demands all its keys, which are the
+     closed ones. Each merge adds the left and right keys of the pairs
+     behind its demanded keys to its children's demand, after all of its
+     own parents have added theirs.
+  3. Tau pass, bottom-up, demanded keys only. A leaf builds, per
+     (demanded key, tau), its witness: the (descriptor, assignment) pair
+     with the smallest descriptor. A merge builds, per (demanded key,
+     tau), back-pointers to the (left key, tau) and (right key, tau)
+     pairs that glue to it. tau is an integer numerator over one
+     denominator per table: the lcm of the children's, and at a product
+     of the tau' of the left keys glued there too.
+
+  A demanded key's back-pointer lists are complete. The key pass recorded
+  every key pair that glues to it, both keys of each pair are demanded in
+  turn, and so, by induction from the leaves, every demanded key carries
+  every tau an eager merge would give it, with every back-pointer. A
+  witness is built only for the closed root entries, by a walk down the
+  back-pointers that keeps the smallest descriptor per entry: the one an
+  eager merge keeping only the smallest at every node would hold.
+  slopes.replay re-glues each materialized system through
+  transforms.glue_scaled, the reference for the integer glue.
 
 * solve_montesinos handles sums of three or more rational tangles. The
   common endpoint abscissa u is one unknown: each leaf contributes either
@@ -57,8 +76,9 @@ from .edgepaths import (
     VertexPath,
     constant_path,
     enumerate_paths,
+    run_to,
     tau,
-    u_zero_paths,
+    u_zero_ends,
 )
 from .errors import FamilyCheckFailed, SeifertUndefined, UnsupportedShape
 from .slopes import build_system, seifert_system, seifert_tau
@@ -134,6 +154,191 @@ def _statekey(w):
     return (w.a, w.b, w.c, w.n_inf, w.has_zero)
 
 
+def _distinct_nodes(expr):
+    """The expression's distinct nodes, each after its children.
+
+    A subtree object shared by several parents is listed once, so reversed
+    the list puts every node after all of its parents.
+    """
+    order, seen, stack = [], set(), [(expr, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            if not isinstance(node, Leaf):
+                stack += [(node.right, False), (node.left, False)]
+    return order
+
+
+# key pass: state keys, and the key pairs that glue to each merged key
+
+
+def _leaf_table(leaf, c_bound):
+    """A leaf's primitive state keys, each -> None for a constant, else
+    the [(tau, descent, end)] of the paths ending on its vertex <end>.
+
+    The constant (a, q*k - a, p*k), 1 <= a <= k <= c_bound // |p|, is
+    primitive exactly when gcd(a, k) = 1, and every other one is a multiple
+    of a primitive one with a smaller k; the smallest descriptor of a key is
+    its own triple. A path ends on <end>, state (1, 0, end): that is a
+    constant key only for the trivial path of an integer leaf p, tau 0,
+    where the constant's descriptor is smaller.
+    """
+    pq = leaf.fraction
+    p, q = pq.numerator, pq.denominator
+    table = {}
+    for k in range(1, c_bound // abs(p) + 1):
+        for a in range(1, k + 1):
+            if gcd(a, k) == 1:
+                table[a, q * k - a, p * k, 0, False] = None
+    for descent in enumerate_paths(pq):
+        m, descent_tau = int(descent.vertices[-1]), tau(descent)
+        # an integer leaf keeps its trivial path whatever the bound
+        for end in (m,) if q == 1 else u_zero_ends(descent, c_bound):
+            key = (1, 0, end, 0, False)
+            if key in table and table[key] is None:
+                continue  # an integer leaf's constant (1, 0, p)
+            # each unit step of a run along u = 0 adds -2 times its rise
+            runs = table.setdefault(key, [])
+            runs.append((descent_tau - 2 * (end - m), descent, end))
+    return table
+
+
+class _Keys(dict):
+    """Glued key -> [(left key, right key)], every key pair that glues to
+    it; at a product, turns maps each left key that glues to its tau'."""
+
+    def __init__(self, turns=None):
+        super().__init__()
+        self.turns = turns
+
+
+def _glue_class(key, sheets, closing, sign=1):
+    """What a key must match to glue: its (a : b) direction, and when
+    closing also sign times its per-sheet (c, n_inf) as reduced pairs."""
+    direction = (key[0] // sheets, key[1] // sheets)
+    if not closing:
+        return direction
+    gc, gt = gcd(key[2], sheets), gcd(key[3], sheets)
+    return direction + (
+        sign * key[2] // gc, sheets // gc, sign * key[3] // gt, sheets // gt
+    )
+
+
+def _index(table, closing):
+    """The right operand's keys by glue class, each with its sheet count.
+
+    Keys with a = b = 0 have no direction and glue to nothing
+    (common_scaling returns None for them), so they are left out.
+    """
+    index = {}
+    for key in table:
+        s = gcd(key[0], key[1])
+        if s:
+            index.setdefault(_glue_class(key, s, closing), []).append((key, s))
+    return index
+
+
+def _glue_keys(out, lw, ls, lkey, partners):
+    """Glue the key lw, of sheet count ls, to each (right key, sheet count)
+    of partners, and record (lkey, right key) under the glued key.
+
+    This is transforms.glue_scaled on integer keys. Of one direction
+    (da, db) a key is (s*da, s*db, c, n_inf, has_zero), s its sheet count.
+    Both sides go to L = lcm(s1, s2) sheets (multipliers k_i = L / s_i),
+    c and n_inf add, has_zero ORs, and the sum is divided by
+    g = gcd(L, c, n_inf) to stay primitive. At a product, lw is the
+    rotation output of the left key lkey.
+    """
+    a, b, c, t, has_zero = lw
+    for rkey, rs in partners:
+        common = lcm(ls, rs)
+        k1, k2 = common // ls, common // rs
+        gc = c * k1 + rkey[2] * k2
+        gt = t * k1 + rkey[3] * k2
+        g = gcd(common, gc, gt)
+        glued = (a * k1 // g, b * k1 // g, gc // g, gt // g, has_zero or rkey[4])
+        pairs = out.get(glued)
+        if pairs is None:
+            out[glued] = [(lkey, rkey)]
+        else:
+            pairs.append((lkey, rkey))
+
+
+def _merge_sum(left, right, closing=False):
+    """Key pass at a sum; when closing, only the pairs that close."""
+    out = _Keys()
+    index = _index(right, closing)
+    for lkey in left:
+        s = gcd(lkey[0], lkey[1])
+        partners = index.get(_glue_class(lkey, s, closing, -1)) if s else None
+        if partners:
+            _glue_keys(out, lkey, s, lkey, partners)
+    return out
+
+
+def _merge_product(left, right, closing=False):
+    """Key pass at a product: the rotation output of each left key with
+    c != 0 and a feasible outcome glues to the right keys; when closing,
+    only the pairs that close."""
+    out = _Keys(turns={})
+    index = _index(right, closing)
+    for lkey in left:
+        if lkey[2] == 0:
+            continue  # the rotation is undefined at c = 0
+        outcome = rotate_reflect(WeightState(*lkey), allow_infeasible=True)
+        if not outcome.feasible:
+            continue
+        tw = _statekey(outcome.state)
+        ts = gcd(tw[0], tw[1])  # > 0: a feasible rotation output has a + b > 0
+        partners = index.get(_glue_class(tw, ts, closing, -1))
+        if partners:
+            out.turns[lkey] = outcome.tau_prime
+            _glue_keys(out, tw, ts, lkey, partners)
+    return out
+
+
+def _key_pass(nodes, c_bound):
+    """id(node) -> its key table, bottom-up; the last node is the root,
+    whose merge keeps only the pairs that close."""
+    keys = {}
+    for node in nodes:
+        if isinstance(node, Leaf):
+            keys[id(node)] = _leaf_table(node, c_bound)
+        else:
+            merge = _merge_sum if isinstance(node, Sum) else _merge_product
+            closing = node is nodes[-1]
+            keys[id(node)] = merge(keys[id(node.left)], keys[id(node.right)], closing)
+    return keys
+
+
+# demand pass: the keys that a closed root key reaches
+
+
+def _demand_pass(nodes, keys):
+    """id(node) -> the set of its keys that some closed root key glues
+    from, top-down; a shared subtree collects from all its parents first."""
+    root = nodes[-1]
+    demand = {id(root): set(keys[id(root)])}
+    for node in reversed(nodes):
+        if isinstance(node, Leaf):
+            continue
+        table = keys[id(node)]
+        ldemand = demand.setdefault(id(node.left), set())
+        rdemand = demand.setdefault(id(node.right), set())
+        for key in demand[id(node)]:
+            for lkey, rkey in table[key]:
+                ldemand.add(lkey)
+                rdemand.add(rkey)
+    return demand
+
+
+# tau pass: witnesses and back-pointers of the demanded keys
+
+
 class _Table(dict):
     """State key -> {tau numerator: entry}, every tau over `den`.
 
@@ -149,134 +354,99 @@ class _Table(dict):
         self.den, self.left, self.right = den, left, right
 
 
-def _leaf_table(leaf, c_bound):
+def _leaf_witnesses(leaf, table, wanted):
+    """The witnesses of the wanted keys of a leaf's key table."""
     pq = leaf.fraction
-    p, q = pq.numerator, pq.denominator
-    table = _Table()
-
-    def add(key, t, path):
-        entries = table.setdefault(key, {})
-        desc = (path.describe(),)
-        if t not in entries or desc < entries[t][0]:
-            entries[t] = (desc, (path,))
-
-    for k in range(1, c_bound // abs(p) + 1):
-        for a in range(1, k + 1):
-            path = ConstantPath(pq, WeightState(a, q * k - a, p * k))
-            add(_statekey(path.state.primitive()), 0, path)
-    for descent in enumerate_paths(pq):
-        # an integer leaf keeps its trivial path whatever the bound
-        paths = (descent,) if q == 1 else u_zero_paths(descent, c_bound)
-        m, descent_tau = int(descent.vertices[-1]), tau(descent)
-        for path in paths:
-            # every path ends on the vertex <end>, state (1, 0, end), and
-            # each unit step of a run along u = 0 adds -2 times its rise
-            end = int(path.vertices[-1])
-            add((1, 0, end, 0, False), descent_tau - 2 * (end - m), path)
-    return table
-
-
-def _bucket_by_direction(table):
-    """(a : b) direction -> [(key, sheet count gcd(a, b))], keys sorted.
-
-    Keys with a = b = 0 have no direction and glue to nothing
-    (common_scaling returns None for them), so they are left out.
-    """
-    buckets = {}
-    for key in sorted(table):
-        s = gcd(key[0], key[1])
-        if s:
-            buckets.setdefault((key[0] // s, key[1] // s), []).append((key, s))
-    return buckets
-
-
-def _scaled_taus(table, den):
-    """key -> [(tau numerator over den, own numerator)] for a child table."""
-    k = den // table.den
-    return {key: [(t * k, t) for t in entries] for key, entries in table.items()}
-
-
-def _glue_into(out, lw, ls, lkey, lents, rbucket, rtaus):
-    """Glue the key lw, of sheet count ls, to every key of its (a : b)
-    bucket on the right, and point every (left tau, right tau) pair back
-    to (lkey, rkey).
-
-    This is transforms.glue_scaled on integer keys. In a bucket of
-    direction (da, db) a key is (s*da, s*db, c, n_inf, has_zero), s its
-    sheet count. Both sides go to L = lcm(s1, s2) sheets (multipliers
-    k_i = L / s_i), c and n_inf add, has_zero ORs, and the sum is divided
-    by g = gcd(L, c, n_inf) to stay primitive. lents and rtaus hold
-    (tau over out.den, child's own tau) lists; a product's left taus
-    arrive already turned into tau' - tau(left), and its lkey is the
-    untransformed left key.
-    """
-    a, b, c, t, has_zero = lw
-    for rkey, rs in rbucket:
-        common = lcm(ls, rs)
-        k1, k2 = common // ls, common // rs
-        gc = c * k1 + rkey[2] * k2
-        gt = t * k1 + rkey[3] * k2
-        g = gcd(common, gc, gt)
-        glued = (a * k1 // g, b * k1 // g, gc // g, gt // g, has_zero or rkey[4])
-        entries = out.setdefault(glued, {})
-        rents = rtaus[rkey]
-        for lt, lback in lents:
-            for rt, rback in rents:
-                entries.setdefault(lt + rt, []).append((lkey, lback, rkey, rback))
-
-
-def _merge_sum(left, right):
-    out = _Table(lcm(left.den, right.den), left, right)
-    lbuckets = _bucket_by_direction(left)
-    rbuckets = _bucket_by_direction(right)
-    ltaus = _scaled_taus(left, out.den)
-    rtaus = _scaled_taus(right, out.den)
-    for direction in sorted(set(lbuckets) & set(rbuckets)):
-        rbucket = rbuckets[direction]
-        for lkey, ls in lbuckets[direction]:
-            _glue_into(out, lkey, ls, lkey, ltaus[lkey], rbucket, rtaus)
-    return out
-
-
-def _merge_product(left, right):
-    turned = []
-    den = lcm(left.den, right.den)
-    for lkey in sorted(left):
-        if lkey[2] == 0:
-            log.debug("product: dropped untransformable c=0 state %r", lkey)
+    out = _Table()
+    for key in sorted(wanted):
+        runs = table[key]
+        if runs is None:
+            path = ConstantPath(pq, WeightState(*key[:3]))
+            out[key] = {0: ((path.describe(),), (path,))}
             continue
-        outcome = rotate_reflect(WeightState(*lkey), allow_infeasible=True)
-        if outcome.feasible:
-            turned.append((lkey, outcome))
-            den = lcm(den, outcome.tau_prime.denominator)
-    out = _Table(den, left, right)
-    rbuckets = _bucket_by_direction(right)
-    ltaus = _scaled_taus(left, den)
-    rtaus = _scaled_taus(right, den)
-    for lkey, outcome in turned:
-        tw = _statekey(outcome.state)
-        ts = gcd(tw[0], tw[1])  # > 0: a feasible rotation output has a + b > 0
-        # product twist: -tau(left) + tau' + tau(right)
-        tp = outcome.tau_prime
-        shift = tp.numerator * (den // tp.denominator)
-        lents = [(shift - lt, back) for lt, back in ltaus[lkey]]
-        rbucket = rbuckets.get((tw[0] // ts, tw[1] // ts), ())
-        _glue_into(out, tw, ts, lkey, lents, rbucket, rtaus)
+        entries = out[key] = {}
+        for t, descent, end in runs:
+            path = run_to(descent, end)
+            desc = (path.describe(),)
+            if t not in entries or desc < entries[t][0]:
+                entries[t] = (desc, (path,))
     return out
 
 
-def _eval_tables(node, c_bound, memo):
-    if id(node) in memo:
-        return memo[id(node)]
-    if isinstance(node, Leaf):
-        result = _leaf_table(node, c_bound)
-    else:
-        left = _eval_tables(node.left, c_bound, memo)
-        right = _eval_tables(node.right, c_bound, memo)
-        merge = _merge_sum if isinstance(node, Sum) else _merge_product
-        result = merge(left, right)
-    memo[id(node)] = result
-    return result
+def _glue_taus(table, left, right, wanted):
+    """The back-pointer lists of the wanted keys of a merged key table.
+
+    tau adds at a sum; at a product it is tau' - tau(left) + tau(right).
+    All taus go over one denominator: the lcm of the children's and of
+    the tau' of the left keys glued here.
+    """
+    turns = table.turns
+    rows = [(key, table[key]) for key in sorted(wanted)]
+    den = lcm(left.den, right.den)
+    if turns is not None:
+        used = {lkey for _, pairs in rows for lkey, _ in pairs}
+        den = lcm(den, *(turns[lkey].denominator for lkey in used))
+    lk, rk = den // left.den, den // right.den
+    ltaus, rtaus = {}, {}
+    out = _Table(den, left, right)
+    for key, pairs in rows:
+        entries = out[key] = {}
+        for lkey, rkey in pairs:
+            lents = ltaus.get(lkey)
+            if lents is None:
+                if turns is None:
+                    lents = [(t * lk, t) for t in left[lkey]]
+                else:
+                    tp = turns[lkey]
+                    shift = tp.numerator * (den // tp.denominator)
+                    lents = [(shift - t * lk, t) for t in left[lkey]]
+                ltaus[lkey] = lents
+            rents = rtaus.get(rkey)
+            if rents is None:
+                rents = rtaus[rkey] = [(t * rk, t) for t in right[rkey]]
+            for lt, lback in lents:
+                for rt, rback in rents:
+                    entries.setdefault(lt + rt, []).append((lkey, lback, rkey, rback))
+    return out
+
+
+def _tau_pass(nodes, keys, demand):
+    """id(node) -> its tau table over its demanded keys, bottom-up."""
+    taus = {}
+    for node in nodes:
+        table, wanted = keys[id(node)], demand[id(node)]
+        if isinstance(node, Leaf):
+            taus[id(node)] = _leaf_witnesses(node, table, wanted)
+        else:
+            left, right = taus[id(node.left)], taus[id(node.right)]
+            taus[id(node)] = _glue_taus(table, left, right, wanted)
+    return taus
+
+
+def _root_table(expr, c_bound):
+    """The tau table of the root's closed keys, after all three passes."""
+    nodes = _distinct_nodes(expr)
+    keys = _key_pass(nodes, c_bound)
+    demand = _demand_pass(nodes, keys)
+    taus = _tau_pass(nodes, keys, demand)
+    if log.isEnabledFor(logging.INFO):
+        glued = sum(
+            len(backs)
+            for node in nodes
+            if not isinstance(node, Leaf)
+            for entries in taus[id(node)].values()
+            for backs in entries.values()
+        )
+        log.info(
+            "sn solve, c_bound=%d, %d nodes: %d keys built, %d demanded,"
+            " %d back-pointers glued",
+            c_bound,
+            len(nodes),
+            sum(len(keys[id(node)]) for node in nodes),
+            sum(len(demand[id(node)]) for node in nodes),
+            glued,
+        )
+    return taus[id(expr)]
 
 
 def _witnesses(table, key, t, memo):
@@ -288,7 +458,7 @@ def _witnesses(table, key, t, memo):
     smallest ones of the child entries it points back to. memo maps
     (table id, key, tau) to the pairs built so far, so an entry reached
     twice, or through a shared subtree, is built once. Recurses once per
-    tree level, as deep as _eval_tables does.
+    tree level.
     """
     if table.left is None:
         return table[key][t]
@@ -350,12 +520,11 @@ def solve_sn(expr, c_bound=None):
     notes = []
     seifert = _seifert(expr, notes)
     reference = seifert.tau if seifert is not None else None
-    table = _eval_tables(expr, c_bound, {})
-    closed = {}
+    table = _root_table(expr, c_bound)
+    closed = {}  # every root key is closed: c = 0, no slope-infinity edges
     for key, entries in table.items():
-        if key[2] == 0 and key[3] == 0:
-            for t in entries:
-                closed.setdefault(Fraction(t, table.den), []).append((key, t))
+        for t in entries:
+            closed.setdefault(Fraction(t, table.den), []).append((key, t))
     # lazy groups: _materialize draws them, so the root witness build is
     # timed there
     memo = {}

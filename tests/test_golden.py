@@ -56,6 +56,30 @@ def test_report_bytes_are_pinned(text, c_bound, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _right_nested(leaf, levels):
+    text = leaf
+    for _ in range(levels - 1):
+        text = "%s o (%s)" % (leaf, text)
+    return text
+
+
+DEEP = (
+    # 40 right-nested factors at c_bound 1: every level's right operand
+    # is the product below it
+    (_right_nested("1/3", 40), 1,
+     "baae35267bdeb7cb6ddf1b1e47d4421c6f34049fbbf9e33bd0170fd166e177b0"),
+    # 20 left-nested factors at the default c_bound
+    (" o ".join(["1/3"] * 20), None,
+     "d0568877d20c494897fab941377ec5323cb78ce1ce30cbfd727a1d9983580403"),
+)
+
+
+@pytest.mark.parametrize("text, c_bound, digest", DEEP, ids=["right-40", "chain-20"])
+def test_nested_products_are_pinned(text, c_bound, digest):
+    out = format_json(solve(parse(text), c_bound=c_bound))
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_deep_left_nested_product_is_pinned():
     # 500 factors, the parse depth cap: the root witness walk, which
     # recurses once per level, must stay within the recursion limit

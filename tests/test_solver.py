@@ -1,3 +1,4 @@
+import logging
 import random
 from fractions import Fraction
 from itertools import product as iterproduct
@@ -22,19 +23,31 @@ from tangleslopes import (
 )
 from tangleslopes.solver import (
     _Table,
-    _eval_tables,
+    _demand_pass,
+    _distinct_nodes,
+    _glue_taus,
+    _key_pass,
     _leaf_segments,
     _leaf_table,
+    _leaf_witnesses,
     _merge_product,
     _merge_sum,
+    _root_table,
     _segment_label,
     _statekey,
+    _tau_pass,
     _type_i_candidates,
     _type_ii_options,
     _witnesses,
     default_c_bound,
 )
-from tangleslopes.edgepaths import endpoint_state, tau as path_tau
+from tangleslopes.edgepaths import (
+    ConstantPath,
+    endpoint_state,
+    enumerate_paths,
+    tau as path_tau,
+    u_zero_paths,
+)
 from tangleslopes.tangles import Leaf, Product, Sum, mirror
 from tangleslopes.transforms import glue_scaled, rotate_reflect
 
@@ -94,13 +107,8 @@ def test_every_listed_slope_is_realized():
 
 
 def _closed_root_taus(expr):
-    table = _eval_tables(expr, default_c_bound(expr), {})
-    return {
-        Fraction(t, table.den)
-        for key, entries in table.items()
-        if key[2] == 0 and key[3] == 0
-        for t in entries
-    }
+    table = _root_table(expr, default_c_bound(expr))
+    return {Fraction(t, table.den) for entries in table.values() for t in entries}
 
 
 def test_one_system_per_tau_and_note():
@@ -323,10 +331,39 @@ def test_all_emitted_systems_verify():
             assert verify_system(system) == [], (rep.expr, system.note)
 
 
+def _lattice_leaf(leaf, c_bound):
+    """The leaf table the key pass replaced: constants sampled on the whole
+    weight lattice up to c_bound and reduced to primitive keys, plus every
+    descent and vertical run; the smallest (descriptor, assignment) trace
+    of each (state, tau), tau a Fraction."""
+    pq = leaf.fraction
+    p, q = pq.numerator, pq.denominator
+    table = {}
+
+    def add(key, t, path):
+        entries = table.setdefault(key, {})
+        desc = (path.describe(),)
+        if t not in entries or desc < entries[t][0]:
+            entries[t] = (desc, (path,))
+
+    for k in range(1, c_bound // abs(p) + 1):
+        for a in range(1, k + 1):
+            path = ConstantPath(pq, WeightState(a, q * k - a, p * k))
+            add(_statekey(path.state.primitive()), Fraction(0), path)
+    for descent in enumerate_paths(pq):
+        # an integer leaf keeps its trivial path whatever the bound
+        paths = (descent,) if q == 1 else u_zero_paths(descent, c_bound)
+        for path in paths:
+            key = _statekey(endpoint_state(path).primitive())
+            add(key, Fraction(path_tau(path)), path)
+    return table
+
+
 def _eager_tables(node, c_bound, memo):
-    """The merge the back-pointer tables replaced: every node carries the
+    """The merge the three passes replaced: every node carries the
     smallest (descriptor, assignment) trace of each (state, tau), tau a
-    Fraction, combined eagerly at every node."""
+    Fraction, combined eagerly at every node. memo maps id(node) to its
+    table."""
 
     def combine(table, state, t, ltrace, rtrace):
         entries = table.setdefault(_statekey(state), {})
@@ -337,10 +374,7 @@ def _eager_tables(node, c_bound, memo):
     if id(node) in memo:
         return memo[id(node)]
     if isinstance(node, Leaf):
-        table = {
-            key: {Fraction(t): trace for t, trace in entries.items()}
-            for key, entries in _leaf_table(node, c_bound).items()
-        }
+        table = _lattice_leaf(node, c_bound)
     else:
         left = _eager_tables(node.left, c_bound, memo)
         right = _eager_tables(node.right, c_bound, memo)
@@ -368,6 +402,10 @@ def _eager_tables(node, c_bound, memo):
     return table
 
 
+def _closed(table):
+    return {key: entries for key, entries in table.items() if key[2] == 0 == key[3]}
+
+
 def _random_product(rng):
     def leaf():
         q = rng.randint(2, 5)
@@ -383,39 +421,89 @@ def _random_product(rng):
     return expr
 
 
-def test_root_witnesses_match_eager_traces():
-    # same closed root entries, same smallest (descriptor, assignment)
+def _pass_cases():
+    """(expr, c_bound) pairs: the family, a shared-subtree product, a root
+    sum of products, integer leaves, c_bound 1, and random products."""
     rng = random.Random(5)
     f, g = parse("1/2 + -1/3"), parse("2/5")
-    cases = [(kn(n), None) for n in range(2, 6)]
+    cases = [(kn(n), default_c_bound(kn(n))) for n in range(2, 6)]
     cases.append((Product(Product(f, g), Product(f, g)), 6))  # shared subtrees
+    # shared subtrees whose parents demand different keys of them
+    half = Leaf(Fraction(-1, 2))
+    cases.append((Product(Sum(half, Leaf(Fraction(1, 3))), Sum(half, Leaf(Fraction(2, 5)))), 6))
+    cases.append((Product(Product(f, g), Product(f, parse("1/3"))), 6))
+    # a root sum; integer leaves, whose constant (1, 0, p) and trivial
+    # path share a key
+    for text in ("(1/2 o 1/3) + 1/5", "(2 + 1/3) o 1/2", "3 o 1/2 o -2"):
+        cases += [(parse(text), 32), (parse(text), 1)]
+    cases.append((kn(2), 1))
     cases += [(_random_product(rng), rng.choice([2, 4, 8])) for _ in range(22)]
+    return cases
+
+
+def test_root_witnesses_match_eager_traces():
+    # same closed root entries, same smallest (descriptor, assignment)
     closed_entries = 0
-    for expr, c_bound in cases:
-        c_bound = c_bound or default_c_bound(expr)
-        table = _eval_tables(expr, c_bound, {})
-        eager = _eager_tables(expr, c_bound, {})
-        assert sorted(table) == sorted(eager), expr
+    for expr, c_bound in _pass_cases():
+        table = _root_table(expr, c_bound)
+        eager = _closed(_eager_tables(expr, c_bound, {}))
+        assert sorted(table) == sorted(eager), (expr, c_bound)
         memo = {}
         for key in sorted(table):
             taus = {Fraction(t, table.den): t for t in table[key]}
-            assert sorted(taus) == sorted(eager[key]), (expr, key)
-            if key[2] == 0 and key[3] == 0:
-                for tau, t in sorted(taus.items()):
-                    assert _witnesses(table, key, t, memo) == eager[key][tau], (expr, key, tau)
-                    closed_entries += 1
+            assert sorted(taus) == sorted(eager[key]), (expr, c_bound, key)
+            for tau, t in sorted(taus.items()):
+                assert _witnesses(table, key, t, memo) == eager[key][tau], (expr, key, tau)
+                closed_entries += 1
     assert closed_entries >= 100
+
+
+def test_passes_match_eager_tables_at_every_node():
+    # the key pass builds every non-root node's eager keys and only the
+    # root's closed ones; every demanded key gets its complete tau set
+    demanded = 0
+    for expr, c_bound in _pass_cases():
+        nodes = _distinct_nodes(expr)
+        assert nodes[-1] is expr
+        assert len(nodes) == len({id(node) for node in expr.nodes()})
+        keys = _key_pass(nodes, c_bound)
+        eager = {}
+        _eager_tables(expr, c_bound, eager)
+        for node in nodes[:-1]:
+            assert set(keys[id(node)]) == set(eager[id(node)]), (expr, c_bound, node)
+        assert set(keys[id(expr)]) == set(_closed(eager[id(expr)])), (expr, c_bound)
+        demand = _demand_pass(nodes, keys)
+        taus = _tau_pass(nodes, keys, demand)
+        for node in nodes:
+            table = taus[id(node)]
+            assert set(table) == demand[id(node)] <= set(keys[id(node)])
+            for key, entries in table.items():
+                got = {Fraction(t, table.den) for t in entries}
+                assert got == set(eager[id(node)][key]), (expr, c_bound, node, key)
+            demanded += len(table)
+    assert demanded >= 1000
+
+
+def test_sn_solve_logs_one_info_line(caplog):
+    with caplog.at_level(logging.DEBUG, logger="tangleslopes.solver"):
+        solve_sn(kn(3))
+    [record] = [r for r in caplog.records if r.name == "tangleslopes.solver"]
+    assert record.levelno == logging.INFO
+    assert "267 keys built, 66 demanded, 212 back-pointers glued" in record.getMessage()
 
 
 def test_merged_taus_share_one_denominator():
     # the solve's own states never carry slope-infinity edges, so tau' is
     # always +-2 there; feed a case-3 state (tau' = -4/3) in directly
+    case3, case1 = _statekey(WeightState(3, 1, 2, n_inf=1)), _statekey(WeightState(1, 2, 3))
+    flat, diagonal = _statekey(WeightState(1, 0, -2)), _statekey(WeightState(1, 1, 1))
     left, right = _Table(den=5), _Table(den=2)
-    left[_statekey(WeightState(3, 1, 2, n_inf=1))] = {7: [], -4: []}
-    left[_statekey(WeightState(1, 2, 3))] = {1: []}
-    right[_statekey(WeightState(1, 0, -2))] = {3: []}
-    right[_statekey(WeightState(1, 1, 1))] = {-1: []}
-    product = _merge_product(left, right)
+    left[case3], left[case1] = {7: [], -4: []}, {1: []}
+    right[flat], right[diagonal] = {3: []}, {-1: []}
+    keys = _merge_product(left, right)
+    # case 1 turns (1, 2, 3) into (1, 2, 3), a direction no right key has
+    assert keys.turns == {case3: Fraction(-4, 3)}
+    product = _glue_taus(keys, left, right, set(keys))
     assert product.den == 30 and product.left is left and product.right is right
     glued = 0
     for entries in product.values():
@@ -426,12 +514,14 @@ def test_merged_taus_share_one_denominator():
                 glued += 1
     assert glued == 2
     third = _Table(den=3)
-    lkey, rkey = _statekey(WeightState(2, 2, 1)), _statekey(WeightState(1, 1, 1))
+    lkey = _statekey(WeightState(2, 2, 1))
     third[lkey] = {1: []}
-    total = _merge_sum(third, right)
+    keys = _merge_sum(third, right)
+    assert keys.turns is None
+    total = _glue_taus(keys, third, right, set(keys))
     # 1/3 + -1/2 = -1/6
     assert total.den == 6
-    assert total == {_statekey(WeightState(2, 2, 3)): {-1: [(lkey, 1, rkey, -1)]}}
+    assert total == {_statekey(WeightState(2, 2, 3)): {-1: [(lkey, 1, diagonal, -1)]}}
 
 
 # The merges glue integer keys in place; transforms.glue_scaled is the
@@ -459,13 +549,28 @@ def _one_key_table(key, t, den=1):
     return table
 
 
+def _glue_one(merge, left, right):
+    """Both passes over two one-key tables: (key table, tau table), and
+    the key table of the same merge at the root."""
+    keys = merge(left, right)
+    return keys, _glue_taus(keys, left, right, set(keys)), merge(left, right, True)
+
+
+def _closing_part(keys, glued):
+    return keys if glued.c == 0 and glued.n_inf == 0 else {}
+
+
 @settings(max_examples=400, deadline=None)
 @given(_directions, _sheets, _rests, _sheets, _rests)
 def test_sum_glue_matches_glue_scaled(direction, ls, lrest, rs, rrest):
     lkey, rkey = _key(direction, ls, lrest), _key(direction, rs, rrest)
-    out = _merge_sum(_one_key_table(lkey, 3), _one_key_table(rkey, -5))
+    keys, out, root = _glue_one(
+        _merge_sum, _one_key_table(lkey, 3), _one_key_table(rkey, -5)
+    )
     glued, _ = glue_scaled(WeightState(*lkey), WeightState(*rkey))
+    assert keys == {_statekey(glued): [(lkey, rkey)]}
     assert out == {_statekey(glued): {-2: [(lkey, 3, rkey, -5)]}}
+    assert root == _closing_part(keys, glued)
 
 
 @st.composite
@@ -495,24 +600,56 @@ def test_product_glue_matches_glue_scaled(lkey, rs, rrest):
     turn = rotate_reflect(WeightState(*lkey))
     s = gcd(turn.state.a, turn.state.b)
     rkey = _key((turn.state.a // s, turn.state.b // s), rs, rrest)
-    out = _merge_product(_one_key_table(lkey, 3, den=2), _one_key_table(rkey, 1, den=3))
+    keys, out, root = _glue_one(
+        _merge_product, _one_key_table(lkey, 3, den=2), _one_key_table(rkey, 1, den=3)
+    )
     glued, _ = glue_scaled(turn.state, WeightState(*rkey))
-    assert list(out) == [_statekey(glued)]
+    assert keys == {_statekey(glued): [(lkey, rkey)]}
+    assert keys.turns == {lkey: turn.tau_prime}
     [(t, backs)] = out[_statekey(glued)].items()
     assert Fraction(t, out.den) == turn.tau_prime - Fraction(3, 2) + Fraction(1, 3)
     assert backs == [(lkey, 3, rkey, 1)]
+    assert root == _closing_part(keys, glued)
+
+
+# small weights, so that many drawn pairs close
+_small_keys = st.builds(
+    _key,
+    st.sampled_from(((1, 0), (0, 1), (1, 1), (1, 2))),
+    st.integers(min_value=1, max_value=4),
+    st.tuples(
+        st.integers(min_value=-4, max_value=4),
+        st.integers(min_value=0, max_value=1),
+        st.booleans(),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_small_keys, max_size=6),
+    st.lists(_turnable_keys(), max_size=6),
+    st.lists(_small_keys, max_size=6),
+)
+def test_closing_merges_keep_exactly_the_closed_keys(lkeys, turnable, rkeys):
+    # the root looks up the negated per-sheet (c, n_inf) class instead of
+    # gluing every pair of a direction; it must find the same closed keys
+    for merge, left in ((_merge_sum, lkeys), (_merge_product, turnable)):
+        full, root = merge(left, rkeys), merge(left, rkeys, True)
+        closed = {key: sorted(pairs) for key, pairs in _closed(full).items()}
+        assert {key: sorted(pairs) for key, pairs in root.items()} == closed
 
 
 def test_keys_without_direction_glue_to_nothing():
     zero = (0, 0, 3, 1, True)
     for other in (zero, (0, 0, -2, 0, False), (1, 2, 3, 0, False)):
         assert glue_scaled(WeightState(*zero), WeightState(*other)) is None
-        assert _merge_sum(_one_key_table(zero, 0), _one_key_table(other, 0)) == {}
-        assert _merge_sum(_one_key_table(other, 0), _one_key_table(zero, 0)) == {}
+        for closing in (False, True):
+            assert _merge_sum([zero], [other], closing) == {}
+            assert _merge_sum([other], [zero], closing) == {}
     # a rotation output always has a + b > 0, so a product never pairs it
     # with a right key that has no direction
-    left = _one_key_table((1, 2, -4, 0, False), 0)
-    assert _merge_product(left, _one_key_table(zero, 0)) == {}
+    assert _merge_product([(1, 2, -4, 0, False)], [zero]) == {}
 
 
 @pytest.mark.parametrize("c_bound", [1, 4, 32])
@@ -526,7 +663,13 @@ def test_leaf_table_taus_and_keys_match_their_paths(c_bound):
     ]
     runs = 0
     for pq in leaves:
-        for key, entries in _leaf_table(Leaf(pq), c_bound).items():
+        leaf = Leaf(pq)
+        keys = _leaf_table(leaf, c_bound)
+        lattice = _lattice_leaf(leaf, c_bound)
+        assert set(keys) == set(lattice), pq
+        for key, entries in _leaf_witnesses(leaf, keys, set(keys)).items():
+            # the same smallest witness per (key, tau) as the lattice
+            assert entries == lattice[key], (pq, key)
             for t, (_, (path,)) in entries.items():
                 if path.is_constant:
                     assert (t, key) == (0, _statekey(path.state.primitive()))
