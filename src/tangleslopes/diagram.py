@@ -28,9 +28,11 @@ class WeightState:
     """Train-track weights plus special boundary-edge bookkeeping.
 
     n_inf counts slope-infinity boundary edges; has_zero records whether
-    slope-0 boundary edges are present. States built directly from edgepaths
-    always carry n_inf = 0 and has_zero = False; nonzero values only appear
-    as rotation transform outputs.
+    slope-0 boundary edges are present. States built from edgepaths carry
+    n_inf = 0 and has_zero = False, and gluing two such states or rotating
+    one (case 1 of transforms.rotate_reflect) keeps both at that; so every
+    state the solvers build is its triple(). Other values reach only cases
+    2-4 of the rotation, from states built by hand.
     """
 
     a: int

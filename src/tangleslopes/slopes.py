@@ -25,7 +25,7 @@ from fractions import Fraction
 from .diagram import WeightState
 from .edgepaths import VertexPath, end_weights, endpoint_state, tau, validate
 from .errors import Infeasible, MismatchedWeights, SeifertUndefined, UndefinedCase
-from .tangles import Leaf, Product, montesinos_factors, render
+from .tangles import Leaf, Product, montesinos_factors, node_labels, render
 from .transforms import glue_scaled, rotate_reflect
 
 ZERO = Fraction(0)
@@ -143,6 +143,7 @@ def replay(expr, paths):
     want = sum(1 for _ in expr.leaves())
     if len(paths) != want:
         raise ValueError("expected %d paths, got %d" % (want, len(paths)))
+    labels = node_labels(expr)  # preorder, as visit appends
     nodes = []
     cursor = [0]
 
@@ -153,7 +154,7 @@ def replay(expr, paths):
             path = paths[cursor[0]]
             cursor[0] += 1
             st, t = end_weights(path), tau(path)
-            nodes[idx] = NodeTrace(render(node), "leaf", st, t)
+            nodes[idx] = NodeTrace(labels[idx], "leaf", st, t)
             return st, t
         ls, lt = visit(node.left)
         rs, rt = visit(node.right)
@@ -169,10 +170,10 @@ def replay(expr, paths):
         st, ks = glued
         t = lt + rt
         if outcome is None:
-            nodes[idx] = NodeTrace(render(node), "sum", st, t, scales=ks)
+            nodes[idx] = NodeTrace(labels[idx], "sum", st, t, scales=ks)
         else:
             nodes[idx] = NodeTrace(
-                render(node),
+                labels[idx],
                 "product",
                 st,
                 t,

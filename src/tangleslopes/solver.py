@@ -4,7 +4,11 @@ Two closure regimes:
 
 * solve_sn handles expressions with at least one product. It makes three
   passes over the distinct nodes of the expression; a subtree object
-  shared by several parents, as in kn(n), is one node.
+  shared by several parents, as in kn(n), is one node. Every state key is
+  a primitive triple (a, b, c): a leaf state has no slope-0 or
+  slope-infinity boundary edges, a glue adds none, and the rotation of
+  such a state is case 1 of transforms.rotate_reflect, which adds none
+  either and has tau' = -2 or +2. So every tau is an integer.
 
   1. Key pass, bottom-up, integers only. A leaf's keys are the primitive
      states of its constant family, (a, q*k - a, p*k) with
@@ -16,31 +20,32 @@ Two closure regimes:
      their least common (a, b) and added, in integers, so c_bound is the
      only bound. Each glued key records the (left key, right key) pairs
      behind it. The root glues only pairs that close, leaving no net
-     slope weight (c = 0) and no slope-infinity edges. That holds exactly
-     when the two per-sheet (c, n_inf) are negatives of each other, so
-     the root indexes its right operand by direction and per-sheet
-     (c, n_inf), and each left key looks up its negated class.
+     slope weight (c = 0). That holds exactly when the two per-sheet c
+     are negatives of each other, so the root indexes its right operand
+     by direction and reduced per-sheet c, and each left key looks up its
+     negated class.
   2. Demand pass, top-down. The root demands all its keys, which are the
      closed ones. Each merge adds the left and right keys of the pairs
      behind its demanded keys to its children's demand, after all of its
      own parents have added theirs.
-  3. Tau pass, bottom-up, demanded keys only. A leaf builds, per
-     (demanded key, tau), its witness: the (descriptor, assignment) pair
-     with the smallest descriptor. A merge builds, per (demanded key,
-     tau), back-pointers to the (left key, tau) and (right key, tau)
-     pairs that glue to it. tau is an integer numerator over one
-     denominator per table: the lcm of the children's, and at a product
-     of the tau' of the left keys glued there too.
+  3. Tau pass, bottom-up, demanded keys only. Each (demanded key, tau)
+     keeps one witness: the (descriptor, assignment) pair with the
+     smallest descriptor. A leaf picks it among its paths. A merge glues
+     the child witnesses of every key pair behind the key, and keeps per
+     tau the pair with the smallest (left descriptor, right descriptor),
+     joined once.
 
-  A demanded key's back-pointer lists are complete. The key pass recorded
-  every key pair that glues to it, both keys of each pair are demanded in
-  turn, and so, by induction from the leaves, every demanded key carries
-  every tau an eager merge would give it, with every back-pointer. A
-  witness is built only for the closed root entries, by a walk down the
-  back-pointers that keeps the smallest descriptor per entry: the one an
-  eager merge keeping only the smallest at every node would hold.
-  slopes.replay re-glues each materialized system through
-  transforms.glue_scaled, the reference for the integer glue.
+  The merge's choice is the smallest witness of its entry. A subtree's
+  leaf count is fixed, so a joined descriptor sorts as the pair (left,
+  right), and the smallest join is that of the smallest child witnesses.
+  The entry sees every child pair: the key pass recorded every key pair
+  behind a demanded key, and both keys of each pair are demanded in turn.
+  This is the argmin that a walk down back-pointers from the closed root
+  entries would take, and it builds no witness that walk would not: every
+  (demanded key, tau) is glued into some entry of a demanded parent key,
+  and every closed root entry is materialized. slopes.replay re-glues
+  each materialized system through transforms.glue_scaled, the reference
+  for the integer glue.
 
 * solve_montesinos handles sums of three or more rational tangles. The
   common endpoint abscissa u is one unknown: each leaf contributes either
@@ -150,10 +155,6 @@ def report(expr, systems, slopes, c_bound, notes=()):
 # the product-expression solve (closure at u = 0)
 
 
-def _statekey(w):
-    return (w.a, w.b, w.c, w.n_inf, w.has_zero)
-
-
 def _distinct_nodes(expr):
     """The expression's distinct nodes, each after its children.
 
@@ -193,12 +194,12 @@ def _leaf_table(leaf, c_bound):
     for k in range(1, c_bound // abs(p) + 1):
         for a in range(1, k + 1):
             if gcd(a, k) == 1:
-                table[a, q * k - a, p * k, 0, False] = None
+                table[a, q * k - a, p * k] = None
     for descent in enumerate_paths(pq):
         m, descent_tau = int(descent.vertices[-1]), tau(descent)
         # an integer leaf keeps its trivial path whatever the bound
         for end in (m,) if q == 1 else u_zero_ends(descent, c_bound):
-            key = (1, 0, end, 0, False)
+            key = (1, 0, end)
             if key in table and table[key] is None:
                 continue  # an integer leaf's constant (1, 0, p)
             # each unit step of a run along u = 0 adds -2 times its rise
@@ -218,14 +219,12 @@ class _Keys(dict):
 
 def _glue_class(key, sheets, closing, sign=1):
     """What a key must match to glue: its (a : b) direction, and when
-    closing also sign times its per-sheet (c, n_inf) as reduced pairs."""
+    closing also sign times its per-sheet c as a reduced pair."""
     direction = (key[0] // sheets, key[1] // sheets)
     if not closing:
         return direction
-    gc, gt = gcd(key[2], sheets), gcd(key[3], sheets)
-    return direction + (
-        sign * key[2] // gc, sheets // gc, sign * key[3] // gt, sheets // gt
-    )
+    g = gcd(key[2], sheets)
+    return direction + (sign * key[2] // g, sheets // g)
 
 
 def _index(table, closing):
@@ -247,20 +246,18 @@ def _glue_keys(out, lw, ls, lkey, partners):
     of partners, and record (lkey, right key) under the glued key.
 
     This is transforms.glue_scaled on integer keys. Of one direction
-    (da, db) a key is (s*da, s*db, c, n_inf, has_zero), s its sheet count.
-    Both sides go to L = lcm(s1, s2) sheets (multipliers k_i = L / s_i),
-    c and n_inf add, has_zero ORs, and the sum is divided by
-    g = gcd(L, c, n_inf) to stay primitive. At a product, lw is the
-    rotation output of the left key lkey.
+    (da, db) a key is (s*da, s*db, c), s its sheet count. Both sides go
+    to L = lcm(s1, s2) sheets (multipliers k_i = L / s_i), c adds, and
+    the sum is divided by g = gcd(L, c) to stay primitive. At a product,
+    lw is the rotation output of the left key lkey.
     """
-    a, b, c, t, has_zero = lw
+    a, b, c = lw
     for rkey, rs in partners:
         common = lcm(ls, rs)
         k1, k2 = common // ls, common // rs
         gc = c * k1 + rkey[2] * k2
-        gt = t * k1 + rkey[3] * k2
-        g = gcd(common, gc, gt)
-        glued = (a * k1 // g, b * k1 // g, gc // g, gt // g, has_zero or rkey[4])
+        g = gcd(common, gc)
+        glued = (a * k1 // g, b * k1 // g, gc // g)
         pairs = out.get(glued)
         if pairs is None:
             out[glued] = [(lkey, rkey)]
@@ -292,11 +289,12 @@ def _merge_product(left, right, closing=False):
         outcome = rotate_reflect(WeightState(*lkey), allow_infeasible=True)
         if not outcome.feasible:
             continue
-        tw = _statekey(outcome.state)
+        tw = outcome.state.triple()
         ts = gcd(tw[0], tw[1])  # > 0: a feasible rotation output has a + b > 0
         partners = index.get(_glue_class(tw, ts, closing, -1))
         if partners:
-            out.turns[lkey] = outcome.tau_prime
+            # case 1: tau' = -+2a/a, so its denominator is 1
+            out.turns[lkey] = outcome.tau_prime.numerator
             _glue_keys(out, tw, ts, lkey, partners)
     return out
 
@@ -336,32 +334,18 @@ def _demand_pass(nodes, keys):
     return demand
 
 
-# tau pass: witnesses and back-pointers of the demanded keys
-
-
-class _Table(dict):
-    """State key -> {tau numerator: entry}, every tau over `den`.
-
-    A leaf table's entry is its witness: the (descriptor, assignment) pair
-    with the smallest descriptor. A merged table's entries are lists of
-    back-pointers (left key, left tau, right key, right tau) into its
-    `left` and `right` child tables, each tau a numerator over that
-    child's own `den`.
-    """
-
-    def __init__(self, den=1, left=None, right=None):
-        super().__init__()
-        self.den, self.left, self.right = den, left, right
+# tau pass: one witness per (demanded key, tau)
 
 
 def _leaf_witnesses(leaf, table, wanted):
-    """The witnesses of the wanted keys of a leaf's key table."""
+    """{tau: witness} per wanted key of a leaf's key table; a witness is
+    the (descriptor, assignment) pair with the smallest descriptor."""
     pq = leaf.fraction
-    out = _Table()
+    out = {}
     for key in sorted(wanted):
         runs = table[key]
         if runs is None:
-            path = ConstantPath(pq, WeightState(*key[:3]))
+            path = ConstantPath(pq, WeightState(*key))
             out[key] = {0: ((path.describe(),), (path,))}
             continue
         entries = out[key] = {}
@@ -373,45 +357,36 @@ def _leaf_witnesses(leaf, table, wanted):
     return out
 
 
-def _glue_taus(table, left, right, wanted):
-    """The back-pointer lists of the wanted keys of a merged key table.
+def _glue_witnesses(table, left, right, wanted):
+    """{tau: witness} per wanted key of a merged key table, from the
+    children's {tau: witness} tables.
 
     tau adds at a sum; at a product it is tau' - tau(left) + tau(right).
-    All taus go over one denominator: the lcm of the children's and of
-    the tau' of the left keys glued here.
+    Each tau keeps the child witness pair with the smallest (left
+    descriptor, right descriptor), and joins it once.
     """
     turns = table.turns
-    rows = [(key, table[key]) for key in sorted(wanted)]
-    den = lcm(left.den, right.den)
-    if turns is not None:
-        used = {lkey for _, pairs in rows for lkey, _ in pairs}
-        den = lcm(den, *(turns[lkey].denominator for lkey in used))
-    lk, rk = den // left.den, den // right.den
-    ltaus, rtaus = {}, {}
-    out = _Table(den, left, right)
-    for key, pairs in rows:
-        entries = out[key] = {}
-        for lkey, rkey in pairs:
-            lents = ltaus.get(lkey)
-            if lents is None:
-                if turns is None:
-                    lents = [(t * lk, t) for t in left[lkey]]
-                else:
-                    tp = turns[lkey]
-                    shift = tp.numerator * (den // tp.denominator)
-                    lents = [(shift - t * lk, t) for t in left[lkey]]
-                ltaus[lkey] = lents
-            rents = rtaus.get(rkey)
-            if rents is None:
-                rents = rtaus[rkey] = [(t * rk, t) for t in right[rkey]]
-            for lt, lback in lents:
-                for rt, rback in rents:
-                    entries.setdefault(lt + rt, []).append((lkey, lback, rkey, rback))
+    out = {}
+    for key in sorted(wanted):
+        best = {}
+        for lkey, rkey in table[key]:
+            rents = right[rkey].items()
+            for lt, lw in left[lkey].items():
+                if turns is not None:
+                    lt = turns[lkey] - lt
+                for rt, rw in rents:
+                    kept = best.get(lt + rt)
+                    if kept is None or (lw[0], rw[0]) < (kept[0][0], kept[1][0]):
+                        best[lt + rt] = lw, rw
+        out[key] = {
+            t: (ldesc + rdesc, lassign + rassign)
+            for t, ((ldesc, lassign), (rdesc, rassign)) in best.items()
+        }
     return out
 
 
 def _tau_pass(nodes, keys, demand):
-    """id(node) -> its tau table over its demanded keys, bottom-up."""
+    """id(node) -> its witness table over its demanded keys, bottom-up."""
     taus = {}
     for node in nodes:
         table, wanted = keys[id(node)], demand[id(node)]
@@ -419,60 +394,36 @@ def _tau_pass(nodes, keys, demand):
             taus[id(node)] = _leaf_witnesses(node, table, wanted)
         else:
             left, right = taus[id(node.left)], taus[id(node.right)]
-            taus[id(node)] = _glue_taus(table, left, right, wanted)
+            taus[id(node)] = _glue_witnesses(table, left, right, wanted)
     return taus
 
 
 def _root_table(expr, c_bound):
-    """The tau table of the root's closed keys, after all three passes."""
+    """The witness table of the root's closed keys, after all three
+    passes."""
     nodes = _distinct_nodes(expr)
     keys = _key_pass(nodes, c_bound)
     demand = _demand_pass(nodes, keys)
     taus = _tau_pass(nodes, keys, demand)
     if log.isEnabledFor(logging.INFO):
-        glued = sum(
-            len(backs)
+        # every child witness pair a merge compared
+        pairs = sum(
+            len(taus[id(node.left)][lkey]) * len(taus[id(node.right)][rkey])
             for node in nodes
             if not isinstance(node, Leaf)
-            for entries in taus[id(node)].values()
-            for backs in entries.values()
+            for key in demand[id(node)]
+            for lkey, rkey in keys[id(node)][key]
         )
         log.info(
             "sn solve, c_bound=%d, %d nodes: %d keys built, %d demanded,"
-            " %d back-pointers glued",
+            " %d witness pairs compared",
             c_bound,
             len(nodes),
             sum(len(keys[id(node)]) for node in nodes),
             sum(len(demand[id(node)]) for node in nodes),
-            glued,
+            pairs,
         )
     return taus[id(expr)]
-
-
-def _witnesses(table, key, t, memo):
-    """The (descriptor, assignment) pair of one table entry with the
-    smallest descriptor.
-
-    A subtree's leaf count is fixed, so a concatenated descriptor sorts as
-    the pair (left, right), and the smallest one of an entry joins the
-    smallest ones of the child entries it points back to. memo maps
-    (table id, key, tau) to the pairs built so far, so an entry reached
-    twice, or through a shared subtree, is built once. Recurses once per
-    tree level.
-    """
-    if table.left is None:
-        return table[key][t]
-    if (id(table), key, t) in memo:
-        return memo[id(table), key, t]
-    best = None
-    for lk, lt, rk, rt in table[key][t]:
-        left = _witnesses(table.left, lk, lt, memo)
-        right = _witnesses(table.right, rk, rt, memo)
-        if best is None or (left[0], right[0]) < (best[0][0], best[1][0]):
-            best = left, right
-    (ldesc, lassign), (rdesc, rassign) = best
-    witness = memo[id(table), key, t] = (ldesc + rdesc, lassign + rassign)
-    return witness
 
 
 def _materialize(expr, grouped, reference):
@@ -520,19 +471,11 @@ def solve_sn(expr, c_bound=None):
     notes = []
     seifert = _seifert(expr, notes)
     reference = seifert.tau if seifert is not None else None
-    table = _root_table(expr, c_bound)
-    closed = {}  # every root key is closed: c = 0, no slope-infinity edges
-    for key, entries in table.items():
-        for t in entries:
-            closed.setdefault(Fraction(t, table.den), []).append((key, t))
-    # lazy groups: _materialize draws them, so the root witness build is
-    # timed there
-    memo = {}
-    grouped = {
-        (total, ""): (_witnesses(table, key, t, memo) for key, t in entries)
-        for total, entries in closed.items()
-    }
-    slopes = set() if reference is None else {total - reference for total in closed}
+    grouped = {}  # every root key is closed: c = 0
+    for entries in _root_table(expr, c_bound).values():
+        for t, witness in entries.items():
+            grouped.setdefault((Fraction(t), ""), []).append(witness)
+    slopes = set() if reference is None else {total - reference for total, _ in grouped}
     if not grouped:
         notes.append("no closed systems within c_bound=%d" % c_bound)
     return _finish(expr, grouped, seifert, slopes, c_bound, notes)

@@ -235,24 +235,30 @@ def parse(text):
 
 def render(expr):
     """Canonical text for an expression; reparses to an identical tree."""
-    if isinstance(expr, Leaf):
-        f = expr.fraction
-        if f.denominator == 1:
-            return str(f.numerator)
-        return "%d/%d" % (f.numerator, f.denominator)
-    if isinstance(expr, Sum):
-        left = render(expr.left)
-        right = render(expr.right)
-        if isinstance(expr.right, Sum):
+    return node_labels(expr)[0]
+
+
+def node_labels(expr):
+    """render() of every node of expr, in nodes() order, in one pass: each
+    label joins its children's, so the subtrees are not walked again."""
+    order = list(expr.nodes())
+    text = {}
+    for node in reversed(order):  # every node after its subtree
+        if isinstance(node, Leaf):
+            text[id(node)] = str(node.fraction)
+            continue
+        left, right = text[id(node.left)], text[id(node.right)]
+        if isinstance(node, Sum):
+            if isinstance(node.right, Sum):
+                right = "(%s)" % right
+            text[id(node)] = "%s + %s" % (left, right)
+            continue
+        if isinstance(node.left, Sum):
+            left = "(%s)" % left
+        if isinstance(node.right, (Sum, Product)):
             right = "(%s)" % right
-        return "%s + %s" % (left, right)
-    left = render(expr.left)
-    right = render(expr.right)
-    if isinstance(expr.left, Sum):
-        left = "(%s)" % left
-    if isinstance(expr.right, (Sum, Product)):
-        right = "(%s)" % right
-    return "%s o %s" % (left, right)
+        text[id(node)] = "%s o %s" % (left, right)
+    return [text[id(node)] for node in order]
 
 
 def mirror(expr):

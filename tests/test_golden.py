@@ -81,8 +81,8 @@ def test_nested_products_are_pinned(text, c_bound, digest):
 
 
 def test_deep_left_nested_product_is_pinned():
-    # 500 factors, the parse depth cap: the root witness walk, which
-    # recurses once per level, must stay within the recursion limit
+    # 500 factors, the parse depth cap: slopes.replay, which recurses
+    # once per level, must stay within the recursion limit
     expr = parse(" o ".join(["1/3"] * 500))
     out = format_json(solve(expr, c_bound=1))
     assert (

@@ -22,10 +22,9 @@ from tangleslopes import (
     verify_system,
 )
 from tangleslopes.solver import (
-    _Table,
     _demand_pass,
     _distinct_nodes,
-    _glue_taus,
+    _glue_witnesses,
     _key_pass,
     _leaf_segments,
     _leaf_table,
@@ -34,11 +33,9 @@ from tangleslopes.solver import (
     _merge_sum,
     _root_table,
     _segment_label,
-    _statekey,
     _tau_pass,
     _type_i_candidates,
     _type_ii_options,
-    _witnesses,
     default_c_bound,
 )
 from tangleslopes.edgepaths import (
@@ -108,7 +105,7 @@ def test_every_listed_slope_is_realized():
 
 def _closed_root_taus(expr):
     table = _root_table(expr, default_c_bound(expr))
-    return {Fraction(t, table.den) for entries in table.values() for t in entries}
+    return {Fraction(t) for entries in table.values() for t in entries}
 
 
 def test_one_system_per_tau_and_note():
@@ -331,6 +328,13 @@ def test_all_emitted_systems_verify():
             assert verify_system(system) == [], (rep.expr, system.note)
 
 
+def _key_of(state):
+    """The key of a state the solve builds: its triple, after checking
+    that it carries no slope-0 or slope-infinity boundary edges."""
+    assert state.n_inf == 0 and state.has_zero is False, state
+    return state.triple()
+
+
 def _lattice_leaf(leaf, c_bound):
     """The leaf table the key pass replaced: constants sampled on the whole
     weight lattice up to c_bound and reduced to primitive keys, plus every
@@ -349,12 +353,12 @@ def _lattice_leaf(leaf, c_bound):
     for k in range(1, c_bound // abs(p) + 1):
         for a in range(1, k + 1):
             path = ConstantPath(pq, WeightState(a, q * k - a, p * k))
-            add(_statekey(path.state.primitive()), Fraction(0), path)
+            add(_key_of(path.state.primitive()), Fraction(0), path)
     for descent in enumerate_paths(pq):
         # an integer leaf keeps its trivial path whatever the bound
         paths = (descent,) if q == 1 else u_zero_paths(descent, c_bound)
         for path in paths:
-            key = _statekey(endpoint_state(path).primitive())
+            key = _key_of(endpoint_state(path).primitive())
             add(key, Fraction(path_tau(path)), path)
     return table
 
@@ -366,7 +370,7 @@ def _eager_tables(node, c_bound, memo):
     table."""
 
     def combine(table, state, t, ltrace, rtrace):
-        entries = table.setdefault(_statekey(state), {})
+        entries = table.setdefault(_key_of(state), {})
         trace = (ltrace[0] + rtrace[0], ltrace[1] + rtrace[1])
         if t not in entries or trace[0] < entries[t][0]:
             entries[t] = trace
@@ -388,6 +392,7 @@ def _eager_tables(node, c_bound, memo):
                 if not outcome.feasible:
                     continue
                 lw, shift = outcome.state, outcome.tau_prime
+                _key_of(lw)
             lents = sorted(left[lkey].items())
             if shift is not None:  # product twist: tau' - tau(left) + tau(right)
                 lents = [(shift - lt, trace) for lt, trace in lents]
@@ -403,7 +408,7 @@ def _eager_tables(node, c_bound, memo):
 
 
 def _closed(table):
-    return {key: entries for key, entries in table.items() if key[2] == 0 == key[3]}
+    return {key: entries for key, entries in table.items() if key[2] == 0}
 
 
 def _random_product(rng):
@@ -442,25 +447,24 @@ def _pass_cases():
 
 
 def test_root_witnesses_match_eager_traces():
-    # same closed root entries, same smallest (descriptor, assignment)
+    # same closed root entries, integer taus, same smallest
+    # (descriptor, assignment)
     closed_entries = 0
     for expr, c_bound in _pass_cases():
         table = _root_table(expr, c_bound)
         eager = _closed(_eager_tables(expr, c_bound, {}))
         assert sorted(table) == sorted(eager), (expr, c_bound)
-        memo = {}
         for key in sorted(table):
-            taus = {Fraction(t, table.den): t for t in table[key]}
-            assert sorted(taus) == sorted(eager[key]), (expr, c_bound, key)
-            for tau, t in sorted(taus.items()):
-                assert _witnesses(table, key, t, memo) == eager[key][tau], (expr, key, tau)
-                closed_entries += 1
+            assert all(type(t) is int for t in table[key]), (expr, c_bound, key)
+            assert table[key] == eager[key], (expr, c_bound, key)
+            closed_entries += len(table[key])
     assert closed_entries >= 100
 
 
 def test_passes_match_eager_tables_at_every_node():
     # the key pass builds every non-root node's eager keys and only the
-    # root's closed ones; every demanded key gets its complete tau set
+    # root's closed ones; every demanded key gets its complete tau set,
+    # with the eager merge's witness for each tau
     demanded = 0
     for expr, c_bound in _pass_cases():
         nodes = _distinct_nodes(expr)
@@ -478,8 +482,7 @@ def test_passes_match_eager_tables_at_every_node():
             table = taus[id(node)]
             assert set(table) == demand[id(node)] <= set(keys[id(node)])
             for key, entries in table.items():
-                got = {Fraction(t, table.den) for t in entries}
-                assert got == set(eager[id(node)][key]), (expr, c_bound, node, key)
+                assert entries == eager[id(node)][key], (expr, c_bound, node, key)
             demanded += len(table)
     assert demanded >= 1000
 
@@ -489,126 +492,80 @@ def test_sn_solve_logs_one_info_line(caplog):
         solve_sn(kn(3))
     [record] = [r for r in caplog.records if r.name == "tangleslopes.solver"]
     assert record.levelno == logging.INFO
-    assert "267 keys built, 66 demanded, 212 back-pointers glued" in record.getMessage()
+    assert "267 keys built, 66 demanded, 212 witness pairs compared" in record.getMessage()
 
 
-def test_merged_taus_share_one_denominator():
-    # the solve's own states never carry slope-infinity edges, so tau' is
-    # always +-2 there; feed a case-3 state (tau' = -4/3) in directly
-    case3, case1 = _statekey(WeightState(3, 1, 2, n_inf=1)), _statekey(WeightState(1, 2, 3))
-    flat, diagonal = _statekey(WeightState(1, 0, -2)), _statekey(WeightState(1, 1, 1))
-    left, right = _Table(den=5), _Table(den=2)
-    left[case3], left[case1] = {7: [], -4: []}, {1: []}
-    right[flat], right[diagonal] = {3: []}, {-1: []}
-    keys = _merge_product(left, right)
-    # case 1 turns (1, 2, 3) into (1, 2, 3), a direction no right key has
-    assert keys.turns == {case3: Fraction(-4, 3)}
-    product = _glue_taus(keys, left, right, set(keys))
-    assert product.den == 30 and product.left is left and product.right is right
-    glued = 0
-    for entries in product.values():
-        for t, backs in entries.items():
-            for lk, lt, rk, rt in backs:
-                turn = rotate_reflect(WeightState(*lk)).tau_prime
-                assert Fraction(t, 30) == turn - Fraction(lt, 5) + Fraction(rt, 2)
-                glued += 1
-    assert glued == 2
-    third = _Table(den=3)
-    lkey = _statekey(WeightState(2, 2, 1))
-    third[lkey] = {1: []}
-    keys = _merge_sum(third, right)
-    assert keys.turns is None
-    total = _glue_taus(keys, third, right, set(keys))
-    # 1/3 + -1/2 = -1/6
-    assert total.den == 6
-    assert total == {_statekey(WeightState(2, 2, 3)): {-1: [(lkey, 1, diagonal, -1)]}}
-
-
-# The merges glue integer keys in place; transforms.glue_scaled is the
-# reference. The solve itself only builds n_inf = 0, has_zero False
-# states, so these feed hand-built one-key tables that reach the rest.
+# The merges glue integer keys in place; transforms.glue_scaled and
+# transforms.rotate_reflect are the reference. These feed hand-built
+# one-key tables: keys (a, b, c), and left keys of a product whose
+# rotation is case 1, the only case the solve reaches.
 
 _directions = st.tuples(
     st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6)
 ).filter(lambda d: gcd(*d) == 1)
 _sheets = st.integers(min_value=1, max_value=12)
-_rests = st.tuples(  # (c, n_inf, has_zero)
-    st.integers(min_value=-40, max_value=40),
-    st.integers(min_value=0, max_value=6),
-    st.booleans(),
-)
+_cs = st.integers(min_value=-40, max_value=40)
 
 
-def _key(direction, sheets, rest):
-    return (sheets * direction[0], sheets * direction[1]) + rest
+def _key(direction, sheets, c):
+    return (sheets * direction[0], sheets * direction[1], c)
 
 
-def _one_key_table(key, t, den=1):
-    table = _Table(den)
-    table[key] = {t: []}
-    return table
+def _one_key_table(key, t, name):
+    return {key: {t: ((name,), (name,))}}
 
 
 def _glue_one(merge, left, right):
-    """Both passes over two one-key tables: (key table, tau table), and
-    the key table of the same merge at the root."""
+    """Both passes over two one-key tables: (key table, witness table),
+    and the key table of the same merge at the root."""
     keys = merge(left, right)
-    return keys, _glue_taus(keys, left, right, set(keys)), merge(left, right, True)
+    return keys, _glue_witnesses(keys, left, right, set(keys)), merge(left, right, True)
 
 
 def _closing_part(keys, glued):
-    return keys if glued.c == 0 and glued.n_inf == 0 else {}
+    return keys if glued.c == 0 else {}
 
 
 @settings(max_examples=400, deadline=None)
-@given(_directions, _sheets, _rests, _sheets, _rests)
-def test_sum_glue_matches_glue_scaled(direction, ls, lrest, rs, rrest):
-    lkey, rkey = _key(direction, ls, lrest), _key(direction, rs, rrest)
+@given(_directions, _sheets, _cs, _sheets, _cs)
+def test_sum_glue_matches_glue_scaled(direction, ls, lc, rs, rc):
+    lkey, rkey = _key(direction, ls, lc), _key(direction, rs, rc)
     keys, out, root = _glue_one(
-        _merge_sum, _one_key_table(lkey, 3), _one_key_table(rkey, -5)
+        _merge_sum, _one_key_table(lkey, 3, "l"), _one_key_table(rkey, -5, "r")
     )
     glued, _ = glue_scaled(WeightState(*lkey), WeightState(*rkey))
-    assert keys == {_statekey(glued): [(lkey, rkey)]}
-    assert out == {_statekey(glued): {-2: [(lkey, 3, rkey, -5)]}}
+    assert keys == {_key_of(glued): [(lkey, rkey)]}
+    assert out == {_key_of(glued): {-2: (("l", "r"), ("l", "r"))}}
     assert root == _closing_part(keys, glued)
 
 
 @st.composite
 def _turnable_keys(draw):
-    """Left keys of every rotate_reflect case with a feasible outcome."""
-    which = draw(st.integers(min_value=1, max_value=4))
+    """Left keys whose rotation is case 1 with a feasible outcome."""
+    a = draw(st.integers(min_value=1, max_value=5))
     b = draw(st.integers(min_value=0, max_value=8))
     sign = draw(st.sampled_from((-1, 1)))
-    small = st.integers(min_value=1, max_value=5)
-    if which == 1:
-        a = draw(small)
-        return (a, b, sign * (a + draw(st.integers(0, 8))), 0, False)
-    if which == 2:
-        c = draw(small)
-        return (c + draw(st.integers(0, 8)), b, sign * c, 0, True)
-    if which == 3:
-        t = draw(small)
-        a = t + draw(small)
-        return (a, b, sign * (a - t + draw(st.integers(0, 8))), t, False)
-    t, c = draw(small), draw(small)
-    return (c + t + draw(small), b, sign * c, t, True)
+    return (a, b, sign * (a + draw(st.integers(0, 8))))
 
 
 @settings(max_examples=400, deadline=None)
-@given(_turnable_keys(), _sheets, _rests)
-def test_product_glue_matches_glue_scaled(lkey, rs, rrest):
+@given(_turnable_keys(), _sheets, _cs)
+def test_product_glue_matches_glue_scaled(lkey, rs, rc):
     turn = rotate_reflect(WeightState(*lkey))
+    assert turn.case_id == 1
     s = gcd(turn.state.a, turn.state.b)
-    rkey = _key((turn.state.a // s, turn.state.b // s), rs, rrest)
+    rkey = _key((turn.state.a // s, turn.state.b // s), rs, rc)
     keys, out, root = _glue_one(
-        _merge_product, _one_key_table(lkey, 3, den=2), _one_key_table(rkey, 1, den=3)
+        _merge_product, _one_key_table(lkey, 3, "l"), _one_key_table(rkey, 1, "r")
     )
     glued, _ = glue_scaled(turn.state, WeightState(*rkey))
-    assert keys == {_statekey(glued): [(lkey, rkey)]}
+    assert keys == {_key_of(glued): [(lkey, rkey)]}
+    # tau' is stored as an int, equal to the transform's Fraction
     assert keys.turns == {lkey: turn.tau_prime}
-    [(t, backs)] = out[_statekey(glued)].items()
-    assert Fraction(t, out.den) == turn.tau_prime - Fraction(3, 2) + Fraction(1, 3)
-    assert backs == [(lkey, 3, rkey, 1)]
+    assert type(keys.turns[lkey]) is int
+    [(t, witness)] = out[_key_of(glued)].items()
+    assert type(t) is int and t == turn.tau_prime - 3 + 1
+    assert witness == (("l", "r"), ("l", "r"))
     assert root == _closing_part(keys, glued)
 
 
@@ -617,11 +574,7 @@ _small_keys = st.builds(
     _key,
     st.sampled_from(((1, 0), (0, 1), (1, 1), (1, 2))),
     st.integers(min_value=1, max_value=4),
-    st.tuples(
-        st.integers(min_value=-4, max_value=4),
-        st.integers(min_value=0, max_value=1),
-        st.booleans(),
-    ),
+    st.integers(min_value=-4, max_value=4),
 )
 
 
@@ -632,8 +585,8 @@ _small_keys = st.builds(
     st.lists(_small_keys, max_size=6),
 )
 def test_closing_merges_keep_exactly_the_closed_keys(lkeys, turnable, rkeys):
-    # the root looks up the negated per-sheet (c, n_inf) class instead of
-    # gluing every pair of a direction; it must find the same closed keys
+    # the root looks up the negated per-sheet c class instead of gluing
+    # every pair of a direction; it must find the same closed keys
     for merge, left in ((_merge_sum, lkeys), (_merge_product, turnable)):
         full, root = merge(left, rkeys), merge(left, rkeys, True)
         closed = {key: sorted(pairs) for key, pairs in _closed(full).items()}
@@ -641,15 +594,15 @@ def test_closing_merges_keep_exactly_the_closed_keys(lkeys, turnable, rkeys):
 
 
 def test_keys_without_direction_glue_to_nothing():
-    zero = (0, 0, 3, 1, True)
-    for other in (zero, (0, 0, -2, 0, False), (1, 2, 3, 0, False)):
+    zero = (0, 0, 3)
+    for other in (zero, (0, 0, -2), (1, 2, 3)):
         assert glue_scaled(WeightState(*zero), WeightState(*other)) is None
         for closing in (False, True):
             assert _merge_sum([zero], [other], closing) == {}
             assert _merge_sum([other], [zero], closing) == {}
     # a rotation output always has a + b > 0, so a product never pairs it
     # with a right key that has no direction
-    assert _merge_product([(1, 2, -4, 0, False)], [zero]) == {}
+    assert _merge_product([(1, 2, -4)], [zero]) == {}
 
 
 @pytest.mark.parametrize("c_bound", [1, 4, 32])
@@ -672,10 +625,10 @@ def test_leaf_table_taus_and_keys_match_their_paths(c_bound):
             assert entries == lattice[key], (pq, key)
             for t, (_, (path,)) in entries.items():
                 if path.is_constant:
-                    assert (t, key) == (0, _statekey(path.state.primitive()))
+                    assert (t, key) == (0, _key_of(path.state.primitive()))
                     continue
                 assert t == path_tau(path), (pq, path)
-                assert key == _statekey(endpoint_state(path).primitive())
+                assert key == _key_of(endpoint_state(path).primitive())
                 # a descent's penultimate vertex is never an integer
                 vs = path.vertices
                 runs += len(vs) > 1 and vs[-2].denominator == 1
