@@ -225,10 +225,9 @@ def _write_out(text, out):
         sys.stdout.write(text)
 
 
-def _emit_report(rep, args):
+def _emit_report(rep, args, trace=""):
     text = format_json(rep) if args.format == "json" else format_table(rep)
-    if getattr(args, "trace", None):
-        text += args.trace
+    text += trace
     _write_out(text, args.out)
     if not rep.slopes:
         for note in rep.notes:
@@ -247,9 +246,8 @@ def cmd_slopes(args):
 def cmd_kn(args):
     system = kn_system(args.n)
     rep = solve_sn(kn(args.n), args.c_bound)
-    if args.format == "table":
-        args.trace = format_trace(system, args.n)
-    return _emit_report(rep, args)
+    trace = format_trace(system, args.n) if args.format == "table" else ""
+    return _emit_report(rep, args, trace)
 
 
 def _verify_one(n, c_bound):
@@ -336,14 +334,14 @@ def build_parser():
     c_bound_flag(p_slopes)
     p_slopes.add_argument("--format", choices=("json", "table"), default="json")
     p_slopes.add_argument("--out", default=None)
-    p_slopes.set_defaults(func=cmd_slopes, trace=None)
+    p_slopes.set_defaults(func=cmd_slopes)
 
     p_kn = sub.add_parser("kn", help="solve the n-th family knot")
     p_kn.add_argument("--n", type=int, required=True)
     c_bound_flag(p_kn)
     p_kn.add_argument("--format", choices=("json", "table"), default="json")
     p_kn.add_argument("--out", default=None)
-    p_kn.set_defaults(func=cmd_kn, trace=None)
+    p_kn.set_defaults(func=cmd_kn)
 
     p_verify = sub.add_parser("verify", help="check the family invariants")
     p_verify.add_argument("--n-max", type=int, default=4, dest="n_max")

@@ -66,21 +66,15 @@ class VertexPath:
         return ("path", self.vertices, self.final_fraction)
 
 
-def constant_path(pq, scale=1, u=None):
-    """A constant edgepath for p/q; by default the vertex point itself.
-
-    With `u` given, the point at that abscissa on the horizontal edge,
-    using the smallest integer state that realizes it exactly.
-    """
+def constant_path(pq, u):
+    """The constant edgepath for p/q at abscissa u on its horizontal edge,
+    using the smallest integer state that realizes it exactly."""
     pq = Fraction(pq)
     p, q = pq.numerator, pq.denominator
-    if u is None:
-        return ConstantPath(pq, vertex_triple(pq).scaled(scale))
     # a + b = total, b = u * total, c = p * total / q: pick the least total
     total = u.denominator * q // gcd(q, u.denominator)
     b = u.numerator * total // u.denominator
-    state = WeightState(total - b, b, p * total // q)
-    return ConstantPath(pq, state.scaled(scale))
+    return ConstantPath(pq, WeightState(total - b, b, p * total // q))
 
 
 def validate(path):

@@ -87,17 +87,7 @@ def seifert_leaf_path(pq):
 
 def seifert_tau(expr):
     """tau of the Seifert surface: signed sum over Montesinos factors."""
-    total = ZERO
-    for factor, parity in montesinos_factors(expr):
-        leaves = list(factor.leaves())
-        if not any(l.fraction.denominator % 2 == 0 for l in leaves):
-            raise SeifertUndefined(
-                "slope normalization unavailable: factor %s has no "
-                "even-denominator tangle" % render(factor)
-            )
-        part = sum((tau(seifert_leaf_path(l.fraction)) for l in leaves), ZERO)
-        total += part if parity % 2 == 0 else -part
-    return total
+    return seifert_system(expr).tau
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +194,22 @@ def seifert_system(expr):
     Its edgepaths are per-factor reference paths, not a closed system in the
     gluing calculus, so the closure slot is empty and replay does not apply.
     """
-    reference = seifert_tau(expr)
+    reference = ZERO
     paths = []
     nodes = []
-    for leaf in expr.leaves():
-        path = seifert_leaf_path(leaf.fraction)
-        paths.append(path)
-        nodes.append(
-            NodeTrace(render(leaf), "leaf", endpoint_state(path), tau(path))
-        )
+    for factor, parity in montesinos_factors(expr):
+        leaves = list(factor.leaves())
+        if not any(l.fraction.denominator % 2 == 0 for l in leaves):
+            raise SeifertUndefined(
+                "slope normalization unavailable: factor %s has no "
+                "even-denominator tangle" % render(factor)
+            )
+        sign = -1 if parity % 2 else 1
+        for leaf in leaves:
+            path = seifert_leaf_path(leaf.fraction)
+            paths.append(path)
+            nodes.append(NodeTrace(render(leaf), "leaf", endpoint_state(path), tau(path)))
+            reference += sign * nodes[-1].tau
     return CandidateSystem(
         expr, tuple(paths), tuple(nodes), None, reference, ZERO, "seifert-reference"
     )

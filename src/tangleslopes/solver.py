@@ -8,44 +8,44 @@ Two closure regimes:
   a primitive triple (a, b, c): a leaf state has no slope-0 or
   slope-infinity boundary edges, a glue adds none, and the rotation of
   such a state is case 1 of transforms.rotate_reflect, which adds none
-  either and has tau' = -2 or +2. So every tau is an integer.
+  either: _turn computes it on the triple, with tau' = -2 sign(c). So
+  every tau is an integer, and no merge builds a WeightState.
 
   1. Key pass, bottom-up, integers only. A leaf's keys are the primitive
      states of its constant family, (a, q*k - a, p*k) with
      1 <= a <= k <= c_bound // |p| and gcd(a, k) = 1, and the vertices
      <m> that end its descents and their vertical runs within +-c_bound
      (an integer leaf keeps its trivial path regardless). A merge glues
-     the left key (after the rotation transform at a product node) to
-     each right key of the same (a : b) direction: both are rescaled to
-     their least common (a, b) and added, in integers, so c_bound is the
-     only bound. Each glued key records the (left key, right key) pairs
-     behind it. The root glues only pairs that close, leaving no net
-     slope weight (c = 0). That holds exactly when the two per-sheet c
-     are negatives of each other, so the root indexes its right operand
-     by direction and reduced per-sheet c, and each left key looks up its
-     negated class.
+     the left key (turned, at a product node) to each right key of the
+     same (a : b) direction: both are rescaled to their least common
+     (a, b) and added, in integers, so c_bound is the only bound. Each
+     glued key records the (left key, right key) pairs behind it. The
+     root glues only pairs that close, leaving no net slope weight
+     (c = 0). That holds exactly when the two per-sheet c are negatives
+     of each other, so the root indexes its right operand by direction
+     and reduced per-sheet c, and each left key looks up its negated
+     class.
   2. Demand pass, top-down. The root demands all its keys, which are the
      closed ones. Each merge adds the left and right keys of the pairs
      behind its demanded keys to its children's demand, after all of its
      own parents have added theirs.
   3. Tau pass, bottom-up, demanded keys only. Each (demanded key, tau)
-     keeps one witness: the (descriptor, assignment) pair with the
-     smallest descriptor. A leaf picks it among its paths. A merge glues
-     the child witnesses of every key pair behind the key, and keeps per
-     tau the pair with the smallest (left descriptor, right descriptor),
-     joined once.
+     keeps one witness, the one with the smallest descriptor. A leaf's is
+     (descriptor, path). A merge keeps the child pair with the smallest
+     (left descriptor, right descriptor), as ((left descriptor, right
+     descriptor), (left paths, right paths)), then replaces each
+     descriptor by its rank among the node's witnesses. Nothing is
+     joined; _materialize flattens only the witness it picks per
+     (tau, note).
 
-  The merge's choice is the smallest witness of its entry. A subtree's
-  leaf count is fixed, so a joined descriptor sorts as the pair (left,
-  right), and the smallest join is that of the smallest child witnesses.
-  The entry sees every child pair: the key pass recorded every key pair
-  behind a demanded key, and both keys of each pair are demanded in turn.
-  This is the argmin that a walk down back-pointers from the closed root
-  entries would take, and it builds no witness that walk would not: every
-  (demanded key, tau) is glued into some entry of a demanded parent key,
-  and every closed root entry is materialized. slopes.replay re-glues
-  each materialized system through transforms.glue_scaled, the reference
-  for the integer glue.
+  The merge's choice is the smallest witness of its entry. Every witness
+  of one node has that node's tree shape, so its nested descriptor sorts
+  as the flat tuple of its leaf descriptors would, and so does its rank;
+  the smallest pair is that of the smallest child witnesses. The entry
+  sees every child pair: the key pass recorded every key pair behind a
+  demanded key, and both keys of each pair are demanded in turn.
+  slopes.replay re-checks each system through transforms.rotate_reflect
+  and glue_scaled, the reference for the integer turn and glue.
 
 * solve_montesinos handles sums of three or more rational tangles. The
   common endpoint abscissa u is one unknown: each leaf contributes either
@@ -89,6 +89,7 @@ from .errors import FamilyCheckFailed, SeifertUndefined, UnsupportedShape
 from .slopes import build_system, seifert_system, seifert_tau
 from .tangles import (
     Leaf,
+    Product,
     Sum,
     crossing_count,
     family_crossing_count,
@@ -96,7 +97,6 @@ from .tangles import (
     kn,
     render,
 )
-from .transforms import rotate_reflect
 
 log = logging.getLogger("tangleslopes.solver")
 
@@ -208,13 +208,16 @@ def _leaf_table(leaf, c_bound):
     return table
 
 
-class _Keys(dict):
-    """Glued key -> [(left key, right key)], every key pair that glues to
-    it; at a product, turns maps each left key that glues to its tau'."""
-
-    def __init__(self, turns=None):
-        super().__init__()
-        self.turns = turns
+def _turn(key):
+    """Case 1 of transforms.rotate_reflect on a primitive key: the
+    primitive key (a, |c| - a, sign(c) * (a + b)) and tau' = -2 sign(c),
+    or None where the rotation is undefined (c = 0) or infeasible (|c| < a).
+    """
+    a, b, c = key
+    if c == 0 or abs(c) < a:
+        return None
+    sign = 1 if c > 0 else -1
+    return (a, abs(c) - a, sign * (a + b)), -2 * sign
 
 
 def _glue_class(key, sheets, closing, sign=1):
@@ -267,7 +270,7 @@ def _glue_keys(out, lw, ls, lkey, partners):
 
 def _merge_sum(left, right, closing=False):
     """Key pass at a sum; when closing, only the pairs that close."""
-    out = _Keys()
+    out = {}
     index = _index(right, closing)
     for lkey in left:
         s = gcd(lkey[0], lkey[1])
@@ -278,23 +281,19 @@ def _merge_sum(left, right, closing=False):
 
 
 def _merge_product(left, right, closing=False):
-    """Key pass at a product: the rotation output of each left key with
-    c != 0 and a feasible outcome glues to the right keys; when closing,
-    only the pairs that close."""
-    out = _Keys(turns={})
+    """Key pass at a product: the turned key of each left key that _turn
+    accepts glues to the right keys; when closing, only the pairs that
+    close."""
+    out = {}
     index = _index(right, closing)
     for lkey in left:
-        if lkey[2] == 0:
-            continue  # the rotation is undefined at c = 0
-        outcome = rotate_reflect(WeightState(*lkey), allow_infeasible=True)
-        if not outcome.feasible:
+        turned = _turn(lkey)
+        if turned is None:
             continue
-        tw = outcome.state.triple()
-        ts = gcd(tw[0], tw[1])  # > 0: a feasible rotation output has a + b > 0
+        tw = turned[0]
+        ts = gcd(tw[0], tw[1])  # >= a > 0
         partners = index.get(_glue_class(tw, ts, closing, -1))
         if partners:
-            # case 1: tau' = -+2a/a, so its denominator is 1
-            out.turns[lkey] = outcome.tau_prime.numerator
             _glue_keys(out, tw, ts, lkey, partners)
     return out
 
@@ -338,51 +337,59 @@ def _demand_pass(nodes, keys):
 
 
 def _leaf_witnesses(leaf, table, wanted):
-    """{tau: witness} per wanted key of a leaf's key table; a witness is
-    the (descriptor, assignment) pair with the smallest descriptor."""
+    """{tau: witness} per wanted key of a leaf's key table; a leaf's
+    witness is the (descriptor, path) pair with the smallest descriptor."""
     pq = leaf.fraction
     out = {}
     for key in sorted(wanted):
         runs = table[key]
         if runs is None:
             path = ConstantPath(pq, WeightState(*key))
-            out[key] = {0: ((path.describe(),), (path,))}
+            out[key] = {0: (path.describe(), path)}
             continue
         entries = out[key] = {}
         for t, descent, end in runs:
             path = run_to(descent, end)
-            desc = (path.describe(),)
+            desc = path.describe()
             if t not in entries or desc < entries[t][0]:
-                entries[t] = (desc, (path,))
+                entries[t] = (desc, path)
     return out
 
 
-def _glue_witnesses(table, left, right, wanted):
+def _glue_witnesses(table, left, right, wanted, product):
     """{tau: witness} per wanted key of a merged key table, from the
     children's {tau: witness} tables.
 
-    tau adds at a sum; at a product it is tau' - tau(left) + tau(right).
-    Each tau keeps the child witness pair with the smallest (left
-    descriptor, right descriptor), and joins it once.
+    tau adds at a sum; at a product it is tau' - tau(left) + tau(right),
+    tau' from _turn. Each tau keeps the child witness pair with the
+    smallest (left descriptor, right descriptor), nested as one witness.
     """
-    turns = table.turns
     out = {}
     for key in sorted(wanted):
         best = {}
         for lkey, rkey in table[key]:
-            rents = right[rkey].items()
-            for lt, lw in left[lkey].items():
-                if turns is not None:
-                    lt = turns[lkey] - lt
-                for rt, rw in rents:
+            lents, rents = left[lkey].items(), right[rkey].items()
+            if product:
+                turn = _turn(lkey)[1]
+                lents = [(turn - lt, lw) for lt, lw in lents]
+            for lt, (ldesc, lpaths) in lents:
+                for rt, (rdesc, rpaths) in rents:
+                    desc = (ldesc, rdesc)
                     kept = best.get(lt + rt)
-                    if kept is None or (lw[0], rw[0]) < (kept[0][0], kept[1][0]):
-                        best[lt + rt] = lw, rw
-        out[key] = {
-            t: (ldesc + rdesc, lassign + rassign)
-            for t, ((ldesc, lassign), (rdesc, rassign)) in best.items()
-        }
+                    if kept is None or desc < kept[0]:
+                        best[lt + rt] = desc, (lpaths, rpaths)
+        out[key] = best
     return out
+
+
+def _rank(table):
+    """Replace each witness descriptor of a merged table by its rank among
+    the node's witnesses, in place, so that comparing two costs the same at
+    every depth; ranks order a parent's pairs as the descriptors would."""
+    order = sorted((w[0], key, t) for key, ws in table.items() for t, w in ws.items())
+    for rank, (_, key, t) in enumerate(order):
+        table[key][t] = rank, table[key][t][1]
+    return table
 
 
 def _tau_pass(nodes, keys, demand):
@@ -394,7 +401,8 @@ def _tau_pass(nodes, keys, demand):
             taus[id(node)] = _leaf_witnesses(node, table, wanted)
         else:
             left, right = taus[id(node.left)], taus[id(node.right)]
-            taus[id(node)] = _glue_witnesses(table, left, right, wanted)
+            product = isinstance(node, Product)
+            taus[id(node)] = _rank(_glue_witnesses(table, left, right, wanted, product))
     return taus
 
 
@@ -428,13 +436,18 @@ def _root_table(expr, c_bound):
 
 def _materialize(expr, grouped, reference):
     """Build one system per (tau, note) group, from the candidate
-    (descriptor, assignment) pair with the smallest descriptor."""
+    (descriptor, assignment) pair with the smallest descriptor; a nested
+    assignment is flattened to its paths, left to right."""
     systems = []
     for (_, note), candidates in grouped.items():
-        _, assignment = min(candidates, key=lambda c: c[0])
-        systems.append(
-            build_system(expr, assignment, note=note, reference_tau=reference)
-        )
+        paths, stack = [], [min(candidates, key=lambda c: c[0])[1]]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, tuple):
+                stack.extend(reversed(item))
+            else:
+                paths.append(item)
+        systems.append(build_system(expr, paths, note=note, reference_tau=reference))
     return systems
 
 

@@ -83,16 +83,14 @@ class TransformOutcome:
     case_id: int
     m: int
     tau_prime: Fraction
-    feasible: bool = True
 
 
-def rotate_reflect(w, allow_infeasible=False):
+def rotate_reflect(w):
     """Weights and twist bookkeeping after reflect + quarter rotation.
 
     Raises UndefinedCase for c = 0, CasePreconditionViolated when the
     slope-infinity count t falls outside the stated range of its case, and
-    Infeasible when a strand count would go negative (pass allow_infeasible
-    to get the outcome marked instead, for search-style callers).
+    Infeasible when a strand count would go negative.
     """
     a, b, c, t = w.a, w.b, w.c, w.n_inf
     if c == 0:
@@ -119,7 +117,6 @@ def rotate_reflect(w, allow_infeasible=False):
         case_id, m = 4, ac
         out = WeightState(ac + t, 0, c if c > 0 else -c, n_inf=a - t - ac)
     tau_prime = Fraction(-2 * m, a) if c > 0 else Fraction(2 * m, a)
-    feasible = out.a >= 0 and out.b >= 0 and out.n_inf >= 0
-    if not feasible and not allow_infeasible:
+    if out.a < 0 or out.b < 0 or out.n_inf < 0:
         raise Infeasible("transform output %r has a negative strand count" % (out,))
-    return TransformOutcome(out, case_id, m, tau_prime, feasible)
+    return TransformOutcome(out, case_id, m, tau_prime)

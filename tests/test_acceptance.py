@@ -19,7 +19,8 @@ from tangleslopes import (
     verify_system,
 )
 from tangleslopes.cli import main
-from tangleslopes.edgepaths import constant_path, tau
+from tangleslopes.diagram import vertex_triple
+from tangleslopes.edgepaths import ConstantPath, tau
 from tangleslopes.slopes import seifert_tau
 from tangleslopes.tangles import mirror
 from tangleslopes.transforms import rotate_reflect
@@ -181,7 +182,7 @@ def test_criterion_5e_constants_and_square_cancellation():
         x = Fraction(p, q)
         if x == 0:
             continue
-        assert tau(constant_path(x, scale=rng.randint(1, 5))) == 0
+        assert tau(ConstantPath(x, vertex_triple(x).scaled(rng.randint(1, 5)))) == 0
     for _ in range(50):
         q = 2 * rng.randint(1, 4)
         p = rng.choice((-1, 1)) * rng.randint(1, q + 3)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tangleslopes import ConstantPath, FractionalEndpoint, VertexPath, WeightState
+from tangleslopes.diagram import vertex_triple
 from tangleslopes.edgepaths import (
     constant_path,
     end_weights,
@@ -23,7 +24,7 @@ def path(*vertices, **kw):
 
 
 def test_constant_path_default_state():
-    p = constant_path(Fraction(-1, 2))
+    p = ConstantPath(Fraction(-1, 2), vertex_triple(Fraction(-1, 2)))
     assert p.is_constant and p.state == WeightState(1, 1, -1)
     assert validate(p) == []
 
@@ -35,7 +36,7 @@ def test_constant_path_at_u():
 
 
 def test_constant_path_scale():
-    assert constant_path(THIRD, scale=4).state == WeightState(4, 8, 4)
+    assert ConstantPath(THIRD, vertex_triple(THIRD).scaled(4)).state == WeightState(4, 8, 4)
 
 
 def test_constant_left_of_vertex_is_invalid():
@@ -112,14 +113,14 @@ def test_end_weights_mixes_partial_edge_and_scales_by_sheets():
     doubled = VertexPath(THIRD, (THIRD, HALF), final_fraction=HALF, sheets=2)
     assert end_weights(doubled) == WeightState(4, 6, 4)
     assert end_weights(path(THIRD, HALF, 1)) == endpoint_state(path(THIRD, HALF, 1))
-    assert end_weights(constant_path(THIRD)) == WeightState(1, 2, 1)
+    assert end_weights(ConstantPath(THIRD, vertex_triple(THIRD))) == WeightState(1, 2, 1)
 
 
 def test_tau_counts_slope_decreasing_edges():
     assert tau(path(-HALF, 0)) == -2
     assert tau(path(HALF, 0)) == 2
     assert tau(path(THIRD, HALF, 1)) == -4
-    assert tau(constant_path(Fraction(-1, 2))) == 0
+    assert tau(ConstantPath(Fraction(-1, 2), vertex_triple(Fraction(-1, 2)))) == 0
 
 
 def test_tau_scales_final_edge_by_fraction():

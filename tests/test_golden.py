@@ -68,13 +68,16 @@ DEEP = (
     # is the product below it
     (_right_nested("1/3", 40), 1,
      "baae35267bdeb7cb6ddf1b1e47d4421c6f34049fbbf9e33bd0170fd166e177b0"),
+    # 100 right-nested factors at c_bound 1
+    (_right_nested("1/3", 100), 1,
+     "e2a25b0dc147c4d3d169a5ca5ae335db065b4d93ecc217d1469cc067a227127b"),
     # 20 left-nested factors at the default c_bound
     (" o ".join(["1/3"] * 20), None,
      "d0568877d20c494897fab941377ec5323cb78ce1ce30cbfd727a1d9983580403"),
 )
 
 
-@pytest.mark.parametrize("text, c_bound, digest", DEEP, ids=["right-40", "chain-20"])
+@pytest.mark.parametrize("text, c_bound, digest", DEEP, ids=["right-40", "right-100", "chain-20"])
 def test_nested_products_are_pinned(text, c_bound, digest):
     out = format_json(solve(parse(text), c_bound=c_bound))
     assert hashlib.sha256(out.encode()).hexdigest() == digest

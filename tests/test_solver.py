@@ -34,6 +34,7 @@ from tangleslopes.solver import (
     _root_table,
     _segment_label,
     _tau_pass,
+    _turn,
     _type_i_candidates,
     _type_ii_options,
     default_c_bound,
@@ -45,6 +46,7 @@ from tangleslopes.edgepaths import (
     tau as path_tau,
     u_zero_paths,
 )
+from tangleslopes.errors import Infeasible, UndefinedCase
 from tangleslopes.tangles import Leaf, Product, Sum, mirror
 from tangleslopes.transforms import glue_scaled, rotate_reflect
 
@@ -388,8 +390,9 @@ def _eager_tables(node, c_bound, memo):
             if isinstance(node, Product):
                 if lkey[2] == 0:
                     continue
-                outcome = rotate_reflect(lw, allow_infeasible=True)
-                if not outcome.feasible:
+                try:
+                    outcome = rotate_reflect(lw)
+                except Infeasible:
                     continue
                 lw, shift = outcome.state, outcome.tau_prime
                 _key_of(lw)
@@ -409,6 +412,23 @@ def _eager_tables(node, c_bound, memo):
 
 def _closed(table):
     return {key: entries for key, entries in table.items() if key[2] == 0}
+
+
+def _paths(assignment):
+    """The paths of a nested assignment, left to right."""
+    if isinstance(assignment, tuple):
+        return tuple(path for item in assignment for path in _paths(item))
+    return (assignment,)
+
+
+def _flat(entries):
+    """A {tau: witness} table with each nested witness flattened to the
+    (descriptor, assignment) tuples of its paths."""
+    flat = {}
+    for t, (_, assignment) in entries.items():
+        paths = _paths(assignment)
+        flat[t] = (tuple(path.describe() for path in paths), paths)
+    return flat
 
 
 def _random_product(rng):
@@ -456,7 +476,7 @@ def test_root_witnesses_match_eager_traces():
         assert sorted(table) == sorted(eager), (expr, c_bound)
         for key in sorted(table):
             assert all(type(t) is int for t in table[key]), (expr, c_bound, key)
-            assert table[key] == eager[key], (expr, c_bound, key)
+            assert _flat(table[key]) == eager[key], (expr, c_bound, key)
             closed_entries += len(table[key])
     assert closed_entries >= 100
 
@@ -482,8 +502,15 @@ def test_passes_match_eager_tables_at_every_node():
             table = taus[id(node)]
             assert set(table) == demand[id(node)] <= set(keys[id(node)])
             for key, entries in table.items():
-                assert entries == eager[id(node)][key], (expr, c_bound, node, key)
+                assert _flat(entries) == eager[id(node)][key], (expr, c_bound, node, key)
             demanded += len(table)
+            if not isinstance(node, Leaf):
+                # a merge's descriptors are ranks 0, 1, ... among its
+                # witnesses, in the order of their flat descriptors
+                ranked = sorted(w for entries in table.values() for w in entries.values())
+                assert [rank for rank, _ in ranked] == list(range(len(ranked)))
+                flat = [tuple(p.describe() for p in _paths(paths)) for _, paths in ranked]
+                assert flat == sorted(flat), (expr, c_bound, node)
     assert demanded >= 1000
 
 
@@ -512,14 +539,16 @@ def _key(direction, sheets, c):
 
 
 def _one_key_table(key, t, name):
-    return {key: {t: ((name,), (name,))}}
+    return {key: {t: (name, name)}}
 
 
 def _glue_one(merge, left, right):
     """Both passes over two one-key tables: (key table, witness table),
     and the key table of the same merge at the root."""
     keys = merge(left, right)
-    return keys, _glue_witnesses(keys, left, right, set(keys)), merge(left, right, True)
+    product = merge is _merge_product
+    witnesses = _glue_witnesses(keys, left, right, set(keys), product)
+    return keys, witnesses, merge(left, right, True)
 
 
 def _closing_part(keys, glued):
@@ -560,13 +589,28 @@ def test_product_glue_matches_glue_scaled(lkey, rs, rc):
     )
     glued, _ = glue_scaled(turn.state, WeightState(*rkey))
     assert keys == {_key_of(glued): [(lkey, rkey)]}
-    # tau' is stored as an int, equal to the transform's Fraction
-    assert keys.turns == {lkey: turn.tau_prime}
-    assert type(keys.turns[lkey]) is int
+    # tau' is an int, equal to the transform's Fraction
+    assert _turn(lkey) == (turn.state.triple(), turn.tau_prime)
+    assert type(_turn(lkey)[1]) is int
     [(t, witness)] = out[_key_of(glued)].items()
     assert type(t) is int and t == turn.tau_prime - 3 + 1
     assert witness == (("l", "r"), ("l", "r"))
     assert root == _closing_part(keys, glued)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=-30, max_value=30),
+)
+def test_turn_matches_rotate_reflect(a, b, c):
+    try:
+        outcome = rotate_reflect(WeightState(a, b, c))
+    except (Infeasible, UndefinedCase):
+        assert _turn((a, b, c)) is None
+        return
+    assert _turn((a, b, c)) == (outcome.state.triple(), outcome.tau_prime)
 
 
 # small weights, so that many drawn pairs close
@@ -622,8 +666,9 @@ def test_leaf_table_taus_and_keys_match_their_paths(c_bound):
         assert set(keys) == set(lattice), pq
         for key, entries in _leaf_witnesses(leaf, keys, set(keys)).items():
             # the same smallest witness per (key, tau) as the lattice
-            assert entries == lattice[key], (pq, key)
-            for t, (_, (path,)) in entries.items():
+            assert _flat(entries) == lattice[key], (pq, key)
+            for t, (desc, path) in entries.items():
+                assert desc == path.describe()
                 if path.is_constant:
                     assert (t, key) == (0, _key_of(path.state.primitive()))
                     continue

@@ -108,12 +108,9 @@ def test_case4_precondition():
         rotate_reflect(WeightState(4, 1, 2, n_inf=2, has_zero=True))  # t >= a - |c|
 
 
-def test_infeasible_raises_or_marks():
-    w = WeightState(2, 1, -1)  # case 1 with |c| < a
+def test_infeasible_raises():
     with pytest.raises(Infeasible):
-        rotate_reflect(w)
-    out = rotate_reflect(w, allow_infeasible=True)
-    assert not out.feasible and out.state.b < 0
+        rotate_reflect(WeightState(2, 1, -1))  # case 1 with |c| < a
 
 
 # property suites -----------------------------------------------------------
