@@ -53,14 +53,21 @@ Two closure regimes:
   u on each piece, and sum v = 0 is solved exactly piece by piece
   (type I). The type-I walk visits only the prefixes of segment choices
   whose validity intervals overlap; it skips no combination that can
-  close. Systems whose paths all reach the u = 0 line close when the
+  close. It runs in integers: each interval end is (q - 1)/q for a vertex
+  denominator q, or 1, so in the coordinate w = 1/(1 - u) it is the int q,
+  or unbounded (None); coeffs and offsets are scaled by D, the lcm of
+  their denominators over the sum's leaves. A combination with scaled
+  totals C and O closes at u0 = -O/C, tested against its w interval by
+  cross-multiplication, and a Fraction is built only for a u0 that
+  passes. Systems whose paths all reach the u = 0 line close when the
   integer endpoints sum to zero (type II). Their choices are the descents
   alone, ending within +-c_bound; no path travels along u = 0. Such a
   system is counted as a slope when the penultimate-vertex denominators
-  y_i satisfy sum 1/y_i <= 1, and is stored flagged as an inessential
-  candidate otherwise. Every leaf has at least as many type-I segments
-  as descents, so the type-II product is never larger than the full
-  type-I one; it is enumerated in full.
+  y_i satisfy sum 1/y_i <= 1 (in integers: sum Y/y_i <= Y, Y their lcm),
+  and is stored flagged as an inessential candidate otherwise. Every leaf
+  has at least as many type-I segments as descents, so the type-II
+  product is never larger than the full type-I one; it is enumerated in
+  full.
 
 Both list one system per distinct (tau, note), the one with the smallest
 descriptor, and attach the Seifert reference system (slope 0) when the
@@ -555,6 +562,22 @@ def _segment_path(pq, segment, u0):
     return VertexPath(pq, segment.prefix, final_fraction=f)
 
 
+def _w_ends(segment):
+    """A segment's validity interval [lo, hi) in w = 1 / (1 - u): the ints
+    (w_lo, w_hi), with w_hi None for hi = 1, where w is unbounded.
+
+    Every end is (q - 1) / q for a vertex denominator q >= 1, or 1, and
+    1 / (1 - (q - 1) / q) = q is that Fraction's denominator.
+    """
+    hi = None if segment.hi == 1 else segment.hi.denominator
+    return segment.lo.denominator, hi
+
+
+def _u_of(w):
+    """The u = 1 - 1/w of an interval end in w, or 1 for unbounded w."""
+    return ONE if w is None else Fraction(w - 1, w)
+
+
 def _type_i_candidates(leaves, notes):
     """Solve sum v_i(u) = 0 on every segment combination whose validity
     intervals overlap; yield systems in product order.
@@ -562,35 +585,55 @@ def _type_i_candidates(leaves, notes):
     A depth-first walk over the leaves carries each prefix's running
     coeff, offset and interval [lo, hi). Extending a prefix only narrows
     its interval, so a prefix whose interval is empty is dropped together
-    with every extension: no combination that can close is skipped.
+    with every extension: no combination that can close is skipped. The
+    walk is in integers: intervals in w (_w_ends), coeffs and offsets
+    scaled by the lcm of their denominators.
     """
     per_leaf = [_leaf_segments(l.fraction) for l in leaves]
-    stack = [((), ZERO, ZERO, ZERO, ONE)]  # every lo >= 0 and every hi <= 1
+    scale = lcm(
+        *(x.denominator for segs in per_leaf for s in segs for x in (s.coeff, s.offset))
+    )
+    # each leaf's (w_lo, w_hi, scaled coeff, scaled offset, segment),
+    # reversed, so that extensions pop in product order
+    choices = [
+        [
+            _w_ends(s) + (int(s.coeff * scale), int(s.offset * scale), s)
+            for s in reversed(segs)
+        ]
+        for segs in per_leaf
+    ]
+    depth = len(choices)
+    stack = [((), 0, 0, 1, None)]  # u in [0, 1)
     while stack:
         combo, coeff, offset, lo, hi = stack.pop()
-        if len(combo) < len(per_leaf):
-            # pushed in reverse, so extensions pop in product order
-            for s in reversed(per_leaf[len(combo)]):
-                slo, shi = max(lo, s.lo), min(hi, s.hi)
-                if slo < shi:
-                    stack.append(
-                        (combo + (s,), coeff + s.coeff, offset + s.offset, slo, shi)
-                    )
+        if len(combo) < depth:
+            for slo, shi, c, o, s in choices[len(combo)]:
+                if slo < lo:
+                    slo = lo
+                if shi is None or (hi is not None and hi < shi):
+                    shi = hi
+                if shi is None or slo < shi:
+                    stack.append((combo + (s,), coeff + c, offset + o, slo, shi))
             continue
         if coeff == 0:
             if offset == 0:
                 # the closure holds along the whole interval; only its
                 # reachable endpoint is kept, flagged, and not counted
+                labels = "; ".join(_segment_label(s) for s in combo)
                 notes.append(
                     "degenerate closure family on u in [%s, %s) for %s"
-                    % (lo, hi, "; ".join(_segment_label(s) for s in combo))
+                    % (_u_of(lo), _u_of(hi), labels)
                 )
-                if lo > 0:
-                    yield lo, combo, "degenerate-family-endpoint"
+                if lo > 1:
+                    yield _u_of(lo), combo, "degenerate-family-endpoint"
             continue
-        u0 = -offset / coeff
-        if 0 < u0 and lo <= u0 < hi:  # u = 0 closures belong to the integer solve
-            yield u0, combo, ""
+        # u0 = n / d with d > 0; for 0 < u0 < 1, w0 = d / (d - n), and
+        # lo <= w0 < hi cross-multiplies by d - n > 0; unbounded hi is
+        # u0 < 1 (only all-constant combinations have it, and they have
+        # coeff 0). u = 0 closures belong to the integer solve
+        n, d = (-offset, coeff) if coeff > 0 else (offset, -coeff)
+        if 0 < n < d and lo * (d - n) <= d and (hi is None or d < hi * (d - n)):
+            yield Fraction(n, d), combo, ""
 
 
 def _segment_label(segment):
@@ -609,6 +652,12 @@ def _type_ii_options(pq, c_bound):
         if abs(m) <= c_bound:
             options.append((descent, m, vs[-2].denominator if len(vs) > 1 else 1))
     return options
+
+
+def _essential(ys):
+    """sum 1/y <= 1, in integers: sum Y/y <= Y for Y the lcm of the ys."""
+    whole = lcm(*ys)
+    return sum(whole // y for y in ys) <= whole
 
 
 def solve_montesinos(expr, c_bound=None):
@@ -651,7 +700,7 @@ def solve_montesinos(expr, c_bound=None):
     for combo in iterproduct(*per_leaf):
         if sum(m for _, m, _ in combo) != 0:
             continue
-        essential = sum(Fraction(1, y) for _, _, y in combo) <= 1
+        essential = _essential([y for _, _, y in combo])
         stage(
             [path for path, _, _ in combo],
             "" if essential else "inessential-candidate",

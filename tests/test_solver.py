@@ -5,7 +5,7 @@ from itertools import product as iterproduct
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tangleslopes import (
@@ -24,6 +24,7 @@ from tangleslopes import (
 from tangleslopes.solver import (
     _demand_pass,
     _distinct_nodes,
+    _essential,
     _glue_witnesses,
     _key_pass,
     _leaf_segments,
@@ -37,6 +38,8 @@ from tangleslopes.solver import (
     _turn,
     _type_i_candidates,
     _type_ii_options,
+    _u_of,
+    _w_ends,
     default_c_bound,
 )
 from tangleslopes.edgepaths import (
@@ -309,6 +312,65 @@ def test_type_i_walk_matches_segment_product():
         assert walk_notes == product_notes, pqs
         degenerate += bool(walk_notes)
     assert degenerate >= 3
+
+
+@st.composite
+def _type_i_sums(draw, budget=2000):
+    """3-6 leaves, q <= 13 and |p/q| < 3, integer leaves included; a leaf of
+    denominator q has at most q + 1 segments, and q is capped so that the
+    segment product stays within budget for the reference."""
+    leaves, size = [], 1
+    for _ in range(draw(st.integers(min_value=3, max_value=6))):
+        q = draw(st.integers(min_value=1, max_value=max(1, min(13, budget // size - 1))))
+        p = draw(st.sampled_from([p for p in range(1 - 3 * q, 3 * q) if p and gcd(p, q) == 1]))
+        leaves.append(Fraction(p, q))
+        size *= q + 1
+    return leaves
+
+
+@settings(max_examples=150, deadline=None)
+@given(_type_i_sums())
+# a closure exactly at the lower end of its interval: u0 = lo = 1/2
+@example([Fraction(f) for f in ("-3/2", "13/8", "15/8", "-7/5")])
+# a degenerate family on [1/2, 2/3), whose endpoint lo > 0 is yielded
+@example([Fraction(f) for f in ("5/3", "1", "-11/4")])
+def test_integer_type_i_walk_matches_segment_product(pqs):
+    leaves = [Leaf(pq) for pq in pqs]
+    walk_notes, product_notes = [], []
+    walk = list(_type_i_candidates(leaves, walk_notes))
+    assert walk == list(_type_i_by_product(leaves, product_notes))
+    assert walk_notes == product_notes
+    assert all(type(u0) is Fraction for u0, _, _ in walk)
+
+
+def test_type_i_examples_hit_interval_ends():
+    # the two examples above reach the cases they are there for
+    at_lo = _type_i_candidates([Leaf(Fraction(f)) for f in ("-3/2", "13/8", "15/8", "-7/5")], [])
+    assert any(u0 == max(s.lo for s in combo) for u0, combo, _ in at_lo)
+    notes = []
+    family = list(_type_i_candidates([Leaf(Fraction(f)) for f in ("5/3", "1", "-11/4")], notes))
+    assert [(u0, note) for u0, _, note in family if note] == [
+        (Fraction(1, 2), "degenerate-family-endpoint")
+    ]
+    assert notes and notes[0].startswith("degenerate closure family on u in [1/2, 2/3)")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=60), min_size=3, max_size=6))
+def test_integer_essential_rule_matches_fractions(ys):
+    assert _essential(ys) == (sum(Fraction(1, y) for y in ys) <= 1)
+
+
+def test_w_ends_map_back_to_segment_intervals():
+    # every leaf p/q with q <= 12 and |p/q| <= 3, integer leaves included
+    for q in range(1, 13):
+        for p in range(-3 * q, 3 * q + 1):
+            if p and gcd(p, q) == 1:
+                for s in _leaf_segments(Fraction(p, q)):
+                    w_lo, w_hi = _w_ends(s)
+                    assert type(w_lo) is int and w_lo >= 1, (p, q, s)
+                    assert w_hi is None or (type(w_hi) is int and w_lo < w_hi), (p, q, s)
+                    assert (_u_of(w_lo), _u_of(w_hi)) == (s.lo, s.hi), (p, q, s)
 
 
 def test_montesinos_monotone_in_c_bound():
