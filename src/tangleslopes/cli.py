@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .errors import FamilyCheckFailed, TangleSlopesError
 from .plotting import render_svg, render_tsv
+from .slopes import verify_system
 from .solver import family_nodes, kn_system, solve, solve_sn
 from .tangles import kn, parse, render
 
@@ -258,6 +259,15 @@ def _verify_one(n, c_bound):
     except FamilyCheckFailed as exc:
         return False, "n=%d FAIL (trace: %s)" % (n, exc)
     rep = solve_sn(kn(n), c_bound)
+    # the solve builds its traces from its own integer data; replay them
+    for system in rep.systems:
+        problems = verify_system(system)
+        if problems:
+            return False, "n=%d FAIL (system %s: %s)" % (
+                n,
+                system.slope,
+                "; ".join(problems),
+            )
     if not {high, -high} <= set(rep.slopes):
         return False, "n=%d FAIL (slopes: expected %s and %s in %s)" % (
             n,

@@ -15,8 +15,11 @@ otherwise the normalization is reported as unavailable.
 
 CandidateSystem records one closed surface: the per-leaf edgepaths, a
 trace of every node's glued state and twist number, the root state, and
-the slope. `replay` recomputes the trace from the assignment alone, so a
-stored system can be verified independently (`verify_system`).
+the slope. The solver builds each listed system's trace from its own
+integer data. `replay` is the checker: it recomputes the trace from the
+assignment alone, through transforms.rotate_reflect and glue_scaled, and
+`verify_system` compares the two. `build_system` assembles a system by
+replay; the hand-built family system (solver.kn_system) uses it.
 """
 
 from dataclasses import dataclass

@@ -31,12 +31,12 @@ Two closure regimes:
      own parents have added theirs.
   3. Tau pass, bottom-up, demanded keys only. Each (demanded key, tau)
      keeps one witness, the one with the smallest descriptor. A leaf's is
-     (descriptor, path). A merge keeps the child pair with the smallest
-     (left descriptor, right descriptor), as ((left descriptor, right
-     descriptor), (left paths, right paths)), then replaces each
-     descriptor by its rank among the node's witnesses. Nothing is
-     joined; _materialize flattens only the witness it picks per
-     (tau, note).
+     (descriptor, (key, tau, path)), its pick. A merge keeps the child
+     pair with the smallest (left descriptor, right descriptor), as
+     ((left descriptor, right descriptor), (left picks, right picks)),
+     then replaces each descriptor by its rank among the node's
+     witnesses. Nothing is joined; only the witness listed per
+     (tau, note) is flattened to its leaf picks.
 
   The merge's choice is the smallest witness of its entry. Every witness
   of one node has that node's tree shape, so its nested descriptor sorts
@@ -44,8 +44,6 @@ Two closure regimes:
   the smallest pair is that of the smallest child witnesses. The entry
   sees every child pair: the key pass recorded every key pair behind a
   demanded key, and both keys of each pair are demanded in turn.
-  slopes.replay re-checks each system through transforms.rotate_reflect
-  and glue_scaled, the reference for the integer turn and glue.
 
 * solve_montesinos handles sums of three or more rational tangles. The
   common endpoint abscissa u is one unknown: each leaf contributes either
@@ -71,9 +69,15 @@ Two closure regimes:
 
 Both list one system per distinct (tau, note), the one with the smallest
 descriptor, and attach the Seifert reference system (slope 0) when the
-normalization exists; no other cap applies. All output is exhaustively
-sorted; nothing depends on hash or insertion order, so identical inputs
-give identical reports.
+normalization exists; no other cap applies. Each engine hands every leaf
+of a listed system over as a pick (key, tau, path): its end state as a
+triple and its twist number, both from the engine's own data. The one
+builder, _materialize, then derives every node's trace in integers: a
+sum is the lcm glue of _glue_keys, a product turns its left key by
+_turn first. slopes.replay, through transforms.rotate_reflect and
+glue_scaled, is the independent check (slopes.verify_system); the solve
+does not call it. All output is exhaustively sorted; nothing depends on
+hash or insertion order, so identical inputs give identical reports.
 """
 
 import logging
@@ -93,7 +97,13 @@ from .edgepaths import (
     u_zero_ends,
 )
 from .errors import FamilyCheckFailed, SeifertUndefined, UnsupportedShape
-from .slopes import build_system, seifert_system, seifert_tau
+from .slopes import (
+    CandidateSystem,
+    NodeTrace,
+    build_system,
+    seifert_system,
+    seifert_tau,
+)
 from .tangles import (
     Leaf,
     Product,
@@ -102,6 +112,7 @@ from .tangles import (
     family_crossing_count,
     family_index,
     kn,
+    node_labels,
     render,
 )
 
@@ -345,21 +356,22 @@ def _demand_pass(nodes, keys):
 
 def _leaf_witnesses(leaf, table, wanted):
     """{tau: witness} per wanted key of a leaf's key table; a leaf's
-    witness is the (descriptor, path) pair with the smallest descriptor."""
+    witness is (descriptor, (key, tau, path)) for the path with the
+    smallest descriptor."""
     pq = leaf.fraction
     out = {}
     for key in sorted(wanted):
         runs = table[key]
         if runs is None:
             path = ConstantPath(pq, WeightState(*key))
-            out[key] = {0: (path.describe(), path)}
+            out[key] = {0: (path.describe(), (key, 0, path))}
             continue
         entries = out[key] = {}
         for t, descent, end in runs:
             path = run_to(descent, end)
             desc = path.describe()
             if t not in entries or desc < entries[t][0]:
-                entries[t] = (desc, path)
+                entries[t] = (desc, (key, t, path))
     return out
 
 
@@ -379,12 +391,12 @@ def _glue_witnesses(table, left, right, wanted, product):
             if product:
                 turn = _turn(lkey)[1]
                 lents = [(turn - lt, lw) for lt, lw in lents]
-            for lt, (ldesc, lpaths) in lents:
-                for rt, (rdesc, rpaths) in rents:
+            for lt, (ldesc, lpicks) in lents:
+                for rt, (rdesc, rpicks) in rents:
                     desc = (ldesc, rdesc)
                     kept = best.get(lt + rt)
                     if kept is None or desc < kept[0]:
-                        best[lt + rt] = desc, (lpaths, rpaths)
+                        best[lt + rt] = desc, (lpicks, rpicks)
         out[key] = best
     return out
 
@@ -441,21 +453,107 @@ def _root_table(expr, c_bound):
     return taus[id(expr)]
 
 
-def _materialize(expr, grouped, reference):
-    """Build one system per (tau, note) group, from the candidate
-    (descriptor, assignment) pair with the smallest descriptor; a nested
-    assignment is flattened to its paths, left to right."""
-    systems = []
-    for (_, note), candidates in grouped.items():
-        paths, stack = [], [min(candidates, key=lambda c: c[0])[1]]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, tuple):
-                stack.extend(reversed(item))
+def _glue(lw, rkey):
+    """transforms.glue_scaled on two triples of one (a : b) direction: the
+    glued primitive triple and the multipliers (k1, k2). The triples need
+    not be primitive: a Montesinos leaf's end state may not be.
+
+    _glue_keys inlines the same arithmetic: calling this once per pair
+    from the key pass's inner loop made the SN passes about 7% slower.
+    """
+    ls, rs = gcd(lw[0], lw[1]), gcd(rkey[0], rkey[1])
+    common = lcm(ls, rs)
+    k1, k2 = common // ls, common // rs
+    c = lw[2] * k1 + rkey[2] * k2
+    g = gcd(common, c)
+    return (lw[0] * k1 // g, lw[1] * k1 // g, c // g), (k1, k2)
+
+
+class _States(dict):
+    """key -> WeightState(*key), each built once: the systems of one solve
+    share few distinct states."""
+
+    def __missing__(self, key):
+        state = self[key] = WeightState(*key)
+        return state
+
+
+def _system(expr, shape, picks, note, reference, states, merged):
+    """The CandidateSystem of one assignment, from its leaf picks.
+
+    shape is the expression's (node kind, label) pairs in preorder.
+    Walking them backwards visits every node after its subtree and the
+    leaves right to left; each finished subtree leaves its (key, tau) on a
+    stack, the left one on top. A sum glues the two keys and adds the
+    taus; a product first turns its left key (case 1 of the rotation:
+    m = a, tau' = -2 sign(c)), and its tau is tau' - tau(left) + tau(right).
+    The systems of one solve share states and, in deep products, most
+    merge traces: states builds each WeightState once, and merged keeps
+    each merge's (trace, (key, tau)) under its (index, left key, left tau,
+    right key, right tau).
+    """
+    nodes = [None] * len(shape)
+    done = []
+    leaf = len(picks)
+    for i in range(len(shape) - 1, -1, -1):
+        kind, label = shape[i]
+        if kind == "leaf":
+            leaf -= 1
+            key, t, _ = picks[leaf]
+            nodes[i] = NodeTrace(label, kind, states[key], t)
+            done.append((key, t))
+            continue
+        inputs = (i,) + done.pop() + done.pop()
+        built = merged.get(inputs)
+        if built is None:
+            _, lkey, lt, rkey, rt = inputs
+            if kind == "product":
+                turned, tau_prime = _turn(lkey)
+                key, scales = _glue(turned, rkey)
+                t = tau_prime - lt + rt
+                trace = NodeTrace(
+                    label, kind, states[key], t, scales,
+                    1, lkey[0], tau_prime, states[turned],
+                )
             else:
-                paths.append(item)
-        systems.append(build_system(expr, paths, note=note, reference_tau=reference))
-    return systems
+                key, scales = _glue(lkey, rkey)
+                t = lt + rt
+                trace = NodeTrace(label, kind, states[key], t, scales)
+            built = merged[inputs] = trace, (key, t)
+        nodes[i] = built[0]
+        done.append(built[1])
+    [(key, total)] = done
+    slope = total - reference if reference is not None else None
+    paths = tuple(path for _, _, path in picks)
+    return CandidateSystem(expr, paths, tuple(nodes), states[key], total, slope, note)
+
+
+def _materialize(expr, grouped, reference):
+    """Build one system per (tau, note) group from its kept
+    (descriptor, leaf picks) pair; the picks run left to right."""
+    kinds = {Leaf: "leaf", Sum: "sum", Product: "product"}
+    shape = [
+        (kinds[type(node)], label)
+        for node, label in zip(expr.nodes(), node_labels(expr))
+    ]
+    states, merged = _States(), {}
+    return [
+        _system(expr, shape, picks, note, reference, states, merged)
+        for (_, note), (_, picks) in grouped.items()
+    ]
+
+
+def _leaf_picks(witness):
+    """The leaf picks of a nested SN witness, left to right: a merge's
+    part is a (left, right) pair, a leaf's its (key, tau, path) pick."""
+    picks, stack = [], [witness]
+    while stack:
+        item = stack.pop()
+        if len(item) == 2:
+            stack += (item[1], item[0])
+        else:
+            picks.append(item)
+    return picks
 
 
 def _seifert(expr, notes):
@@ -491,11 +589,13 @@ def solve_sn(expr, c_bound=None):
     notes = []
     seifert = _seifert(expr, notes)
     reference = seifert.tau if seifert is not None else None
-    grouped = {}  # every root key is closed: c = 0
-    for entries in _root_table(expr, c_bound).values():
+    kept = {}  # tau -> the (rank, nested picks) of smallest rank
+    for entries in _root_table(expr, c_bound).values():  # all closed: c = 0
         for t, witness in entries.items():
-            grouped.setdefault((Fraction(t), ""), []).append(witness)
-    slopes = set() if reference is None else {total - reference for total, _ in grouped}
+            if t not in kept or witness[0] < kept[t][0]:
+                kept[t] = witness
+    grouped = {(t, ""): (rank, _leaf_picks(w)) for t, (rank, w) in kept.items()}
+    slopes = set() if reference is None else {t - reference for t in kept}
     if not grouped:
         notes.append("no closed systems within c_bound=%d" % c_bound)
     return _finish(expr, grouped, seifert, slopes, c_bound, notes)
@@ -522,6 +622,8 @@ class _Segment:
     offset: Fraction
     lo: Fraction  # valid for lo <= u < hi
     hi: Fraction
+    steps: int = 0  # tau of the whole edges before the partial one
+    last: int = 0  # tau of the partial edge taken whole: 2 down, -2 up
 
 
 def _leaf_segments(pq):
@@ -532,13 +634,16 @@ def _leaf_segments(pq):
     seen = set()
     for path in enumerate_paths(pq):
         vs = path.vertices
+        steps = 0  # tau through vs[j + 1]
         for j in range(len(vs) - 1):
+            pj, qj = vs[j].numerator, vs[j].denominator
+            pk, qk = vs[j + 1].numerator, vs[j + 1].denominator
+            last = 2 if pk * qj < pj * qk else -2
+            steps += last
             prefix = vs[: j + 2]
             if prefix in seen:
                 continue
             seen.add(prefix)
-            pj, qj = vs[j].numerator, vs[j].denominator
-            pk, qk = vs[j + 1].numerator, vs[j + 1].denominator
             rise = Fraction(pk - pj, qk - qj)
             segments.append(
                 _Segment(
@@ -548,6 +653,8 @@ def _leaf_segments(pq):
                     pj + (1 - qj) * rise,
                     Fraction(qk - 1, qk),
                     Fraction(qj - 1, qj),
+                    steps - last,
+                    last,
                 )
             )
     return segments
@@ -560,6 +667,28 @@ def _segment_path(pq, segment, u0):
     total = 1 / (1 - u0)
     f = (total - vj.denominator) / (vk.denominator - vj.denominator)
     return VertexPath(pq, segment.prefix, final_fraction=f)
+
+
+def _segment_pick(pq, segment, u0):
+    """The leaf pick (key, tau, path) of a segment at u0.
+
+    An edge's path ends the share f = n/d along its last edge, at the mix
+    (d - n) <vj> + n <vk> of the two vertex states (1, q - 1, p), as in
+    edgepaths.end_weights; its tau is the whole edges' plus f times the
+    last one's.
+    """
+    path = _segment_path(pq, segment, u0)
+    if segment.kind == "const":
+        return path.state.triple(), 0, path
+    f = path.final_fraction
+    vj, vk = segment.prefix[-2], segment.prefix[-1]
+    k1, k2 = f.denominator - f.numerator, f.numerator
+    key = (
+        k1 + k2,
+        k1 * (vj.denominator - 1) + k2 * (vk.denominator - 1),
+        k1 * vj.numerator + k2 * vk.numerator,
+    )
+    return key, segment.steps + segment.last * f, path
 
 
 def _w_ends(segment):
@@ -643,14 +772,16 @@ def _segment_label(segment):
 
 
 def _type_ii_options(pq, c_bound):
-    """(descent, endpoint m, y) for each descent of a leaf ending within
-    +-c_bound; y is the denominator of its penultimate vertex."""
+    """(endpoint m, y, pick) for each descent of a leaf ending within
+    +-c_bound; y is the denominator of its penultimate vertex, and the
+    pick is the descent's (key, tau, path), its key the vertex <m>."""
     options = []
     for descent in enumerate_paths(pq):
         vs = descent.vertices
         m = int(vs[-1])
         if abs(m) <= c_bound:
-            options.append((descent, m, vs[-2].denominator if len(vs) > 1 else 1))
+            y = vs[-2].denominator if len(vs) > 1 else 1
+            options.append((m, y, ((1, 0, m), tau(descent), descent)))
     return options
 
 
@@ -680,29 +811,29 @@ def solve_montesinos(expr, c_bound=None):
     seifert = _seifert(expr, notes)
     reference = seifert.tau if seifert is not None else None
 
-    grouped = {}
+    grouped = {}  # (tau, note) -> the (descriptor, picks) of least descriptor
     slopes = set()
 
-    def stage(assignment, note, counted):
-        total = sum((tau(p) for p in assignment), ZERO)
+    def stage(picks, note, counted):
+        total = sum(t for _, t, _ in picks)
         if counted and reference is not None:
             slopes.add(total - reference)
-        desc = tuple(p.describe() for p in assignment)
-        grouped.setdefault((total, note), []).append((desc, tuple(assignment)))
+        desc = tuple(path.describe() for _, _, path in picks)
+        kept = grouped.get((total, note))
+        if kept is None or desc < kept[0]:
+            grouped[total, note] = desc, picks
 
     for u0, combo, note in _type_i_candidates(leaves, notes):
-        assignment = [
-            _segment_path(l.fraction, s, u0) for l, s in zip(leaves, combo)
-        ]
-        stage(assignment, note, counted=(note == ""))
+        picks = [_segment_pick(l.fraction, s, u0) for l, s in zip(leaves, combo)]
+        stage(picks, note, counted=(note == ""))
 
     per_leaf = [_type_ii_options(l.fraction, c_bound) for l in leaves]
     for combo in iterproduct(*per_leaf):
-        if sum(m for _, m, _ in combo) != 0:
+        if sum(m for m, _, _ in combo) != 0:
             continue
-        essential = _essential([y for _, _, y in combo])
+        essential = _essential([y for _, y, _ in combo])
         stage(
-            [path for path, _, _ in combo],
+            [pick for _, _, pick in combo],
             "" if essential else "inessential-candidate",
             counted=essential,
         )

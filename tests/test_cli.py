@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -6,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from tangleslopes import solver
+from tangleslopes import cli, solver
 from tangleslopes.cli import build_parser, entrypoint, main
 
 PRETZEL_237 = "-1/2 + 1/3 + 1/7"
@@ -123,6 +124,26 @@ def test_failed_family_check_exit(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify", "--n-max", "2")
     assert code == 1
     assert out.splitlines()[0].startswith("n=2 FAIL (trace: family system check")
+
+
+def test_verify_checks_every_reported_system(monkeypatch, capsys):
+    # the solve builds its traces itself; verify replays each one, so a
+    # report whose last system claims a wrong tau fails
+    real = cli.solve_sn
+
+    def tampered(expr, c_bound=None):
+        rep = real(expr, c_bound)
+        last = rep.systems[-1]
+        wrong = dataclasses.replace(last, tau=last.tau + 2)
+        return dataclasses.replace(rep, systems=rep.systems[:-1] + (wrong,))
+
+    monkeypatch.setattr(cli, "solve_sn", tampered)
+    code, out, _ = run(capsys, "verify", "--n-max", "2")
+    assert code == 1
+    assert out.splitlines() == [
+        "n=2 FAIL (system 14: tau 16 != replayed 14)",
+        "FAIL: 1 of 1 checks",
+    ]
 
 
 def test_verify_ok_and_byte_identical(capsys):

@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from tangleslopes import kn, parse, solve
+from tangleslopes import kn, parse, solve, verify_system
 from tangleslopes.cli import format_json
 
 GOLDEN = (
@@ -84,11 +84,17 @@ def test_nested_products_are_pinned(text, c_bound, digest):
 
 
 def test_deep_left_nested_product_is_pinned():
-    # 500 factors, the parse depth cap: slopes.replay, which recurses
-    # once per level, must stay within the recursion limit
+    # 500 factors, the parse depth cap. The solve builds its traces
+    # without recursion; verify_system re-derives each one through
+    # slopes.replay, which recurses once per level and must stay within
+    # the recursion limit
     expr = parse(" o ".join(["1/3"] * 500))
-    out = format_json(solve(expr, c_bound=1))
+    rep = solve(expr, c_bound=1)
+    out = format_json(rep)
     assert (
         hashlib.sha256(out.encode()).hexdigest()
         == "bb8f7f026cfd534a8888c75edb1274324855e0985eed1c58b3bdbf66a43fdbf6"
     )
+    assert rep.systems
+    for system in rep.systems:
+        assert verify_system(system) == []

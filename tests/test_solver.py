@@ -21,6 +21,8 @@ from tangleslopes import (
     solve_sn,
     verify_system,
 )
+from tangleslopes import slopes
+from tangleslopes.slopes import replay
 from tangleslopes.solver import (
     _demand_pass,
     _distinct_nodes,
@@ -392,6 +394,95 @@ def test_all_emitted_systems_verify():
             assert verify_system(system) == [], (rep.expr, system.note)
 
 
+@st.composite
+def _fractions(draw, q_max):
+    """p/q with q <= q_max and |p/q| < 3, integers included."""
+    q = draw(st.integers(min_value=1, max_value=q_max))
+    ps = [p for p in range(1 - 3 * q, 3 * q) if p and gcd(p, q) == 1]
+    return Fraction(draw(st.sampled_from(ps)), q)
+
+
+def _tree(draw, parts, node):
+    """A binary tree of node over parts, in order, split where drawn."""
+    if len(parts) == 1:
+        return parts[0]
+    cut = draw(st.integers(min_value=1, max_value=len(parts) - 1))
+    return node(_tree(draw, parts[:cut], node), _tree(draw, parts[cut:], node))
+
+
+@st.composite
+def _montesinos_sums(draw):
+    leaves = draw(st.lists(_fractions(9).map(Leaf), min_size=3, max_size=5))
+    return _tree(draw, leaves, Sum)
+
+
+@st.composite
+def _products(draw):
+    factor = st.lists(_fractions(5).map(Leaf), min_size=1, max_size=2)
+    factors = [
+        _tree(draw, leaves, Sum)
+        for leaves in draw(st.lists(factor, min_size=2, max_size=3))
+    ]
+    return _tree(draw, factors, Product)
+
+
+def _check_traces_equal_replay(expr):
+    systems = [s for s in solve(expr).systems if s.note != "seifert-reference"]
+    for system in systems:
+        nodes, closure, total = replay(expr, system.assignment)
+        assert nodes == system.nodes, (expr, system.slope)
+        assert closure == system.closure, (expr, system.slope)
+        assert total == system.tau, (expr, system.slope)
+    return len(systems)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_montesinos_sums())
+@example(parse("1/2 + (-1/3 + 2/5)"))  # a right-nested sum
+@example(parse("-5/2 + 1/3 + 1/7 + 2"))  # an integer leaf
+@example(parse("2 + -1/3 + -1/7"))  # no normalization: a null slope
+def test_montesinos_traces_equal_replay(expr):
+    # the engine builds every node's state and tau in integers from its
+    # leaf picks; replay, through rotate_reflect and glue_scaled, agrees
+    _check_traces_equal_replay(expr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_products())
+@example(parse("(2 + 1/3) o 1/2"))  # an integer leaf
+@example(parse("1/2 o (1/3 o -2/5)"))  # a right-nested product
+def test_product_traces_equal_replay(expr):
+    _check_traces_equal_replay(expr)
+
+
+def test_trace_examples_list_systems():
+    # the property's examples are not vacuous; the (-2, 3, 7) pretzel has
+    # type-I systems, whose partial last edges give Fraction taus
+    texts = (
+        "1/2 + (-1/3 + 2/5)",
+        "-5/2 + 1/3 + 1/7 + 2",
+        "2 + -1/3 + -1/7",
+        "(2 + 1/3) o 1/2",
+        "1/2 o (1/3 o -2/5)",
+        PRETZEL_237,
+    )
+    for text in texts:
+        assert _check_traces_equal_replay(parse(text)), text
+    assert _check_traces_equal_replay(kn(3))
+
+
+def test_solve_never_replays(monkeypatch):
+    # replay (and build_system, which calls it) is the checker only
+    def refuse(expr, paths):
+        raise AssertionError("solve called slopes.replay")
+
+    monkeypatch.setattr(slopes, "replay", refuse)
+    for expr in (parse("(1/2 + 1/3) o 1/4"), kn(3), parse(PRETZEL_237)):
+        assert solve(expr).systems, expr
+    with pytest.raises(AssertionError):  # the patch does reach replay
+        kn_system(3)
+
+
 def _key_of(state):
     """The key of a state the solve builds: its triple, after checking
     that it carries no slope-0 or slope-infinity boundary edges."""
@@ -477,10 +568,11 @@ def _closed(table):
 
 
 def _paths(assignment):
-    """The paths of a nested assignment, left to right."""
-    if isinstance(assignment, tuple):
-        return tuple(path for item in assignment for path in _paths(item))
-    return (assignment,)
+    """The paths of a nested assignment, left to right: a merge's part is
+    a (left, right) pair, a leaf's its (key, tau, path) pick."""
+    if len(assignment) == 3:
+        return (assignment[2],)
+    return tuple(path for item in assignment for path in _paths(item))
 
 
 def _flat(entries):
@@ -729,7 +821,8 @@ def test_leaf_table_taus_and_keys_match_their_paths(c_bound):
         for key, entries in _leaf_witnesses(leaf, keys, set(keys)).items():
             # the same smallest witness per (key, tau) as the lattice
             assert _flat(entries) == lattice[key], (pq, key)
-            for t, (desc, path) in entries.items():
+            for t, (desc, (pick_key, pick_t, path)) in entries.items():
+                assert (pick_key, pick_t) == (key, t)
                 assert desc == path.describe()
                 if path.is_constant:
                     assert (t, key) == (0, _key_of(path.state.primitive()))
