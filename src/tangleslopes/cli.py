@@ -5,6 +5,10 @@ verify (family invariant checks), plot (SVG/TSV figures). Exit codes:
 0 success, 1 verification failure, 2 usage or parse error, 3 empty
 result, 4 output I/O error. Diagnostics go to stderr; LOG_LEVEL
 (error|warn|info|debug) tunes logging, default warn.
+
+format_json writes a JSON report on every Python version as exactly
+json.dumps(report_document(rep), indent=2) plus a newline; report_document
+is the reference it is tested against.
 """
 
 import argparse
@@ -110,73 +114,94 @@ def report_document(rep):
     }
 
 
-# CPython 3.13 and later encode json.dumps(..., indent=...) in C
-_C_INDENT = sys.version_info >= (3, 13)
 _escape = json.encoder.encode_basestring_ascii
 
 
-def _emit(out, value, pad=""):
-    """Append the text of json.dumps(value, indent=2) to the list `out`.
+def _template(keys, indent):
+    # the `%` template of an object with these keys as json.dumps(indent=2)
+    # writes it with its braces `indent` spaces in; values go in as JSON text
+    pad = "\n" + " " * indent
+    return "{" + ",".join('%s  "%s": %%s' % (pad, key) for key in keys) + pad + "}"
 
-    Handles exactly the types report_document produces: dict with str
-    keys, list, str, bool, int and None, dispatched on exact type; any
-    other value (float, Fraction, tuple, set, a non-str key) raises
-    TypeError. Recurses once per container level of the document.
-    """
-    kind = type(value)
-    if kind is str:
-        out.append(_escape(value))
-    elif kind is bool:
-        out.append("true" if value else "false")
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif value is None:
-        out.append("null")
-    elif kind is list:
-        if not value:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        sep, comma = "[\n" + inner, ",\n" + inner
-        for item in value:
-            out.append(sep)
-            sep = comma
-            _emit(out, item, inner)
-        out.append("\n" + pad + "]")
-    elif kind is dict:
-        if not value:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        sep, comma = "{\n" + inner, ",\n" + inner
-        for key, item in value.items():
-            if type(key) is not str:
-                raise TypeError("report keys must be str, not %s" % type(key).__name__)
-            out.append(sep)
-            sep = comma
-            out.append(_escape(key))
-            out.append(": ")
-            _emit(out, item, inner)
-        out.append("\n" + pad + "}")
-    else:
-        raise TypeError("%s is not a report value" % kind.__name__)
+
+def _array(items, indent):
+    # the list of JSON texts `items` as an array, brackets `indent` spaces
+    # in; wraps the end items in place, not the joined text (megabytes, at times)
+    if not items:
+        return "[]"
+    pad = "\n" + " " * indent
+    items[0] = "[" + pad + "  " + items[0]
+    items[-1] += pad + "]"
+    return ("," + pad + "  ").join(items)
+
+
+def _quoted(value):
+    # the JSON text of _frac(value): a Fraction's or an int's str needs no escaping
+    return "null" if value is None else '"%s"' % value
+
+
+_WEIGHTS = ("a", "b", "c", "n_inf", "has_zero")
+_REPORT = _template(("schema_version", "expr", "c_bound", "crossings", "slopes", "certified",
+                     "diameter", "ratio", "notes", "systems"), 0) + "\n"
+_CROSSINGS = _template(("count", "source"), 2)
+_SYSTEM = _template(("slope", "tau", "note", "closure", "paths", "nodes"), 4)
+_CONST = _template(("kind", "tangle", "state"), 8)
+_PATH = _template(("kind", "tangle", "vertices", "final_fraction", "sheets"), 8)
+_NODE = _template(("label", "kind", "state", "tau", "scales", "case_id", "m", "tau_prime",
+                   "transformed"), 8)
+_CLOSURE, _STATE = _template(_WEIGHTS, 6), _template(_WEIGHTS, 10)
 
 
 def format_json(rep):
     """The report as json.dumps(report_document(rep), indent=2) plus a newline.
 
-    Before CPython 3.13, json.dumps runs its pure-Python, generator-based
-    encoder whenever `indent` is set; `_emit` writes the same bytes at about
-    twice its speed. From 3.13 json.dumps encodes `indent` in C and is
-    faster than `_emit`, so it is kept there.
+    Written straight from the records, one template per record kind. The
+    solve shares WeightStates, node traces and paths between systems, so
+    each is written once per call, keyed by id(); `rep` keeps every record
+    alive while the call runs.
     """
-    doc = report_document(rep)
-    if _C_INDENT:
-        return json.dumps(doc, indent=2) + "\n"
-    out = []
-    _emit(out, doc)
-    out.append("\n")
-    return "".join(out)
+    states, closures, paths, nodes, scales = {}, {}, {}, {}, {}
+
+    def weights(state, written, template):
+        if state is None:
+            return "null"
+        if id(state) not in written:
+            written[id(state)] = template % (
+                state.a, state.b, state.c, state.n_inf, "true" if state.has_zero else "false")
+        return written[id(state)]
+
+    def path_text(path):
+        if id(path) not in paths:
+            if path.is_constant:
+                state = [str(x) for x in path.state.triple()]
+                text = _CONST % ('"const"', _quoted(path.tangle), _array(state, 10))
+            else:
+                text = _PATH % ('"path"', _quoted(path.tangle),
+                                _array([_quoted(v) for v in path.vertices], 10),
+                                _quoted(path.final_fraction), path.sheets)
+            paths[id(path)] = text
+        return paths[id(path)]
+
+    def node_text(node):
+        if id(node) not in nodes:
+            if node.scales not in scales:
+                scales[node.scales] = _array([str(x) for x in node.scales], 10)
+            nodes[id(node)] = _NODE % (
+                _escape(node.label), _escape(node.kind), weights(node.state, states, _STATE),
+                _quoted(node.tau), scales[node.scales], node.case_id, node.m,
+                _quoted(node.tau_prime), weights(node.transformed, states, _STATE))
+        return nodes[id(node)]
+
+    systems = [_SYSTEM % (
+        _quoted(s.slope), _quoted(s.tau), _escape(s.note), weights(s.closure, closures, _CLOSURE),
+        _array([path_text(p) for p in s.assignment], 6),
+        _array([node_text(n) for n in s.nodes], 6)) for s in rep.systems]
+    return _REPORT % (
+        SCHEMA_VERSION, _escape(render(rep.expr)), rep.c_bound,
+        _CROSSINGS % (rep.crossings, _escape(rep.crossing_source)),
+        _array([_quoted(s) for s in rep.slopes], 2),
+        _array([_quoted(s) for s in rep.certified], 2), _quoted(rep.diameter),
+        _quoted(rep.ratio), _array([_escape(n) for n in rep.notes], 2), _array(systems, 2))
 
 
 def format_table(rep):

@@ -51,10 +51,11 @@ Two closure regimes:
   u on each piece, and sum v = 0 is solved exactly piece by piece
   (type I). The type-I walk visits only the prefixes of segment choices
   whose validity intervals overlap; it skips no combination that can
-  close. It runs in integers: each interval end is (q - 1)/q for a vertex
-  denominator q, or 1, so in the coordinate w = 1/(1 - u) it is the int q,
-  or unbounded (None); coeffs and offsets are scaled by D, the lcm of
-  their denominators over the sum's leaves. A combination with scaled
+  close. It runs in integers, and so are the segments: each interval end
+  is (q - 1)/q for a vertex denominator q, or 1, so in the coordinate
+  w = 1/(1 - u) it is the int q, or unbounded (None); coeff and offset are
+  numerators over one int denominator, and the walk scales them by D, the
+  lcm of those denominators over the sum's leaves. A combination with scaled
   totals C and O closes at u0 = -O/C, tested against its w interval by
   cross-multiplication, and a Fraction is built only for a u0 that
   passes. Systems whose paths all reach the u = 0 line close when the
@@ -618,44 +619,36 @@ def _system_order(system):
 class _Segment:
     kind: str  # "const" | "edge"
     prefix: tuple  # vertices through the partial edge (edge segments)
-    coeff: Fraction  # v(u) = coeff * u + offset on the validity interval
-    offset: Fraction
-    lo: Fraction  # valid for lo <= u < hi
-    hi: Fraction
+    w_lo: int  # valid for w_lo <= w < w_hi, w = 1 / (1 - u): vertex denominators
+    w_hi: int  # None: unbounded
+    coeff: int  # v(u) = (coeff * u + offset) / den on that interval; den is q
+    offset: int  # for the constant p/q, and qk - qj < 0 for an edge vj -> vk
+    den: int
     steps: int = 0  # tau of the whole edges before the partial one
     last: int = 0  # tau of the partial edge taken whole: 2 down, -2 up
 
 
 def _leaf_segments(pq):
     p, q = pq.numerator, pq.denominator
-    segments = [
-        _Segment("const", (), ZERO, Fraction(p, q), Fraction(q - 1, q), ONE)
-    ]
+    segments = [_Segment("const", (), q, None, 0, p, q)]
     seen = set()
     for path in enumerate_paths(pq):
         vs = path.vertices
+        ends = [(v.numerator, v.denominator) for v in vs]
         steps = 0  # tau through vs[j + 1]
         for j in range(len(vs) - 1):
-            pj, qj = vs[j].numerator, vs[j].denominator
-            pk, qk = vs[j + 1].numerator, vs[j + 1].denominator
+            (pj, qj), (pk, qk) = ends[j], ends[j + 1]
             last = 2 if pk * qj < pj * qk else -2
             steps += last
-            prefix = vs[: j + 2]
-            if prefix in seen:
+            key = tuple(ends[: j + 2])
+            if key in seen:
                 continue
-            seen.add(prefix)
-            rise = Fraction(pk - pj, qk - qj)
+            seen.add(key)
+            # the line through the points (1 - 1/q, p/q) of vj and vk
+            den = qk - qj
+            coeff, offset = qj * pk - pj * qk, pj * den + (1 - qj) * (pk - pj)
             segments.append(
-                _Segment(
-                    "edge",
-                    prefix,
-                    -pj + qj * rise,
-                    pj + (1 - qj) * rise,
-                    Fraction(qk - 1, qk),
-                    Fraction(qj - 1, qj),
-                    steps - last,
-                    last,
-                )
+                _Segment("edge", vs[: j + 2], qk, qj, coeff, offset, den, steps - last, last)
             )
     return segments
 
@@ -691,17 +684,6 @@ def _segment_pick(pq, segment, u0):
     return key, segment.steps + segment.last * f, path
 
 
-def _w_ends(segment):
-    """A segment's validity interval [lo, hi) in w = 1 / (1 - u): the ints
-    (w_lo, w_hi), with w_hi None for hi = 1, where w is unbounded.
-
-    Every end is (q - 1) / q for a vertex denominator q >= 1, or 1, and
-    1 / (1 - (q - 1) / q) = q is that Fraction's denominator.
-    """
-    hi = None if segment.hi == 1 else segment.hi.denominator
-    return segment.lo.denominator, hi
-
-
 def _u_of(w):
     """The u = 1 - 1/w of an interval end in w, or 1 for unbounded w."""
     return ONE if w is None else Fraction(w - 1, w)
@@ -715,22 +697,15 @@ def _type_i_candidates(leaves, notes):
     coeff, offset and interval [lo, hi). Extending a prefix only narrows
     its interval, so a prefix whose interval is empty is dropped together
     with every extension: no combination that can close is skipped. The
-    walk is in integers: intervals in w (_w_ends), coeffs and offsets
+    walk is in the segments' ints: intervals in w, coeffs and offsets
     scaled by the lcm of their denominators.
     """
     per_leaf = [_leaf_segments(l.fraction) for l in leaves]
-    scale = lcm(
-        *(x.denominator for segs in per_leaf for s in segs for x in (s.coeff, s.offset))
-    )
+    scale = lcm(*(s.den for segs in per_leaf for s in segs))
     # each leaf's (w_lo, w_hi, scaled coeff, scaled offset, segment),
     # reversed, so that extensions pop in product order
-    choices = [
-        [
-            _w_ends(s) + (int(s.coeff * scale), int(s.offset * scale), s)
-            for s in reversed(segs)
-        ]
-        for segs in per_leaf
-    ]
+    choices = [[(s.w_lo, s.w_hi, s.coeff * (scale // s.den), s.offset * (scale // s.den), s)
+                for s in reversed(segs)] for segs in per_leaf]
     depth = len(choices)
     stack = [((), 0, 0, 1, None)]  # u in [0, 1)
     while stack:
@@ -767,7 +742,7 @@ def _type_i_candidates(leaves, notes):
 
 def _segment_label(segment):
     if segment.kind == "const":
-        return "const %s" % segment.offset
+        return "const %s" % Fraction(segment.offset, segment.den)
     return "edge to %s" % segment.prefix[-1]
 
 

@@ -1,0 +1,53 @@
+"""Knot-invariance oracles: rewrite an expression, keep the knot, compare
+the slope sets.
+
+The boundary slopes of a knot are an invariant of the knot, so every
+rewrite that keeps the knot must keep the reported slope set. Cyclic
+rotation and reversal of a Montesinos sum's leaves are isotopies of its
+closure: rotation carries the last tangle around the back of the
+diagram, and turning the diagram over reverses the order while each
+rational tangle is carried to itself. No invariant is needed to show
+that the rewritten expression is the same knot.
+
+Slope sets are compared only where the report has a normalization (the
+Seifert reference system), since without one no slope is reported.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from tangleslopes import parse, solve
+
+
+@st.composite
+def _leaves(draw):
+    """3-4 leaves p/q with 2 <= q <= 7 and |p/q| < 1."""
+    leaves = []
+    for _ in range(draw(st.integers(min_value=3, max_value=4))):
+        q = draw(st.integers(min_value=2, max_value=7))
+        p = draw(st.sampled_from([p for p in range(1 - q, q) if p and gcd(p, q) == 1]))
+        leaves.append(Fraction(p, q))
+    return leaves
+
+
+def _normalized_slopes(leaves):
+    """The slope set of the sum of `leaves`, or None without a normalization."""
+    rep = solve(parse(" + ".join(str(pq) for pq in leaves)))
+    if not any(s.note == "seifert-reference" for s in rep.systems):
+        return None
+    return rep.slopes
+
+
+@settings(max_examples=60, deadline=None)
+@given(_leaves())
+# P(-2, 3, 7), whose pinned set {0, 16, 37/2, 20} has four slopes
+@example([Fraction(-1, 2), Fraction(1, 3), Fraction(1, 7)])
+@example([Fraction(-1, 5), Fraction(-2, 7), Fraction(5, 6), Fraction(-3, 4)])
+def test_rotation_and_reversal_keep_montesinos_slopes(leaves):
+    slopes = _normalized_slopes(leaves)
+    assume(slopes is not None)
+    for moved in (leaves[1:] + leaves[:1], leaves[::-1]):
+        assert _normalized_slopes(moved) == slopes, moved

@@ -1,29 +1,30 @@
-"""The indented JSON writer in `cli` against `json.dumps(indent=2)`.
+"""`cli.format_json` against `json.dumps(report_document(rep), indent=2)`.
 
-`cli._emit` must write exactly the text of `json.dumps(value, indent=2)`
-for the value types a report holds, and refuse every other type.
-`json.dumps` is the reference here on every Python version, including
-3.13 and later, where `format_json` calls it instead of `_emit`.
+`format_json` writes report text from per-record templates; it must give
+exactly the text `json.dumps` gives for `report_document(rep)`, plus a
+newline, on every Python version. `report_document` and `json.dumps` are
+the reference here. Solved reports give the writer shared records and
+realistic shapes; strings put into their notes and node labels with
+`dataclasses.replace` keep escaping covered.
 """
 
 import json
 import random
-from fractions import Fraction
+from dataclasses import replace
+from itertools import cycle
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tangleslopes import parse, solve
-from tangleslopes.cli import _emit, format_json, report_document
+from tangleslopes import WeightState, parse, solve
+from tangleslopes.cli import format_json, report_document
 from test_golden import GOLDEN, _expr
 
 
-def _written(value):
-    out = []
-    _emit(out, value)
-    return "".join(out)
+def _reference(rep):
+    return json.dumps(report_document(rep), indent=2) + "\n"
 
 
 # quotes, backslashes, control characters, DEL, non-ASCII, astral and
@@ -32,62 +33,40 @@ _tricky = st.sampled_from(
     ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "∞", " ", "😀", "\ud800", "/"]
 )
 _text = st.lists(st.one_of(_tricky, st.text(max_size=4)), max_size=5).map("".join)
-_scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=-(10**60), max_value=10**60),
-    _text,
-)
-_trees = st.recursive(
-    _scalars,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.dictionaries(_text, inner, max_size=4),
-    ),
-    max_leaves=40,
-)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_trees)
-def test_writer_matches_json_dumps(value):
-    assert _written(value) == json.dumps(value, indent=2)
+def _relabel(rep, strings):
+    """rep with its notes, crossing source, system notes and node labels
+    drawn in turn from `strings`; a node shared between systems stays
+    shared, so the writer's per-record reuse sees the new labels."""
+    text = cycle(strings)
+    nodes = {}
+
+    def node(n):
+        if id(n) not in nodes:
+            nodes[id(n)] = replace(n, label=next(text))
+        return nodes[id(n)]
+
+    systems = tuple(
+        replace(s, note=next(text), nodes=tuple(node(n) for n in s.nodes)) for s in rep.systems
+    )
+    notes = tuple(next(text) for _ in range(len(rep.notes) + 1))
+    return replace(rep, systems=systems, notes=notes, crossing_source=next(text))
 
 
 def test_writer_on_fixed_edge_cases():
-    # bool before int: True is an int but prints as true, not 1
-    assert _written([True, False, 1, 0, -1]) == json.dumps([True, False, 1, 0, -1], indent=2)
-    assert _written({"a": [], "b": {}, "c": [[[]]], "d": None}) == json.dumps(
-        {"a": [], "b": {}, "c": [[[]]], "d": None}, indent=2
-    )
-    assert _written(-(10**100)) == str(-(10**100))
-    assert _written("\"\\\x01é😀") == json.dumps("\"\\\x01é😀")
-
-
-@pytest.mark.parametrize(
-    "value",
-    [
-        1.5,
-        0.0,
-        Fraction(0),
-        Fraction(1, 2),
-        (1, 2),
-        (),
-        {1, 2},
-        set(),
-        {1: "int key"},
-        [Fraction(0)],
-        {"nested": {"deeper": [0.0]}},
-        {"key": Fraction(0)},
-    ],
-    ids=repr,
-)
-def test_writer_refuses_other_types(value):
-    # Fraction(0) and empty tuples and sets are falsy: a writer that
-    # falls through to a container branch would print them as [] or {}
-    with pytest.raises(TypeError):
-        _written(value)
+    rep = solve(parse("-1/2 + 1/3 + 1/5"), c_bound=4)
+    # no systems and no notes: empty arrays
+    bare = replace(rep, systems=(), notes=(), slopes=(), certified=(), diameter=None, ratio=None)
+    assert '"systems": []\n}\n' in format_json(bare)
+    # a state with slope-infinity and slope-0 edges, which no solve builds,
+    # as a closure and as a node state
+    odd = WeightState(2, 3, -5, 4, True)
+    system = rep.systems[0]
+    system = replace(system, closure=odd, nodes=(replace(system.nodes[0], state=odd),))
+    for case in (bare, replace(rep, systems=(system,)), _relabel(rep, ['"\\\x01é😀\ud800'])):
+        assert format_json(case) == _reference(case)
+    assert '"has_zero": true' in format_json(replace(rep, systems=(system,)))
 
 
 def _leaf(rng, q_max):
@@ -107,6 +86,15 @@ def _product_input(rng):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans(), st.lists(_text, min_size=1, max_size=8))
+def test_writer_matches_json_dumps(rng, product, strings):
+    # a 3-5-leaf sum or a product of 2-3 factors, as in the sweep below
+    text = _product_input(rng) if product else _sum_input(rng)
+    rep = _relabel(solve(parse(text), c_bound=4), strings)
+    assert format_json(rep) == _reference(rep)
+
+
 _rng = random.Random(20261018)
 SWEEP = [(_sum_input(_rng), 4) for _ in range(20)] + [(_product_input(_rng), 4) for _ in range(10)]
 # every test_golden input, the 500-factor chain of its deep-product pin included
@@ -119,17 +107,15 @@ CORPUS = [(text, c_bound) for text, c_bound, _ in GOLDEN] + [(DEEP, 1)] + SWEEP
 )
 def test_format_json_is_json_dumps_on_reports(text, c_bound):
     rep = solve(_expr(text), c_bound=c_bound)
-    doc = report_document(rep)
-    reference = json.dumps(doc, indent=2) + "\n"
-    written = _written(doc) + "\n"
-    assert written == reference
-    assert format_json(rep) == written
-    assert json.loads(written) == doc
+    written = format_json(rep)
+    assert written == _reference(rep)
+    assert json.loads(written) == report_document(rep)
 
 
 def test_null_diameter_and_ratio_reach_the_writer():
     # a golden input: no even-denominator tangle, so no normalization and
     # null diameter and ratio
-    doc = report_document(solve(parse("2 + 1/3 + 1/7")))
+    rep = solve(parse("2 + 1/3 + 1/7"))
+    doc = report_document(rep)
     assert doc["slopes"] == [] and doc["diameter"] is None and doc["ratio"] is None
-    assert '"diameter": null,\n  "ratio": null,' in _written(doc)
+    assert '"diameter": null,\n  "ratio": null,' in format_json(rep)

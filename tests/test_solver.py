@@ -41,9 +41,9 @@ from tangleslopes.solver import (
     _type_i_candidates,
     _type_ii_options,
     _u_of,
-    _w_ends,
     default_c_bound,
 )
+from tangleslopes.diagram import vertex_point
 from tangleslopes.edgepaths import (
     ConstantPath,
     endpoint_state,
@@ -266,13 +266,30 @@ def test_type_i_segments_outnumber_u_zero_options():
                 assert len(_leaf_segments(pq)) >= len(_type_ii_options(pq, 32)), pq
 
 
+def _reference_piece(pq, segment):
+    """A segment's line v = coeff * u + offset and its interval [lo, hi), in
+    Fractions: from the vertex points of its last edge, or from p/q for the
+    constant; not from the segment's own int fields."""
+    if segment.kind == "const":
+        return Fraction(0), pq, vertex_point(pq).u, Fraction(1)
+    vj, vk = (vertex_point(v) for v in segment.prefix[-2:])
+    coeff = (vk.v - vj.v) / (vk.u - vj.u)
+    return coeff, vj.v - coeff * vj.u, vk.u, vj.u
+
+
 def _type_i_by_product(leaves, notes):
     """The exhaustive segment product the depth-first walk replaced."""
-    for combo in iterproduct(*[_leaf_segments(l.fraction) for l in leaves]):
-        coeff = sum(s.coeff for s in combo)
-        offset = sum(s.offset for s in combo)
-        lo = max(s.lo for s in combo)
-        hi = min(s.hi for s in combo)
+    per_leaf = [
+        [(s, _reference_piece(l.fraction, s)) for s in _leaf_segments(l.fraction)]
+        for l in leaves
+    ]
+    for choice in iterproduct(*per_leaf):
+        combo = tuple(s for s, _ in choice)
+        pieces = [piece for _, piece in choice]
+        coeff = sum(c for c, _, _, _ in pieces)
+        offset = sum(o for _, o, _, _ in pieces)
+        lo = max(l for _, _, l, _ in pieces)
+        hi = min(h for _, _, _, h in pieces)
         if lo >= hi:
             continue
         if coeff == 0:
@@ -287,7 +304,7 @@ def _type_i_by_product(leaves, notes):
         u0 = -offset / coeff
         if u0 <= 0:
             continue
-        if all(s.lo <= u0 < s.hi for s in combo):
+        if all(l <= u0 < h for _, _, l, h in pieces):
             yield u0, combo, ""
 
 
@@ -347,8 +364,12 @@ def test_integer_type_i_walk_matches_segment_product(pqs):
 
 def test_type_i_examples_hit_interval_ends():
     # the two examples above reach the cases they are there for
-    at_lo = _type_i_candidates([Leaf(Fraction(f)) for f in ("-3/2", "13/8", "15/8", "-7/5")], [])
-    assert any(u0 == max(s.lo for s in combo) for u0, combo, _ in at_lo)
+    pqs = [Fraction(f) for f in ("-3/2", "13/8", "15/8", "-7/5")]
+    at_lo = _type_i_candidates([Leaf(pq) for pq in pqs], [])
+    assert any(
+        u0 == max(_reference_piece(pq, s)[2] for pq, s in zip(pqs, combo))
+        for u0, combo, _ in at_lo
+    )
     notes = []
     family = list(_type_i_candidates([Leaf(Fraction(f)) for f in ("5/3", "1", "-11/4")], notes))
     assert [(u0, note) for u0, _, note in family if note] == [
@@ -369,10 +390,14 @@ def test_w_ends_map_back_to_segment_intervals():
         for p in range(-3 * q, 3 * q + 1):
             if p and gcd(p, q) == 1:
                 for s in _leaf_segments(Fraction(p, q)):
-                    w_lo, w_hi = _w_ends(s)
+                    w_lo, w_hi = s.w_lo, s.w_hi
                     assert type(w_lo) is int and w_lo >= 1, (p, q, s)
                     assert w_hi is None or (type(w_hi) is int and w_lo < w_hi), (p, q, s)
-                    assert (_u_of(w_lo), _u_of(w_hi)) == (s.lo, s.hi), (p, q, s)
+                    coeff, offset, lo, hi = _reference_piece(Fraction(p, q), s)
+                    assert (_u_of(w_lo), _u_of(w_hi)) == (lo, hi), (p, q, s)
+                    assert all(type(x) is int for x in (s.coeff, s.offset, s.den)), (p, q, s)
+                    assert Fraction(s.coeff, s.den) == coeff, (p, q, s)
+                    assert Fraction(s.offset, s.den) == offset, (p, q, s)
 
 
 def test_montesinos_monotone_in_c_bound():
