@@ -5,12 +5,14 @@ exactly the text `json.dumps` gives for `report_document(rep)`, plus a
 newline, on every Python version. `report_document` and `json.dumps` are
 the reference here. Solved reports give the writer shared records and
 realistic shapes; strings put into their notes and node labels with
-`dataclasses.replace` keep escaping covered.
+`dataclasses.replace` keep escaping covered, and a non-string put in
+any of those slots must raise `TypeError`.
 """
 
 import json
 import random
 from dataclasses import replace
+from fractions import Fraction
 from itertools import cycle
 from math import gcd
 
@@ -67,6 +69,44 @@ def test_writer_on_fixed_edge_cases():
     for case in (bare, replace(rep, systems=(system,)), _relabel(rep, ['"\\\x01é😀\ud800'])):
         assert format_json(case) == _reference(case)
     assert '"has_zero": true' in format_json(replace(rep, systems=(system,)))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        1.5,
+        0.0,
+        Fraction(0),
+        Fraction(1, 2),
+        (1, 2),
+        (),
+        {1, 2},
+        set(),
+        {1: "int key"},
+        [Fraction(0)],
+        {"nested": {"deeper": [0.0]}},
+        {"key": Fraction(0)},
+    ],
+    ids=repr,
+)
+def test_writer_refuses_other_types(value):
+    # every string slot of a report (a note, the crossing source, a system
+    # note, a node label or kind) must hold a str; a writer that formats
+    # the value with %s would print 1.5 or 1/2 unquoted, and Fraction(0)
+    # or an empty tuple or set as 0, () or set()
+    rep = solve(parse("-1/2 + 1/3 + 1/5"), c_bound=4)
+    system = rep.systems[0]
+    node = system.nodes[0]
+    cases = [
+        replace(rep, notes=(value,)),
+        replace(rep, crossing_source=value),
+        replace(rep, systems=(replace(system, note=value),)),
+        replace(rep, systems=(replace(system, nodes=(replace(node, label=value),)),)),
+        replace(rep, systems=(replace(system, nodes=(replace(node, kind=value),)),)),
+    ]
+    for case in cases:
+        with pytest.raises(TypeError):
+            format_json(case)
 
 
 def _leaf(rng, q_max):
