@@ -25,14 +25,15 @@ unless the last edge is partial.
 `u_zero_paths` extends one descent along that line by vertical runs. The
 product-expression solver builds its per-tangle choices from both: it
 reads the run ends from `u_zero_ends` and builds a run with `run_to` only
-where it needs a witness. The Montesinos solver uses the descents alone.
+where it needs a witness. The Montesinos solver uses the descents alone,
+one integer walk per distinct leaf fraction.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .diagram import WeightState, is_edge, parents, uv_coords, vertex_point, vertex_triple
+from .diagram import WeightState, is_edge, uv_coords, vertex_point, vertex_triple
 from .errors import FractionalEndpoint
 
 ONE = Fraction(1)
@@ -170,26 +171,32 @@ def enumerate_paths(start):
     A descent steps to a parent vertex (smaller denominator) each time and
     never cuts across a triangle. An integer start has only its trivial
     one-vertex path. Sorted by length, then vertices.
+
+    The walk is in (p, q) int pairs on an explicit stack: the parents of
+    p/q are r/s < p/q < (p - r)/(q - s) with s = p^-1 mod q, and a step
+    cuts across a triangle when the integer determinant of the vertex
+    before and the next one is +-1. The smaller parent is walked first, so
+    the descents are found in the order of their vertices, and a stable
+    sort by length finishes. Each distinct vertex becomes a Fraction once.
     """
     start = Fraction(start)
     if start.denominator == 1:
         return [VertexPath(start, (start,))]
-
-    paths = []
-
-    def descend(vs):
-        here = vs[-1]
-        if here.denominator == 1:
-            paths.append(VertexPath(start, vs))
-            return
-        for nxt in parents(here):
-            if len(vs) >= 2 and is_edge(vs[-2], nxt):
-                continue  # would cut across a triangle
-            descend(vs + (nxt,))
-
-    descend((start,))
-    paths.sort(key=lambda p: (len(p.vertices), p.vertices))
-    return paths
+    ends, stack = [], [((start.numerator, start.denominator),)]
+    while stack:
+        vs = stack.pop()
+        p, q = vs[-1]
+        if q == 1:
+            ends.append(vs)
+            continue
+        s = pow(p % q, -1, q)
+        r = (p * s - 1) // q
+        for nxt in ((p - r, q - s), (r, s)):
+            if len(vs) < 2 or abs(vs[-2][0] * nxt[1] - vs[-2][1] * nxt[0]) != 1:
+                stack.append(vs + (nxt,))
+    ends.sort(key=len)
+    vertex = {v: Fraction(*v) for v in set().union(*ends)}
+    return [VertexPath(start, tuple(map(vertex.__getitem__, vs))) for vs in ends]
 
 
 def u_zero_ends(descent, c_bound):

@@ -45,46 +45,43 @@ def _anchor(p, q):
         if p % 2 == 0:
             return p
         return p - 1 if p > 0 else p + 1
-    f, x = p // q, Fraction(p, q)
+    # the nearer of two candidates to p/q, compared in ints
+    f = p // q
     if q % 2:
         r1 = f if (f - p) % 2 == 0 else f - 1
-        return r1 if x - r1 <= (r1 + 2) - x else r1 + 2
-    if x - f < f + 1 - x:
+        return r1 if p <= (r1 + 1) * q else r1 + 2
+    if 2 * p < (2 * f + 1) * q:
         return f
-    if f + 1 - x < x - f:
+    if 2 * p > (2 * f + 1) * q:
         return f + 1
     return f if f % 2 == 0 else f + 1  # halfway only for q = 2: even side
 
 
-def _even_entries(x):
-    # continued fraction with even entries; x has even numerator*denominator,
-    # so 1/x is never exactly an odd integer and the nearest-even choice is
-    # unique with remainder strictly smaller in numerator
-    entries = []
-    while x:
-        y = 1 / x
-        b = 2 * round(y / 2)
-        entries.append(b)
-        x = y - b
-    return entries
-
-
 def seifert_leaf_path(pq):
-    """Reference edgepath for one rational tangle, via its even expansion."""
+    """Reference edgepath for one rational tangle, via its even expansion.
+
+    The remainder x = p/q - r has even numerator*denominator, so its
+    continued fraction [0; b1, b2, ...] with even entries exists: each bi is
+    the even integer nearest to 1/x (never a tie, as 1/x is never an odd
+    integer), and x becomes 1/x - bi, a smaller numerator. The vertices are
+    r + h/k over the convergents h/k, all in ints.
+    """
     pq = Fraction(pq)
-    r = _anchor(pq.numerator, pq.denominator)
-    if pq.denominator == 1:
+    p, q = pq.numerator, pq.denominator
+    r = _anchor(p, q)
+    if q == 1:
         # integer tangles step straight to the even neighbour (or sit still);
         # the remainder +-1 has no even expansion
         vertices = (pq,) if pq == r else (pq, Fraction(r))
         return VertexPath(pq, vertices)
-    entries = _even_entries(pq - r)
+    n, d = p - r * q, q  # x = n/d
+    h, k, h0, k0 = 0, 1, 1, 0
     vertices = [Fraction(r)]
-    for j in range(1, len(entries) + 1):
-        value = Fraction(entries[j - 1])
-        for b in reversed(entries[: j - 1]):
-            value = b + 1 / value
-        vertices.append(r + 1 / value)
+    while n:
+        b = 2 * ((d + n) // (2 * n))  # 2 floor(d/2n + 1/2), n of either sign
+        n, d = d - b * n, n  # x = 1/x - b; d may be negative
+        h, k, h0, k0 = b * h + h0, b * k + k0, h, k
+        vertices.append(Fraction(r * k + h, k))
     return VertexPath(pq, tuple(reversed(vertices)))
 
 

@@ -45,8 +45,10 @@ Two closure regimes:
   sees every child pair: the key pass recorded every key pair behind a
   demanded key, and both keys of each pair are demanded in turn.
 
-* solve_montesinos handles sums of three or more rational tangles. The
-  common endpoint abscissa u is one unknown: each leaf contributes either
+* solve_montesinos handles sums of three or more rational tangles. It
+  walks each distinct leaf fraction's descents once, in ints
+  (enumerate_paths), and both closure classes read them. The common
+  endpoint abscissa u is one unknown: each leaf contributes either
   its constant family or a partially traversed final edge, v is affine in
   u on each piece, and sum v = 0 is solved exactly piece by piece
   (type I). The type-I walk visits only the prefixes of segment choices
@@ -628,11 +630,11 @@ class _Segment:
     last: int = 0  # tau of the partial edge taken whole: 2 down, -2 up
 
 
-def _leaf_segments(pq):
+def _leaf_segments(pq, descents):
     p, q = pq.numerator, pq.denominator
     segments = [_Segment("const", (), q, None, 0, p, q)]
     seen = set()
-    for path in enumerate_paths(pq):
+    for path in descents:
         vs = path.vertices
         ends = [(v.numerator, v.denominator) for v in vs]
         steps = 0  # tau through vs[j + 1]
@@ -656,9 +658,9 @@ def _leaf_segments(pq):
 def _segment_path(pq, segment, u0):
     if segment.kind == "const":
         return constant_path(pq, u=u0)
-    vj, vk = segment.prefix[-2], segment.prefix[-1]
-    total = 1 / (1 - u0)
-    f = (total - vj.denominator) / (vk.denominator - vj.denominator)
+    # f = (1/(1 - u0) - qj) / (qk - qj) for u0 = n/d, qj = w_hi, qk = w_lo
+    n, d, qj, qk = u0.numerator, u0.denominator, segment.w_hi, segment.w_lo
+    f = Fraction(d - qj * (d - n), (d - n) * (qk - qj))
     return VertexPath(pq, segment.prefix, final_fraction=f)
 
 
@@ -681,7 +683,7 @@ def _segment_pick(pq, segment, u0):
         k1 * (vj.denominator - 1) + k2 * (vk.denominator - 1),
         k1 * vj.numerator + k2 * vk.numerator,
     )
-    return key, segment.steps + segment.last * f, path
+    return key, segment.steps + Fraction(segment.last * f.numerator, f.denominator), path
 
 
 def _u_of(w):
@@ -689,7 +691,7 @@ def _u_of(w):
     return ONE if w is None else Fraction(w - 1, w)
 
 
-def _type_i_candidates(leaves, notes):
+def _type_i_candidates(leaves, descents, notes):
     """Solve sum v_i(u) = 0 on every segment combination whose validity
     intervals overlap; yield systems in product order.
 
@@ -698,9 +700,10 @@ def _type_i_candidates(leaves, notes):
     its interval, so a prefix whose interval is empty is dropped together
     with every extension: no combination that can close is skipped. The
     walk is in the segments' ints: intervals in w, coeffs and offsets
-    scaled by the lcm of their denominators.
+    scaled by the lcm of their denominators. descents maps each leaf
+    fraction to its enumerate_paths list.
     """
-    per_leaf = [_leaf_segments(l.fraction) for l in leaves]
+    per_leaf = [_leaf_segments(l.fraction, descents[l.fraction]) for l in leaves]
     scale = lcm(*(s.den for segs in per_leaf for s in segs))
     # each leaf's (w_lo, w_hi, scaled coeff, scaled offset, segment),
     # reversed, so that extensions pop in product order
@@ -746,12 +749,12 @@ def _segment_label(segment):
     return "edge to %s" % segment.prefix[-1]
 
 
-def _type_ii_options(pq, c_bound):
-    """(endpoint m, y, pick) for each descent of a leaf ending within
+def _type_ii_options(descents, c_bound):
+    """(endpoint m, y, pick) for each of a leaf's descents ending within
     +-c_bound; y is the denominator of its penultimate vertex, and the
     pick is the descent's (key, tau, path), its key the vertex <m>."""
     options = []
-    for descent in enumerate_paths(pq):
+    for descent in descents:
         vs = descent.vertices
         m = int(vs[-1])
         if abs(m) <= c_bound:
@@ -788,6 +791,7 @@ def solve_montesinos(expr, c_bound=None):
 
     grouped = {}  # (tau, note) -> the (descriptor, picks) of least descriptor
     slopes = set()
+    descents = {pq: enumerate_paths(pq) for pq in dict.fromkeys(l.fraction for l in leaves)}
 
     def stage(picks, note, counted):
         total = sum(t for _, t, _ in picks)
@@ -798,11 +802,11 @@ def solve_montesinos(expr, c_bound=None):
         if kept is None or desc < kept[0]:
             grouped[total, note] = desc, picks
 
-    for u0, combo, note in _type_i_candidates(leaves, notes):
+    for u0, combo, note in _type_i_candidates(leaves, descents, notes):
         picks = [_segment_pick(l.fraction, s, u0) for l, s in zip(leaves, combo)]
         stage(picks, note, counted=(note == ""))
 
-    per_leaf = [_type_ii_options(l.fraction, c_bound) for l in leaves]
+    per_leaf = [_type_ii_options(descents[l.fraction], c_bound) for l in leaves]
     for combo in iterproduct(*per_leaf):
         if sum(m for m, _, _ in combo) != 0:
             continue

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from tangleslopes import ConstantPath, FractionalEndpoint, VertexPath, WeightState
-from tangleslopes.diagram import vertex_triple
+from tangleslopes.diagram import is_edge, parents, vertex_triple
 from tangleslopes.edgepaths import (
     constant_path,
     end_weights,
@@ -178,3 +179,45 @@ def test_enumerate_paths_integer_start_is_trivial():
 def test_enumerate_paths_deterministic():
     assert enumerate_paths(Fraction(3, 7)) == enumerate_paths(Fraction(3, 7))
     assert u_zero(Fraction(3, 7), 5) == u_zero(Fraction(3, 7), 5)
+
+
+def _recursive_descents(start):
+    """The Fraction walk enumerate_paths replaced: recurse through
+    diagram.parents, skip a step that is an edge from the vertex before
+    (it would cut across a triangle), sort by length, then vertices."""
+    start = Fraction(start)
+    if start.denominator == 1:
+        return [VertexPath(start, (start,))]
+    paths = []
+
+    def descend(vs):
+        here = vs[-1]
+        if here.denominator == 1:
+            paths.append(VertexPath(start, vs))
+            return
+        for nxt in parents(here):
+            if len(vs) >= 2 and is_edge(vs[-2], nxt):
+                continue
+            descend(vs + (nxt,))
+
+    descend((start,))
+    paths.sort(key=lambda p: (len(p.vertices), p.vertices))
+    return paths
+
+
+def test_integer_descent_walk_matches_recursive_walk():
+    # every p/q with 2 <= q <= 13 and |p/q| <= 3: same list, same order
+    for q in range(2, 14):
+        for p in range(-3 * q, 3 * q + 1):
+            if gcd(p, q) == 1:
+                pq = Fraction(p, q)
+                assert enumerate_paths(pq) == _recursive_descents(pq), pq
+
+
+def test_descent_walk_takes_a_large_denominator():
+    # 1/1200 descends through every 1/k, a 1200-vertex path: one frame per
+    # step overflowed the interpreter's recursion limit
+    paths = enumerate_paths(Fraction(1, 1200))
+    assert [len(p.vertices) for p in paths] == [2, 1200]
+    assert paths[1].vertices[1:3] == (Fraction(1, 1199), Fraction(1, 1198))
+    assert all(validate(p) == [] for p in paths)

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -116,6 +117,63 @@ def test_reference_paths_validate():
         path = seifert_leaf_path(Fraction(p, q))
         assert validate(path) == [], Fraction(p, q)
         assert path.final_fraction == 1
+
+
+def _fraction_anchor(p, q):
+    """The Seifert path's integer end, chosen in Fractions as before the
+    integer comparisons: an even integer for an integer tangle, the nearer
+    of two candidates of the right parity otherwise."""
+    if q == 1:
+        return p if p % 2 == 0 else (p - 1 if p > 0 else p + 1)
+    f, x = p // q, Fraction(p, q)
+    if q % 2:
+        r1 = f if (f - p) % 2 == 0 else f - 1
+        return r1 if x - r1 <= (r1 + 2) - x else r1 + 2
+    if x - f < f + 1 - x:
+        return f
+    if f + 1 - x < x - f:
+        return f + 1
+    return f if f % 2 == 0 else f + 1
+
+
+def _even_entries(x):
+    # continued fraction with even entries; x has even numerator*denominator,
+    # so 1/x is never exactly an odd integer and the nearest-even choice is
+    # unique with remainder strictly smaller in numerator
+    entries = []
+    while x:
+        y = 1 / x
+        b = 2 * round(y / 2)
+        entries.append(b)
+        x = y - b
+    return entries
+
+
+def _fraction_seifert_vertices(pq):
+    """The Seifert path's vertices built in Fractions, each convergent
+    folded up from its entries: the construction the integer one replaced."""
+    r = _fraction_anchor(pq.numerator, pq.denominator)
+    if pq.denominator == 1:
+        return (pq,) if pq == r else (pq, Fraction(r))
+    entries = _even_entries(pq - r)
+    vertices = [Fraction(r)]
+    for j in range(1, len(entries) + 1):
+        value = Fraction(entries[j - 1])
+        for b in reversed(entries[: j - 1]):
+            value = b + 1 / value
+        vertices.append(r + 1 / value)
+    return tuple(reversed(vertices))
+
+
+def test_integer_seifert_paths_match_fraction_construction():
+    # every p/q with q <= 24 and |p/q| <= 5, integer tangles included
+    for q in range(1, 25):
+        for p in range(-5 * q, 5 * q + 1):
+            if gcd(p, q) == 1:
+                pq = Fraction(p, q)
+                path = seifert_leaf_path(pq)
+                assert path.vertices == _fraction_seifert_vertices(pq), pq
+                assert all(type(v) is Fraction for v in path.vertices), pq
 
 
 def test_replay_reproduces_the_family_trace():

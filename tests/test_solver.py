@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import random
 from fractions import Fraction
@@ -22,6 +23,8 @@ from tangleslopes import (
     verify_system,
 )
 from tangleslopes import slopes
+from tangleslopes import solver as solver_module
+from tangleslopes.cli import format_json
 from tangleslopes.slopes import replay
 from tangleslopes.solver import (
     _demand_pass,
@@ -36,6 +39,7 @@ from tangleslopes.solver import (
     _merge_sum,
     _root_table,
     _segment_label,
+    _segment_pick,
     _tau_pass,
     _turn,
     _type_i_candidates,
@@ -46,6 +50,8 @@ from tangleslopes.solver import (
 from tangleslopes.diagram import vertex_point
 from tangleslopes.edgepaths import (
     ConstantPath,
+    constant_path,
+    end_weights,
     endpoint_state,
     enumerate_paths,
     tau as path_tau,
@@ -263,7 +269,9 @@ def test_type_i_segments_outnumber_u_zero_options():
         for p in range(-3 * q, 3 * q + 1):
             if p and gcd(p, q) == 1:
                 pq = Fraction(p, q)
-                assert len(_leaf_segments(pq)) >= len(_type_ii_options(pq, 32)), pq
+                descents = enumerate_paths(pq)
+                segments = _leaf_segments(pq, descents)
+                assert len(segments) >= len(_type_ii_options(descents, 32)), pq
 
 
 def _reference_piece(pq, segment):
@@ -277,10 +285,20 @@ def _reference_piece(pq, segment):
     return coeff, vj.v - coeff * vj.u, vk.u, vj.u
 
 
+def _walk(leaves, notes):
+    """The type-I walk's candidates, each leaf's descents enumerated as
+    solve_montesinos does."""
+    descents = {l.fraction: enumerate_paths(l.fraction) for l in leaves}
+    return list(_type_i_candidates(leaves, descents, notes))
+
+
 def _type_i_by_product(leaves, notes):
     """The exhaustive segment product the depth-first walk replaced."""
     per_leaf = [
-        [(s, _reference_piece(l.fraction, s)) for s in _leaf_segments(l.fraction)]
+        [
+            (s, _reference_piece(l.fraction, s))
+            for s in _leaf_segments(l.fraction, enumerate_paths(l.fraction))
+        ]
         for l in leaves
     ]
     for choice in iterproduct(*per_leaf):
@@ -308,8 +326,8 @@ def _type_i_by_product(leaves, notes):
             yield u0, combo, ""
 
 
-def test_type_i_walk_matches_segment_product():
-    # same candidates, same order, same degenerate-family notes
+def _walk_sums():
+    """25 sums of 3-5 leaves, q <= 9, an integer leaf first in every fourth."""
     rng = random.Random(4)
     sums = [[Fraction(f) for f in ("-3/4", "2/3", "3/5", "-4/5")]]
     for i in range(24):
@@ -322,15 +340,49 @@ def test_type_i_walk_matches_segment_product():
             p = rng.choice([p for p in range(1 - q, q) if p and gcd(p, q) == 1])
             leaves.append(Fraction(p, q))
         sums.append(leaves)
+    return sums
+
+
+def test_type_i_walk_matches_segment_product():
+    # same candidates, same order, same degenerate-family notes
     degenerate = 0
-    for pqs in sums:
+    for pqs in _walk_sums():
         leaves = [Leaf(pq) for pq in pqs]
         walk_notes, product_notes = [], []
-        walk = list(_type_i_candidates(leaves, walk_notes))
+        walk = _walk(leaves, walk_notes)
         assert walk == list(_type_i_by_product(leaves, product_notes)), pqs
         assert walk_notes == product_notes, pqs
         degenerate += bool(walk_notes)
     assert degenerate >= 3
+
+
+def _fraction_pick(pq, segment, u0):
+    """A segment's leaf pick at u0 in Fractions: the share of the last edge
+    is f = (1/(1 - u0) - qj)/(qk - qj), and the key and tau are those of the
+    resulting path, through edgepaths.end_weights and tau."""
+    if segment.kind == "const":
+        path = constant_path(pq, u=u0)
+        return path.state.triple(), 0, path
+    vj, vk = segment.prefix[-2:]
+    f = (1 / (1 - u0) - vj.denominator) / (vk.denominator - vj.denominator)
+    path = VertexPath(pq, segment.prefix, final_fraction=f)
+    return end_weights(path).triple(), path_tau(path), path
+
+
+def test_integer_type_i_picks_match_fractions():
+    # the walk's sums, and one whose degenerate family yields its endpoint
+    family = [Fraction(f) for f in ("5/3", "1", "-11/4")]
+    picks = 0
+    for pqs in _walk_sums() + [family]:
+        leaves = [Leaf(pq) for pq in pqs]
+        for u0, combo, _ in _walk(leaves, []):
+            for pq, segment in zip(pqs, combo):
+                pick = _segment_pick(pq, segment, u0)
+                assert pick == _fraction_pick(pq, segment, u0), (pqs, u0, segment)
+                if segment.kind == "edge":
+                    assert type(pick[1]) is Fraction, (pqs, u0, segment)
+                    picks += 1
+    assert picks >= 150
 
 
 @st.composite
@@ -356,7 +408,7 @@ def _type_i_sums(draw, budget=2000):
 def test_integer_type_i_walk_matches_segment_product(pqs):
     leaves = [Leaf(pq) for pq in pqs]
     walk_notes, product_notes = [], []
-    walk = list(_type_i_candidates(leaves, walk_notes))
+    walk = _walk(leaves, walk_notes)
     assert walk == list(_type_i_by_product(leaves, product_notes))
     assert walk_notes == product_notes
     assert all(type(u0) is Fraction for u0, _, _ in walk)
@@ -365,13 +417,13 @@ def test_integer_type_i_walk_matches_segment_product(pqs):
 def test_type_i_examples_hit_interval_ends():
     # the two examples above reach the cases they are there for
     pqs = [Fraction(f) for f in ("-3/2", "13/8", "15/8", "-7/5")]
-    at_lo = _type_i_candidates([Leaf(pq) for pq in pqs], [])
+    at_lo = _walk([Leaf(pq) for pq in pqs], [])
     assert any(
         u0 == max(_reference_piece(pq, s)[2] for pq, s in zip(pqs, combo))
         for u0, combo, _ in at_lo
     )
     notes = []
-    family = list(_type_i_candidates([Leaf(Fraction(f)) for f in ("5/3", "1", "-11/4")], notes))
+    family = _walk([Leaf(Fraction(f)) for f in ("5/3", "1", "-11/4")], notes)
     assert [(u0, note) for u0, _, note in family if note] == [
         (Fraction(1, 2), "degenerate-family-endpoint")
     ]
@@ -389,7 +441,7 @@ def test_w_ends_map_back_to_segment_intervals():
     for q in range(1, 13):
         for p in range(-3 * q, 3 * q + 1):
             if p and gcd(p, q) == 1:
-                for s in _leaf_segments(Fraction(p, q)):
+                for s in _leaf_segments(Fraction(p, q), enumerate_paths(Fraction(p, q))):
                     w_lo, w_hi = s.w_lo, s.w_hi
                     assert type(w_lo) is int and w_lo >= 1, (p, q, s)
                     assert w_hi is None or (type(w_hi) is int and w_lo < w_hi), (p, q, s)
@@ -858,3 +910,33 @@ def test_leaf_table_taus_and_keys_match_their_paths(c_bound):
                 vs = path.vertices
                 runs += len(vs) > 1 and vs[-2].denominator == 1
     assert runs
+
+
+def test_large_denominator_leaf_solves():
+    # a 1200-vertex descent: the recursive walk raised RecursionError here
+    rep = solve(parse("1/1200 + 1/3 + 1/5"), c_bound=2)
+    assert set(rep.slopes) == {Fraction(0), Fraction(16)}
+    assert rep.systems
+    for system in rep.systems:
+        assert verify_system(system) == [], system.note
+
+
+def test_montesinos_enumerates_each_distinct_leaf_once(monkeypatch):
+    # both the type-I segments and the u=0 options read one descent list
+    # per distinct leaf fraction; the report bytes are those pinned before
+    pinned = {
+        "1/3 + 1/3 + -1/5": (2, "49d6f64087f2d03290ec78ce639ece70ecaafd54d0bdfb76bd38347e08c503be"),
+        PRETZEL_237: (3, "a6fdd7d87c17a5682451c7aa4bf85fc552f6bfa9f21b7474c11f5a1b569ad708"),
+    }
+    calls = []
+
+    def counted(pq):
+        calls.append(pq)
+        return enumerate_paths(pq)
+
+    monkeypatch.setattr(solver_module, "enumerate_paths", counted)
+    for text, (count, digest) in pinned.items():
+        calls.clear()
+        out = format_json(solve(parse(text)))
+        assert len(calls) == count == len(set(calls)), text
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, text
