@@ -3,8 +3,9 @@
 Subcommands: slopes (any expression), kn (the distinguished family),
 verify (family invariant checks), plot (SVG/TSV figures). Exit codes:
 0 success, 1 verification failure, 2 usage or parse error, 3 empty
-result, 4 output I/O error. Diagnostics go to stderr; LOG_LEVEL
-(error|warn|info|debug) tunes logging, default warn.
+result, 4 output I/O error. Diagnostics go to stderr; LOG_LEVEL takes any
+of logging's level names in any case (debug, info, warning, error,
+critical, ...) and defaults to warning.
 
 format_json writes a JSON report on every Python version as exactly
 json.dumps(report_document(rep), indent=2) plus a newline; report_document
@@ -415,13 +416,9 @@ def main(argv=None):
 
 
 def _configure_logging():
-    chosen = os.environ.get("LOG_LEVEL", "warn").strip().lower()
-    level = {
-        "error": logging.ERROR,
-        "warn": logging.WARNING,
-        "info": logging.INFO,
-        "debug": logging.DEBUG,
-    }.get(chosen, logging.WARNING)
+    level = logging.getLevelName(os.environ.get("LOG_LEVEL", "warning").strip().upper())
+    if not isinstance(level, int):
+        level = logging.WARNING
     logging.basicConfig(
         stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s"
     )

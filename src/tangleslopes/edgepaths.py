@@ -22,11 +22,11 @@ counts fractionally when partial. Constants have tau = 0. tau is an int
 unless the last edge is partial.
 
 `enumerate_paths` lists the descents from <p/q> to the u = 0 line, and
-`u_zero_paths` extends one descent along that line by vertical runs. The
-product-expression solver builds its per-tangle choices from both: it
-reads the run ends from `u_zero_ends` and builds a run with `run_to` only
-where it needs a witness. The Montesinos solver uses the descents alone,
-one integer walk per distinct leaf fraction.
+`u_zero_ends` gives the ends of a descent's vertical runs along that
+line. The product-expression solver builds its per-tangle choices from
+both, and builds a run with `run_to` only where it needs a witness. The
+Montesinos solver uses the descents alone, one integer walk per distinct
+leaf fraction.
 """
 
 from dataclasses import dataclass
@@ -159,7 +159,11 @@ def tau(path):
     if path.is_constant:
         return 0
     vs = path.vertices
-    steps = [2 if b < a else -2 for a, b in zip(vs, vs[1:])]
+    # b < a, cross-multiplied over the positive denominators
+    steps = [
+        2 if b.numerator * a.denominator < a.numerator * b.denominator else -2
+        for a, b in zip(vs, vs[1:])
+    ]
     if not steps or path.final_fraction == 1:
         return sum(steps)
     return sum(steps[:-1]) + steps[-1] * path.final_fraction
@@ -241,10 +245,3 @@ def run_to(descent, end):
     d = 1 if end > m else -1
     run = tuple(map(_INTEGERS.__getitem__, range(m + d, end + d, d)))
     return VertexPath(descent.tangle, vs + run)
-
-
-def u_zero_paths(descent, c_bound):
-    """The descent and its vertical runs, each kept when it ends within
-    +-c_bound, in the order of u_zero_ends."""
-    for end in u_zero_ends(descent, c_bound):
-        yield run_to(descent, end)

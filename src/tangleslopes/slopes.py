@@ -181,11 +181,11 @@ def replay(expr, paths):
     return tuple(nodes), state, total
 
 
-def build_system(expr, paths, note="", reference_tau=None):
+def build_system(expr, paths, reference_tau=None):
     """Assemble a CandidateSystem from a leaf-path assignment."""
     nodes, state, total = replay(expr, paths)
     slope = total - reference_tau if reference_tau is not None else None
-    return CandidateSystem(expr, tuple(paths), nodes, state, total, slope, note)
+    return CandidateSystem(expr, tuple(paths), nodes, state, total, slope)
 
 
 def seifert_system(expr):

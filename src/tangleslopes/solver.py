@@ -1,5 +1,11 @@
 """Candidate system enumeration and closure solving.
 
+One pipeline, _solve, serves both engines: it sets c_bound
+(default_c_bound unless given, at least 1), builds the Seifert reference
+system S0, stages the closed candidates that the engine's search yields
+as (tau, note, order, leaf picks, counted), and reports. An engine only
+checks the input's shape and searches.
+
 Two closure regimes:
 
 * solve_sn handles expressions with at least one product. It makes three
@@ -70,16 +76,19 @@ Two closure regimes:
   product is never larger than the full type-I one; it is enumerated in
   full.
 
-Both list one system per distinct (tau, note), the one with the smallest
-descriptor, and attach the Seifert reference system (slope 0) when the
-normalization exists; no other cap applies. Each engine hands every leaf
-of a listed system over as a pick (key, tau, path): its end state as a
-triple and its twist number, both from the engine's own data. The one
-builder, _materialize, then derives every node's trace in integers: a
-sum is the lcm glue of _glue_keys, a product turns its left key by
-_turn first. slopes.replay, through transforms.rotate_reflect and
-glue_scaled, is the independent check (slopes.verify_system); the solve
-does not call it. All output is exhaustively sorted; nothing depends on
+The SN search yields one candidate per closed tau, ordered by rank; the
+Montesinos search its type-I closures, then its u = 0 systems, ordered
+by flat descriptor. _solve lists the least-order candidate per distinct
+(tau, note), the one with the smallest descriptor, plus S0 (slope 0)
+when the normalization exists; no other cap applies. A counted candidate
+adds the slope tau - tau(S0). Every leaf of a listed system is a pick
+(key, tau, path): its end state as a triple and its twist number, both
+from the engine's own data. The one builder, _materialize, then derives
+every node's trace in integers: a sum is the lcm glue of _glue_keys, a
+product turns its left key by _turn first. slopes.replay, through
+transforms.rotate_reflect and glue_scaled, is the independent check
+(slopes.verify_system); the solve does not call it. All output,
+both engines' notes included, is exhaustively sorted; nothing depends on
 hash or insertion order, so identical inputs give identical reports.
 """
 
@@ -142,7 +151,7 @@ class SlopeReport:
 def default_c_bound(expr):
     """Family expressions get room for their long vertical runs."""
     n = family_index(expr)
-    return max(8, n * n + n + 2) if n is not None else 32
+    return n * n + n + 2 if n is not None else 32
 
 
 def report(expr, systems, slopes, c_bound, notes=()):
@@ -169,6 +178,52 @@ def report(expr, systems, slopes, c_bound, notes=()):
         ratio,
         c_bound,
         tuple(notes),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the solve both engines share
+
+
+def _solve(expr, c_bound, candidates):
+    """Solve expr with the engine search candidates(expr, c_bound, notes),
+    which yields (tau, note, order, leaf picks, counted) per closed
+    candidate; see the module docstring."""
+    if c_bound is None:
+        c_bound = default_c_bound(expr)
+    if c_bound < 1:
+        raise ValueError("c_bound must be at least 1")
+    notes = []
+    try:
+        seifert = seifert_system(expr)
+    except SeifertUndefined as exc:
+        notes.append(str(exc))
+        seifert = None
+    reference = seifert.tau if seifert is not None else None
+    grouped = {}  # (tau, note) -> the (order, picks) of least order
+    slopes = set()
+    for t, note, order, picks, counted in candidates(expr, c_bound, notes):
+        if counted and reference is not None:
+            slopes.add(t - reference)
+        kept = grouped.get((t, note))
+        if kept is None or order < kept[0]:
+            grouped[t, note] = order, picks
+    if not grouped:
+        notes.append("no closed systems within c_bound=%d" % c_bound)
+    systems = _materialize(expr, grouped, reference)
+    if seifert is not None:
+        systems.append(seifert)
+        slopes.add(ZERO)
+    systems.sort(key=_system_order)
+    return report(expr, systems, slopes, c_bound, sorted(set(notes)))
+
+
+def _system_order(system):
+    return (
+        system.slope is None,
+        system.slope if system.slope is not None else ZERO,
+        system.note,
+        system.descriptor(),
     )
 
 
@@ -252,16 +307,12 @@ def _glue_class(key, sheets, closing, sign=1):
 
 
 def _index(table, closing):
-    """The right operand's keys by glue class, each with its sheet count.
-
-    Keys with a = b = 0 have no direction and glue to nothing
-    (common_scaling returns None for them), so they are left out.
-    """
+    """The right operand's keys by glue class, each with its sheet count;
+    every key has a >= 1, so a sheet count is never 0."""
     index = {}
     for key in table:
         s = gcd(key[0], key[1])
-        if s:
-            index.setdefault(_glue_class(key, s, closing), []).append((key, s))
+        index.setdefault(_glue_class(key, s, closing), []).append((key, s))
     return index
 
 
@@ -295,7 +346,7 @@ def _merge_sum(left, right, closing=False):
     index = _index(right, closing)
     for lkey in left:
         s = gcd(lkey[0], lkey[1])
-        partners = index.get(_glue_class(lkey, s, closing, -1)) if s else None
+        partners = index.get(_glue_class(lkey, s, closing, -1))
         if partners:
             _glue_keys(out, lkey, s, lkey, partners)
     return out
@@ -559,24 +610,16 @@ def _leaf_picks(witness):
     return picks
 
 
-def _seifert(expr, notes):
-    """The Seifert reference system, or None with the reason in notes."""
-    try:
-        return seifert_system(expr)
-    except SeifertUndefined as exc:
-        notes.append(str(exc))
-        return None
-
-
-def _finish(expr, grouped, seifert, slopes, c_bound, notes):
-    """Materialize the groups, attach the Seifert reference, and report."""
-    reference = seifert.tau if seifert is not None else None
-    systems = _materialize(expr, grouped, reference)
-    if seifert is not None:
-        systems.append(seifert)
-        slopes.add(ZERO)
-    systems.sort(key=_system_order)
-    return report(expr, systems, slopes, c_bound, notes)
+def _sn_candidates(expr, c_bound, notes):
+    """The SN search: one candidate per closed tau, its witness of least
+    rank flattened to leaf picks."""
+    kept = {}  # tau -> the (rank, nested picks) of smallest rank
+    for entries in _root_table(expr, c_bound).values():  # all closed: c = 0
+        for t, witness in entries.items():
+            if t not in kept or witness[0] < kept[t][0]:
+                kept[t] = witness
+    for t, (rank, witness) in kept.items():
+        yield t, "", rank, _leaf_picks(witness), True
 
 
 def solve_sn(expr, c_bound=None):
@@ -585,32 +628,7 @@ def solve_sn(expr, c_bound=None):
         raise UnsupportedShape(
             "expression %s has no product; use solve_montesinos" % render(expr)
         )
-    if c_bound is None:
-        c_bound = default_c_bound(expr)
-    if c_bound < 1:
-        raise ValueError("c_bound must be at least 1")
-    notes = []
-    seifert = _seifert(expr, notes)
-    reference = seifert.tau if seifert is not None else None
-    kept = {}  # tau -> the (rank, nested picks) of smallest rank
-    for entries in _root_table(expr, c_bound).values():  # all closed: c = 0
-        for t, witness in entries.items():
-            if t not in kept or witness[0] < kept[t][0]:
-                kept[t] = witness
-    grouped = {(t, ""): (rank, _leaf_picks(w)) for t, (rank, w) in kept.items()}
-    slopes = set() if reference is None else {t - reference for t in kept}
-    if not grouped:
-        notes.append("no closed systems within c_bound=%d" % c_bound)
-    return _finish(expr, grouped, seifert, slopes, c_bound, notes)
-
-
-def _system_order(system):
-    return (
-        system.slope is None,
-        system.slope if system.slope is not None else ZERO,
-        system.note,
-        system.descriptor(),
-    )
+    return _solve(expr, c_bound, _sn_candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -769,57 +787,42 @@ def _essential(ys):
     return sum(whole // y for y in ys) <= whole
 
 
+def _candidate(picks, note, counted):
+    """A Montesinos candidate: its tau is the sum of its leaves', its order
+    the flat tuple of their path descriptors."""
+    total = sum(t for _, t, _ in picks)
+    return total, note, tuple(path.describe() for _, _, path in picks), picks, counted
+
+
+def _montesinos_candidates(expr, c_bound, notes):
+    """The Montesinos search: type-I closures, then the u = 0 systems."""
+    leaves = list(expr.leaves())
+    descents = {pq: enumerate_paths(pq) for pq in dict.fromkeys(l.fraction for l in leaves)}
+    for u0, combo, note in _type_i_candidates(leaves, descents, notes):
+        picks = [_segment_pick(l.fraction, s, u0) for l, s in zip(leaves, combo)]
+        yield _candidate(picks, note, note == "")
+    per_leaf = [_type_ii_options(descents[l.fraction], c_bound) for l in leaves]
+    for combo in iterproduct(*per_leaf):
+        if sum(m for m, _, _ in combo) != 0:
+            continue
+        essential = _essential([y for _, y, _ in combo])
+        note = "" if essential else "inessential-candidate"
+        yield _candidate([pick for _, _, pick in combo], note, essential)
+
+
 def solve_montesinos(expr, c_bound=None):
     """Full closure solve for a sum of three or more rational tangles."""
     if not expr.is_montesinos():
         raise UnsupportedShape(
             "expression %s contains a product; use solve_sn" % render(expr)
         )
-    leaves = list(expr.leaves())
-    if len(leaves) < 3:
+    count = sum(1 for _ in expr.leaves())
+    if count < 3:
         raise UnsupportedShape(
             "need at least 3 rational tangles, got %d (two-bridge closures"
-            " are out of scope)" % len(leaves)
+            " are out of scope)" % count
         )
-    if c_bound is None:
-        c_bound = default_c_bound(expr)
-    if c_bound < 1:
-        raise ValueError("c_bound must be at least 1")
-    notes = []
-    seifert = _seifert(expr, notes)
-    reference = seifert.tau if seifert is not None else None
-
-    grouped = {}  # (tau, note) -> the (descriptor, picks) of least descriptor
-    slopes = set()
-    descents = {pq: enumerate_paths(pq) for pq in dict.fromkeys(l.fraction for l in leaves)}
-
-    def stage(picks, note, counted):
-        total = sum(t for _, t, _ in picks)
-        if counted and reference is not None:
-            slopes.add(total - reference)
-        desc = tuple(path.describe() for _, _, path in picks)
-        kept = grouped.get((total, note))
-        if kept is None or desc < kept[0]:
-            grouped[total, note] = desc, picks
-
-    for u0, combo, note in _type_i_candidates(leaves, descents, notes):
-        picks = [_segment_pick(l.fraction, s, u0) for l, s in zip(leaves, combo)]
-        stage(picks, note, counted=(note == ""))
-
-    per_leaf = [_type_ii_options(descents[l.fraction], c_bound) for l in leaves]
-    for combo in iterproduct(*per_leaf):
-        if sum(m for m, _, _ in combo) != 0:
-            continue
-        essential = _essential([y for _, y, _ in combo])
-        stage(
-            [pick for _, _, pick in combo],
-            "" if essential else "inessential-candidate",
-            counted=essential,
-        )
-
-    if not grouped:
-        notes.append("no closed systems within c_bound=%d" % c_bound)
-    return _finish(expr, grouped, seifert, slopes, c_bound, sorted(set(notes)))
+    return _solve(expr, c_bound, _montesinos_candidates)
 
 
 def solve(expr, c_bound=None):

@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -220,3 +223,25 @@ def test_parser_defaults():
     assert args.format == "json" and args.c_bound is None
     args = build_parser().parse_args(["verify"])
     assert args.n_max == 4
+
+
+@pytest.mark.parametrize(
+    "level, shown",
+    [
+        ("info", True),
+        ("INFO", True),
+        ("debug", True),
+        ("warn", False),
+        ("warning", False),
+        ("bogus", False),  # an unknown name means warning
+    ],
+)
+def test_log_level_reads_logging_level_names(level, shown):
+    # the solver logs one info line per SN solve; LOG_LEVEL is read once,
+    # at process start, so each level needs its own process
+    env = dict(os.environ, LOG_LEVEL=level, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "tangleslopes.cli", "kn", "--n", "2"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert ("INFO tangleslopes.solver: sn solve" in done.stderr) is shown

@@ -11,8 +11,9 @@ from tangleslopes.edgepaths import (
     endpoint_point,
     endpoint_state,
     enumerate_paths,
+    run_to,
     tau,
-    u_zero_paths,
+    u_zero_ends,
     validate,
 )
 
@@ -134,8 +135,32 @@ def test_tau_ignores_sheets():
     assert tau(threefold) == -4
 
 
+def test_tau_signs_steps_as_fraction_comparison():
+    # tau signs each step by cross-multiplied ints; the reference compares
+    # the Fraction vertices. Every descent with q <= 13 and |p/q| <= 2,
+    # whole and with a partial last edge
+    def reference(p):
+        steps = [2 if b < a else -2 for a, b in zip(p.vertices, p.vertices[1:])]
+        if not steps or p.final_fraction == 1:
+            return sum(steps)
+        return sum(steps[:-1]) + steps[-1] * p.final_fraction
+
+    partial = 0
+    for q in range(1, 14):
+        for n in range(-2 * q, 2 * q + 1):
+            if gcd(n, q) != 1:
+                continue
+            for descent in enumerate_paths(Fraction(n, q)):
+                for f in (Fraction(1), Fraction(1, 3), Fraction(5, 7)):
+                    p = VertexPath(descent.tangle, descent.vertices, final_fraction=f)
+                    got, want = tau(p), reference(p)
+                    assert got == want and type(got) is type(want), (p, got, want)
+                    partial += type(got) is Fraction
+    assert partial >= 1000
+
+
 def u_zero(start, c_bound):
-    return [p for d in enumerate_paths(start) for p in u_zero_paths(d, c_bound)]
+    return [run_to(d, end) for d in enumerate_paths(start) for end in u_zero_ends(d, c_bound)]
 
 
 def test_enumerate_paths_reaches_integer_runs_both_ways():
@@ -172,8 +197,8 @@ def test_enumerate_paths_integer_start_is_trivial():
     paths = enumerate_paths(Fraction(2))
     assert paths == [VertexPath(Fraction(2), (Fraction(2),))]
     # the trivial path neither runs nor survives a bound below its endpoint
-    assert list(u_zero_paths(paths[0], 4)) == paths
-    assert list(u_zero_paths(paths[0], 1)) == []
+    assert [run_to(paths[0], end) for end in u_zero_ends(paths[0], 4)] == paths
+    assert list(u_zero_ends(paths[0], 1)) == []
 
 
 def test_enumerate_paths_deterministic():

@@ -54,8 +54,9 @@ from tangleslopes.edgepaths import (
     end_weights,
     endpoint_state,
     enumerate_paths,
+    run_to,
     tau as path_tau,
-    u_zero_paths,
+    u_zero_ends,
 )
 from tangleslopes.errors import Infeasible, UndefinedCase
 from tangleslopes.tangles import Leaf, Product, Sum, mirror
@@ -532,6 +533,24 @@ def test_product_traces_equal_replay(expr):
     _check_traces_equal_replay(expr)
 
 
+def test_sn_notes_are_sorted():
+    # both engines sort their notes; the SN engine once listed these two in
+    # the order it met them
+    assert solve(parse("3 o 1/3")).notes == (
+        "no closed systems within c_bound=32",
+        "slope normalization unavailable: factor 3 has no even-denominator tangle",
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_montesinos_sums(), _products()))
+@example(parse("3 o 1/3"))  # an SN report with two notes
+@example(parse("5/3 + 1 + -11/4"))  # two degenerate type-I families
+def test_report_notes_are_sorted_and_distinct(expr):
+    notes = solve(expr).notes
+    assert list(notes) == sorted(set(notes))
+
+
 def test_trace_examples_list_systems():
     # the property's examples are not vacuous; the (-2, 3, 7) pretzel has
     # type-I systems, whose partial last edges give Fraction taus
@@ -588,8 +607,8 @@ def _lattice_leaf(leaf, c_bound):
             add(_key_of(path.state.primitive()), Fraction(0), path)
     for descent in enumerate_paths(pq):
         # an integer leaf keeps its trivial path whatever the bound
-        paths = (descent,) if q == 1 else u_zero_paths(descent, c_bound)
-        for path in paths:
+        ends = (p,) if q == 1 else u_zero_ends(descent, c_bound)
+        for path in (run_to(descent, end) for end in ends):
             key = _key_of(endpoint_state(path).primitive())
             add(key, Fraction(path_tau(path)), path)
     return table
@@ -868,16 +887,20 @@ def test_closing_merges_keep_exactly_the_closed_keys(lkeys, turnable, rkeys):
         assert {key: sorted(pairs) for key, pairs in root.items()} == closed
 
 
-def test_keys_without_direction_glue_to_nothing():
+def test_key_pass_builds_no_key_without_direction():
+    # a key with a = b = 0 glues to nothing, and the key pass never builds
+    # one, so its merges need no guard: leaf constants and vertex ends have
+    # a >= 1, _turn keeps a, and a glue of two such keys has a >= 1
     zero = (0, 0, 3)
     for other in (zero, (0, 0, -2), (1, 2, 3)):
         assert glue_scaled(WeightState(*zero), WeightState(*other)) is None
-        for closing in (False, True):
-            assert _merge_sum([zero], [other], closing) == {}
-            assert _merge_sum([other], [zero], closing) == {}
-    # a rotation output always has a + b > 0, so a product never pairs it
-    # with a right key that has no direction
-    assert _merge_product([(1, 2, -4)], [zero]) == {}
+    keys = 0
+    for expr, c_bound in _pass_cases():
+        nodes = _distinct_nodes(expr)
+        for table in _key_pass(nodes, c_bound).values():
+            assert all(key[0] >= 1 for key in table), (expr, c_bound)
+            keys += len(table)
+    assert keys >= 1000
 
 
 @pytest.mark.parametrize("c_bound", [1, 4, 32])
