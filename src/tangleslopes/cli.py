@@ -25,8 +25,6 @@ from .slopes import verify_system
 from .solver import family_nodes, kn_system, solve, solve_sn
 from .tangles import kn, parse, render
 
-log = logging.getLogger("tangleslopes.cli")
-
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2

@@ -16,15 +16,14 @@ The diagram is infinite, so it is kept implicit: an adjacency predicate plus
 parent generation, no stored graph.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
 from .errors import DegeneratePoint
 
 
-@dataclass(frozen=True)
-class WeightState:
+class WeightState(namedtuple("WeightState", "a b c n_inf has_zero", defaults=(0, False))):
     """Train-track weights plus special boundary-edge bookkeeping.
 
     n_inf counts slope-infinity boundary edges; has_zero records whether
@@ -35,11 +34,7 @@ class WeightState:
     2-4 of the rotation, from states built by hand.
     """
 
-    a: int
-    b: int
-    c: int
-    n_inf: int = 0
-    has_zero: bool = False
+    __slots__ = ()
 
     def scaled(self, k):
         """The k-sheeted copy: all strand counts multiply."""
@@ -56,10 +51,8 @@ class WeightState:
         return (self.a, self.b, self.c)
 
 
-@dataclass(frozen=True)
-class DiagramPoint:
-    u: Fraction
-    v: Fraction
+class DiagramPoint(namedtuple("DiagramPoint", "u v")):
+    __slots__ = ()
 
 
 def vertex_triple(pq):

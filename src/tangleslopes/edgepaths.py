@@ -29,7 +29,7 @@ Montesinos solver uses the descents alone, one integer walk per distinct
 leaf fraction.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -39,10 +39,8 @@ from .errors import FractionalEndpoint
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class ConstantPath:
-    tangle: Fraction
-    state: WeightState
+class ConstantPath(namedtuple("ConstantPath", "tangle state")):
+    __slots__ = ()
 
     @property
     def is_constant(self):
@@ -52,12 +50,9 @@ class ConstantPath:
         return ("const", self.state.triple())
 
 
-@dataclass(frozen=True)
-class VertexPath:
-    tangle: Fraction
-    vertices: tuple
-    final_fraction: Fraction = ONE
-    sheets: int = 1
+class VertexPath(namedtuple("VertexPath", "tangle vertices final_fraction sheets",
+                            defaults=(ONE, 1))):
+    __slots__ = ()
 
     @property
     def is_constant(self):

@@ -22,10 +22,9 @@ assignment alone, through transforms.rotate_reflect and glue_scaled, and
 replay; the hand-built family system (solver.kn_system) uses it.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .diagram import WeightState
 from .edgepaths import VertexPath, end_weights, endpoint_state, tau, validate
 from .errors import Infeasible, MismatchedWeights, SeifertUndefined, UndefinedCase
 from .tangles import Leaf, Product, montesinos_factors, node_labels, render
@@ -94,28 +93,30 @@ def seifert_tau(expr):
 # candidate systems
 
 
-@dataclass(frozen=True)
-class NodeTrace:
-    label: str
-    kind: str  # leaf | sum | product
-    state: WeightState
-    tau: Fraction
-    scales: tuple = (1, 1)
-    case_id: int = 0
-    m: int = 0
-    tau_prime: Fraction = None
-    transformed: WeightState = None
+class NodeTrace(namedtuple("NodeTrace", (
+    "label",
+    "kind",  # leaf | sum | product
+    "state",
+    "tau",
+    "scales",
+    "case_id",
+    "m",
+    "tau_prime",
+    "transformed",
+), defaults=((1, 1), 0, 0, None, None))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CandidateSystem:
-    expr: object
-    assignment: tuple  # one edgepath per leaf, left to right
-    nodes: tuple  # NodeTrace per expression node, preorder
-    closure: WeightState  # root glued state; None for reference systems
-    tau: Fraction
-    slope: Fraction  # None when normalization is unavailable
-    note: str = ""
+class CandidateSystem(namedtuple("CandidateSystem", (
+    "expr",
+    "assignment",  # one edgepath per leaf, left to right
+    "nodes",  # NodeTrace per expression node, preorder
+    "closure",  # root glued WeightState; None for reference systems
+    "tau",
+    "slope",  # None when normalization is unavailable
+    "note",
+), defaults=("",))):
+    __slots__ = ()
 
     def descriptor(self):
         """Deterministic sort key for the assignment."""

@@ -93,7 +93,7 @@ hash or insertion order, so identical inputs give identical reports.
 """
 
 import logging
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product as iterproduct
 from math import gcd, lcm
@@ -134,18 +134,19 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class SlopeReport:
-    expr: object
-    systems: tuple
-    slopes: tuple  # sorted distinct Fractions
-    certified: tuple  # slopes carrying the family certification
-    diameter: Fraction  # None when no slopes
-    crossings: int
-    crossing_source: str  # "family-exact" | "diagram-count"
-    ratio: Fraction  # None when no slopes
-    c_bound: int
-    notes: tuple = ()
+class SlopeReport(namedtuple("SlopeReport", (
+    "expr",
+    "systems",
+    "slopes",  # sorted distinct Fractions
+    "certified",  # slopes carrying the family certification
+    "diameter",  # None when no slopes
+    "crossings",
+    "crossing_source",  # "family-exact" | "diagram-count"
+    "ratio",  # None when no slopes
+    "c_bound",
+    "notes",
+), defaults=((),))):
+    __slots__ = ()
 
 
 def default_c_bound(expr):
@@ -635,17 +636,18 @@ def solve_sn(expr, c_bound=None):
 # the Montesinos solve (full piecewise-linear closure)
 
 
-@dataclass(frozen=True)
-class _Segment:
-    kind: str  # "const" | "edge"
-    prefix: tuple  # vertices through the partial edge (edge segments)
-    w_lo: int  # valid for w_lo <= w < w_hi, w = 1 / (1 - u): vertex denominators
-    w_hi: int  # None: unbounded
-    coeff: int  # v(u) = (coeff * u + offset) / den on that interval; den is q
-    offset: int  # for the constant p/q, and qk - qj < 0 for an edge vj -> vk
-    den: int
-    steps: int = 0  # tau of the whole edges before the partial one
-    last: int = 0  # tau of the partial edge taken whole: 2 down, -2 up
+class _Segment(namedtuple("_Segment", (
+    "kind",  # "const" | "edge"
+    "prefix",  # vertices through the partial edge (edge segments)
+    "w_lo",  # valid for w_lo <= w < w_hi, w = 1 / (1 - u): vertex denominators
+    "w_hi",  # None: unbounded
+    "coeff",  # v(u) = (coeff * u + offset) / den on that interval; den is q
+    "offset",  # for the constant p/q, and qk - qj < 0 for an edge vj -> vk
+    "den",
+    "steps",  # tau of the whole edges before the partial one
+    "last",  # tau of the partial edge taken whole: 2 down, -2 up
+), defaults=(0, 0))):
+    __slots__ = ()
 
 
 def _leaf_segments(pq, descents):

@@ -16,14 +16,20 @@ A tree deeper than MAX_DEPTH levels is a ParseError, so the recursive tree
 walks stay within Python's recursion limit.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FamilyRange, ParseError, ZeroDenominator
 
 
 class TangleExpr:
-    """Base class for expression nodes."""
+    """Base class for expression nodes, which are immutable."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
 
     def is_montesinos(self):
         """True when the subtree is a sum of rational tangles (no product)."""
@@ -49,8 +55,8 @@ class TangleExpr:
     def __str__(self):
         return render(self)
 
-    # repr, copy and pickle go through the text form: the dataclass repr and
-    # the default copy and pickle protocols recurse once per tree level
+    # repr, copy and pickle go through the text form: a field-by-field repr
+    # and the default copy and pickle protocols recurse once per tree level
     # (several frames each), past the recursion limit at MAX_DEPTH levels
     def __repr__(self):
         return "parse(%r)" % render(self)
@@ -60,7 +66,7 @@ class TangleExpr:
 
     def _key(self):
         # the preorder (node type, leaf fraction) sequence determines a
-        # binary tree; built without recursion, unlike dataclass equality
+        # binary tree; built without recursion, unlike field-by-field equality
         return tuple((type(n), getattr(n, "fraction", None)) for n in self.nodes())
 
     def __eq__(self, other):
@@ -72,24 +78,30 @@ class TangleExpr:
         return hash(self._key())
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Leaf(TangleExpr):
-    fraction: Fraction
+    __slots__ = ("fraction",)
+
+    def __init__(self, fraction):
+        object.__setattr__(self, "fraction", fraction)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Sum(TangleExpr):
-    left: TangleExpr
-    right: TangleExpr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def _children(self):
         return (self.left, self.right)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Product(TangleExpr):
-    left: TangleExpr
-    right: TangleExpr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def _children(self):
         return (self.left, self.right)

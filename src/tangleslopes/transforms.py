@@ -27,7 +27,7 @@ The case-4 c < 0 output keeps the sign printed in the source calculus
 (z = -c > 0); it is not the mirror of the c > 0 branch.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -77,12 +77,8 @@ def glue_scaled(w1, w2):
     return glue_sum(w1.scaled(ks[0]), w2.scaled(ks[1])).primitive(), ks
 
 
-@dataclass(frozen=True)
-class TransformOutcome:
-    state: WeightState
-    case_id: int
-    m: int
-    tau_prime: Fraction
+class TransformOutcome(namedtuple("TransformOutcome", "state case_id m tau_prime")):
+    __slots__ = ()
 
 
 def rotate_reflect(w):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -137,8 +136,8 @@ def test_verify_checks_every_reported_system(monkeypatch, capsys):
     def tampered(expr, c_bound=None):
         rep = real(expr, c_bound)
         last = rep.systems[-1]
-        wrong = dataclasses.replace(last, tau=last.tau + 2)
-        return dataclasses.replace(rep, systems=rep.systems[:-1] + (wrong,))
+        wrong = last._replace(tau=last.tau + 2)
+        return rep._replace(systems=rep.systems[:-1] + (wrong,))
 
     monkeypatch.setattr(cli, "solve_sn", tampered)
     code, out, _ = run(capsys, "verify", "--n-max", "2")
@@ -245,3 +244,13 @@ def test_log_level_reads_logging_level_names(level, shown):
         env=env, capture_output=True, text=True, check=True,
     )
     assert ("INFO tangleslopes.solver: sn solve" in done.stderr) is shown
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every CLI call pays this import; -S keeps site's own imports out of it
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = "import sys, tangleslopes.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"

@@ -5,13 +5,12 @@ exactly the text `json.dumps` gives for `report_document(rep)`, plus a
 newline, on every Python version. `report_document` and `json.dumps` are
 the reference here. Solved reports give the writer shared records and
 realistic shapes; strings put into their notes and node labels with
-`dataclasses.replace` keep escaping covered, and a non-string put in
+the records' `_replace` keep escaping covered, and a non-string put in
 any of those slots must raise `TypeError`.
 """
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import cycle
 from math import gcd
@@ -46,29 +45,29 @@ def _relabel(rep, strings):
 
     def node(n):
         if id(n) not in nodes:
-            nodes[id(n)] = replace(n, label=next(text))
+            nodes[id(n)] = n._replace(label=next(text))
         return nodes[id(n)]
 
     systems = tuple(
-        replace(s, note=next(text), nodes=tuple(node(n) for n in s.nodes)) for s in rep.systems
+        s._replace(note=next(text), nodes=tuple(node(n) for n in s.nodes)) for s in rep.systems
     )
     notes = tuple(next(text) for _ in range(len(rep.notes) + 1))
-    return replace(rep, systems=systems, notes=notes, crossing_source=next(text))
+    return rep._replace(systems=systems, notes=notes, crossing_source=next(text))
 
 
 def test_writer_on_fixed_edge_cases():
     rep = solve(parse("-1/2 + 1/3 + 1/5"), c_bound=4)
     # no systems and no notes: empty arrays
-    bare = replace(rep, systems=(), notes=(), slopes=(), certified=(), diameter=None, ratio=None)
+    bare = rep._replace(systems=(), notes=(), slopes=(), certified=(), diameter=None, ratio=None)
     assert '"systems": []\n}\n' in format_json(bare)
     # a state with slope-infinity and slope-0 edges, which no solve builds,
     # as a closure and as a node state
     odd = WeightState(2, 3, -5, 4, True)
     system = rep.systems[0]
-    system = replace(system, closure=odd, nodes=(replace(system.nodes[0], state=odd),))
-    for case in (bare, replace(rep, systems=(system,)), _relabel(rep, ['"\\\x01é😀\ud800'])):
+    system = system._replace(closure=odd, nodes=(system.nodes[0]._replace(state=odd),))
+    for case in (bare, rep._replace(systems=(system,)), _relabel(rep, ['"\\\x01é😀\ud800'])):
         assert format_json(case) == _reference(case)
-    assert '"has_zero": true' in format_json(replace(rep, systems=(system,)))
+    assert '"has_zero": true' in format_json(rep._replace(systems=(system,)))
 
 
 @pytest.mark.parametrize(
@@ -98,11 +97,11 @@ def test_writer_refuses_other_types(value):
     system = rep.systems[0]
     node = system.nodes[0]
     cases = [
-        replace(rep, notes=(value,)),
-        replace(rep, crossing_source=value),
-        replace(rep, systems=(replace(system, note=value),)),
-        replace(rep, systems=(replace(system, nodes=(replace(node, label=value),)),)),
-        replace(rep, systems=(replace(system, nodes=(replace(node, kind=value),)),)),
+        rep._replace(notes=(value,)),
+        rep._replace(crossing_source=value),
+        rep._replace(systems=(system._replace(note=value),)),
+        rep._replace(systems=(system._replace(nodes=(node._replace(label=value),)),)),
+        rep._replace(systems=(system._replace(nodes=(node._replace(kind=value),)),)),
     ]
     for case in cases:
         with pytest.raises(TypeError):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -8,6 +7,7 @@ import pytest
 from tangleslopes import (
     ConstantPath,
     MismatchedWeights,
+    NodeTrace,
     Product,
     SeifertUndefined,
     Sum,
@@ -15,6 +15,7 @@ from tangleslopes import (
     WeightState,
     kn,
     parse,
+    solve,
     verify_system,
 )
 from tangleslopes.edgepaths import tau, validate
@@ -254,7 +255,7 @@ def test_seifert_system_shape():
 
 def test_verify_system_catches_tampering():
     system = seifert_system(kn(2))
-    wrong = dataclasses.replace(system, tau=system.tau + 2)
+    wrong = system._replace(tau=system.tau + 2)
     assert verify_system(wrong)
 
     expr = parse("-1/2 + 1/3 + 1/7")
@@ -264,8 +265,32 @@ def test_verify_system_catches_tampering():
     )
     good = build_system(expr, paths, reference_tau=seifert_tau(expr))
     assert verify_system(good) == []
-    assert verify_system(dataclasses.replace(good, slope=good.slope + 1))
-    assert verify_system(dataclasses.replace(good, tau=good.tau - 2))
+    assert verify_system(good._replace(slope=good.slope + 1))
+    assert verify_system(good._replace(tau=good.tau - 2))
+
+
+def test_records_are_immutable_and_keep_their_defaults():
+    state = WeightState(1, 2, 3)
+    assert state.n_inf == 0 and state.has_zero is False
+    path = VertexPath(Fraction(1, 3), (Fraction(1, 3), Fraction(0)))
+    assert path.sheets == 1 and path.final_fraction == 1
+    node = NodeTrace("L1", "leaf", state, Fraction(2))
+    assert node.scales == (1, 1) and node.case_id == 0 and node.m == 0
+    assert node.tau_prime is None and node.transformed is None
+    rep = solve(parse("-1/2 + 1/3 + 1/7"))
+    system = rep.systems[0]
+    for record, field in (
+        (state, "a"), (path, "sheets"), (node, "tau"), (system, "slope"), (rep, "slopes"),
+    ):
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.unknown_field = None
+        assert getattr(record, field) is before
+    note = system.note
+    assert system._replace(note="edited").note == "edited" and system.note == note
+    assert repr(state) == "WeightState(a=1, b=2, c=3, n_inf=0, has_zero=False)"
 
 
 def test_verify_system_flags_open_root():

@@ -107,6 +107,20 @@ def test_repr_copy_and_pickle_do_not_recurse():
     assert copy.copy(leaf) == leaf and pickle.loads(pickle.dumps(leaf)) == leaf
 
 
+def test_nodes_are_immutable_without_instance_dicts():
+    leaf = Leaf(Fraction(1, 3))
+    for node, field in ((leaf, "fraction"), (Sum(leaf, leaf), "left"), (Product(leaf, leaf), "right")):
+        before = getattr(node, field)
+        with pytest.raises(AttributeError):
+            setattr(node, field, leaf)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+        with pytest.raises(AttributeError):
+            node.unknown_field = None
+        assert getattr(node, field) is before
+        assert not hasattr(node, "__dict__")
+
+
 def test_zero_denominator_is_a_parse_error():
     with pytest.raises(ZeroDenominator):
         parse("1/0")
