@@ -12,8 +12,9 @@ sitting at ((q-1)/q, p/q). Vertices p/q and r/s span an edge exactly when
 vertices on the u = 0 line. Three pairwise adjacent vertices bound a
 triangle, always of the form {p/q, r/s, (p+r)/(q+s)}.
 
-The diagram is infinite, so it is kept implicit: an adjacency predicate plus
-parent generation, no stored graph.
+The diagram is infinite, so it is kept implicit: an adjacency predicate,
+no stored graph. edgepaths walks the descents from a vertex to the integers
+in (p, q) int pairs.
 """
 
 from collections import namedtuple
@@ -82,20 +83,3 @@ def is_edge(pq, rs):
     det = pq.numerator * rs.denominator - pq.denominator * rs.numerator
     return abs(det) == 1
 
-
-def parents(pq):
-    """The two adjacent vertices of strictly smaller denominator.
-
-    These are the continued-fraction splittings of p/q: the fractions
-    r1/s1, r2/s2 with r1+r2 = p and s1+s2 = q. Needs q >= 2.
-    """
-    pq = Fraction(pq)
-    p, q = pq.numerator, pq.denominator
-    if q < 2:
-        raise ValueError("integer vertex %s has no parents in the strip" % pq)
-    # solve p*s = 1 (mod q) with 1 <= s < q
-    s = pow(p % q, -1, q)
-    r = (p * s - 1) // q
-    first = Fraction(r, s)
-    second = Fraction(p - r, q - s)
-    return tuple(sorted((first, second), key=lambda f: (f.denominator, f)))

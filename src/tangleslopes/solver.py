@@ -612,15 +612,11 @@ def _leaf_picks(witness):
 
 
 def _sn_candidates(expr, c_bound, notes):
-    """The SN search: one candidate per closed tau, its witness of least
-    rank flattened to leaf picks."""
-    kept = {}  # tau -> the (rank, nested picks) of smallest rank
+    """The SN search: every closed root witness, ordered by its rank and
+    flattened to leaf picks."""
     for entries in _root_table(expr, c_bound).values():  # all closed: c = 0
-        for t, witness in entries.items():
-            if t not in kept or witness[0] < kept[t][0]:
-                kept[t] = witness
-    for t, (rank, witness) in kept.items():
-        yield t, "", rank, _leaf_picks(witness), True
+        for t, (rank, witness) in entries.items():
+            yield t, "", rank, _leaf_picks(witness), True
 
 
 def solve_sn(expr, c_bound=None):

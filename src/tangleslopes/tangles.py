@@ -12,10 +12,13 @@ grammar
     fraction := ['-'] int ['/' int]
 
 with `+` binding tighter than `o` and both operators left-associative.
-A tree deeper than MAX_DEPTH levels is a ParseError, so the recursive tree
-walks stay within Python's recursion limit.
+An int is ASCII digits 0-9; any other character is a ParseError. `parse`
+does not recurse, but `mirror`, `montesinos_factors` and `slopes.replay`
+do, so a tree deeper than MAX_DEPTH levels is a ParseError and those walks
+stay within Python's recursion limit.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import FamilyRange, ParseError, ZeroDenominator
@@ -85,7 +88,7 @@ class Leaf(TangleExpr):
         object.__setattr__(self, "fraction", fraction)
 
 
-class Sum(TangleExpr):
+class _Binary(TangleExpr):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
@@ -96,15 +99,12 @@ class Sum(TangleExpr):
         return (self.left, self.right)
 
 
-class Product(TangleExpr):
-    __slots__ = ("left", "right")
+class Sum(_Binary):
+    __slots__ = ()
 
-    def __init__(self, left, right):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
-    def _children(self):
-        return (self.left, self.right)
+class Product(_Binary):
+    __slots__ = ()
 
 
 def montesinos_factors(expr, parity=0):
@@ -127,122 +127,76 @@ def montesinos_factors(expr, parity=0):
 # parsing
 
 
-def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+o()/-":
-            tokens.append((ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
-            continue
-        raise ParseError("unexpected character %r" % ch, i)
-    return tokens
-
-
+_TOKEN = re.compile(r"[0-9]+|\S")
 MAX_DEPTH = 500
 _BINDING = {"o": 1, "+": 2}  # an open parenthesis binds 0: reductions stop there
 
 
-def _reduce(operands, pending, floor):
-    """Apply the pending operators that bind at least as tightly as floor."""
-    while pending and _BINDING.get(pending[-1][0], 0) >= floor:
-        op, position = pending.pop()
-        (right, rdepth), (left, ldepth) = operands.pop(), operands.pop()
-        depth = 1 + max(ldepth, rdepth)
-        if depth > MAX_DEPTH:
-            raise ParseError("expression nests too deeply (over %d levels)" % MAX_DEPTH, position)
-        operands.append(((Sum if op == "+" else Product)(left, right), depth))
-
-
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
-
-    def here(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][1]
-        return len(self.text)
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expr(self):
-        """Operator precedence without recursion: operands are (node, tree
-        depth) pairs; pending holds operators and open parentheses."""
-        operands, pending, opened = [], [], 0
-        while True:
-            while self.peek() == "(":
-                pending.append(self.take())
-                opened += 1
-            operands.append((self.fraction(), 1))
-            while opened and self.peek() == ")":
-                _reduce(operands, pending, 1)
-                pending.pop()
-                opened -= 1
-                self.take()
-            if self.peek() not in _BINDING:
-                break
-            _reduce(operands, pending, _BINDING[self.peek()])
-            pending.append(self.take())
-        _reduce(operands, pending, 1)
-        if pending:
-            raise ParseError("unbalanced parenthesis", pending[-1][1])
-        return operands[0][0]
-
-    def fraction(self):
-        sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
-        tok = self.peek()
-        if tok is None or not tok.isdigit():
-            raise ParseError("expected a fraction", self.here())
-        num_pos = self.here()
-        num = int(self.take()[0])
-        den = 1
-        if self.peek() == "/":
-            self.take()
-            tok = self.peek()
-            if tok is None or not tok.isdigit():
-                raise ParseError("expected a denominator", self.here())
-            den_pos = self.here()
-            den = int(self.take()[0])
-            if den == 0:
-                raise ZeroDenominator("zero denominator", den_pos)
-        if num == 0:
-            raise ParseError("zero tangle is not allowed", num_pos)
-        return Leaf(Fraction(sign * num, den))
-
-
 def parse(text):
-    """Parse expression text into a TangleExpr tree."""
-    parser = _Parser(text)
-    if not parser.tokens:
+    """Parse expression text into a TangleExpr tree.
+
+    Operator precedence without recursion: operands are (node, tree depth)
+    pairs; pending holds operators and open parentheses. Each pass of the
+    loop reads the open parentheses and fraction of one operand, then the
+    closing parentheses and operator after it.
+    """
+    tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    for tok, at in tokens:
+        if len(tok) == 1 and tok not in "0123456789+o()/-":
+            raise ParseError("unexpected character %r" % tok, at)
+    if not tokens:
         raise ParseError("empty input", 0)
-    node = parser.expr()
-    if parser.peek() is not None:
-        raise ParseError("unexpected token %r" % parser.peek(), parser.here())
-    return node
+    tokens.append((None, len(text)))
+    operands, pending, opened, i = [], [], 0, 0
+    while True:
+        while tokens[i][0] == "(":
+            pending.append(tokens[i])
+            opened += 1
+            i += 1
+        sign = 1
+        if tokens[i][0] == "-":
+            sign, i = -1, i + 1
+        tok, num_at = tokens[i]
+        if tok is None or not tok.isdigit():
+            raise ParseError("expected a fraction", num_at)
+        num, den, i = int(tok), 1, i + 1
+        if tokens[i][0] == "/":
+            tok, at = tokens[i + 1]
+            if tok is None or not tok.isdigit():
+                raise ParseError("expected a denominator", at)
+            den, i = int(tok), i + 2
+            if den == 0:
+                raise ZeroDenominator("zero denominator", at)
+        if num == 0:
+            raise ParseError("zero tangle is not allowed", num_at)
+        operands.append((Leaf(Fraction(sign * num, den)), 1))
+        while True:
+            # apply the pending operators that bind at least as tightly as
+            # the next token; a closing parenthesis or any other token
+            # applies all of them down to the innermost open parenthesis
+            tok, at = tokens[i]
+            floor = _BINDING.get(tok, 1)
+            while pending and _BINDING.get(pending[-1][0], 0) >= floor:
+                op, position = pending.pop()
+                (right, rdepth), (left, ldepth) = operands.pop(), operands.pop()
+                depth = 1 + max(ldepth, rdepth)
+                if depth > MAX_DEPTH:
+                    raise ParseError("expression nests too deeply (over %d levels)" % MAX_DEPTH, position)
+                operands.append(((Sum if op == "+" else Product)(left, right), depth))
+            if tok != ")" or not opened:
+                break
+            pending.pop()
+            opened -= 1
+            i += 1
+        if tok not in _BINDING:
+            break
+        pending.append((tok, at))
+        i += 1
+    if pending:
+        raise ParseError("unbalanced parenthesis", pending[-1][1])
+    if tok is not None:
+        raise ParseError("unexpected token %r" % tok, at)
+    return operands[0][0]
 
 
 def render(expr):
@@ -259,17 +213,14 @@ def node_labels(expr):
         if isinstance(node, Leaf):
             text[id(node)] = str(node.fraction)
             continue
+        # every operand that is a sum or product is parenthesized, except a
+        # left operand of its own kind: both operators are left-associative
         left, right = text[id(node.left)], text[id(node.right)]
-        if isinstance(node, Sum):
-            if isinstance(node.right, Sum):
-                right = "(%s)" % right
-            text[id(node)] = "%s + %s" % (left, right)
-            continue
-        if isinstance(node.left, Sum):
+        if isinstance(node.left, _Binary) and type(node.left) is not type(node):
             left = "(%s)" % left
-        if isinstance(node.right, (Sum, Product)):
+        if isinstance(node.right, _Binary):
             right = "(%s)" % right
-        text[id(node)] = "%s o %s" % (left, right)
+        text[id(node)] = ("%s + %s" if isinstance(node, Sum) else "%s o %s") % (left, right)
     return [text[id(node)] for node in order]
 
 
@@ -295,22 +246,16 @@ def kn(n):
 
 
 def family_index(expr):
-    """Return n when expr is kn(n) (or its mirror), else None."""
-    if not isinstance(expr, Product):
+    """Return n when expr is kn(n) (or its mirror), else None: both factors
+    are the sum s/n + -s/(n+1), with s = -1 for kn(n) and 1 for its mirror."""
+    if not (isinstance(expr, Product) and isinstance(expr.left, Sum)):
         return None
-    for candidate in (expr, mirror(expr)):
-        for side in (candidate.left, candidate.right):
-            if not isinstance(side, Sum):
-                break
-            if not (isinstance(side.left, Leaf) and isinstance(side.right, Leaf)):
-                break
-        else:
-            a = candidate.left.left.fraction
-            b = candidate.left.right.fraction
-            if a.numerator == -1 and b == Fraction(1, a.denominator + 1):
-                n = a.denominator
-                if n >= 2 and candidate.left == candidate.right:
-                    return n
+    a, b = expr.left.left, expr.left.right
+    if not (isinstance(a, Leaf) and isinstance(b, Leaf)):
+        return None
+    s, n = a.fraction.numerator, a.fraction.denominator
+    if abs(s) == 1 and n >= 2 and b.fraction == Fraction(-s, n + 1) and expr.left == expr.right:
+        return n
     return None
 
 

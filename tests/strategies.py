@@ -1,0 +1,25 @@
+"""Hypothesis strategies shared by the test modules."""
+
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from tangleslopes import Leaf, Product, Sum
+
+
+def leaves(q_max=9):
+    """Nonzero leaves p/q with q <= q_max; q = 1 gives the integer tangles."""
+    numerators = st.integers(-3 * q_max, 3 * q_max).filter(bool)
+    return st.builds(Fraction, numerators, st.integers(1, q_max)).map(Leaf)
+
+
+@st.composite
+def trees(draw, max_merges=12):
+    """Any tree of sums and products: each merge joins two nodes drawn from
+    the leaves and the earlier merges, so a tree can reach any depth up to
+    max_merges and can hold one subtree object in several places."""
+    pool = draw(st.lists(leaves(), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, max_merges))):
+        kind = draw(st.sampled_from((Sum, Product)))
+        pool.append(kind(draw(st.sampled_from(pool)), draw(st.sampled_from(pool))))
+    return pool[-1]

@@ -78,6 +78,22 @@ def test_parse_error_exit(capsys):
     assert "error:" in err
 
 
+def test_non_ascii_digit_exit(capsys):
+    code, _, err = run(capsys, "slopes", "1/\u00b2")  # superscript two
+    assert code == 2
+    assert "unexpected character" in err
+
+
+def test_report_expr_solves_to_the_same_report(capsys):
+    # a product under a sum: the report's expr must name the same knot, so
+    # solving it again gives the same bytes. No normalization: exit 3
+    code, out, _ = run(capsys, "slopes", "1/2 + (1/3 o 1/5) + 1/7")
+    assert code == 3
+    expr = json.loads(out)["expr"]
+    assert expr == "1/2 + (1/3 o 1/5) + 1/7"
+    assert run(capsys, "slopes", expr)[:2] == (code, out)
+
+
 def test_unsupported_shape_exit(capsys):
     code, _, err = run(capsys, "slopes", "1/2 + 1/3")
     assert code == 2

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tangleslopes import DegeneratePoint, WeightState, uv_coords
-from tangleslopes.diagram import is_edge, parents, vertex_point, vertex_triple
+from tangleslopes.diagram import is_edge, vertex_point, vertex_triple
 
 
 def test_vertex_triple():
@@ -53,28 +53,6 @@ def test_is_edge_symmetric_and_mirror_stable():
     for a, b in pairs:
         assert is_edge(a, b) == is_edge(b, a)
         assert is_edge(a, b) == is_edge(-a, -b)
-
-
-def test_parents_of_one_third():
-    assert parents(Fraction(1, 3)) == (Fraction(0, 1), Fraction(1, 2))
-
-
-def test_parents_of_three_fifths():
-    lo, hi = parents(Fraction(3, 5))
-    assert {lo, hi} == {Fraction(1, 2), Fraction(2, 3)}
-    assert lo.denominator <= hi.denominator
-
-
-def test_parents_are_adjacent_to_child_and_each_other():
-    for pq in (Fraction(3, 5), Fraction(-2, 7), Fraction(5, 8), Fraction(1, 9)):
-        a, b = parents(pq)
-        assert is_edge(pq, a) and is_edge(pq, b)
-        assert is_edge(a, b) or a == b
-
-
-def test_parents_rejects_integers():
-    with pytest.raises(ValueError):
-        parents(Fraction(4))
 
 
 def test_scaled_and_primitive():

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from tangleslopes import ConstantPath, FractionalEndpoint, VertexPath, WeightState
-from tangleslopes.diagram import is_edge, parents, vertex_triple
+from tangleslopes.diagram import is_edge, vertex_triple
 from tangleslopes.edgepaths import (
     constant_path,
     end_weights,
@@ -206,9 +206,49 @@ def test_enumerate_paths_deterministic():
     assert u_zero(Fraction(3, 7), 5) == u_zero(Fraction(3, 7), 5)
 
 
+def parents(pq):
+    """The two adjacent vertices of strictly smaller denominator.
+
+    These are the continued-fraction splittings of p/q: the fractions
+    r1/s1, r2/s2 with r1+r2 = p and s1+s2 = q. Needs q >= 2.
+    """
+    pq = Fraction(pq)
+    p, q = pq.numerator, pq.denominator
+    if q < 2:
+        raise ValueError("integer vertex %s has no parents in the strip" % pq)
+    # solve p*s = 1 (mod q) with 1 <= s < q
+    s = pow(p % q, -1, q)
+    r = (p * s - 1) // q
+    first = Fraction(r, s)
+    second = Fraction(p - r, q - s)
+    return tuple(sorted((first, second), key=lambda f: (f.denominator, f)))
+
+
+def test_parents_of_one_third():
+    assert parents(Fraction(1, 3)) == (Fraction(0, 1), Fraction(1, 2))
+
+
+def test_parents_of_three_fifths():
+    lo, hi = parents(Fraction(3, 5))
+    assert {lo, hi} == {Fraction(1, 2), Fraction(2, 3)}
+    assert lo.denominator <= hi.denominator
+
+
+def test_parents_are_adjacent_to_child_and_each_other():
+    for pq in (Fraction(3, 5), Fraction(-2, 7), Fraction(5, 8), Fraction(1, 9)):
+        a, b = parents(pq)
+        assert is_edge(pq, a) and is_edge(pq, b)
+        assert is_edge(a, b) or a == b
+
+
+def test_parents_rejects_integers():
+    with pytest.raises(ValueError):
+        parents(Fraction(4))
+
+
 def _recursive_descents(start):
     """The Fraction walk enumerate_paths replaced: recurse through
-    diagram.parents, skip a step that is an edge from the vertex before
+    parents, skip a step that is an edge from the vertex before
     (it would cut across a triangle), sort by length, then vertices."""
     start = Fraction(start)
     if start.denominator == 1:

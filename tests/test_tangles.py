@@ -3,6 +3,9 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from strategies import trees
 
 from tangleslopes import (
     FamilyRange,
@@ -21,6 +24,16 @@ from tangleslopes.tangles import (
     family_index,
     mirror,
     montesinos_factors,
+    node_labels,
+)
+from tangleslopes.tangles import MAX_DEPTH, _BINDING
+
+# a product under a sum: without its parentheses the text reparses as a
+# different tree, since + binds tighter than o
+PRODUCT_UNDER_SUM = (
+    "(2 o -1) + 1/3 + 1/3",
+    "1/2 + (1/3 o 1/5)",
+    "(1/3 o 1/2) + 1/3 + 1/5",
 )
 
 
@@ -52,7 +65,16 @@ def test_parse_whitespace_insensitive():
 
 @pytest.mark.parametrize(
     "text, position",
-    [("", 0), ("bad//", 0), ("0", 0), ("(1/2 + 1/3", 0), ("1/2 )", 4), ("1/2 1/3", 4)],
+    [
+        ("", 0),
+        ("bad//", 0),
+        ("0", 0),
+        ("(1/2 + 1/3", 0),
+        ("1/2 )", 4),
+        ("1/2 1/3", 4),
+        ("1/\u00b2", 2),  # superscript two
+        ("\u0663", 0),  # Arabic-Indic three
+    ],
 )
 def test_parse_errors_carry_positions(text, position):
     with pytest.raises(ParseError) as err:
@@ -142,6 +164,21 @@ def test_render_parenthesizes_only_where_needed():
     assert render(parse("1/2 + 1/3 + 1/4")) == "1/2 + 1/3 + 1/4"
     assert render(parse("1/2 + (1/3 + 1/4)")) == "1/2 + (1/3 + 1/4)"
     assert render(kn(2)) == "(-1/2 + 1/3) o (-1/2 + 1/3)"
+    for text in PRODUCT_UNDER_SUM:
+        assert render(parse(text)) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees())
+@example(parse(PRODUCT_UNDER_SUM[0]))
+@example(parse(PRODUCT_UNDER_SUM[1]))
+@example(parse(PRODUCT_UNDER_SUM[2]))
+def test_render_round_trips_every_tree(e):
+    assert parse(render(e)) == e
+    assert copy.deepcopy(e) == e
+    assert pickle.loads(pickle.dumps(e)) == e
+    assert eval(repr(e), {"parse": parse}) == e
+    assert node_labels(e) == [render(node) for node in e.nodes()]
 
 
 def test_str_matches_render():
@@ -214,3 +251,146 @@ def test_crossing_counts():
         assert crossing_count(kn(n)) >= family_crossing_count(n)
     assert crossing_count(parse("3/10")) == 6  # [3,3] continued fraction
     assert crossing_count(parse("-3")) == 3
+
+
+# ---------------------------------------------------------------------------
+# the parser parse replaced, kept as a reference: a token list, a _Parser
+# class reading it, and _reduce applying the pending operators
+
+
+def _tokenize(text):
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+o()/-":
+            tokens.append((ch, i))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append((text[i:j], i))
+            i = j
+            continue
+        raise ParseError("unexpected character %r" % ch, i)
+    return tokens
+
+
+def _reduce(operands, pending, floor):
+    """Apply the pending operators that bind at least as tightly as floor."""
+    while pending and _BINDING.get(pending[-1][0], 0) >= floor:
+        op, position = pending.pop()
+        (right, rdepth), (left, ldepth) = operands.pop(), operands.pop()
+        depth = 1 + max(ldepth, rdepth)
+        if depth > MAX_DEPTH:
+            raise ParseError("expression nests too deeply (over %d levels)" % MAX_DEPTH, position)
+        operands.append(((Sum if op == "+" else Product)(left, right), depth))
+
+
+class _Parser:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos][0]
+        return None
+
+    def here(self):
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos][1]
+        return len(self.text)
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expr(self):
+        operands, pending, opened = [], [], 0
+        while True:
+            while self.peek() == "(":
+                pending.append(self.take())
+                opened += 1
+            operands.append((self.fraction(), 1))
+            while opened and self.peek() == ")":
+                _reduce(operands, pending, 1)
+                pending.pop()
+                opened -= 1
+                self.take()
+            if self.peek() not in _BINDING:
+                break
+            _reduce(operands, pending, _BINDING[self.peek()])
+            pending.append(self.take())
+        _reduce(operands, pending, 1)
+        if pending:
+            raise ParseError("unbalanced parenthesis", pending[-1][1])
+        return operands[0][0]
+
+    def fraction(self):
+        sign = 1
+        if self.peek() == "-":
+            self.take()
+            sign = -1
+        tok = self.peek()
+        if tok is None or not tok.isdigit():
+            raise ParseError("expected a fraction", self.here())
+        num_pos = self.here()
+        num = int(self.take()[0])
+        den = 1
+        if self.peek() == "/":
+            self.take()
+            tok = self.peek()
+            if tok is None or not tok.isdigit():
+                raise ParseError("expected a denominator", self.here())
+            den_pos = self.here()
+            den = int(self.take()[0])
+            if den == 0:
+                raise ZeroDenominator("zero denominator", den_pos)
+        if num == 0:
+            raise ParseError("zero tangle is not allowed", num_pos)
+        return Leaf(Fraction(sign * num, den))
+
+
+def _reference_parse(text):
+    parser = _Parser(text)
+    if not parser.tokens:
+        raise ParseError("empty input", 0)
+    node = parser.expr()
+    if parser.peek() is not None:
+        raise ParseError("unexpected token %r" % parser.peek(), parser.here())
+    return node
+
+
+def _outcome(parse_text, text):
+    try:
+        return parse_text(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+_TEXT_ALPHABET = "0123456789 /+o()-x"
+_TEXT_PIECES = ("(", ")", " + ", "+", " o ", "o", "-", "/", "0", "1", "12", "7", " ", "x")
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.one_of(
+        st.text(_TEXT_ALPHABET, max_size=40),
+        st.lists(st.sampled_from(_TEXT_PIECES), max_size=30).map("".join),
+        trees().map(render),
+    )
+)
+@example("1/3 + (" * 1200 + "1/3" + ")" * 1200)
+@example("(" * 1200 + "1/3" + " + 1/3)" * 1200)
+@example("(" * 1200 + "1/3" + ")" * 1200)
+def test_parse_matches_the_reference_parser(text):
+    # the same tree, or the same exception type, message and position
+    assert _outcome(parse, text) == _outcome(_reference_parse, text)
