@@ -24,17 +24,13 @@ Two closure regimes:
      (an integer leaf keeps its trivial path regardless). A merge glues
      the left key (turned, at a product node) to each right key of the
      same (a : b) direction: both are rescaled to their least common
-     (a, b) and added, in integers, so c_bound is the only bound. Each
-     glued key records the (left key, right key) pairs behind it. The
-     root glues only pairs that close, leaving no net slope weight
-     (c = 0). That holds exactly when the two per-sheet c are negatives
-     of each other, so the root indexes its right operand by direction
-     and reduced per-sheet c, and each left key looks up its negated
-     class.
+     (a, b) and added, in integers, so c_bound is the only bound. A merge
+     keeps the set of glued keys only; the root only those that close,
+     leaving no net slope weight (c = 0).
   2. Demand pass, top-down. The root demands all its keys, which are the
-     closed ones. Each merge adds the left and right keys of the pairs
-     behind its demanded keys to its children's demand, after all of its
-     own parents have added theirs.
+     closed ones. Each merge recovers the (left key, right key) pairs
+     behind its demanded keys and adds both keys of each to its
+     children's demand, after all of its own parents have added theirs.
   3. Tau pass, bottom-up, demanded keys only. Each (demanded key, tau)
      keeps one witness, the one with the smallest descriptor. A leaf's is
      (descriptor, (key, tau, path)), its pick. A merge keeps the child
@@ -48,7 +44,7 @@ Two closure regimes:
   of one node has that node's tree shape, so its nested descriptor sorts
   as the flat tuple of its leaf descriptors would, and so does its rank;
   the smallest pair is that of the smallest child witnesses. The entry
-  sees every child pair: the key pass recorded every key pair behind a
+  sees every child pair: the demand pass recovers every key pair behind a
   demanded key, and both keys of each pair are demanded in turn.
 
 * solve_montesinos handles sums of three or more rational tangles. It
@@ -84,7 +80,7 @@ when the normalization exists; no other cap applies. A counted candidate
 adds the slope tau - tau(S0). Every leaf of a listed system is a pick
 (key, tau, path): its end state as a triple and its twist number, both
 from the engine's own data. The one builder, _materialize, then derives
-every node's trace in integers: a sum is the lcm glue of _glue_keys, a
+every node's trace in integers: a sum is the lcm glue of _glue, a
 product turns its left key by _turn first. slopes.replay, through
 transforms.rotate_reflect and glue_scaled, is the independent check
 (slopes.verify_system); the solve does not call it. All output,
@@ -251,7 +247,7 @@ def _distinct_nodes(expr):
     return order
 
 
-# key pass: state keys, and the key pairs that glue to each merged key
+# key pass: the state keys of every node
 
 
 def _leaf_table(leaf, c_bound):
@@ -297,83 +293,54 @@ def _turn(key):
     return (a, abs(c) - a, sign * (a + b)), -2 * sign
 
 
-def _glue_class(key, sheets, closing, sign=1):
-    """What a key must match to glue: its (a : b) direction, and when
-    closing also sign times its per-sheet c as a reduced pair."""
-    direction = (key[0] // sheets, key[1] // sheets)
-    if not closing:
-        return direction
-    g = gcd(key[2], sheets)
-    return direction + (sign * key[2] // g, sheets // g)
-
-
-def _index(table, closing):
-    """The right operand's keys by glue class, each with its sheet count;
-    every key has a >= 1, so a sheet count is never 0."""
-    index = {}
-    for key in table:
-        s = gcd(key[0], key[1])
-        index.setdefault(_glue_class(key, s, closing), []).append((key, s))
-    return index
-
-
-def _glue_keys(out, lw, ls, lkey, partners):
-    """Glue the key lw, of sheet count ls, to each (right key, sheet count)
-    of partners, and record (lkey, right key) under the glued key.
+def _glued_keys(lws, right, closing):
+    """The set of keys glued from each key of lws (the turned left keys,
+    at a product) and each right key of its (a : b) direction; when
+    closing, only those with c = 0.
 
     This is transforms.glue_scaled on integer keys. Of one direction
-    (da, db) a key is (s*da, s*db, c), s its sheet count. Both sides go
-    to L = lcm(s1, s2) sheets (multipliers k_i = L / s_i), c adds, and
-    the sum is divided by g = gcd(L, c) to stay primitive. At a product,
-    lw is the rotation output of the left key lkey.
+    (da, db) a primitive key is (s*da, s*db, c), s its sheet count, and
+    stands for the reduced per-sheet value c/s. Both sides go to
+    L = lcm(s1, s2) sheets (multipliers k_i = L / s_i), c adds, and the
+    sum is divided by g = gcd(L, c): a glue adds the values. So a pair
+    closes when the values are negatives: (a, b, c) and (a, b, -c).
     """
-    a, b, c = lw
-    for rkey, rs in partners:
-        common = lcm(ls, rs)
-        k1, k2 = common // ls, common // rs
-        gc = c * k1 + rkey[2] * k2
-        g = gcd(common, gc)
-        glued = (a * k1 // g, b * k1 // g, gc // g)
-        pairs = out.get(glued)
-        if pairs is None:
-            out[glued] = [(lkey, rkey)]
-        else:
-            pairs.append((lkey, rkey))
+    if closing:
+        return {(a // gcd(a, b), b // gcd(a, b), 0) for a, b, c in lws if (a, b, -c) in right}
+    groups = {}
+    for a, b, c in right:
+        s = gcd(a, b)
+        groups.setdefault((a // s, b // s), {}).setdefault(s, []).append(c)
+    out = set()
+    for a, b, c in lws:
+        ls = gcd(a, b)
+        for rs, rcs in groups.get((a // ls, b // ls), {}).items():
+            common = lcm(ls, rs)
+            if common == 1:  # most pairs: one sheet each, g = 1
+                out.update([(a, b, c + rc) for rc in rcs])
+                continue
+            k1, k2 = common // ls, common // rs
+            a1, b1, c1 = a * k1, b * k1, c * k1
+            for rc in rcs:
+                gc = c1 + rc * k2
+                g = gcd(common, gc)
+                out.add((a1 // g, b1 // g, gc // g))
+    return out
 
 
 def _merge_sum(left, right, closing=False):
-    """Key pass at a sum; when closing, only the pairs that close."""
-    out = {}
-    index = _index(right, closing)
-    for lkey in left:
-        s = gcd(lkey[0], lkey[1])
-        partners = index.get(_glue_class(lkey, s, closing, -1))
-        if partners:
-            _glue_keys(out, lkey, s, lkey, partners)
-    return out
+    """Key pass at a sum."""
+    return _glued_keys(left, right, closing)
 
 
 def _merge_product(left, right, closing=False):
-    """Key pass at a product: the turned key of each left key that _turn
-    accepts glues to the right keys; when closing, only the pairs that
-    close."""
-    out = {}
-    index = _index(right, closing)
-    for lkey in left:
-        turned = _turn(lkey)
-        if turned is None:
-            continue
-        tw = turned[0]
-        ts = gcd(tw[0], tw[1])  # >= a > 0
-        partners = index.get(_glue_class(tw, ts, closing, -1))
-        if partners:
-            _glue_keys(out, tw, ts, lkey, partners)
-    return out
+    """Key pass at a product: left keys that _turn rejects drop out."""
+    return _glued_keys([t[0] for t in map(_turn, left) if t], right, closing)
 
 
 def _key_pass(nodes, c_bound):
     """id(node) -> its key table, bottom-up; the last node is the root,
-    whose merge keeps only the pairs that close."""
+    whose merge keeps only the keys that close."""
     keys = {}
     for node in nodes:
         if isinstance(node, Leaf):
@@ -385,24 +352,45 @@ def _key_pass(nodes, c_bound):
     return keys
 
 
-# demand pass: the keys that a closed root key reaches
+# demand pass: the keys that a closed root key reaches, and their pairs
 
 
 def _demand_pass(nodes, keys):
-    """id(node) -> the set of its keys that some closed root key glues
-    from, top-down; a shared subtree collects from all its parents first."""
-    root = nodes[-1]
-    demand = {id(root): set(keys[id(root)])}
+    """id(node) -> {demanded key: the (left key, right key) pairs glued to
+    it}, None at a leaf, top-down; a shared subtree collects from all its
+    parents first.
+
+    A glue adds per-sheet values (_glued_keys), so for a demanded key and
+    a left key of its direction (turned, at a product) the one right key
+    that can glue to it has the reduced difference of their values.
+    """
+    demand = {id(nodes[-1]): dict.fromkeys(keys[id(nodes[-1])])}
     for node in reversed(nodes):
         if isinstance(node, Leaf):
             continue
-        table = keys[id(node)]
-        ldemand = demand.setdefault(id(node.left), set())
-        rdemand = demand.setdefault(id(node.right), set())
-        for key in demand[id(node)]:
-            for lkey, rkey in table[key]:
-                ldemand.add(lkey)
-                rdemand.add(rkey)
+        right, product = keys[id(node.right)], isinstance(node, Product)
+        ldemand = demand.setdefault(id(node.left), {})
+        rdemand = demand.setdefault(id(node.right), {})
+        wanted, by_direction = demand[id(node)], {}
+        for key in wanted:
+            a, b, c = key
+            s = gcd(a, b)
+            wanted[key] = pairs = []
+            by_direction.setdefault((a // s, b // s), []).append((s, c, pairs))
+        for lkey in keys[id(node.left)]:
+            turned = _turn(lkey) if product else (lkey,)
+            if turned:
+                a, b, lc = turned[0]
+                ls = gcd(a, b)
+                da, db = a // ls, b // ls
+                for s, c, pairs in by_direction.get((da, db), ()):
+                    # the right value c/s - lc/ls, reduced
+                    n, d = c * ls - lc * s, s * ls
+                    g = gcd(n, d)
+                    rkey = (da * d // g, db * d // g, n // g)
+                    if rkey in right:
+                        pairs.append((lkey, rkey))
+                        ldemand[lkey] = rdemand[rkey] = None
     return demand
 
 
@@ -430,9 +418,10 @@ def _leaf_witnesses(leaf, table, wanted):
     return out
 
 
-def _glue_witnesses(table, left, right, wanted, product):
-    """{tau: witness} per wanted key of a merged key table, from the
-    children's {tau: witness} tables.
+def _glue_witnesses(wanted, left, right, product):
+    """{tau: witness} per demanded key of a merge, from its
+    {key: (left key, right key) pairs} and the children's {tau: witness}
+    tables.
 
     tau adds at a sum; at a product it is tau' - tau(left) + tau(right),
     tau' from _turn. Each tau keeps the child witness pair with the
@@ -441,7 +430,7 @@ def _glue_witnesses(table, left, right, wanted, product):
     out = {}
     for key in sorted(wanted):
         best = {}
-        for lkey, rkey in table[key]:
+        for lkey, rkey in wanted[key]:
             lents, rents = left[lkey].items(), right[rkey].items()
             if product:
                 turn = _turn(lkey)[1]
@@ -470,13 +459,13 @@ def _tau_pass(nodes, keys, demand):
     """id(node) -> its witness table over its demanded keys, bottom-up."""
     taus = {}
     for node in nodes:
-        table, wanted = keys[id(node)], demand[id(node)]
+        wanted = demand[id(node)]
         if isinstance(node, Leaf):
-            taus[id(node)] = _leaf_witnesses(node, table, wanted)
+            taus[id(node)] = _leaf_witnesses(node, keys[id(node)], wanted)
         else:
             left, right = taus[id(node.left)], taus[id(node.right)]
             product = isinstance(node, Product)
-            taus[id(node)] = _rank(_glue_witnesses(table, left, right, wanted, product))
+            taus[id(node)] = _rank(_glue_witnesses(wanted, left, right, product))
     return taus
 
 
@@ -493,8 +482,8 @@ def _root_table(expr, c_bound):
             len(taus[id(node.left)][lkey]) * len(taus[id(node.right)][rkey])
             for node in nodes
             if not isinstance(node, Leaf)
-            for key in demand[id(node)]
-            for lkey, rkey in keys[id(node)][key]
+            for pairs in demand[id(node)].values()
+            for lkey, rkey in pairs
         )
         log.info(
             "sn solve, c_bound=%d, %d nodes: %d keys built, %d demanded,"
@@ -513,8 +502,7 @@ def _glue(lw, rkey):
     glued primitive triple and the multipliers (k1, k2). The triples need
     not be primitive: a Montesinos leaf's end state may not be.
 
-    _glue_keys inlines the same arithmetic: calling this once per pair
-    from the key pass's inner loop made the SN passes about 7% slower.
+    _glued_keys inlines the same arithmetic, once per right sheet count.
     """
     ls, rs = gcd(lw[0], lw[1]), gcd(rkey[0], rkey[1])
     common = lcm(ls, rs)

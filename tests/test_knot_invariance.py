@@ -9,6 +9,11 @@ diagram, and turning the diagram over reverses the order while each
 rational tangle is carried to itself. No invariant is needed to show
 that the rewritten expression is the same knot.
 
+Mirroring negates every leaf, and with it the knot's slope set and the
+twist number tau of every closed system: the mirror of a closed surface
+is a closed surface of the mirror knot, with the opposite twisting. This
+oracle reads only the two reports, not how either was solved.
+
 Slope sets are compared only where the report has a normalization (the
 Seifert reference system), since without one no slope is reported.
 """
@@ -19,7 +24,8 @@ from math import gcd
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tangleslopes import parse, solve
+from tangleslopes import parse, solve, solve_sn
+from tangleslopes.tangles import Leaf, Product, Sum, mirror
 
 
 @st.composite
@@ -51,3 +57,37 @@ def test_rotation_and_reversal_keep_montesinos_slopes(leaves):
     assume(slopes is not None)
     for moved in (leaves[1:] + leaves[:1], leaves[::-1]):
         assert _normalized_slopes(moved) == slopes, moved
+
+
+def _leaf(draw):
+    q = draw(st.integers(min_value=2, max_value=5))
+    return Leaf(Fraction(draw(st.sampled_from([p for p in range(1 - q, q) if gcd(p, q) == 1])), q))
+
+
+@st.composite
+def _products(draw):
+    """Products of 2-3 factors, each one leaf or a sum of two, q <= 5."""
+    factors = [
+        _leaf(draw) if draw(st.booleans()) else Sum(_leaf(draw), _leaf(draw))
+        for _ in range(draw(st.integers(min_value=2, max_value=3)))
+    ]
+    expr = factors[0]
+    for factor in factors[1:]:
+        expr = Product(expr, factor)
+    return expr
+
+
+def _closed_taus(rep):
+    return {s.tau for s in rep.systems if s.note != "seifert-reference"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_products())
+# with a normalization, and without one
+@example(parse("-1/2 o (-1/2 + -3/4) o 1/2"))
+@example(parse("(1/2 + -1/3) o 2/5 o (-1/2 + 1/4)"))
+def test_mirror_negates_closed_taus_and_slopes(expr):
+    rep, mirrored = solve_sn(expr), solve_sn(mirror(expr))
+    assert _closed_taus(mirrored) == {-t for t in _closed_taus(rep)}
+    if any(s.note == "seifert-reference" for s in rep.systems):
+        assert mirrored.slopes == tuple(sorted(-s for s in rep.slopes))

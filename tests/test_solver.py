@@ -6,7 +6,7 @@ from itertools import product as iterproduct
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tangleslopes import (
@@ -750,7 +750,7 @@ def test_passes_match_eager_tables_at_every_node():
         taus = _tau_pass(nodes, keys, demand)
         for node in nodes:
             table = taus[id(node)]
-            assert set(table) == demand[id(node)] <= set(keys[id(node)])
+            assert set(table) == set(demand[id(node)]) <= set(keys[id(node)])
             for key, entries in table.items():
                 assert _flat(entries) == eager[id(node)][key], (expr, c_bound, node, key)
             demanded += len(table)
@@ -764,6 +764,47 @@ def test_passes_match_eager_tables_at_every_node():
     assert demanded >= 1000
 
 
+def _brute_pairs(left, right, product):
+    """{glued key: {(left key, right key)}} over every pair of two key
+    tables, glued by transforms.glue_scaled after rotate_reflect at a
+    product."""
+    out = {}
+    for lkey in left:
+        lw = WeightState(*lkey)
+        if product:
+            try:
+                lw = rotate_reflect(lw).state
+            except (Infeasible, UndefinedCase):
+                continue
+        for rkey in right:
+            glued = glue_scaled(lw, WeightState(*rkey))
+            if glued is not None:
+                out.setdefault(_key_of(glued[0]), set()).add((lkey, rkey))
+    return out
+
+
+def test_demand_pass_recovers_every_pair_of_a_demanded_key():
+    # the key pass keeps only the glued keys; at every merge the demand
+    # pass must recover, for each demanded key, exactly the key pairs
+    # that glue to it, each once
+    pairs = 0
+    for expr, c_bound in _pass_cases():
+        nodes = _distinct_nodes(expr)
+        keys = _key_pass(nodes, c_bound)
+        demand = _demand_pass(nodes, keys)
+        for node in nodes:
+            if isinstance(node, Leaf):
+                assert set(demand[id(node)].values()) <= {None}
+                continue
+            left, right = keys[id(node.left)], keys[id(node.right)]
+            brute = _brute_pairs(left, right, isinstance(node, Product))
+            for key, recovered in demand[id(node)].items():
+                assert len(set(recovered)) == len(recovered), (expr, c_bound, node, key)
+                assert set(recovered) == brute[key], (expr, c_bound, node, key)
+                pairs += len(recovered)
+    assert pairs >= 1000
+
+
 def test_sn_solve_logs_one_info_line(caplog):
     with caplog.at_level(logging.DEBUG, logger="tangleslopes.solver"):
         solve_sn(kn(3))
@@ -774,8 +815,9 @@ def test_sn_solve_logs_one_info_line(caplog):
 
 # The merges glue integer keys in place; transforms.glue_scaled and
 # transforms.rotate_reflect are the reference. These feed hand-built
-# one-key tables: keys (a, b, c), and left keys of a product whose
-# rotation is case 1, the only case the solve reaches.
+# one-key tables: primitive keys (a, b, c), as the key pass builds them,
+# and left keys of a product whose rotation is case 1, the only case the
+# solve reaches.
 
 _directions = st.tuples(
     st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6)
@@ -792,28 +834,40 @@ def _one_key_table(key, t, name):
     return {key: {t: (name, name)}}
 
 
+def _recovered(merge, left, right, keys):
+    """The demand pass over one merge whose keys are all demanded: its
+    {key: recovered (left key, right key) pairs}."""
+    lnode, rnode = Leaf(Fraction(1, 2)), Leaf(Fraction(1, 3))
+    node = (Product if merge is _merge_product else Sum)(lnode, rnode)
+    tables = {id(lnode): left, id(rnode): right, id(node): keys}
+    return _demand_pass([lnode, rnode, node], tables)[id(node)]
+
+
 def _glue_one(merge, left, right):
-    """Both passes over two one-key tables: (key table, witness table),
-    and the key table of the same merge at the root."""
+    """The three passes over two one-key tables: (glued keys, recovered
+    pairs, witness table), and the glued keys of the same merge at the
+    root."""
     keys = merge(left, right)
-    product = merge is _merge_product
-    witnesses = _glue_witnesses(keys, left, right, set(keys), product)
-    return keys, witnesses, merge(left, right, True)
+    pairs = _recovered(merge, left, right, keys)
+    witnesses = _glue_witnesses(pairs, left, right, merge is _merge_product)
+    return keys, pairs, witnesses, merge(left, right, True)
 
 
 def _closing_part(keys, glued):
-    return keys if glued.c == 0 else {}
+    return keys if glued.c == 0 else set()
 
 
 @settings(max_examples=400, deadline=None)
 @given(_directions, _sheets, _cs, _sheets, _cs)
 def test_sum_glue_matches_glue_scaled(direction, ls, lc, rs, rc):
+    assume(gcd(ls, lc) == 1 and gcd(rs, rc) == 1)
     lkey, rkey = _key(direction, ls, lc), _key(direction, rs, rc)
-    keys, out, root = _glue_one(
+    keys, pairs, out, root = _glue_one(
         _merge_sum, _one_key_table(lkey, 3, "l"), _one_key_table(rkey, -5, "r")
     )
     glued, _ = glue_scaled(WeightState(*lkey), WeightState(*rkey))
-    assert keys == {_key_of(glued): [(lkey, rkey)]}
+    assert keys == {_key_of(glued)}
+    assert pairs == {_key_of(glued): [(lkey, rkey)]}
     assert out == {_key_of(glued): {-2: (("l", "r"), ("l", "r"))}}
     assert root == _closing_part(keys, glued)
 
@@ -824,7 +878,9 @@ def _turnable_keys(draw):
     a = draw(st.integers(min_value=1, max_value=5))
     b = draw(st.integers(min_value=0, max_value=8))
     sign = draw(st.sampled_from((-1, 1)))
-    return (a, b, sign * (a + draw(st.integers(0, 8))))
+    c = sign * (a + draw(st.integers(0, 8)))
+    assume(gcd(a, b, c) == 1)
+    return (a, b, c)
 
 
 @settings(max_examples=400, deadline=None)
@@ -833,12 +889,14 @@ def test_product_glue_matches_glue_scaled(lkey, rs, rc):
     turn = rotate_reflect(WeightState(*lkey))
     assert turn.case_id == 1
     s = gcd(turn.state.a, turn.state.b)
+    assume(gcd(rs, rc) == 1)
     rkey = _key((turn.state.a // s, turn.state.b // s), rs, rc)
-    keys, out, root = _glue_one(
+    keys, pairs, out, root = _glue_one(
         _merge_product, _one_key_table(lkey, 3, "l"), _one_key_table(rkey, 1, "r")
     )
     glued, _ = glue_scaled(turn.state, WeightState(*rkey))
-    assert keys == {_key_of(glued): [(lkey, rkey)]}
+    assert keys == {_key_of(glued)}
+    assert pairs == {_key_of(glued): [(lkey, rkey)]}
     # tau' is an int, equal to the transform's Fraction
     assert _turn(lkey) == (turn.state.triple(), turn.tau_prime)
     assert type(_turn(lkey)[1]) is int
@@ -863,13 +921,13 @@ def test_turn_matches_rotate_reflect(a, b, c):
     assert _turn((a, b, c)) == (outcome.state.triple(), outcome.tau_prime)
 
 
-# small weights, so that many drawn pairs close
+# small primitive weights, so that many drawn pairs close
 _small_keys = st.builds(
     _key,
     st.sampled_from(((1, 0), (0, 1), (1, 1), (1, 2))),
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=-4, max_value=4),
-)
+).filter(lambda key: gcd(*key) == 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -879,12 +937,19 @@ _small_keys = st.builds(
     st.lists(_small_keys, max_size=6),
 )
 def test_closing_merges_keep_exactly_the_closed_keys(lkeys, turnable, rkeys):
-    # the root looks up the negated per-sheet c class instead of gluing
-    # every pair of a direction; it must find the same closed keys
-    for merge, left in ((_merge_sum, lkeys), (_merge_product, turnable)):
-        full, root = merge(left, rkeys), merge(left, rkeys, True)
-        closed = {key: sorted(pairs) for key, pairs in _closed(full).items()}
-        assert {key: sorted(pairs) for key, pairs in root.items()} == closed
+    # the root looks up the right key with the same sheets and negated c
+    # instead of gluing every pair of a direction; it must find the same
+    # closed keys, and the demand pass the same pairs behind each
+    right = set(rkeys)
+    for merge, left in ((_merge_sum, set(lkeys)), (_merge_product, set(turnable))):
+        full, root = merge(left, right), merge(left, right, True)
+        assert root == {key for key in full if key[2] == 0}
+        closed, every = _recovered(merge, left, right, root), _recovered(merge, left, right, full)
+        assert closed == {key: every[key] for key in root}
+        brute = _brute_pairs(left, right, merge is _merge_product)
+        assert {key: set(pairs) for key, pairs in closed.items()} == {
+            key: brute[key] for key in brute if key[2] == 0
+        }
 
 
 def test_key_pass_builds_no_key_without_direction():
@@ -899,6 +964,8 @@ def test_key_pass_builds_no_key_without_direction():
         nodes = _distinct_nodes(expr)
         for table in _key_pass(nodes, c_bound).values():
             assert all(key[0] >= 1 for key in table), (expr, c_bound)
+            # primitive, as the demand pass's lookups need
+            assert all(gcd(*key) == 1 for key in table), (expr, c_bound)
             keys += len(table)
     assert keys >= 1000
 
