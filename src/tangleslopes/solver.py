@@ -24,21 +24,22 @@ Two closure regimes:
      (an integer leaf keeps its trivial path regardless). A merge glues
      the left key (turned, at a product node) to each right key of the
      same (a : b) direction: both are rescaled to their least common
-     (a, b) and added, in integers, so c_bound is the only bound. A merge
-     keeps the set of glued keys only; the root only those that close,
-     leaving no net slope weight (c = 0).
+     (a, b) and added, in integers, so c_bound is the only bound; one-sheet
+     keys glue as an integer sumset. A merge keeps the set of glued keys
+     only; the root only those that close, leaving no net slope weight
+     (c = 0).
   2. Demand pass, top-down. The root demands all its keys, which are the
      closed ones. Each merge recovers the (left key, right key) pairs
      behind its demanded keys and adds both keys of each to its
      children's demand, after all of its own parents have added theirs.
   3. Tau pass, bottom-up, demanded keys only. Each (demanded key, tau)
      keeps one witness, the one with the smallest descriptor. A leaf's is
-     (descriptor, (key, tau, path)), its pick. A merge keeps the child
-     pair with the smallest (left descriptor, right descriptor), as
-     ((left descriptor, right descriptor), (left picks, right picks)),
-     then replaces each descriptor by its rank among the node's
-     witnesses. Nothing is joined; only the witness listed per
-     (tau, note) is flattened to its leaf picks.
+     (order, (key, tau, leaf fraction, descent)), order sorting as the
+     path's descriptor. A merge keeps the child pair with the smallest
+     (left descriptor, right descriptor), as ((left descriptor, right
+     descriptor), (left picks, right picks)), then replaces each
+     descriptor by its rank among the node's witnesses. Nothing is
+     joined; only the witness listed per (tau, note) is flattened.
 
   The merge's choice is the smallest witness of its entry. Every witness
   of one node has that node's tree shape, so its nested descriptor sorts
@@ -53,16 +54,9 @@ Two closure regimes:
   endpoint abscissa u is one unknown: each leaf contributes either
   its constant family or a partially traversed final edge, v is affine in
   u on each piece, and sum v = 0 is solved exactly piece by piece
-  (type I). The type-I walk visits only the prefixes of segment choices
-  whose validity intervals overlap; it skips no combination that can
-  close. It runs in integers, and so are the segments: each interval end
-  is (q - 1)/q for a vertex denominator q, or 1, so in the coordinate
-  w = 1/(1 - u) it is the int q, or unbounded (None); coeff and offset are
-  numerators over one int denominator, and the walk scales them by D, the
-  lcm of those denominators over the sum's leaves. A combination with scaled
-  totals C and O closes at u0 = -O/C, tested against its w interval by
-  cross-multiplication, and a Fraction is built only for a u0 that
-  passes. Systems whose paths all reach the u = 0 line close when the
+  (type I, _type_i_candidates), in integers: an interval end (q - 1)/q is
+  the int q in w = 1/(1 - u), and a Fraction is built only for a u0 that
+  closes. Systems whose paths all reach the u = 0 line close when the
   integer endpoints sum to zero (type II). Their choices are the descents
   alone, ending within +-c_bound; no path travels along u = 0. Such a
   system is counted as a slope when the penultimate-vertex denominators
@@ -252,14 +246,14 @@ def _distinct_nodes(expr):
 
 def _leaf_table(leaf, c_bound):
     """A leaf's primitive state keys, each -> None for a constant, else
-    the [(tau, descent, end)] of the paths ending on its vertex <end>.
+    the [(tau, rank, position, descent)] of the runs ending on its vertex
+    <end>, by rank: the descent's place by vertices; position is end's
+    in u_zero_ends.
 
-    The constant (a, q*k - a, p*k), 1 <= a <= k <= c_bound // |p|, is
-    primitive exactly when gcd(a, k) = 1, and every other one is a multiple
-    of a primitive one with a smaller k; the smallest descriptor of a key is
-    its own triple. A path ends on <end>, state (1, 0, end): that is a
-    constant key only for the trivial path of an integer leaf p, tau 0,
-    where the constant's descriptor is smaller.
+    A constant with gcd(a, k) > 1 is a multiple of a primitive one with a
+    smaller k; a key's smallest descriptor is its own triple. A path's
+    state (1, 0, end) is a constant key only for an integer leaf p's
+    trivial path, tau 0, whose constant's descriptor is smaller.
     """
     pq = leaf.fraction
     p, q = pq.numerator, pq.denominator
@@ -268,16 +262,17 @@ def _leaf_table(leaf, c_bound):
         for a in range(1, k + 1):
             if gcd(a, k) == 1:
                 table[a, q * k - a, p * k] = None
-    for descent in enumerate_paths(pq):
+    descents = sorted(enumerate_paths(pq), key=lambda d: d.vertices)
+    for rank, descent in enumerate(descents):
         m, descent_tau = int(descent.vertices[-1]), tau(descent)
-        # an integer leaf keeps its trivial path whatever the bound
-        for end in (m,) if q == 1 else u_zero_ends(descent, c_bound):
+        ends = (m,) if q == 1 else u_zero_ends(descent, c_bound)
+        for position, end in enumerate(ends):
             key = (1, 0, end)
             if key in table and table[key] is None:
                 continue  # an integer leaf's constant (1, 0, p)
             # each unit step of a run along u = 0 adds -2 times its rise
             runs = table.setdefault(key, [])
-            runs.append((descent_tau - 2 * (end - m), descent, end))
+            runs.append((descent_tau - 2 * (end - m), rank, position, descent))
     return table
 
 
@@ -293,6 +288,19 @@ def _turn(key):
     return (a, abs(c) - a, sign * (a + b)), -2 * sign
 
 
+def _sumset(xs, ys):
+    """The distinct x + y: bit i of the ORed shifts of the ys' mask is
+    min(xs) + min(ys) + i."""
+    xlow, ylow = min(xs), min(ys)
+    mask = sums = 0
+    for y in ys:
+        mask |= 1 << (y - ylow)
+    for x in xs:
+        sums |= mask << (x - xlow)
+    low = xlow + ylow
+    return [low + i for i, bit in enumerate(bin(sums)[:1:-1]) if bit == "1"]
+
+
 def _glued_keys(lws, right, closing):
     """The set of keys glued from each key of lws (the turned left keys,
     at a product) and each right key of its (a : b) direction; when
@@ -304,6 +312,7 @@ def _glued_keys(lws, right, closing):
     L = lcm(s1, s2) sheets (multipliers k_i = L / s_i), c adds, and the
     sum is divided by g = gcd(L, c): a glue adds the values. So a pair
     closes when the values are negatives: (a, b, c) and (a, b, -c).
+    One-sheet pairs glue as one _sumset per direction.
     """
     if closing:
         return {(a // gcd(a, b), b // gcd(a, b), 0) for a, b, c in lws if (a, b, -c) in right}
@@ -311,20 +320,23 @@ def _glued_keys(lws, right, closing):
     for a, b, c in right:
         s = gcd(a, b)
         groups.setdefault((a // s, b // s), {}).setdefault(s, []).append(c)
-    out = set()
+    out, ones = set(), {}  # direction -> c of its one-sheet left keys
     for a, b, c in lws:
         ls = gcd(a, b)
-        for rs, rcs in groups.get((a // ls, b // ls), {}).items():
-            common = lcm(ls, rs)
-            if common == 1:  # most pairs: one sheet each, g = 1
-                out.update([(a, b, c + rc) for rc in rcs])
+        direction = (a // ls, b // ls)
+        for rs, rcs in groups.get(direction, {}).items():
+            if ls == rs == 1:
+                ones.setdefault(direction, []).append(c)
                 continue
+            common = lcm(ls, rs)
             k1, k2 = common // ls, common // rs
             a1, b1, c1 = a * k1, b * k1, c * k1
             for rc in rcs:
                 gc = c1 + rc * k2
                 g = gcd(common, gc)
                 out.add((a1 // g, b1 // g, gc // g))
+    for (da, db), lcs in ones.items():
+        out.update([(da, db, c) for c in _sumset(lcs, groups[da, db][1])])
     return out
 
 
@@ -333,29 +345,32 @@ def _merge_sum(left, right, closing=False):
     return _glued_keys(left, right, closing)
 
 
-def _merge_product(left, right, closing=False):
-    """Key pass at a product: left keys that _turn rejects drop out."""
-    return _glued_keys([t[0] for t in map(_turn, left) if t], right, closing)
+def _merge_product(turns, right, closing=False):
+    """Key pass at a product, from {left key: _turn(left key)}."""
+    return _glued_keys([turned for turned, _ in turns.values()], right, closing)
 
 
 def _key_pass(nodes, c_bound):
-    """id(node) -> its key table, bottom-up; the last node is the root,
-    whose merge keeps only the keys that close."""
-    keys = {}
+    """(id(node) -> key table, id(product) -> {left key: _turn(left key)}),
+    bottom-up; the root keeps only the keys that close."""
+    keys, turns = {}, {}
     for node in nodes:
         if isinstance(node, Leaf):
             keys[id(node)] = _leaf_table(node, c_bound)
+            continue
+        left, right, closing = keys[id(node.left)], keys[id(node.right)], node is nodes[-1]
+        if isinstance(node, Sum):
+            keys[id(node)] = _merge_sum(left, right, closing)
         else:
-            merge = _merge_sum if isinstance(node, Sum) else _merge_product
-            closing = node is nodes[-1]
-            keys[id(node)] = merge(keys[id(node.left)], keys[id(node.right)], closing)
-    return keys
+            turned = turns[id(node)] = {k: t for k in left if (t := _turn(k))}
+            keys[id(node)] = _merge_product(turned, right, closing)
+    return keys, turns
 
 
 # demand pass: the keys that a closed root key reaches, and their pairs
 
 
-def _demand_pass(nodes, keys):
+def _demand_pass(nodes, keys, turns):
     """id(node) -> {demanded key: the (left key, right key) pairs glued to
     it}, None at a leaf, top-down; a shared subtree collects from all its
     parents first.
@@ -368,7 +383,11 @@ def _demand_pass(nodes, keys):
     for node in reversed(nodes):
         if isinstance(node, Leaf):
             continue
-        right, product = keys[id(node.right)], isinstance(node, Product)
+        right = keys[id(node.right)]
+        if isinstance(node, Product):
+            lws = [(lkey, turned) for lkey, (turned, _) in turns[id(node)].items()]
+        else:
+            lws = ((lkey, lkey) for lkey in keys[id(node.left)])
         ldemand = demand.setdefault(id(node.left), {})
         rdemand = demand.setdefault(id(node.right), {})
         wanted, by_direction = demand[id(node)], {}
@@ -377,20 +396,17 @@ def _demand_pass(nodes, keys):
             s = gcd(a, b)
             wanted[key] = pairs = []
             by_direction.setdefault((a // s, b // s), []).append((s, c, pairs))
-        for lkey in keys[id(node.left)]:
-            turned = _turn(lkey) if product else (lkey,)
-            if turned:
-                a, b, lc = turned[0]
-                ls = gcd(a, b)
-                da, db = a // ls, b // ls
-                for s, c, pairs in by_direction.get((da, db), ()):
-                    # the right value c/s - lc/ls, reduced
-                    n, d = c * ls - lc * s, s * ls
-                    g = gcd(n, d)
-                    rkey = (da * d // g, db * d // g, n // g)
-                    if rkey in right:
-                        pairs.append((lkey, rkey))
-                        ldemand[lkey] = rdemand[rkey] = None
+        for lkey, (a, b, lc) in lws:
+            ls = gcd(a, b)
+            da, db = a // ls, b // ls
+            for s, c, pairs in by_direction.get((da, db), ()):
+                # the right value c/s - lc/ls, reduced
+                n, d = c * ls - lc * s, s * ls
+                g = gcd(n, d)
+                rkey = (da * d // g, db * d // g, n // g)
+                if rkey in right:
+                    pairs.append((lkey, rkey))
+                    ldemand[lkey] = rdemand[rkey] = None
     return demand
 
 
@@ -398,42 +414,40 @@ def _demand_pass(nodes, keys):
 
 
 def _leaf_witnesses(leaf, table, wanted):
-    """{tau: witness} per wanted key of a leaf's key table; a leaf's
-    witness is (descriptor, (key, tau, path)) for the path with the
-    smallest descriptor."""
+    """{tau: witness} per wanted key of a leaf's key table: (order,
+    (key, tau, leaf fraction, descent)) of the smallest path, descent None
+    for a constant. order, (0, key) or a run's (1, rank, position), sorts
+    as the descriptor: no descent's vertices are a prefix of another's
+    (enumerate_paths stops at the first integer)."""
     pq = leaf.fraction
     out = {}
     for key in sorted(wanted):
         runs = table[key]
         if runs is None:
-            path = ConstantPath(pq, WeightState(*key))
-            out[key] = {0: (path.describe(), (key, 0, path))}
+            out[key] = {0: ((0, key), (key, 0, pq, None))}
             continue
         entries = out[key] = {}
-        for t, descent, end in runs:
-            path = run_to(descent, end)
-            desc = path.describe()
-            if t not in entries or desc < entries[t][0]:
-                entries[t] = (desc, (key, t, path))
+        for t, rank, position, descent in runs:
+            if t not in entries:
+                entries[t] = ((1, rank, position), (key, t, pq, descent))
     return out
 
 
-def _glue_witnesses(wanted, left, right, product):
+def _glue_witnesses(wanted, left, right, turns):
     """{tau: witness} per demanded key of a merge, from its
-    {key: (left key, right key) pairs} and the children's {tau: witness}
-    tables.
+    {key: (left key, right key) pairs}, the children's {tau: witness}
+    tables and, at a product, its turns.
 
     tau adds at a sum; at a product it is tau' - tau(left) + tau(right),
-    tau' from _turn. Each tau keeps the child witness pair with the
-    smallest (left descriptor, right descriptor), nested as one witness.
+    tau' from _turn.
     """
     out = {}
     for key in sorted(wanted):
         best = {}
         for lkey, rkey in wanted[key]:
             lents, rents = left[lkey].items(), right[rkey].items()
-            if product:
-                turn = _turn(lkey)[1]
+            if turns is not None:
+                turn = turns[lkey][1]
                 lents = [(turn - lt, lw) for lt, lw in lents]
             for lt, (ldesc, lpicks) in lents:
                 for rt, (rdesc, rpicks) in rents:
@@ -455,7 +469,7 @@ def _rank(table):
     return table
 
 
-def _tau_pass(nodes, keys, demand):
+def _tau_pass(nodes, keys, turns, demand):
     """id(node) -> its witness table over its demanded keys, bottom-up."""
     taus = {}
     for node in nodes:
@@ -464,8 +478,8 @@ def _tau_pass(nodes, keys, demand):
             taus[id(node)] = _leaf_witnesses(node, keys[id(node)], wanted)
         else:
             left, right = taus[id(node.left)], taus[id(node.right)]
-            product = isinstance(node, Product)
-            taus[id(node)] = _rank(_glue_witnesses(wanted, left, right, product))
+            table = _glue_witnesses(wanted, left, right, turns.get(id(node)))
+            taus[id(node)] = _rank(table)
     return taus
 
 
@@ -473,9 +487,9 @@ def _root_table(expr, c_bound):
     """The witness table of the root's closed keys, after all three
     passes."""
     nodes = _distinct_nodes(expr)
-    keys = _key_pass(nodes, c_bound)
-    demand = _demand_pass(nodes, keys)
-    taus = _tau_pass(nodes, keys, demand)
+    keys, turns = _key_pass(nodes, c_bound)
+    demand = _demand_pass(nodes, keys, turns)
+    taus = _tau_pass(nodes, keys, turns, demand)
     if log.isEnabledFor(logging.INFO):
         # every child witness pair a merge compared
         pairs = sum(
@@ -528,8 +542,8 @@ def _system(expr, shape, picks, note, reference, states, merged):
     Walking them backwards visits every node after its subtree and the
     leaves right to left; each finished subtree leaves its (key, tau) on a
     stack, the left one on top. A sum glues the two keys and adds the
-    taus; a product first turns its left key (case 1 of the rotation:
-    m = a, tau' = -2 sign(c)), and its tau is tau' - tau(left) + tau(right).
+    taus; a product first turns its left key (_turn), and its tau is
+    tau' - tau(left) + tau(right).
     The systems of one solve share states and, in deep products, most
     merge traces: states builds each WeightState once, and merged keeps
     each merge's (trace, (key, tau)) under its (index, left key, left tau,
@@ -586,25 +600,32 @@ def _materialize(expr, grouped, reference):
     ]
 
 
-def _leaf_picks(witness):
-    """The leaf picks of a nested SN witness, left to right: a merge's
-    part is a (left, right) pair, a leaf's its (key, tau, path) pick."""
+def _leaf_picks(witness, built):
+    """The leaf picks (key, tau, path) of a nested SN witness, left to
+    right: a merge's part is a (left, right) pair; built keeps each leaf
+    item's pick by id."""
     picks, stack = [], [witness]
     while stack:
         item = stack.pop()
         if len(item) == 2:
             stack += (item[1], item[0])
-        else:
-            picks.append(item)
+            continue
+        pick = built.get(id(item))
+        if pick is None:
+            key, t, pq, descent = item
+            path = run_to(descent, key[2]) if descent else ConstantPath(pq, WeightState(*key))
+            pick = built[id(item)] = key, t, path
+        picks.append(pick)
     return picks
 
 
 def _sn_candidates(expr, c_bound, notes):
     """The SN search: every closed root witness, ordered by its rank and
     flattened to leaf picks."""
+    built = {}
     for entries in _root_table(expr, c_bound).values():  # all closed: c = 0
         for t, (rank, witness) in entries.items():
-            yield t, "", rank, _leaf_picks(witness), True
+            yield t, "", rank, _leaf_picks(witness, built), True
 
 
 def solve_sn(expr, c_bound=None):

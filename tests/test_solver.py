@@ -663,11 +663,22 @@ def _closed(table):
     return {key: entries for key, entries in table.items() if key[2] == 0}
 
 
+def _leaf_path(item):
+    """The path of a leaf witness's (key, tau, leaf fraction, descent)
+    item: the key's constant when descent is None, else the descent run
+    to the key's vertex."""
+    key, _, pq, descent = item
+    if descent is None:
+        return ConstantPath(pq, WeightState(*key))
+    return run_to(descent, key[2])
+
+
 def _paths(assignment):
     """The paths of a nested assignment, left to right: a merge's part is
-    a (left, right) pair, a leaf's its (key, tau, path) pick."""
-    if len(assignment) == 3:
-        return (assignment[2],)
+    a (left, right) pair, a leaf's its (key, tau, leaf fraction, descent)
+    item."""
+    if len(assignment) == 4:
+        return (_leaf_path(assignment),)
     return tuple(path for item in assignment for path in _paths(item))
 
 
@@ -740,14 +751,20 @@ def test_passes_match_eager_tables_at_every_node():
         nodes = _distinct_nodes(expr)
         assert nodes[-1] is expr
         assert len(nodes) == len({id(node) for node in expr.nodes()})
-        keys = _key_pass(nodes, c_bound)
+        keys, turns = _key_pass(nodes, c_bound)
         eager = {}
         _eager_tables(expr, c_bound, eager)
         for node in nodes[:-1]:
             assert set(keys[id(node)]) == set(eager[id(node)]), (expr, c_bound, node)
         assert set(keys[id(expr)]) == set(_closed(eager[id(expr)])), (expr, c_bound)
-        demand = _demand_pass(nodes, keys)
-        taus = _tau_pass(nodes, keys, demand)
+        # each product's left keys, turned once by the key pass
+        for node in nodes:
+            if isinstance(node, Product):
+                left = keys[id(node.left)]
+                assert turns[id(node)] == _turns(left)
+        assert len(turns) == sum(isinstance(node, Product) for node in nodes)
+        demand = _demand_pass(nodes, keys, turns)
+        taus = _tau_pass(nodes, keys, turns, demand)
         for node in nodes:
             table = taus[id(node)]
             assert set(table) == set(demand[id(node)]) <= set(keys[id(node)])
@@ -790,8 +807,8 @@ def test_demand_pass_recovers_every_pair_of_a_demanded_key():
     pairs = 0
     for expr, c_bound in _pass_cases():
         nodes = _distinct_nodes(expr)
-        keys = _key_pass(nodes, c_bound)
-        demand = _demand_pass(nodes, keys)
+        keys, turns = _key_pass(nodes, c_bound)
+        demand = _demand_pass(nodes, keys, turns)
         for node in nodes:
             if isinstance(node, Leaf):
                 assert set(demand[id(node)].values()) <= {None}
@@ -834,23 +851,36 @@ def _one_key_table(key, t, name):
     return {key: {t: (name, name)}}
 
 
+def _turns(left):
+    """{left key: _turn(left key)} where _turn keeps it, as the key pass
+    hands a product's left keys to the later passes."""
+    return {key: _turn(key) for key in left if _turn(key)}
+
+
+def _merged(merge, left, right, closing=False):
+    """merge's keys from a left and a right key table."""
+    return merge(_turns(left) if merge is _merge_product else left, right, closing)
+
+
 def _recovered(merge, left, right, keys):
     """The demand pass over one merge whose keys are all demanded: its
     {key: recovered (left key, right key) pairs}."""
     lnode, rnode = Leaf(Fraction(1, 2)), Leaf(Fraction(1, 3))
     node = (Product if merge is _merge_product else Sum)(lnode, rnode)
     tables = {id(lnode): left, id(rnode): right, id(node): keys}
-    return _demand_pass([lnode, rnode, node], tables)[id(node)]
+    turns = {id(node): _turns(left)} if merge is _merge_product else {}
+    return _demand_pass([lnode, rnode, node], tables, turns)[id(node)]
 
 
 def _glue_one(merge, left, right):
     """The three passes over two one-key tables: (glued keys, recovered
     pairs, witness table), and the glued keys of the same merge at the
     root."""
-    keys = merge(left, right)
+    keys = _merged(merge, left, right)
     pairs = _recovered(merge, left, right, keys)
-    witnesses = _glue_witnesses(pairs, left, right, merge is _merge_product)
-    return keys, pairs, witnesses, merge(left, right, True)
+    turns = _turns(left) if merge is _merge_product else None
+    witnesses = _glue_witnesses(pairs, left, right, turns)
+    return keys, pairs, witnesses, _merged(merge, left, right, True)
 
 
 def _closing_part(keys, glued):
@@ -921,6 +951,53 @@ def test_turn_matches_rotate_reflect(a, b, c):
     assert _turn((a, b, c)) == (outcome.state.triple(), outcome.tau_prime)
 
 
+# several keys per direction, with gaps and negative c: the one-sheet keys
+# of a direction glue as one sumset
+_glue_directions = ((1, 0), (1, 1), (1, 2), (2, 1), (2, 3))
+
+
+@st.composite
+def _multi_key_tables(draw):
+    """(left keys, right keys of a sum, right keys of a product): in one or
+    two directions, a one-sheet run of c with gaps plus primitive keys of
+    1-4 sheets; the product's right keys take the directions of the turned
+    left keys, so that they glue."""
+
+    def keys(directions):
+        out = set()
+        few = st.lists(st.sampled_from(directions), min_size=1, max_size=2, unique=True)
+        for da, db in draw(few):
+            low = draw(_cs)
+            run = range(low, low + draw(st.integers(min_value=0, max_value=24)))
+            gaps = draw(st.sets(st.sampled_from(run))) if run else set()
+            out.update((da, db, c) for c in run if c not in gaps)
+            drawn = st.builds(_key, st.just((da, db)), st.integers(min_value=1, max_value=4), _cs)
+            out.update(draw(st.lists(drawn.filter(lambda key: gcd(*key) == 1), max_size=8)))
+        return out
+
+    left = keys(_glue_directions)
+    turned = sorted(
+        {(a // gcd(a, b), b // gcd(a, b)) for (a, b, _), _ in filter(None, map(_turn, left))}
+    )
+    return left, keys(_glue_directions), keys(turned) if turned else set()
+
+
+_runs = {(1, 0, c) for c in range(-12, 13) if c != 3}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_multi_key_tables())
+@example((_runs, _runs, {(1, 0, c) for c in range(-9, 9)}))  # dense
+@example(({(1, 0, -40), (1, 0, 40)}, {(1, 0, 1), (1, 0, 39)}, set()))  # sparse, wide
+def test_multi_key_merges_match_glue_scaled(tables):
+    # the one-key tests above never glue a sumset of more than one element
+    left, right, product_right = tables
+    for merge, rkeys in ((_merge_sum, right), (_merge_product, product_right)):
+        brute = _brute_pairs(left, rkeys, merge is _merge_product)
+        assert _merged(merge, left, rkeys) == set(brute)
+        assert _merged(merge, left, rkeys, True) == {key for key in brute if key[2] == 0}
+
+
 # small primitive weights, so that many drawn pairs close
 _small_keys = st.builds(
     _key,
@@ -942,7 +1019,7 @@ def test_closing_merges_keep_exactly_the_closed_keys(lkeys, turnable, rkeys):
     # closed keys, and the demand pass the same pairs behind each
     right = set(rkeys)
     for merge, left in ((_merge_sum, set(lkeys)), (_merge_product, set(turnable))):
-        full, root = merge(left, right), merge(left, right, True)
+        full, root = _merged(merge, left, right), _merged(merge, left, right, True)
         assert root == {key for key in full if key[2] == 0}
         closed, every = _recovered(merge, left, right, root), _recovered(merge, left, right, full)
         assert closed == {key: every[key] for key in root}
@@ -962,7 +1039,7 @@ def test_key_pass_builds_no_key_without_direction():
     keys = 0
     for expr, c_bound in _pass_cases():
         nodes = _distinct_nodes(expr)
-        for table in _key_pass(nodes, c_bound).values():
+        for table in _key_pass(nodes, c_bound)[0].values():
             assert all(key[0] >= 1 for key in table), (expr, c_bound)
             # primitive, as the demand pass's lookups need
             assert all(gcd(*key) == 1 for key in table), (expr, c_bound)
@@ -970,27 +1047,53 @@ def test_key_pass_builds_no_key_without_direction():
     assert keys >= 1000
 
 
+# every leaf p/q with q <= 7 and |p/q| <= 3, integer leaves included
+_SMALL_LEAVES = [
+    Fraction(p, q) for q in range(1, 8) for p in range(-3 * q, 3 * q + 1) if p and gcd(p, q) == 1
+]
+
+
 @pytest.mark.parametrize("c_bound", [1, 4, 32])
 def test_leaf_table_taus_and_keys_match_their_paths(c_bound):
-    # every leaf p/q with q <= 7 and |p/q| <= 3, integer leaves included
-    leaves = [
-        Fraction(p, q)
-        for q in range(1, 8)
-        for p in range(-3 * q, 3 * q + 1)
-        if p and gcd(p, q) == 1
-    ]
     runs = 0
-    for pq in leaves:
+    for pq in _SMALL_LEAVES:
         leaf = Leaf(pq)
         keys = _leaf_table(leaf, c_bound)
         lattice = _lattice_leaf(leaf, c_bound)
         assert set(keys) == set(lattice), pq
-        for key, entries in _leaf_witnesses(leaf, keys, set(keys)).items():
+        # the fact the run order rests on: no descent's vertices are a
+        # prefix of another's
+        for d1, d2 in iterproduct(enumerate_paths(pq), repeat=2):
+            assert d1 is d2 or d2.vertices[: len(d1.vertices)] != d1.vertices, (pq, d1, d2)
+        # every constant and run of the table, not only the witnesses, with
+        # the order a witness would carry: the orders are distinct and sort
+        # as the descriptors of the built paths
+        every = []
+        for key, key_runs in keys.items():
+            if key_runs is None:
+                every.append(((0, key), (key, 0, pq, None)))
+                continue
+            # by rank, so that the first run of each tau is its smallest
+            ranks = [rank for _, rank, _, _ in key_runs]
+            assert ranks == sorted(ranks), (pq, key)
+            every += [((1, rank, position), (key, t, pq, d)) for t, rank, position, d in key_runs]
+        every.sort(key=lambda w: w[0])
+        described = [_leaf_path(item).describe() for _, item in every]
+        assert described == sorted(described), pq
+        assert len({order for order, _ in every}) == len(every), pq
+        witnesses = _leaf_witnesses(leaf, keys, set(keys))
+        for key, entries in witnesses.items():
             # the same smallest witness per (key, tau) as the lattice
             assert _flat(entries) == lattice[key], (pq, key)
-            for t, (desc, (pick_key, pick_t, path)) in entries.items():
-                assert (pick_key, pick_t) == (key, t)
-                assert desc == path.describe()
+            for t, (order, item) in entries.items():
+                pick_key, pick_t, leaf_pq, descent = item
+                assert (pick_key, pick_t, leaf_pq) == (key, t, pq)
+                # the order of its constant or run, as checked above
+                if descent is None:
+                    assert order == (0, key)
+                else:
+                    assert order[0] == 1 and (t, *order[1:], descent) in keys[key]
+                path = _leaf_path(item)
                 if path.is_constant:
                     assert (t, key) == (0, _key_of(path.state.primitive()))
                     continue
