@@ -10,7 +10,7 @@ GALLERY = (
     "-1/2 + 1/3 + 1/5",
     "-1/2 + 1/3 + 1/3",
     "-2/3 + 1/4 + 1/5",
-    "1/2 + 1/4 + 1/4",
+    "1/2 + 1/3 + 1/3",
 )
 
 

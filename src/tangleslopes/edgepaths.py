@@ -23,10 +23,12 @@ unless the last edge is partial.
 
 `enumerate_paths` lists the descents from <p/q> to the u = 0 line, and
 `u_zero_ends` gives the ends of a descent's vertical runs along that
-line. The product-expression solver builds its per-tangle choices from
-both, and builds a run with `run_to` only where it needs a witness. The
-Montesinos solver uses the descents alone, one integer walk per distinct
-leaf fraction.
+line. Each solve walks each distinct leaf fraction once, in ints, and
+both engines and the Seifert reference read that list. The
+product-expression solver builds its per-tangle choices from both, and
+builds a run with `run_to` only where it needs a witness. The Montesinos
+solver uses the descents alone. The Seifert reference path of a tangle is
+one of its descents (slopes.seifert_leaf_path).
 """
 
 from collections import namedtuple

@@ -8,10 +8,12 @@ The twist number tau of a glued surface follows the expression tree:
 where tau' comes from the rotation transform applied to the left operand.
 A candidate's boundary slope is tau(S) - tau(S0), with S0 the Seifert
 surface. tau(S0) is assembled from one reference edgepath per rational
-tangle, built from the even-entry continued fraction of its fraction, and
-summed over the maximal Montesinos factors with a sign per reflection
-parity. The construction needs an even-denominator tangle in every factor;
-otherwise the normalization is reported as unavailable.
+tangle and summed over the maximal Montesinos factors with a sign per
+reflection parity. The reference edgepath is one of the descents that
+the solve enumerates once per distinct leaf fraction, the list both
+engines read: the one that spells the even-entry continued fraction. The
+construction needs an even-denominator tangle in every factor; otherwise
+the normalization is reported as unavailable.
 
 CandidateSystem records one closed surface: the per-leaf edgepaths, a
 trace of every node's glued state and twist number, the root state, and
@@ -25,7 +27,7 @@ replay; the hand-built family system (solver.kn_system) uses it.
 from collections import namedtuple
 from fractions import Fraction
 
-from .edgepaths import VertexPath, end_weights, endpoint_state, tau, validate
+from .edgepaths import VertexPath, end_weights, endpoint_state, enumerate_paths, tau, validate
 from .errors import Infeasible, MismatchedWeights, SeifertUndefined, UndefinedCase
 from .tangles import Leaf, Product, montesinos_factors, node_labels, render
 from .transforms import glue_scaled, rotate_reflect
@@ -37,56 +39,38 @@ ZERO = Fraction(0)
 # Seifert reference edgepaths
 
 
-def _anchor(p, q):
-    # integer endpoint of the reference path: remainder p/q - r must have
-    # even numerator*denominator for the even expansion to exist
-    if q == 1:
-        if p % 2 == 0:
-            return p
-        return p - 1 if p > 0 else p + 1
-    # the nearer of two candidates to p/q, compared in ints
-    f = p // q
-    if q % 2:
-        r1 = f if (f - p) % 2 == 0 else f - 1
-        return r1 if p <= (r1 + 1) * q else r1 + 2
-    if 2 * p < (2 * f + 1) * q:
-        return f
-    if 2 * p > (2 * f + 1) * q:
-        return f + 1
-    return f if f % 2 == 0 else f + 1  # halfway only for q = 2: even side
+def seifert_leaf_path(pq, descents):
+    """Reference edgepath for one rational tangle, picked from its
+    descents, the enumerate_paths(pq) list.
 
-
-def seifert_leaf_path(pq):
-    """Reference edgepath for one rational tangle, via its even expansion.
-
-    The remainder x = p/q - r has even numerator*denominator, so its
-    continued fraction [0; b1, b2, ...] with even entries exists: each bi is
-    the even integer nearest to 1/x (never a tie, as 1/x is never an odd
-    integer), and x becomes 1/x - bi, a smaller numerator. The vertices are
-    r + h/k over the convergents h/k, all in ints.
+    Every continued fraction of p/q with entries of absolute value at
+    least 2 is a descent (Hatcher-Thurston, Invent. Math. 79, 1985), the
+    even one included: the descent whose odd-denominator vertices all
+    have the parity of its integer end m. One descent qualifies for q odd
+    and two for q even; of those two the end nearer p/q is taken,
+    |p - m*q| in ints, the even m on the q = 2 tie. An odd integer tangle
+    steps to its even neighbour; the remainder +-1 has no even expansion.
     """
-    pq = Fraction(pq)
     p, q = pq.numerator, pq.denominator
-    r = _anchor(p, q)
-    if q == 1:
-        # integer tangles step straight to the even neighbour (or sit still);
-        # the remainder +-1 has no even expansion
-        vertices = (pq,) if pq == r else (pq, Fraction(r))
-        return VertexPath(pq, vertices)
-    n, d = p - r * q, q  # x = n/d
-    h, k, h0, k0 = 0, 1, 1, 0
-    vertices = [Fraction(r)]
-    while n:
-        b = 2 * ((d + n) // (2 * n))  # 2 floor(d/2n + 1/2), n of either sign
-        n, d = d - b * n, n  # x = 1/x - b; d may be negative
-        h, k, h0, k0 = b * h + h0, b * k + k0, h, k
-        vertices.append(Fraction(r * k + h, k))
-    return VertexPath(pq, tuple(reversed(vertices)))
+    if q == 1 and p % 2:
+        return VertexPath(pq, (pq, Fraction(p - 1 if p > 0 else p + 1)))
+
+    def even(descent):
+        m = descent.vertices[-1].numerator
+        return all((v.numerator - m) % 2 == 0 for v in descent.vertices if v.denominator % 2)
+
+    def distance(descent):
+        m = descent.vertices[-1].numerator
+        return abs(p - m * q), m % 2
+
+    return min(filter(even, descents), key=distance)
 
 
 def seifert_tau(expr):
-    """tau of the Seifert surface: signed sum over Montesinos factors."""
-    return seifert_system(expr).tau
+    """tau of the Seifert surface: signed sum over Montesinos factors,
+    from a descent enumeration of its own."""
+    descents = {pq: enumerate_paths(pq) for pq in {l.fraction for l in expr.leaves()}}
+    return seifert_system(expr, descents).tau
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +173,12 @@ def build_system(expr, paths, reference_tau=None):
     return CandidateSystem(expr, tuple(paths), nodes, state, total, slope)
 
 
-def seifert_system(expr):
+def seifert_system(expr, descents):
     """The Seifert reference as a stored system: slope 0 by definition.
 
     Its edgepaths are per-factor reference paths, not a closed system in the
     gluing calculus, so the closure slot is empty and replay does not apply.
+    descents maps each leaf fraction to its enumerate_paths list.
     """
     reference = ZERO
     paths = []
@@ -207,7 +192,7 @@ def seifert_system(expr):
             )
         sign = -1 if parity % 2 else 1
         for leaf in leaves:
-            path = seifert_leaf_path(leaf.fraction)
+            path = seifert_leaf_path(leaf.fraction, descents[leaf.fraction])
             paths.append(path)
             nodes.append(NodeTrace(render(leaf), "leaf", endpoint_state(path), tau(path)))
             reference += sign * nodes[-1].tau

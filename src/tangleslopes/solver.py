@@ -1,10 +1,11 @@
 """Candidate system enumeration and closure solving.
 
 One pipeline, _solve, serves both engines: it sets c_bound
-(default_c_bound unless given, at least 1), builds the Seifert reference
-system S0, stages the closed candidates that the engine's search yields
-as (tau, note, order, leaf picks, counted), and reports. An engine only
-checks the input's shape and searches.
+(default_c_bound unless given, at least 1), walks each distinct leaf
+fraction's descents once, builds the Seifert reference system S0 from
+them, stages the closed candidates that the engine's search over them
+yields as (tau, note, order, leaf picks, counted), and reports. An
+engine only checks the input's shape and searches.
 
 Two closure regimes:
 
@@ -48,10 +49,8 @@ Two closure regimes:
   sees every child pair: the demand pass recovers every key pair behind a
   demanded key, and both keys of each pair are demanded in turn.
 
-* solve_montesinos handles sums of three or more rational tangles. It
-  walks each distinct leaf fraction's descents once, in ints
-  (enumerate_paths), and both closure classes read them. The common
-  endpoint abscissa u is one unknown: each leaf contributes either
+* solve_montesinos handles sums of three or more rational tangles. The
+  common endpoint abscissa u is one unknown: each leaf contributes either
   its constant family or a partially traversed final edge, v is affine in
   u on each piece, and sum v = 0 is solved exactly piece by piece
   (type I, _type_i_candidates), in integers: an interval end (q - 1)/q is
@@ -177,23 +176,24 @@ def report(expr, systems, slopes, c_bound, notes=()):
 
 
 def _solve(expr, c_bound, candidates):
-    """Solve expr with the engine search candidates(expr, c_bound, notes),
-    which yields (tau, note, order, leaf picks, counted) per closed
-    candidate; see the module docstring."""
+    """Solve expr with the engine search candidates(expr, c_bound,
+    descents, notes), which yields (tau, note, order, leaf picks, counted)
+    per closed candidate; see the module docstring."""
     if c_bound is None:
         c_bound = default_c_bound(expr)
     if c_bound < 1:
         raise ValueError("c_bound must be at least 1")
     notes = []
+    descents = {pq: enumerate_paths(pq) for pq in {l.fraction for l in expr.leaves()}}
     try:
-        seifert = seifert_system(expr)
+        seifert = seifert_system(expr, descents)
     except SeifertUndefined as exc:
         notes.append(str(exc))
         seifert = None
     reference = seifert.tau if seifert is not None else None
     grouped = {}  # (tau, note) -> the (order, picks) of least order
     slopes = set()
-    for t, note, order, picks, counted in candidates(expr, c_bound, notes):
+    for t, note, order, picks, counted in candidates(expr, c_bound, descents, notes):
         if counted and reference is not None:
             slopes.add(t - reference)
         kept = grouped.get((t, note))
@@ -244,7 +244,7 @@ def _distinct_nodes(expr):
 # key pass: the state keys of every node
 
 
-def _leaf_table(leaf, c_bound):
+def _leaf_table(leaf, c_bound, descents):
     """A leaf's primitive state keys, each -> None for a constant, else
     the [(tau, rank, position, descent)] of the runs ending on its vertex
     <end>, by rank: the descent's place by vertices; position is end's
@@ -262,8 +262,7 @@ def _leaf_table(leaf, c_bound):
         for a in range(1, k + 1):
             if gcd(a, k) == 1:
                 table[a, q * k - a, p * k] = None
-    descents = sorted(enumerate_paths(pq), key=lambda d: d.vertices)
-    for rank, descent in enumerate(descents):
+    for rank, descent in enumerate(sorted(descents[pq], key=lambda d: d.vertices)):
         m, descent_tau = int(descent.vertices[-1]), tau(descent)
         ends = (m,) if q == 1 else u_zero_ends(descent, c_bound)
         for position, end in enumerate(ends):
@@ -350,13 +349,13 @@ def _merge_product(turns, right, closing=False):
     return _glued_keys([turned for turned, _ in turns.values()], right, closing)
 
 
-def _key_pass(nodes, c_bound):
+def _key_pass(nodes, c_bound, descents):
     """(id(node) -> key table, id(product) -> {left key: _turn(left key)}),
     bottom-up; the root keeps only the keys that close."""
     keys, turns = {}, {}
     for node in nodes:
         if isinstance(node, Leaf):
-            keys[id(node)] = _leaf_table(node, c_bound)
+            keys[id(node)] = _leaf_table(node, c_bound, descents)
             continue
         left, right, closing = keys[id(node.left)], keys[id(node.right)], node is nodes[-1]
         if isinstance(node, Sum):
@@ -483,11 +482,11 @@ def _tau_pass(nodes, keys, turns, demand):
     return taus
 
 
-def _root_table(expr, c_bound):
+def _root_table(expr, c_bound, descents):
     """The witness table of the root's closed keys, after all three
     passes."""
     nodes = _distinct_nodes(expr)
-    keys, turns = _key_pass(nodes, c_bound)
+    keys, turns = _key_pass(nodes, c_bound, descents)
     demand = _demand_pass(nodes, keys, turns)
     taus = _tau_pass(nodes, keys, turns, demand)
     if log.isEnabledFor(logging.INFO):
@@ -619,11 +618,11 @@ def _leaf_picks(witness, built):
     return picks
 
 
-def _sn_candidates(expr, c_bound, notes):
+def _sn_candidates(expr, c_bound, descents, notes):
     """The SN search: every closed root witness, ordered by its rank and
     flattened to leaf picks."""
     built = {}
-    for entries in _root_table(expr, c_bound).values():  # all closed: c = 0
+    for entries in _root_table(expr, c_bound, descents).values():  # all closed: c = 0
         for t, (rank, witness) in entries.items():
             yield t, "", rank, _leaf_picks(witness, built), True
 
@@ -801,10 +800,9 @@ def _candidate(picks, note, counted):
     return total, note, tuple(path.describe() for _, _, path in picks), picks, counted
 
 
-def _montesinos_candidates(expr, c_bound, notes):
+def _montesinos_candidates(expr, c_bound, descents, notes):
     """The Montesinos search: type-I closures, then the u = 0 systems."""
     leaves = list(expr.leaves())
-    descents = {pq: enumerate_paths(pq) for pq in dict.fromkeys(l.fraction for l in leaves)}
     for u0, combo, note in _type_i_candidates(leaves, descents, notes):
         picks = [_segment_pick(l.fraction, s, u0) for l, s in zip(leaves, combo)]
         yield _candidate(picks, note, note == "")

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tangleslopes import (
     ConstantPath,
@@ -18,7 +20,7 @@ from tangleslopes import (
     solve,
     verify_system,
 )
-from tangleslopes.edgepaths import tau, validate
+from tangleslopes.edgepaths import enumerate_paths, tau, validate
 from tangleslopes.slopes import (
     build_system,
     replay,
@@ -28,9 +30,21 @@ from tangleslopes.slopes import (
 )
 
 
+def _reference_path(pq):
+    """The Seifert reference path of one tangle, picked from its descents."""
+    pq = Fraction(pq)
+    return seifert_leaf_path(pq, enumerate_paths(pq))
+
+
+def _descents(expr):
+    """Each distinct leaf fraction of expr -> its descents, as a solve
+    enumerates them."""
+    return {l.fraction: enumerate_paths(l.fraction) for l in expr.leaves()}
+
+
 def E(pq):
     """Reference twist contribution of one tangle."""
-    return tau(seifert_leaf_path(Fraction(pq)))
+    return tau(_reference_path(pq))
 
 
 # frozen oracle values, worked out by hand from the even continued
@@ -105,7 +119,7 @@ def test_reference_is_odd_and_even_translation_invariant():
 def test_reference_handles_integer_tangles():
     assert E(2) == 0 and E(-2) == 0
     assert E(3) == 2 and E(-3) == -2
-    assert seifert_leaf_path(Fraction(4)).vertices == (Fraction(4),)
+    assert _reference_path(4).vertices == (Fraction(4),)
 
 
 def test_reference_paths_validate():
@@ -115,7 +129,7 @@ def test_reference_paths_validate():
         p = rng.randint(-25, 25)
         if p == 0 or Fraction(p, q).denominator == 1:
             continue
-        path = seifert_leaf_path(Fraction(p, q))
+        path = _reference_path(Fraction(p, q))
         assert validate(path) == [], Fraction(p, q)
         assert path.final_fraction == 1
 
@@ -172,9 +186,34 @@ def test_integer_seifert_paths_match_fraction_construction():
         for p in range(-5 * q, 5 * q + 1):
             if gcd(p, q) == 1:
                 pq = Fraction(p, q)
-                path = seifert_leaf_path(pq)
+                path = _reference_path(pq)
                 assert path.vertices == _fraction_seifert_vertices(pq), pq
                 assert all(type(v) is Fraction for v in path.vertices), pq
+
+
+def _even_descents(pq):
+    """The descents of pq whose odd-denominator vertices all have the
+    parity of their integer end."""
+    out = []
+    for descent in enumerate_paths(pq):
+        m = descent.vertices[-1].numerator
+        if all((v.numerator - m) % 2 == 0 for v in descent.vertices if v.denominator % 2):
+            out.append(descent)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 400).flatmap(
+    lambda q: st.builds(Fraction, st.integers(-6 * q, 6 * q), st.just(q))))
+# the q = 2 tie, an odd integer, and a fraction with many descents
+@example(Fraction(5, 2))
+@example(Fraction(-3))
+@example(Fraction(233, 377))
+def test_seifert_pick_matches_fraction_construction(pq):
+    # the parity rule leaves one descent for q odd and two for q even,
+    # and the pick among them is the even-expansion path
+    assert len(_even_descents(pq)) == (1 if pq.denominator % 2 else 2), pq
+    assert _reference_path(pq).vertices == _fraction_seifert_vertices(pq), pq
 
 
 def test_replay_reproduces_the_family_trace():
@@ -246,7 +285,7 @@ def test_build_system_and_boundary_slope():
 
 
 def test_seifert_system_shape():
-    system = seifert_system(kn(3))
+    system = seifert_system(kn(3), _descents(kn(3)))
     assert system.note == "seifert-reference"
     assert system.closure is None and system.slope == 0
     assert len(system.assignment) == 4
@@ -254,7 +293,7 @@ def test_seifert_system_shape():
 
 
 def test_verify_system_catches_tampering():
-    system = seifert_system(kn(2))
+    system = seifert_system(kn(2), _descents(kn(2)))
     wrong = system._replace(tau=system.tau + 2)
     assert verify_system(wrong)
 

@@ -82,9 +82,12 @@ def test_family_report_n3():
 
 
 def test_distinguished_system_appears_in_enumeration():
-    for n in (2, 3):
-        rep = solve_sn(kn(n))
-        assert kn_system(n) in rep.systems
+    # the one system the solve lists at the certified slope
+    # -(2(n+1)^2 - 4) is the published witness
+    for n in range(2, 13):
+        low = -(2 * (n + 1) ** 2 - 4)
+        listed = [s for s in solve_sn(kn(n)).systems if s.slope == low]
+        assert listed == [kn_system(n)], n
 
 
 def test_kn_system_values():
@@ -117,8 +120,14 @@ def test_every_listed_slope_is_realized():
         assert set(rep.slopes) <= realized
 
 
+def _descents(expr):
+    """Each distinct leaf fraction of expr -> its descents, as _solve
+    enumerates them."""
+    return {l.fraction: enumerate_paths(l.fraction) for l in expr.leaves()}
+
+
 def _closed_root_taus(expr):
-    table = _root_table(expr, default_c_bound(expr))
+    table = _root_table(expr, default_c_bound(expr), _descents(expr))
     return {Fraction(t) for entries in table.values() for t in entries}
 
 
@@ -732,7 +741,7 @@ def test_root_witnesses_match_eager_traces():
     # (descriptor, assignment)
     closed_entries = 0
     for expr, c_bound in _pass_cases():
-        table = _root_table(expr, c_bound)
+        table = _root_table(expr, c_bound, _descents(expr))
         eager = _closed(_eager_tables(expr, c_bound, {}))
         assert sorted(table) == sorted(eager), (expr, c_bound)
         for key in sorted(table):
@@ -751,7 +760,7 @@ def test_passes_match_eager_tables_at_every_node():
         nodes = _distinct_nodes(expr)
         assert nodes[-1] is expr
         assert len(nodes) == len({id(node) for node in expr.nodes()})
-        keys, turns = _key_pass(nodes, c_bound)
+        keys, turns = _key_pass(nodes, c_bound, _descents(expr))
         eager = {}
         _eager_tables(expr, c_bound, eager)
         for node in nodes[:-1]:
@@ -807,7 +816,7 @@ def test_demand_pass_recovers_every_pair_of_a_demanded_key():
     pairs = 0
     for expr, c_bound in _pass_cases():
         nodes = _distinct_nodes(expr)
-        keys, turns = _key_pass(nodes, c_bound)
+        keys, turns = _key_pass(nodes, c_bound, _descents(expr))
         demand = _demand_pass(nodes, keys, turns)
         for node in nodes:
             if isinstance(node, Leaf):
@@ -1039,7 +1048,7 @@ def test_key_pass_builds_no_key_without_direction():
     keys = 0
     for expr, c_bound in _pass_cases():
         nodes = _distinct_nodes(expr)
-        for table in _key_pass(nodes, c_bound)[0].values():
+        for table in _key_pass(nodes, c_bound, _descents(expr))[0].values():
             assert all(key[0] >= 1 for key in table), (expr, c_bound)
             # primitive, as the demand pass's lookups need
             assert all(gcd(*key) == 1 for key in table), (expr, c_bound)
@@ -1058,7 +1067,10 @@ def test_leaf_table_taus_and_keys_match_their_paths(c_bound):
     runs = 0
     for pq in _SMALL_LEAVES:
         leaf = Leaf(pq)
-        keys = _leaf_table(leaf, c_bound)
+        descents = enumerate_paths(pq)
+        keys = _leaf_table(leaf, c_bound, {pq: descents})
+        # the solve shares the list: the table sorts a copy
+        assert descents == enumerate_paths(pq), pq
         lattice = _lattice_leaf(leaf, c_bound)
         assert set(keys) == set(lattice), pq
         # the fact the run order rests on: no descent's vertices are a
@@ -1115,12 +1127,20 @@ def test_large_denominator_leaf_solves():
 
 
 def test_montesinos_enumerates_each_distinct_leaf_once(monkeypatch):
-    # both the type-I segments and the u=0 options read one descent list
-    # per distinct leaf fraction; the report bytes are those pinned before
-    pinned = {
-        "1/3 + 1/3 + -1/5": (2, "49d6f64087f2d03290ec78ce639ece70ecaafd54d0bdfb76bd38347e08c503be"),
-        PRETZEL_237: (3, "a6fdd7d87c17a5682451c7aa4bf85fc552f6bfa9f21b7474c11f5a1b569ad708"),
-    }
+    # a solve walks one descent list per distinct leaf fraction, which the
+    # Seifert reference and either engine read: the type-I segments and
+    # the u=0 options, or every SN leaf node. The report bytes are those
+    # pinned before
+    pinned = (
+        (parse("1/3 + 1/3 + -1/5"), 2,
+         "49d6f64087f2d03290ec78ce639ece70ecaafd54d0bdfb76bd38347e08c503be"),
+        (parse(PRETZEL_237), 3,
+         "a6fdd7d87c17a5682451c7aa4bf85fc552f6bfa9f21b7474c11f5a1b569ad708"),
+        (kn(3), 2,
+         "33b30918b316472829dee770e1b5a444092512494a8f278f9b47d77812fa194d"),
+        (parse(" o ".join(["1/3"] * 19)), 1,
+         "647a4a583901e01ec948bda1a22ca37a2bf735218ab3f0e66ae3136a82ca44e8"),
+    )
     calls = []
 
     def counted(pq):
@@ -1128,8 +1148,8 @@ def test_montesinos_enumerates_each_distinct_leaf_once(monkeypatch):
         return enumerate_paths(pq)
 
     monkeypatch.setattr(solver_module, "enumerate_paths", counted)
-    for text, (count, digest) in pinned.items():
+    for expr, count, digest in pinned:
         calls.clear()
-        out = format_json(solve(parse(text)))
-        assert len(calls) == count == len(set(calls)), text
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, text
+        out = format_json(solve(expr))
+        assert len(calls) == count == len(set(calls)), expr
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, expr
