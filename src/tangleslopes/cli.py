@@ -155,11 +155,11 @@ def format_json(rep):
     """The report as json.dumps(report_document(rep), indent=2) plus a newline.
 
     Written straight from the records, one template per record kind. The
-    solve shares WeightStates, node traces and paths between systems, so
-    each is written once per call, keyed by id(); `rep` keeps every record
-    alive while the call runs.
+    solve shares WeightStates, node traces, paths and vertex tuples between
+    systems, so each is written once per call, keyed by id(); `rep` keeps
+    every record alive while the call runs.
     """
-    states, closures, paths, nodes, scales = {}, {}, {}, {}, {}
+    states, closures, paths, vertices, nodes, scales = {}, {}, {}, {}, {}, {}
 
     def weights(state, written, template):
         if state is None:
@@ -175,8 +175,10 @@ def format_json(rep):
                 state = [str(x) for x in path.state.triple()]
                 text = _CONST % ('"const"', _quoted(path.tangle), _array(state, 10))
             else:
-                text = _PATH % ('"path"', _quoted(path.tangle),
-                                _array([_quoted(v) for v in path.vertices], 10),
+                vs = path.vertices
+                if id(vs) not in vertices:
+                    vertices[id(vs)] = _array([_quoted(v) for v in vs], 10)
+                text = _PATH % ('"path"', _quoted(path.tangle), vertices[id(vs)],
                                 _quoted(path.final_fraction), path.sheets)
             paths[id(path)] = text
         return paths[id(path)]

@@ -3,87 +3,74 @@
 One pipeline, _solve, serves both engines: it sets c_bound
 (default_c_bound unless given, at least 1), walks each distinct leaf
 fraction's descents once, builds the Seifert reference system S0 from
-them, stages the closed candidates that the engine's search over them
-yields as (tau, note, order, leaf picks, counted), and reports. An
-engine only checks the input's shape and searches.
+them, runs the engine's search and reports.
 
-Two closure regimes:
-
-* solve_sn handles expressions with at least one product. It makes three
-  passes over the distinct nodes of the expression; a subtree object
-  shared by several parents, as in kn(n), is one node. Every state key is
-  a primitive triple (a, b, c): a leaf state has no slope-0 or
-  slope-infinity boundary edges, a glue adds none, and the rotation of
-  such a state is case 1 of transforms.rotate_reflect, which adds none
-  either: _turn computes it on the triple, with tau' = -2 sign(c). So
-  every tau is an integer, and no merge builds a WeightState.
+* solve_sn handles expressions with at least one product, in three
+  passes over the distinct nodes; a subtree object shared by several
+  parents, as in kn(n), is one node. Every state key is a primitive
+  triple (a, b, c): leaf states and glues add no slope-0 or
+  slope-infinity boundary edges, and the rotation of such a state is case
+  1 of transforms.rotate_reflect, which _turn computes on the triple with
+  tau' = -2 sign(c). So every tau is an integer.
 
   1. Key pass, bottom-up, integers only. A leaf's keys are the primitive
      states of its constant family, (a, q*k - a, p*k) with
      1 <= a <= k <= c_bound // |p| and gcd(a, k) = 1, and the vertices
      <m> that end its descents and their vertical runs within +-c_bound
      (an integer leaf keeps its trivial path regardless). A merge glues
-     the left key (turned, at a product node) to each right key of the
-     same (a : b) direction: both are rescaled to their least common
-     (a, b) and added, in integers, so c_bound is the only bound; one-sheet
-     keys glue as an integer sumset. A merge keeps the set of glued keys
-     only; the root only those that close, leaving no net slope weight
-     (c = 0).
-  2. Demand pass, top-down. The root demands all its keys, which are the
-     closed ones. Each merge recovers the (left key, right key) pairs
-     behind its demanded keys and adds both keys of each to its
-     children's demand, after all of its own parents have added theirs.
+     the left key (turned, at a product) to each right key of its
+     (a : b) direction, both rescaled to their least common (a, b) and
+     added, so c_bound is the only bound; one-sheet keys glue as an
+     integer sumset. A merge keeps the glued keys; the root only those
+     that close (c = 0).
+  2. Demand pass, top-down. The root demands all its keys. Each merge
+     recovers the (left key, right key) pairs behind its demanded keys
+     and adds both keys of each to its children's demand, after all of
+     its own parents have added theirs.
   3. Tau pass, bottom-up, demanded keys only. Each (demanded key, tau)
-     keeps one witness, the one with the smallest descriptor. A leaf's is
-     (order, (key, tau, leaf fraction, descent)), order sorting as the
-     path's descriptor. A merge keeps the child pair with the smallest
-     (left descriptor, right descriptor), as ((left descriptor, right
-     descriptor), (left picks, right picks)), then replaces each
-     descriptor by its rank among the node's witnesses. Nothing is
-     joined; only the witness listed per (tau, note) is flattened.
+     keeps the witness of smallest descriptor. A leaf's is (order, (key,
+     tau, leaf fraction, descent)), order sorting as the path's
+     descriptor. A merge keeps the child pair of smallest (left
+     descriptor, right descriptor), as (that pair, (left picks, right
+     picks)), then replaces each descriptor by its rank among the node's
+     witnesses.
 
-  The merge's choice is the smallest witness of its entry. Every witness
-  of one node has that node's tree shape, so its nested descriptor sorts
-  as the flat tuple of its leaf descriptors would, and so does its rank;
-  the smallest pair is that of the smallest child witnesses. The entry
-  sees every child pair: the demand pass recovers every key pair behind a
-  demanded key, and both keys of each pair are demanded in turn.
+  A node's witnesses share its tree shape, so nested descriptors and
+  ranks sort as the flat tuples of leaf descriptors; the smallest pair is
+  that of the smallest child witnesses, and the demand pass gives the
+  merge every child pair.
 
 * solve_montesinos handles sums of three or more rational tangles. The
   common endpoint abscissa u is one unknown: each leaf contributes either
   its constant family or a partially traversed final edge, v is affine in
   u on each piece, and sum v = 0 is solved exactly piece by piece
   (type I, _type_i_candidates), in integers: an interval end (q - 1)/q is
-  the int q in w = 1/(1 - u), and a Fraction is built only for a u0 that
-  closes. Systems whose paths all reach the u = 0 line close when the
-  integer endpoints sum to zero (type II). Their choices are the descents
-  alone, ending within +-c_bound; no path travels along u = 0. Such a
-  system is counted as a slope when the penultimate-vertex denominators
-  y_i satisfy sum 1/y_i <= 1 (in integers: sum Y/y_i <= Y, Y their lcm),
-  and is stored flagged as an inessential candidate otherwise. Every leaf
-  has at least as many type-I segments as descents, so the type-II
-  product is never larger than the full type-I one; it is enumerated in
-  full.
+  the int q in w = 1/(1 - u). A closing u0 = n/d is staged from the
+  segments' ints: its tau is one Fraction, its order holds a constant's
+  triple or an edge's prefix and share f. Systems whose descents, ending
+  within +-c_bound, have integer endpoints summing to zero close at u = 0
+  (type II); one is counted as a slope when the penultimate-vertex
+  denominators y_i satisfy sum 1/y_i <= 1 (sum Y/y_i <= Y, Y their lcm),
+  and flagged as an inessential candidate otherwise. Every leaf has at
+  least as many type-I segments as descents, so the type-II product,
+  enumerated in full, is never larger than the full type-I one.
 
-The SN search yields one candidate per closed tau, ordered by rank; the
-Montesinos search its type-I closures, then its u = 0 systems, ordered
-by flat descriptor. _solve lists the least-order candidate per distinct
-(tau, note), the one with the smallest descriptor, plus S0 (slope 0)
-when the normalization exists; no other cap applies. A counted candidate
-adds the slope tau - tau(S0). Every leaf of a listed system is a pick
-(key, tau, path): its end state as a triple and its twist number, both
-from the engine's own data. The one builder, _materialize, then derives
-every node's trace in integers: a sum is the lcm glue of _glue, a
-product turns its left key by _turn first. slopes.replay, through
-transforms.rotate_reflect and glue_scaled, is the independent check
-(slopes.verify_system); the solve does not call it. All output,
-both engines' notes included, is exhaustively sorted; nothing depends on
-hash or insertion order, so identical inputs give identical reports.
+A search yields (tau, note, order, build, counted) per candidate and
+builds no path; order is the SN rank or the flat descriptor tuple.
+_solve keeps the least order per (tau, note), plus S0 (slope 0) when the
+normalization exists; a counted candidate adds the slope tau - tau(S0).
+Only a kept candidate's build() makes its leaf picks (key, tau, path),
+and _materialize derives every node's trace from them in integers (_glue,
+_turn). The systems are listed by (slope, note, order), a slope as an int
+over the common denominator. slopes.verify_system, by replay, is the
+independent check; the solve does not call it. All output is exhaustively
+sorted; nothing depends on hash or insertion order.
 """
 
 import logging
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 from itertools import product as iterproduct
 from math import gcd, lcm
 
@@ -177,8 +164,7 @@ def report(expr, systems, slopes, c_bound, notes=()):
 
 def _solve(expr, c_bound, candidates):
     """Solve expr with the engine search candidates(expr, c_bound,
-    descents, notes), which yields (tau, note, order, leaf picks, counted)
-    per closed candidate; see the module docstring."""
+    descents, notes); see the module docstring."""
     if c_bound is None:
         c_bound = default_c_bound(expr)
     if c_bound < 1:
@@ -191,31 +177,28 @@ def _solve(expr, c_bound, candidates):
         notes.append(str(exc))
         seifert = None
     reference = seifert.tau if seifert is not None else None
-    grouped = {}  # (tau, note) -> the (order, picks) of least order
+    grouped = {}  # (tau, note) -> the (order, build) of least order
     slopes = set()
-    for t, note, order, picks, counted in candidates(expr, c_bound, descents, notes):
+    for t, note, order, build, counted in candidates(expr, c_bound, descents, notes):
         if counted and reference is not None:
             slopes.add(t - reference)
         kept = grouped.get((t, note))
         if kept is None or order < kept[0]:
-            grouped[t, note] = order, picks
+            grouped[t, note] = order, build
     if not grouped:
         notes.append("no closed systems within c_bound=%d" % c_bound)
     systems = _materialize(expr, grouped, reference)
     if seifert is not None:
-        systems.append(seifert)
+        systems.append((None, seifert))  # its own note: order never compared
         slopes.add(ZERO)
-    systems.sort(key=_system_order)
-    return report(expr, systems, slopes, c_bound, sorted(set(notes)))
+    scale = lcm(*(s.slope.denominator for _, s in systems if s.slope is not None))
 
+    def listing(item):
+        slope = item[1].slope or ZERO  # None without S0
+        return slope.numerator * scale // slope.denominator, item[1].note, item[0]
 
-def _system_order(system):
-    return (
-        system.slope is None,
-        system.slope if system.slope is not None else ZERO,
-        system.note,
-        system.descriptor(),
-    )
+    systems.sort(key=listing)
+    return report(expr, [s for _, s in systems], slopes, c_bound, sorted(set(notes)))
 
 
 # ---------------------------------------------------------------------------
@@ -534,19 +517,16 @@ class _States(dict):
         return state
 
 
-def _system(expr, shape, picks, note, reference, states, merged):
+def _system(expr, shape, picks, note, reference, states, shared):
     """The CandidateSystem of one assignment, from its leaf picks.
 
-    shape is the expression's (node kind, label) pairs in preorder.
-    Walking them backwards visits every node after its subtree and the
-    leaves right to left; each finished subtree leaves its (key, tau) on a
-    stack, the left one on top. A sum glues the two keys and adds the
-    taus; a product first turns its left key (_turn), and its tau is
-    tau' - tau(left) + tau(right).
-    The systems of one solve share states and, in deep products, most
-    merge traces: states builds each WeightState once, and merged keeps
-    each merge's (trace, (key, tau)) under its (index, left key, left tau,
-    right key, right tau).
+    shape is the expression's (node kind, label) pairs in preorder, walked
+    backwards: each node after its subtree, the leaves right to left, each
+    subtree's (key, tau) left on a stack, the left one on top. The systems
+    of one solve share records: states builds each WeightState once;
+    shared keeps a leaf's (trace, (key, tau), pick) per (index, id(pick)),
+    holding the pick so that its id stays its own, and a merge's (trace,
+    (key, tau)) per (index, ids of its two (key, tau)).
     """
     nodes = [None] * len(shape)
     done = []
@@ -555,27 +535,27 @@ def _system(expr, shape, picks, note, reference, states, merged):
         kind, label = shape[i]
         if kind == "leaf":
             leaf -= 1
-            key, t, _ = picks[leaf]
-            nodes[i] = NodeTrace(label, kind, states[key], t)
-            done.append((key, t))
-            continue
-        inputs = (i,) + done.pop() + done.pop()
-        built = merged.get(inputs)
-        if built is None:
-            _, lkey, lt, rkey, rt = inputs
-            if kind == "product":
-                turned, tau_prime = _turn(lkey)
-                key, scales = _glue(turned, rkey)
-                t = tau_prime - lt + rt
-                trace = NodeTrace(
-                    label, kind, states[key], t, scales,
-                    1, lkey[0], tau_prime, states[turned],
-                )
-            else:
-                key, scales = _glue(lkey, rkey)
-                t = lt + rt
-                trace = NodeTrace(label, kind, states[key], t, scales)
-            built = merged[inputs] = trace, (key, t)
+            pick = picks[leaf]
+            built = shared.get((i, id(pick)))
+            if built is None:
+                key, t, _ = pick
+                built = shared[i, id(pick)] = NodeTrace(label, kind, states[key], t), (key, t), pick
+        else:
+            left, right = done.pop(), done.pop()
+            built = shared.get((i, id(left), id(right)))
+            if built is None:
+                (lkey, lt), (rkey, rt) = left, right
+                if kind == "product":
+                    turned, tau_prime = _turn(lkey)
+                    key, scales = _glue(turned, rkey)
+                    t = tau_prime - lt + rt
+                    trace = NodeTrace(label, kind, states[key], t, scales, 1, lkey[0], tau_prime,
+                                      states[turned])
+                else:
+                    key, scales = _glue(lkey, rkey)
+                    t = lt + rt
+                    trace = NodeTrace(label, kind, states[key], t, scales)
+                built = shared[i, id(left), id(right)] = trace, (key, t)
         nodes[i] = built[0]
         done.append(built[1])
     [(key, total)] = done
@@ -585,17 +565,17 @@ def _system(expr, shape, picks, note, reference, states, merged):
 
 
 def _materialize(expr, grouped, reference):
-    """Build one system per (tau, note) group from its kept
-    (descriptor, leaf picks) pair; the picks run left to right."""
+    """(order, system) per (tau, note) group, from its kept (order,
+    build) pair; build() gives the leaf picks, left to right."""
     kinds = {Leaf: "leaf", Sum: "sum", Product: "product"}
     shape = [
         (kinds[type(node)], label)
         for node, label in zip(expr.nodes(), node_labels(expr))
     ]
-    states, merged = _States(), {}
+    states, shared = _States(), {}
     return [
-        _system(expr, shape, picks, note, reference, states, merged)
-        for (_, note), (_, picks) in grouped.items()
+        (order, _system(expr, shape, build(), note, reference, states, shared))
+        for (_, note), (order, build) in grouped.items()
     ]
 
 
@@ -624,7 +604,7 @@ def _sn_candidates(expr, c_bound, descents, notes):
     built = {}
     for entries in _root_table(expr, c_bound, descents).values():  # all closed: c = 0
         for t, (rank, witness) in entries.items():
-            yield t, "", rank, _leaf_picks(witness, built), True
+            yield t, "", rank, partial(_leaf_picks, witness, built), True
 
 
 def solve_sn(expr, c_bound=None):
@@ -693,21 +673,23 @@ def _segment_pick(pq, segment, u0):
 
     An edge's path ends the share f = n/d along its last edge, at the mix
     (d - n) <vj> + n <vk> of the two vertex states (1, q - 1, p), as in
-    edgepaths.end_weights; its tau is the whole edges' plus f times the
-    last one's.
+    edgepaths.end_weights; its tau is steps + last * f.
     """
     path = _segment_path(pq, segment, u0)
     if segment.kind == "const":
         return path.state.triple(), 0, path
-    f = path.final_fraction
+    n, d = path.final_fraction.numerator, path.final_fraction.denominator
     vj, vk = segment.prefix[-2], segment.prefix[-1]
-    k1, k2 = f.denominator - f.numerator, f.numerator
     key = (
-        k1 + k2,
-        k1 * (vj.denominator - 1) + k2 * (vk.denominator - 1),
-        k1 * vj.numerator + k2 * vk.numerator,
+        d,
+        (d - n) * (segment.w_hi - 1) + n * (segment.w_lo - 1),
+        (d - n) * vj.numerator + n * vk.numerator,
     )
-    return key, segment.steps + Fraction(segment.last * f.numerator, f.denominator), path
+    return key, Fraction(segment.steps * d + segment.last * n, d), path
+
+
+def _type_i_picks(leaves, combo, u0):
+    return [_segment_pick(l.fraction, s, u0) for l, s in zip(leaves, combo)]
 
 
 def _u_of(w):
@@ -774,16 +756,16 @@ def _segment_label(segment):
 
 
 def _type_ii_options(descents, c_bound):
-    """(endpoint m, y, pick) for each of a leaf's descents ending within
-    +-c_bound; y is the denominator of its penultimate vertex, and the
-    pick is the descent's (key, tau, path), its key the vertex <m>."""
+    """(endpoint m, y, pick, order) for each of a leaf's descents ending
+    within +-c_bound: y is its penultimate vertex's denominator, pick its
+    (key, tau, path), the key <m>, and order its describe()."""
     options = []
     for descent in descents:
         vs = descent.vertices
         m = int(vs[-1])
         if abs(m) <= c_bound:
             y = vs[-2].denominator if len(vs) > 1 else 1
-            options.append((m, y, ((1, 0, m), tau(descent), descent)))
+            options.append((m, y, ((1, 0, m), tau(descent), descent), descent.describe()))
     return options
 
 
@@ -793,26 +775,41 @@ def _essential(ys):
     return sum(whole // y for y in ys) <= whole
 
 
-def _candidate(picks, note, counted):
-    """A Montesinos candidate: its tau is the sum of its leaves', its order
-    the flat tuple of their path descriptors."""
-    total = sum(t for _, t, _ in picks)
-    return total, note, tuple(path.describe() for _, _, path in picks), picks, counted
+def _type_i_stage(combo, u0):
+    """The tau and order of a type-I closure at u0 = n/d from the segments'
+    ints, as its _segment_pick picks give them, over one denominator."""
+    n, d = u0.numerator, u0.denominator
+    e, num, den, order = d - n, 0, 1, []
+    for s in combo:
+        if s.kind == "const":
+            total = lcm(s.den, d)
+            b = n * total // d
+            order.append(("const", (total - b, b, s.offset * total // s.den)))
+            continue
+        fn, fd = d - s.w_hi * e, e * (s.w_lo - s.w_hi)
+        order.append(("path", s.prefix, Fraction(fn, fd)))
+        num, den = num * fd + (s.steps * fd + s.last * fn) * den, den * fd
+    return Fraction(num, den), tuple(order)
+
+
+def _option_picks(combo):
+    return [pick for _, _, pick, _ in combo]
 
 
 def _montesinos_candidates(expr, c_bound, descents, notes):
     """The Montesinos search: type-I closures, then the u = 0 systems."""
     leaves = list(expr.leaves())
     for u0, combo, note in _type_i_candidates(leaves, descents, notes):
-        picks = [_segment_pick(l.fraction, s, u0) for l, s in zip(leaves, combo)]
-        yield _candidate(picks, note, note == "")
+        t, order = _type_i_stage(combo, u0)
+        yield t, note, order, partial(_type_i_picks, leaves, combo, u0), note == ""
     per_leaf = [_type_ii_options(descents[l.fraction], c_bound) for l in leaves]
     for combo in iterproduct(*per_leaf):
-        if sum(m for m, _, _ in combo) != 0:
+        if sum(m for m, _, _, _ in combo) != 0:
             continue
-        essential = _essential([y for _, y, _ in combo])
+        essential = _essential([y for _, y, _, _ in combo])
         note = "" if essential else "inessential-candidate"
-        yield _candidate([pick for _, _, pick in combo], note, essential)
+        yield (sum(pick[1] for _, _, pick, _ in combo), note, tuple(o for _, _, _, o in combo),
+               partial(_option_picks, combo), essential)
 
 
 def solve_montesinos(expr, c_bound=None):

@@ -2,6 +2,7 @@ import hashlib
 import logging
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iterproduct
 from math import gcd
 
@@ -37,6 +38,7 @@ from tangleslopes.solver import (
     _leaf_witnesses,
     _merge_product,
     _merge_sum,
+    _montesinos_candidates,
     _root_table,
     _segment_label,
     _segment_pick,
@@ -61,6 +63,7 @@ from tangleslopes.edgepaths import (
 from tangleslopes.errors import Infeasible, UndefinedCase
 from tangleslopes.tangles import Leaf, Product, Sum, mirror
 from tangleslopes.transforms import glue_scaled, rotate_reflect
+from test_golden import GOLDEN, _expr
 
 PRETZEL_237 = "-1/2 + 1/3 + 1/7"
 
@@ -141,6 +144,22 @@ def test_one_system_per_tau_and_note():
             assert {t for t, _ in listed} == _closed_root_taus(expr), expr
 
 
+def test_leaf_traces_are_shared_per_position_and_path():
+    # within one report a leaf's trace is one object per (position, path
+    # object); S0 builds its own. Both reports do share some
+    for expr in (parse("-3/7 + 5/11 + 2/9 + 1/4"), kn(3)):
+        traces, slots = {}, 0
+        for system in solve(expr).systems:
+            if system.note == "seifert-reference":
+                continue
+            leaves = [(i, n) for i, n in enumerate(system.nodes) if n.kind == "leaf"]
+            for (i, node), path in zip(leaves, system.assignment):
+                traces.setdefault((i, id(path)), set()).add(id(node))
+                slots += 1
+        assert all(len(ids) == 1 for ids in traces.values()), expr
+        assert len(traces) < slots, expr
+
+
 def test_null_slope_systems_list_every_tau():
     # 1/3 o 1/2 has no even-denominator tangle in its first factor, so it
     # has no normalization: each closed tau is listed once, slope None
@@ -148,6 +167,30 @@ def test_null_slope_systems_list_every_tau():
     assert rep.slopes == ()
     assert all(s.slope is None and s.note == "" for s in rep.systems)
     assert sorted(s.tau for s in rep.systems) == [-4, 2, 6]
+
+
+def _listing_key(system):
+    return (
+        system.slope is None,
+        system.slope if system.slope is not None else Fraction(0),
+        system.note,
+        system.descriptor(),
+    )
+
+
+def test_systems_are_listed_by_slope_note_and_descriptor():
+    cases = [(_expr(text), c_bound) for text, c_bound, _ in GOLDEN] + _pass_cases()
+    # no normalization, so every slope is None: 2 + 1/3 + 1/7 lists no
+    # system; in the others the descriptor orders the systems of one note
+    null = ("2 + 1/3 + 1/7", "1/3 o 1/2", "1/3 + 1/3 + -1/5", "-1/3 + 1/5 + 1/7 + 1/9")
+    decided = []
+    for expr, c_bound in cases + [(parse(text), None) for text in null]:
+        systems = solve(expr, c_bound).systems
+        keys = [_listing_key(s) for s in systems]
+        assert keys == sorted(keys), (expr, c_bound)
+        if all(s.slope is None for s in systems) and len({s.note for s in systems}) < len(systems):
+            decided.append(expr)
+    assert {parse(text) for text in null[1:]} <= set(decided)
 
 
 def test_monotone_in_bounds():
@@ -422,6 +465,38 @@ def test_integer_type_i_walk_matches_segment_product(pqs):
     assert walk == list(_type_i_by_product(leaves, product_notes))
     assert walk_notes == product_notes
     assert all(type(u0) is Fraction for u0, _, _ in walk)
+
+
+def _check_staged_candidates(pqs):
+    """Each staged Montesinos candidate of the sum of pqs: its tau is the
+    sum of its built picks' taus and its order their paths' descriptors.
+    Returns the numbers of type-I and of u = 0 candidates."""
+    leaves = [Leaf(pq) for pq in pqs]
+    descents = {pq: enumerate_paths(pq) for pq in pqs}
+    staged = list(_montesinos_candidates(reduce(Sum, leaves), 32, descents, []))
+    for t, note, order, build, _ in staged:
+        picks = build()
+        assert len(picks) == len(pqs), (pqs, note)
+        assert t == sum(pick[1] for pick in picks), (pqs, note)
+        assert order == tuple(path.describe() for _, _, path in picks), (pqs, note)
+    type_i = len(_walk(leaves, []))
+    return type_i, len(staged) - type_i
+
+
+def test_staged_candidates_match_built_picks():
+    type_i = u_zero = 0
+    for pqs in _walk_sums():
+        counts = _check_staged_candidates(pqs)
+        type_i, u_zero = type_i + counts[0], u_zero + counts[1]
+    assert type_i >= 40 and u_zero >= 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(_type_i_sums())
+@example([Fraction(f) for f in ("-3/2", "13/8", "15/8", "-7/5")])
+@example([Fraction(f) for f in ("5/3", "1", "-11/4")])  # a degenerate endpoint
+def test_staged_candidates_match_built_picks_on_draws(pqs):
+    _check_staged_candidates(pqs)
 
 
 def test_type_i_examples_hit_interval_ends():
