@@ -17,12 +17,15 @@ them, runs the engine's search and reports.
      states of its constant family, (a, q*k - a, p*k) with
      1 <= a <= k <= c_bound // |p| and gcd(a, k) = 1, and the vertices
      <m> that end its descents and their vertical runs within +-c_bound
-     (an integer leaf keeps its trivial path regardless). A merge glues
-     the left key (turned, at a product) to each right key of its
-     (a : b) direction, both rescaled to their least common (a, b) and
-     added, so c_bound is the only bound; one-sheet keys glue as an
-     integer sumset. A merge keeps the glued keys; the root only those
-     that close (c = 0).
+     (an integer leaf keeps its trivial path regardless). The family has
+     at most one key per primitive (a : b) direction, given by a formula
+     (_Leaf) and never enumerated; a product turns it into the family of
+     sign(p) q/|p|. A merge glues the left key (turned, at a product) to
+     each right key of its direction, both rescaled to their least
+     common (a, b) and added, so c_bound is the only bound: one-sheet
+     keys as an integer sumset, a leaf's constant by a lookup per key of
+     the other side, two leaves' constants over their common directions.
+     A merge keeps the glued keys; the root only those that close (c = 0).
   2. Demand pass, top-down. The root demands all its keys. Each merge
      recovers the (left key, right key) pairs behind its demanded keys
      and adds both keys of each to its children's demand, after all of
@@ -71,7 +74,7 @@ import logging
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import product as iterproduct
+from itertools import chain, product as iterproduct
 from math import gcd, lcm
 
 from .diagram import WeightState
@@ -227,33 +230,67 @@ def _distinct_nodes(expr):
 # key pass: the state keys of every node
 
 
-def _leaf_table(leaf, c_bound, descents):
-    """A leaf's primitive state keys, each -> None for a constant, else
-    the [(tau, rank, position, descent)] of the runs ending on its vertex
-    <end>, by rank: the descent's place by vertices; position is end's
-    in u_zero_ends.
+def _coprime_pairs(n):
+    """The number of 1 <= a <= k <= n with gcd(a, k) = 1: the sum of the
+    totients up to n, by sieve."""
+    phi = list(range(n + 1))
+    for i in range(2, n + 1):
+        if phi[i] == i:  # a prime
+            phi[i::i] = [f - f // i for f in phi[i::i]]
+    return sum(phi)
 
-    A constant with gcd(a, k) > 1 is a multiple of a primitive one with a
-    smaller k; a key's smallest descriptor is its own triple. A path's
-    state (1, 0, end) is a constant key only for an integer leaf p's
-    trivial path, tau 0, whose constant's descriptor is smaller.
+
+class _Leaf(namedtuple("_Leaf", ("p", "q", "bound", "runs"))):
+    """A leaf's key table: the constant family of p/q by formula, plus
+    runs, its other keys, each -> its value (a dict).
+
+    The family's primitive keys are (a, q*k - a, p*k), 1 <= a <= k <= bound,
+    gcd(a, k) = 1: at most one per primitive direction (da, db). With
+    T = da + db and g = gcd(q, T), it is (q*da/g, q*db/g, p*T/g), of
+    per-sheet value p*T/q, where da >= 1, q*da <= T and T/g <= bound.
+    """
+
+    __slots__ = ()
+
+    def constant(self, da, db):
+        """The constant key of direction (da, db), or None."""
+        t = da + db
+        g = gcd(self.q, t)
+        if da < 1 or self.q * da > t or t > self.bound * g:
+            return None
+        return self.q * da // g, self.q * db // g, self.p * t // g
+
+    def __contains__(self, key):
+        s = gcd(key[0], key[1])
+        return key in self.runs or self.constant(key[0] // s, key[1] // s) == key
+
+    def __len__(self):
+        return _coprime_pairs(self.bound) + len(self.runs)
+
+
+def _leaf_table(leaf, c_bound, descents):
+    """A leaf's _Leaf table, bound c_bound // |p|; its runs map each
+    vertex <end> of its descents and their vertical runs to the [(tau,
+    rank, position, descent)] of the runs ending there, by rank: the
+    descent's place by vertices; position is end's in u_zero_ends.
+
+    A path's state (1, 0, end) is a constant key only for an integer leaf
+    p's trivial path, tau 0, whose constant's descriptor, its own triple,
+    is smaller.
     """
     pq = leaf.fraction
     p, q = pq.numerator, pq.denominator
-    table = {}
-    for k in range(1, c_bound // abs(p) + 1):
-        for a in range(1, k + 1):
-            if gcd(a, k) == 1:
-                table[a, q * k - a, p * k] = None
+    table = _Leaf(p, q, c_bound // abs(p), {})
+    constant = table.constant(1, 0)
     for rank, descent in enumerate(sorted(descents[pq], key=lambda d: d.vertices)):
         m, descent_tau = int(descent.vertices[-1]), tau(descent)
         ends = (m,) if q == 1 else u_zero_ends(descent, c_bound)
         for position, end in enumerate(ends):
             key = (1, 0, end)
-            if key in table and table[key] is None:
+            if key == constant:
                 continue  # an integer leaf's constant (1, 0, p)
             # each unit step of a run along u = 0 adds -2 times its rise
-            runs = table.setdefault(key, [])
+            runs = table.runs.setdefault(key, [])
             runs.append((descent_tau - 2 * (end - m), rank, position, descent))
     return table
 
@@ -270,6 +307,16 @@ def _turn(key):
     return (a, abs(c) - a, sign * (a + b)), -2 * sign
 
 
+def _turned(table):
+    """A product's left table turned: {turned key: left key} of the keys
+    that turn. Every constant of a leaf p/q turns, (a, q*k - a, p*k) to
+    (a, |p|*k - a, sign(p) q*k): the family of sign(p) q/|p|, same bound."""
+    if isinstance(table, _Leaf):
+        p, q = table.p, table.q
+        return _Leaf(q if p > 0 else -q, abs(p), table.bound, _turned(table.runs))
+    return {t[0]: key for key in table if (t := _turn(key))}
+
+
 def _sumset(xs, ys):
     """The distinct x + y: bit i of the ORed shifts of the ys' mask is
     min(xs) + min(ys) + i."""
@@ -283,10 +330,9 @@ def _sumset(xs, ys):
     return [low + i for i, bit in enumerate(bin(sums)[:1:-1]) if bit == "1"]
 
 
-def _glued_keys(lws, right, closing):
-    """The set of keys glued from each key of lws (the turned left keys,
-    at a product) and each right key of its (a : b) direction; when
-    closing, only those with c = 0.
+def _explicit_keys(lws, right, closing):
+    """The set of keys glued from each key of lws and each key of right
+    of its (a : b) direction; when closing, only those with c = 0.
 
     This is transforms.glue_scaled on integer keys. Of one direction
     (da, db) a primitive key is (s*da, s*db, c), s its sheet count, and
@@ -322,18 +368,67 @@ def _glued_keys(lws, right, closing):
     return out
 
 
+def _constant_keys(keys, leaf, closing):
+    """The keys glued from each of keys and the leaf constant of its
+    direction, looked up by formula."""
+    out = set()
+    for key in keys:
+        s = gcd(key[0], key[1])
+        constant = leaf.constant(key[0] // s, key[1] // s)
+        if constant is not None:
+            glued = _glue(key, constant)[0]
+            if not closing or glued[2] == 0:
+                out.add(glued)
+    return out
+
+
+def _common_keys(x, y, closing):
+    """The keys glued from the constants of two leaves, one per direction
+    (da, T - da) that both reach: gcd(da, T) = 1 and 1 <= da <= T / q for
+    the larger q, where T/gcd(q, T) is within each bound. The glued value
+    is T (px/qx + py/qy); reduced to n/d, the key is (d*da, d*(T - da), n)."""
+    num, den, q = x.p * y.q + y.p * x.q, x.q * y.q, max(x.q, y.q)
+    if closing and num:
+        return set()
+    out = set()
+    for t in range(1, min(x.bound * x.q, y.bound * y.q) + 1):
+        if t <= x.bound * gcd(x.q, t) and t <= y.bound * gcd(y.q, t):
+            g = gcd(t * num, den)
+            n, d = t * num // g, den // g
+            out.update([(da * d, (t - da) * d, n) for da in range(1, t // q + 1) if gcd(da, t) == 1])
+    return out
+
+
+def _glued_keys(left, right, closing):
+    """The set of keys glued from each key of left (turned, at a product)
+    and each right key of its (a : b) direction; when closing, only those
+    with c = 0. A leaf's explicit keys glue by _explicit_keys, its
+    constants by formula: a merge with a leaf walks the other side's
+    keys, and two leaves walk their common directions."""
+    lleaf, rleaf = isinstance(left, _Leaf), isinstance(right, _Leaf)
+    lkeys, rkeys = left.runs if lleaf else left, right.runs if rleaf else right
+    out = _explicit_keys(lkeys, rkeys, closing)
+    if lleaf:
+        out |= _constant_keys(rkeys, left, closing)
+    if rleaf:
+        out |= _constant_keys(lkeys, right, closing)
+    if lleaf and rleaf:
+        out |= _common_keys(left, right, closing)
+    return out
+
+
 def _merge_sum(left, right, closing=False):
     """Key pass at a sum."""
     return _glued_keys(left, right, closing)
 
 
-def _merge_product(turns, right, closing=False):
-    """Key pass at a product, from {left key: _turn(left key)}."""
-    return _glued_keys([turned for turned, _ in turns.values()], right, closing)
+def _merge_product(turned, right, closing=False):
+    """Key pass at a product, from the _turned left table."""
+    return _glued_keys(turned, right, closing)
 
 
 def _key_pass(nodes, c_bound, descents):
-    """(id(node) -> key table, id(product) -> {left key: _turn(left key)}),
+    """(id(node) -> key table, id(product) -> its _turned left table),
     bottom-up; the root keeps only the keys that close."""
     keys, turns = {}, {}
     for node in nodes:
@@ -344,7 +439,7 @@ def _key_pass(nodes, c_bound, descents):
         if isinstance(node, Sum):
             keys[id(node)] = _merge_sum(left, right, closing)
         else:
-            turned = turns[id(node)] = {k: t for k in left if (t := _turn(k))}
+            turned = turns[id(node)] = _turned(left)
             keys[id(node)] = _merge_product(turned, right, closing)
     return keys, turns
 
@@ -359,17 +454,16 @@ def _demand_pass(nodes, keys, turns):
 
     A glue adds per-sheet values (_glued_keys), so for a demanded key and
     a left key of its direction (turned, at a product) the one right key
-    that can glue to it has the reduced difference of their values.
+    that can glue to it has the reduced difference of their values. A
+    leaf's constants are looked up per demanded direction; a turned one
+    (a, b, c) is the turn of (a, |c| - a, sign(c) (a + b)).
     """
     demand = {id(nodes[-1]): dict.fromkeys(keys[id(nodes[-1])])}
     for node in reversed(nodes):
         if isinstance(node, Leaf):
             continue
-        right = keys[id(node.right)]
-        if isinstance(node, Product):
-            lws = [(lkey, turned) for lkey, (turned, _) in turns[id(node)].items()]
-        else:
-            lws = ((lkey, lkey) for lkey in keys[id(node.left)])
+        right, product = keys[id(node.right)], isinstance(node, Product)
+        left = turns[id(node)] if product else keys[id(node.left)]
         ldemand = demand.setdefault(id(node.left), {})
         rdemand = demand.setdefault(id(node.right), {})
         wanted, by_direction = demand[id(node)], {}
@@ -378,7 +472,15 @@ def _demand_pass(nodes, keys, turns):
             s = gcd(a, b)
             wanted[key] = pairs = []
             by_direction.setdefault((a // s, b // s), []).append((s, c, pairs))
-        for lkey, (a, b, lc) in lws:
+        lws = []  # (left key turned at a product, left key)
+        if isinstance(left, _Leaf):
+            for direction in by_direction:
+                lw = left.constant(*direction)
+                if lw is not None:
+                    a, b, c = lw
+                    lws.append((lw, (a, abs(c) - a, a + b if c > 0 else -a - b) if product else lw))
+            left = left.runs
+        for (a, b, lc), lkey in chain(lws, left.items() if product else ((k, k) for k in left)):
             ls = gcd(a, b)
             da, db = a // ls, b // ls
             for s, c, pairs in by_direction.get((da, db), ()):
@@ -396,7 +498,7 @@ def _demand_pass(nodes, keys, turns):
 
 
 def _leaf_witnesses(leaf, table, wanted):
-    """{tau: witness} per wanted key of a leaf's key table: (order,
+    """{tau: witness} per wanted key of a leaf's _Leaf table: (order,
     (key, tau, leaf fraction, descent)) of the smallest path, descent None
     for a constant. order, (0, key) or a run's (1, rank, position), sorts
     as the descriptor: no descent's vertices are a prefix of another's
@@ -404,7 +506,7 @@ def _leaf_witnesses(leaf, table, wanted):
     pq = leaf.fraction
     out = {}
     for key in sorted(wanted):
-        runs = table[key]
+        runs = table.runs.get(key)
         if runs is None:
             out[key] = {0: ((0, key), (key, 0, pq, None))}
             continue
@@ -415,21 +517,21 @@ def _leaf_witnesses(leaf, table, wanted):
     return out
 
 
-def _glue_witnesses(wanted, left, right, turns):
+def _glue_witnesses(wanted, left, right, product):
     """{tau: witness} per demanded key of a merge, from its
-    {key: (left key, right key) pairs}, the children's {tau: witness}
-    tables and, at a product, its turns.
+    {key: (left key, right key) pairs} and the children's {tau: witness}
+    tables.
 
     tau adds at a sum; at a product it is tau' - tau(left) + tau(right),
-    tau' from _turn.
+    tau' = -2 sign(c) of the left key (_turn).
     """
     out = {}
     for key in sorted(wanted):
         best = {}
         for lkey, rkey in wanted[key]:
             lents, rents = left[lkey].items(), right[rkey].items()
-            if turns is not None:
-                turn = turns[lkey][1]
+            if product:
+                turn = -2 if lkey[2] > 0 else 2
                 lents = [(turn - lt, lw) for lt, lw in lents]
             for lt, (ldesc, lpicks) in lents:
                 for rt, (rdesc, rpicks) in rents:
@@ -451,7 +553,7 @@ def _rank(table):
     return table
 
 
-def _tau_pass(nodes, keys, turns, demand):
+def _tau_pass(nodes, keys, demand):
     """id(node) -> its witness table over its demanded keys, bottom-up."""
     taus = {}
     for node in nodes:
@@ -460,7 +562,7 @@ def _tau_pass(nodes, keys, turns, demand):
             taus[id(node)] = _leaf_witnesses(node, keys[id(node)], wanted)
         else:
             left, right = taus[id(node.left)], taus[id(node.right)]
-            table = _glue_witnesses(wanted, left, right, turns.get(id(node)))
+            table = _glue_witnesses(wanted, left, right, isinstance(node, Product))
             taus[id(node)] = _rank(table)
     return taus
 
@@ -471,7 +573,7 @@ def _root_table(expr, c_bound, descents):
     nodes = _distinct_nodes(expr)
     keys, turns = _key_pass(nodes, c_bound, descents)
     demand = _demand_pass(nodes, keys, turns)
-    taus = _tau_pass(nodes, keys, turns, demand)
+    taus = _tau_pass(nodes, keys, demand)
     if log.isEnabledFor(logging.INFO):
         # every child witness pair a merge compared
         pairs = sum(
@@ -498,7 +600,7 @@ def _glue(lw, rkey):
     glued primitive triple and the multipliers (k1, k2). The triples need
     not be primitive: a Montesinos leaf's end state may not be.
 
-    _glued_keys inlines the same arithmetic, once per right sheet count.
+    _explicit_keys inlines the same arithmetic, once per right sheet count.
     """
     ls, rs = gcd(lw[0], lw[1]), gcd(rkey[0], rkey[1])
     common = lcm(ls, rs)
@@ -803,13 +905,17 @@ def _montesinos_candidates(expr, c_bound, descents, notes):
         t, order = _type_i_stage(combo, u0)
         yield t, note, order, partial(_type_i_picks, leaves, combo, u0), note == ""
     per_leaf = [_type_ii_options(descents[l.fraction], c_bound) for l in leaves]
-    for combo in iterproduct(*per_leaf):
-        if sum(m for m, _, _, _ in combo) != 0:
-            continue
-        essential = _essential([y for _, y, _, _ in combo])
-        note = "" if essential else "inessential-candidate"
-        yield (sum(pick[1] for _, _, pick, _ in combo), note, tuple(o for _, _, _, o in combo),
-               partial(_option_picks, combo), essential)
+    # only the last leaf's options that end at -(sum of the others) close
+    by_end = {}
+    for option in per_leaf[-1]:
+        by_end.setdefault(option[0], []).append(option)
+    for head in iterproduct(*per_leaf[:-1]):
+        for last in by_end.get(-sum(o[0] for o in head), ()):
+            combo = head + (last,)
+            essential = _essential([y for _, y, _, _ in combo])
+            note = "" if essential else "inessential-candidate"
+            yield (sum(pick[1] for _, _, pick, _ in combo), note, tuple(o for _, _, _, o in combo),
+                   partial(_option_picks, combo), essential)
 
 
 def solve_montesinos(expr, c_bound=None):

@@ -20,6 +20,8 @@ GOLDEN = (
     ("kn(6)", None, "5c850e7e5c7ad0a1bf8999cfece667cc79be41e11a24a1ce5730ede60670133b"),
     ("kn(8)", None, "161ba54e24a41adb096ae85c0a285207e54658b2ef06a95c7dd9aaed75506478"),
     ("kn(10)", None, "fccd3a95fd948cd74b823403079246eaec6d8e25e6f9749961dbe66cc5f80535"),
+    # c_bound 422: each leaf's constant family holds 55,131 keys
+    ("kn(20)", None, "7f4b03148556e81686d3e5536a9a8a07cfa740947fc72a60b29d53d3c601d99a"),
     ("-1/2 + 1/3 + 1/3", None, "707211ff29b3dc5d4a3f2dec212d156b4f1d02d8b03a351dc5b5c53e5a1e4c79"),
     ("-1/2 + 1/3 + 1/5", None, "7dee1ae7dbe01a75e270378877bef3ce792928781adefb9087aa369126500743"),
     ("-1/2 + 1/3 + 1/7", None, "a6fdd7d87c17a5682451c7aa4bf85fc552f6bfa9f21b7474c11f5a1b569ad708"),
@@ -37,10 +39,20 @@ GOLDEN = (
         None,
         "0e295d116edff6be89585d5e8b502b92e86d0a0bc033504cfc9df49622a8a641",
     ),
-    # no even-denominator tangle: systems with null slopes
+    # no even-denominator tangle and no system: only the note "no closed
+    # systems within c_bound=32"
     ("2 + 1/3 + 1/7", None, "22b5afdeec80f6a6579c87504de24ff44816c39b650b15119da12cd5d2e0c840"),
+    # no even-denominator tangle: three systems with null slopes
+    ("1/3 + 1/3 + -1/5", None, "49d6f64087f2d03290ec78ce639ece70ecaafd54d0bdfb76bd38347e08c503be"),
     # the integer leaf keeps its trivial path even past c_bound
     ("(2 + 1/3) o 1/2", 1, "4c426dc830dc49b3bf9b32a681f82a34b2a5690376472f0a2e96a3cda2f36d13"),
+    # an integer leaf whose constant family is empty at c_bound 2: it
+    # keeps its trivial run (1, 0, 3)
+    ("(3 + 1/2) o 1/3", 2, "754e29ee13e2759507c370e266a30f0d7736ac2e2d5f4b6276f44fd877114125"),
+    # a turned leaf glued to a sum of two leaves; a root sum with a leaf
+    # on the left, over a product of two leaves
+    ("1/3 o (1/2 + 1/5)", None, "0d51899a8dac09db227ce993c01f4132deb7f49627c24139395932a8e13a9b77"),
+    ("1/5 + (1/3 o 1/2)", None, "0befa615d8c6bbde70bb1c46c44a6c77f5a982f59070f3b0de2de87471500242"),
 )
 
 

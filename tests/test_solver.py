@@ -44,6 +44,7 @@ from tangleslopes.solver import (
     _segment_pick,
     _tau_pass,
     _turn,
+    _turned,
     _type_i_candidates,
     _type_ii_options,
     _u_of,
@@ -698,6 +699,38 @@ def _lattice_leaf(leaf, c_bound):
     return table
 
 
+def _check_leaf_table(table, keys):
+    """A leaf's table holds exactly keys: it finds each of them, every
+    direction (da, T - da) with T <= bound * q gives no constant or one of
+    them, its runs are among them, and it counts as many."""
+    assert all(key in table for key in keys), table[:3]
+    for t in range(1, table.bound * table.q + 1):
+        for da in range(t + 1):
+            if gcd(da, t) == 1:
+                key = table.constant(da, t - da)
+                assert key is None or key in keys, (table[:3], key)
+    assert set(table.runs) <= set(keys), table[:3]
+    assert len(table) == len(keys), table[:3]
+
+
+def _check_turned(turned, table, keys):
+    """A product's turned leaf table holds exactly the _turns of the
+    leaf's keys, its turned runs keeping their left keys."""
+    turns = _turns(keys)
+    _check_leaf_table(turned, turns)
+    assert turned.runs == {t: key for t, key in turns.items() if key in table.runs}
+
+
+def _key_set(node, table, c_bound):
+    """A node's key set: a merge's table, or a leaf's lattice keys once its
+    table is checked against them."""
+    if not isinstance(node, Leaf):
+        return set(table)
+    keys = set(_lattice_leaf(node, c_bound))
+    _check_leaf_table(table, keys)
+    return keys
+
+
 def _eager_tables(node, c_bound, memo):
     """The merge the three passes replaced: every node carries the
     smallest (descriptor, assignment) trace of each (state, tau), tau a
@@ -792,8 +825,8 @@ def _random_product(rng):
 
 
 def _pass_cases():
-    """(expr, c_bound) pairs: the family, a shared-subtree product, a root
-    sum of products, integer leaves, c_bound 1, and random products."""
+    """(expr, c_bound) pairs: the family, a shared-subtree product, root
+    sums, integer leaves, c_bound 1 and 2, and random products."""
     rng = random.Random(5)
     f, g = parse("1/2 + -1/3"), parse("2/5")
     cases = [(kn(n), default_c_bound(kn(n))) for n in range(2, 6)]
@@ -803,9 +836,11 @@ def _pass_cases():
     cases.append((Product(Sum(half, Leaf(Fraction(1, 3))), Sum(half, Leaf(Fraction(2, 5)))), 6))
     cases.append((Product(Product(f, g), Product(f, parse("1/3"))), 6))
     # a root sum; integer leaves, whose constant (1, 0, p) and trivial
-    # path share a key
-    for text in ("(1/2 o 1/3) + 1/5", "(2 + 1/3) o 1/2", "3 o 1/2 o -2"):
+    # path share a key; a root sum with a leaf on the left
+    for text in ("(1/2 o 1/3) + 1/5", "(2 + 1/3) o 1/2", "3 o 1/2 o -2", "1/5 + (1/2 o 1/3)"):
         cases += [(parse(text), 32), (parse(text), 1)]
+    # an integer leaf whose constant family is empty: it keeps its trivial run
+    cases.append((parse("(3 + 1/2) o 1/3"), 2))
     cases.append((kn(2), 1))
     cases += [(_random_product(rng), rng.choice([2, 4, 8])) for _ in range(22)]
     return cases
@@ -839,19 +874,23 @@ def test_passes_match_eager_tables_at_every_node():
         eager = {}
         _eager_tables(expr, c_bound, eager)
         for node in nodes[:-1]:
-            assert set(keys[id(node)]) == set(eager[id(node)]), (expr, c_bound, node)
+            assert _key_set(node, keys[id(node)], c_bound) == set(eager[id(node)]), (expr, c_bound)
         assert set(keys[id(expr)]) == set(_closed(eager[id(expr)])), (expr, c_bound)
         # each product's left keys, turned once by the key pass
         for node in nodes:
             if isinstance(node, Product):
                 left = keys[id(node.left)]
-                assert turns[id(node)] == _turns(left)
+                if isinstance(node.left, Leaf):
+                    _check_turned(turns[id(node)], left, eager[id(node.left)])
+                else:
+                    assert turns[id(node)] == _turns(left)
         assert len(turns) == sum(isinstance(node, Product) for node in nodes)
         demand = _demand_pass(nodes, keys, turns)
-        taus = _tau_pass(nodes, keys, turns, demand)
+        taus = _tau_pass(nodes, keys, demand)
         for node in nodes:
             table = taus[id(node)]
-            assert set(table) == set(demand[id(node)]) <= set(keys[id(node)])
+            assert set(table) == set(demand[id(node)])
+            assert all(key in keys[id(node)] for key in table), (expr, c_bound, node)
             for key, entries in table.items():
                 assert _flat(entries) == eager[id(node)][key], (expr, c_bound, node, key)
             demanded += len(table)
@@ -897,7 +936,8 @@ def test_demand_pass_recovers_every_pair_of_a_demanded_key():
             if isinstance(node, Leaf):
                 assert set(demand[id(node)].values()) <= {None}
                 continue
-            left, right = keys[id(node.left)], keys[id(node.right)]
+            left = _key_set(node.left, keys[id(node.left)], c_bound)
+            right = _key_set(node.right, keys[id(node.right)], c_bound)
             brute = _brute_pairs(left, right, isinstance(node, Product))
             for key, recovered in demand[id(node)].items():
                 assert len(set(recovered)) == len(recovered), (expr, c_bound, node, key)
@@ -936,9 +976,9 @@ def _one_key_table(key, t, name):
 
 
 def _turns(left):
-    """{left key: _turn(left key)} where _turn keeps it, as the key pass
-    hands a product's left keys to the later passes."""
-    return {key: _turn(key) for key in left if _turn(key)}
+    """{turned key: left key} where _turn keeps it, as the key pass hands
+    a product's left keys to the later passes."""
+    return {_turn(key)[0]: key for key in left if _turn(key)}
 
 
 def _merged(merge, left, right, closing=False):
@@ -962,8 +1002,7 @@ def _glue_one(merge, left, right):
     root."""
     keys = _merged(merge, left, right)
     pairs = _recovered(merge, left, right, keys)
-    turns = _turns(left) if merge is _merge_product else None
-    witnesses = _glue_witnesses(pairs, left, right, turns)
+    witnesses = _glue_witnesses(pairs, left, right, merge is _merge_product)
     return keys, pairs, witnesses, _merged(merge, left, right, True)
 
 
@@ -1123,7 +1162,8 @@ def test_key_pass_builds_no_key_without_direction():
     keys = 0
     for expr, c_bound in _pass_cases():
         nodes = _distinct_nodes(expr)
-        for table in _key_pass(nodes, c_bound, _descents(expr))[0].values():
+        tables = _key_pass(nodes, c_bound, _descents(expr))[0]
+        for table in (_key_set(node, tables[id(node)], c_bound) for node in nodes):
             assert all(key[0] >= 1 for key in table), (expr, c_bound)
             # primitive, as the demand pass's lookups need
             assert all(gcd(*key) == 1 for key in table), (expr, c_bound)
@@ -1143,11 +1183,14 @@ def test_leaf_table_taus_and_keys_match_their_paths(c_bound):
     for pq in _SMALL_LEAVES:
         leaf = Leaf(pq)
         descents = enumerate_paths(pq)
-        keys = _leaf_table(leaf, c_bound, {pq: descents})
+        table = _leaf_table(leaf, c_bound, {pq: descents})
         # the solve shares the list: the table sorts a copy
         assert descents == enumerate_paths(pq), pq
         lattice = _lattice_leaf(leaf, c_bound)
-        assert set(keys) == set(lattice), pq
+        _check_leaf_table(table, lattice)
+        # a product turns every constant into the family of
+        # sign(p) q/|p|, with the same bound, and each run on its own
+        _check_turned(_turned(table), table, lattice)
         # the fact the run order rests on: no descent's vertices are a
         # prefix of another's
         for d1, d2 in iterproduct(enumerate_paths(pq), repeat=2):
@@ -1156,7 +1199,8 @@ def test_leaf_table_taus_and_keys_match_their_paths(c_bound):
         # the order a witness would carry: the orders are distinct and sort
         # as the descriptors of the built paths
         every = []
-        for key, key_runs in keys.items():
+        for key in lattice:
+            key_runs = table.runs.get(key)
             if key_runs is None:
                 every.append(((0, key), (key, 0, pq, None)))
                 continue
@@ -1168,7 +1212,7 @@ def test_leaf_table_taus_and_keys_match_their_paths(c_bound):
         described = [_leaf_path(item).describe() for _, item in every]
         assert described == sorted(described), pq
         assert len({order for order, _ in every}) == len(every), pq
-        witnesses = _leaf_witnesses(leaf, keys, set(keys))
+        witnesses = _leaf_witnesses(leaf, table, set(lattice))
         for key, entries in witnesses.items():
             # the same smallest witness per (key, tau) as the lattice
             assert _flat(entries) == lattice[key], (pq, key)
@@ -1179,7 +1223,7 @@ def test_leaf_table_taus_and_keys_match_their_paths(c_bound):
                 if descent is None:
                     assert order == (0, key)
                 else:
-                    assert order[0] == 1 and (t, *order[1:], descent) in keys[key]
+                    assert order[0] == 1 and (t, *order[1:], descent) in table.runs[key]
                 path = _leaf_path(item)
                 if path.is_constant:
                     assert (t, key) == (0, _key_of(path.state.primitive()))
