@@ -16,6 +16,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -392,6 +393,10 @@ def build_parser():
     p_plot.add_argument("--out", default=None)
     p_plot.set_defaults(func=cmd_plot)
 
+    # argparse reads a leading minus as a value only in numbers like -1 or
+    # -.5; an expression such as -1/3+1/5+1/7 starts the same way
+    for p in (p_slopes, p_plot):
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

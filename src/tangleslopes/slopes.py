@@ -102,10 +102,6 @@ class CandidateSystem(namedtuple("CandidateSystem", (
 ), defaults=("",))):
     __slots__ = ()
 
-    def descriptor(self):
-        """Deterministic sort key for the assignment."""
-        return tuple(path.describe() for path in self.assignment)
-
 
 def replay(expr, paths):
     """Recompute node traces for an assignment; returns (nodes, state, tau).
@@ -161,8 +157,6 @@ def replay(expr, paths):
         return st, t
 
     state, total = visit(expr)
-    if cursor[0] != len(paths):
-        raise ValueError("assignment has %d paths, expression has %d leaves" % (len(paths), cursor[0]))
     return tuple(nodes), state, total
 
 

@@ -25,11 +25,13 @@ them, runs the engine's search and reports.
      common (a, b) and added, so c_bound is the only bound: one-sheet
      keys as an integer sumset, a leaf's constant by a lookup per key of
      the other side, two leaves' constants over their common directions.
-     A merge keeps the glued keys; the root only those that close (c = 0).
+     A merge keeps the set of its glued keys, the root only those that
+     close (c = 0), and a product the set of its turned left keys.
   2. Demand pass, top-down. The root demands all its keys. Each merge
      recovers the (left key, right key) pairs behind its demanded keys
      and adds both keys of each to its children's demand, after all of
-     its own parents have added theirs.
+     its own parents have added theirs; a product's left key is the _turn
+     of its turned one, as _turn is its own inverse.
   3. Tau pass, bottom-up, demanded keys only. Each (demanded key, tau)
      keeps the witness of smallest descriptor. A leaf's is (order, (key,
      tau, leaf fraction, descent)), order sorting as the path's
@@ -50,18 +52,19 @@ them, runs the engine's search and reports.
   (type I, _type_i_candidates), in integers: an interval end (q - 1)/q is
   the int q in w = 1/(1 - u). A closing u0 = n/d is staged from the
   segments' ints: its tau is one Fraction, its order holds a constant's
-  triple or an edge's prefix and share f. Systems whose descents, ending
-  within +-c_bound, have integer endpoints summing to zero close at u = 0
+  triple or an edge's prefix and share f, and its leaf picks are built
+  from that order. Systems whose descents, ending within +-c_bound, have
+  integer endpoints summing to zero close at u = 0
   (type II); one is counted as a slope when the penultimate-vertex
   denominators y_i satisfy sum 1/y_i <= 1 (sum Y/y_i <= Y, Y their lcm),
   and flagged as an inessential candidate otherwise. Every leaf has at
   least as many type-I segments as descents, so the type-II product,
   enumerated in full, is never larger than the full type-I one.
 
-A search yields (tau, note, order, build, counted) per candidate and
-builds no path; order is the SN rank or the flat descriptor tuple.
-_solve keeps the least order per (tau, note), plus S0 (slope 0) when the
-normalization exists; a counted candidate adds the slope tau - tau(S0).
+A search yields (tau, note, order, build) per candidate and builds no
+path; order is the SN rank or the flat descriptor tuple. _solve keeps the
+least order per (tau, note), plus S0 (slope 0) when the normalization
+exists; a candidate with an empty note adds the slope tau - tau(S0).
 Only a kept candidate's build() makes its leaf picks (key, tau, path),
 and _materialize derives every node's trace from them in integers (_glue,
 _turn). The systems are listed by (slope, note, order), a slope as an int
@@ -74,14 +77,13 @@ import logging
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import chain, product as iterproduct
+from itertools import product as iterproduct
 from math import gcd, lcm
 
 from .diagram import WeightState
 from .edgepaths import (
     ConstantPath,
     VertexPath,
-    constant_path,
     enumerate_paths,
     run_to,
     tau,
@@ -182,8 +184,8 @@ def _solve(expr, c_bound, candidates):
     reference = seifert.tau if seifert is not None else None
     grouped = {}  # (tau, note) -> the (order, build) of least order
     slopes = set()
-    for t, note, order, build, counted in candidates(expr, c_bound, descents, notes):
-        if counted and reference is not None:
+    for t, note, order, build in candidates(expr, c_bound, descents, notes):
+        if not note and reference is not None:
             slopes.add(t - reference)
         kept = grouped.get((t, note))
         if kept is None or order < kept[0]:
@@ -242,7 +244,7 @@ def _coprime_pairs(n):
 
 class _Leaf(namedtuple("_Leaf", ("p", "q", "bound", "runs"))):
     """A leaf's key table: the constant family of p/q by formula, plus
-    runs, its other keys, each -> its value (a dict).
+    runs, its other keys: each -> its value, or a set once _turned.
 
     The family's primitive keys are (a, q*k - a, p*k), 1 <= a <= k <= bound,
     gcd(a, k) = 1: at most one per primitive direction (da, db). With
@@ -308,13 +310,13 @@ def _turn(key):
 
 
 def _turned(table):
-    """A product's left table turned: {turned key: left key} of the keys
-    that turn. Every constant of a leaf p/q turns, (a, q*k - a, p*k) to
-    (a, |p|*k - a, sign(p) q*k): the family of sign(p) q/|p|, same bound."""
+    """A product's left table turned: the set of its turned keys. Every
+    constant of a leaf p/q turns, (a, q*k - a, p*k) to (a, |p|*k - a,
+    sign(p) q*k): the family of sign(p) q/|p|, same bound."""
     if isinstance(table, _Leaf):
         p, q = table.p, table.q
         return _Leaf(q if p > 0 else -q, abs(p), table.bound, _turned(table.runs))
-    return {t[0]: key for key in table if (t := _turn(key))}
+    return {t[0] for key in table if (t := _turn(key))}
 
 
 def _sumset(xs, ys):
@@ -455,8 +457,8 @@ def _demand_pass(nodes, keys, turns):
     A glue adds per-sheet values (_glued_keys), so for a demanded key and
     a left key of its direction (turned, at a product) the one right key
     that can glue to it has the reduced difference of their values. A
-    leaf's constants are looked up per demanded direction; a turned one
-    (a, b, c) is the turn of (a, |c| - a, sign(c) (a + b)).
+    leaf's constants are looked up per demanded direction. At a product
+    the left key is the _turn of the turned one.
     """
     demand = {id(nodes[-1]): dict.fromkeys(keys[id(nodes[-1])])}
     for node in reversed(nodes):
@@ -472,15 +474,10 @@ def _demand_pass(nodes, keys, turns):
             s = gcd(a, b)
             wanted[key] = pairs = []
             by_direction.setdefault((a // s, b // s), []).append((s, c, pairs))
-        lws = []  # (left key turned at a product, left key)
         if isinstance(left, _Leaf):
-            for direction in by_direction:
-                lw = left.constant(*direction)
-                if lw is not None:
-                    a, b, c = lw
-                    lws.append((lw, (a, abs(c) - a, a + b if c > 0 else -a - b) if product else lw))
-            left = left.runs
-        for (a, b, lc), lkey in chain(lws, left.items() if product else ((k, k) for k in left)):
+            constants = (left.constant(*direction) for direction in by_direction)
+            left = [*filter(None, constants), *left.runs]
+        for a, b, lc in left:
             ls = gcd(a, b)
             da, db = a // ls, b // ls
             for s, c, pairs in by_direction.get((da, db), ()):
@@ -489,6 +486,7 @@ def _demand_pass(nodes, keys, turns):
                 g = gcd(n, d)
                 rkey = (da * d // g, db * d // g, n // g)
                 if rkey in right:
+                    lkey = _turn((a, b, lc))[0] if product else (a, b, lc)
                     pairs.append((lkey, rkey))
                     ldemand[lkey] = rdemand[rkey] = None
     return demand
@@ -706,7 +704,7 @@ def _sn_candidates(expr, c_bound, descents, notes):
     built = {}
     for entries in _root_table(expr, c_bound, descents).values():  # all closed: c = 0
         for t, (rank, witness) in entries.items():
-            yield t, "", rank, partial(_leaf_picks, witness, built), True
+            yield t, "", rank, partial(_leaf_picks, witness, built)
 
 
 def solve_sn(expr, c_bound=None):
@@ -761,26 +759,24 @@ def _leaf_segments(pq, descents):
     return segments
 
 
-def _segment_path(pq, segment, u0):
-    if segment.kind == "const":
-        return constant_path(pq, u=u0)
-    # f = (1/(1 - u0) - qj) / (qk - qj) for u0 = n/d, qj = w_hi, qk = w_lo
-    n, d, qj, qk = u0.numerator, u0.denominator, segment.w_hi, segment.w_lo
-    f = Fraction(d - qj * (d - n), (d - n) * (qk - qj))
-    return VertexPath(pq, segment.prefix, final_fraction=f)
+def _segment_path(pq, entry):
+    """The path of a _type_i_stage order entry."""
+    if entry[0] == "const":
+        return ConstantPath(pq, WeightState(*entry[1]))
+    return VertexPath(pq, entry[1], final_fraction=entry[2])
 
 
-def _segment_pick(pq, segment, u0):
-    """The leaf pick (key, tau, path) of a segment at u0.
+def _segment_pick(pq, segment, entry):
+    """The leaf pick (key, tau, path) of a segment at its stage entry.
 
     An edge's path ends the share f = n/d along its last edge, at the mix
     (d - n) <vj> + n <vk> of the two vertex states (1, q - 1, p), as in
     edgepaths.end_weights; its tau is steps + last * f.
     """
-    path = _segment_path(pq, segment, u0)
+    path = _segment_path(pq, entry)
     if segment.kind == "const":
-        return path.state.triple(), 0, path
-    n, d = path.final_fraction.numerator, path.final_fraction.denominator
+        return entry[1], 0, path
+    n, d = entry[2].numerator, entry[2].denominator
     vj, vk = segment.prefix[-2], segment.prefix[-1]
     key = (
         d,
@@ -790,8 +786,8 @@ def _segment_pick(pq, segment, u0):
     return key, Fraction(segment.steps * d + segment.last * n, d), path
 
 
-def _type_i_picks(leaves, combo, u0):
-    return [_segment_pick(l.fraction, s, u0) for l, s in zip(leaves, combo)]
+def _type_i_picks(leaves, combo, order):
+    return [_segment_pick(l.fraction, s, e) for l, s, e in zip(leaves, combo, order)]
 
 
 def _u_of(w):
@@ -879,7 +875,10 @@ def _essential(ys):
 
 def _type_i_stage(combo, u0):
     """The tau and order of a type-I closure at u0 = n/d from the segments'
-    ints, as its _segment_pick picks give them, over one denominator."""
+    ints, tau over one denominator. Each leaf's order entry is its path's
+    descriptor, from which _segment_pick builds its pick: a constant's
+    least integer state at u0, or an edge's prefix and last-edge share
+    f = (1/(1 - u0) - qj) / (qk - qj)."""
     n, d = u0.numerator, u0.denominator
     e, num, den, order = d - n, 0, 1, []
     for s in combo:
@@ -903,7 +902,7 @@ def _montesinos_candidates(expr, c_bound, descents, notes):
     leaves = list(expr.leaves())
     for u0, combo, note in _type_i_candidates(leaves, descents, notes):
         t, order = _type_i_stage(combo, u0)
-        yield t, note, order, partial(_type_i_picks, leaves, combo, u0), note == ""
+        yield t, note, order, partial(_type_i_picks, leaves, combo, order)
     per_leaf = [_type_ii_options(descents[l.fraction], c_bound) for l in leaves]
     # only the last leaf's options that end at -(sum of the others) close
     by_end = {}
@@ -912,10 +911,9 @@ def _montesinos_candidates(expr, c_bound, descents, notes):
     for head in iterproduct(*per_leaf[:-1]):
         for last in by_end.get(-sum(o[0] for o in head), ()):
             combo = head + (last,)
-            essential = _essential([y for _, y, _, _ in combo])
-            note = "" if essential else "inessential-candidate"
+            note = "" if _essential([y for _, y, _, _ in combo]) else "inessential-candidate"
             yield (sum(pick[1] for _, _, pick, _ in combo), note, tuple(o for _, _, _, o in combo),
-                   partial(_option_picks, combo), essential)
+                   partial(_option_picks, combo))
 
 
 def solve_montesinos(expr, c_bound=None):

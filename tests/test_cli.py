@@ -114,6 +114,22 @@ def test_bad_bounds_exit(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("slopes", "-1/3 + 1/5 + 1/7"),
+    ("slopes", PRETZEL_237, "--format", "table"),
+    ("plot", PRETZEL_237, "--format", "tsv"),
+])
+def test_leading_minus_without_spaces_is_the_expression(capsys, argv):
+    # argparse would read -1/3+1/5+1/7 as an unknown option
+    command, expr, *rest = argv
+    spaced = run(capsys, command, expr, *rest)
+    assert spaced[0] in (0, 3) and spaced[1]
+    assert run(capsys, command, expr.replace(" ", ""), *rest) == spaced
+    # a negative bound is still the flag's value, and still rejected
+    code, out, err = run(capsys, command, expr.replace(" ", ""), "--c-bound", "-1")
+    assert code == 2 and out == "" and "c_bound must be at least 1" in err
+
+
 def test_removed_scale_flag_is_a_usage_error(capsys):
     # c_bound is the only search bound; the old --scale-bound flag is gone
     for argv in (

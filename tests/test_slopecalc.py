@@ -262,6 +262,20 @@ def test_replay_rejects_mismatched_directions():
 def test_replay_checks_path_count():
     with pytest.raises(ValueError):
         replay(kn(2), (ConstantPath(Fraction(-1, 2), WeightState(1, 1, -1)),))
+    # one path short and one path too long: replay raises before it walks,
+    # and verify_system reports the count without replaying
+    expr = parse("-1/2 + 1/3 + 1/7")
+    paths = tuple(
+        VertexPath(leaf.fraction, (leaf.fraction, Fraction(0)))
+        for leaf in expr.leaves()
+    )
+    good = build_system(expr, paths, reference_tau=seifert_tau(expr))
+    for wrong in (paths[:-1], paths + paths[-1:]):
+        with pytest.raises(ValueError, match="expected 3 paths, got %d" % len(wrong)):
+            replay(expr, wrong)
+        assert verify_system(good._replace(assignment=wrong)) == [
+            "assignment covers %d of 3 leaves" % len(wrong)
+        ]
 
 
 def test_build_system_and_boundary_slope():

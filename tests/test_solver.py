@@ -46,6 +46,7 @@ from tangleslopes.solver import (
     _turn,
     _turned,
     _type_i_candidates,
+    _type_i_stage,
     _type_ii_options,
     _u_of,
     default_c_bound,
@@ -175,7 +176,7 @@ def _listing_key(system):
         system.slope is None,
         system.slope if system.slope is not None else Fraction(0),
         system.note,
-        system.descriptor(),
+        tuple(path.describe() for path in system.assignment),
     )
 
 
@@ -430,8 +431,10 @@ def test_integer_type_i_picks_match_fractions():
     for pqs in _walk_sums() + [family]:
         leaves = [Leaf(pq) for pq in pqs]
         for u0, combo, _ in _walk(leaves, []):
-            for pq, segment in zip(pqs, combo):
-                pick = _segment_pick(pq, segment, u0)
+            # the picks are built from the stage's order entries
+            _, order = _type_i_stage(combo, u0)
+            for pq, segment, entry in zip(pqs, combo, order):
+                pick = _segment_pick(pq, segment, entry)
                 assert pick == _fraction_pick(pq, segment, u0), (pqs, u0, segment)
                 if segment.kind == "edge":
                     assert type(pick[1]) is Fraction, (pqs, u0, segment)
@@ -475,7 +478,7 @@ def _check_staged_candidates(pqs):
     leaves = [Leaf(pq) for pq in pqs]
     descents = {pq: enumerate_paths(pq) for pq in pqs}
     staged = list(_montesinos_candidates(reduce(Sum, leaves), 32, descents, []))
-    for t, note, order, build, _ in staged:
+    for t, note, order, build in staged:
         picks = build()
         assert len(picks) == len(pqs), (pqs, note)
         assert t == sum(pick[1] for pick in picks), (pqs, note)
@@ -715,10 +718,11 @@ def _check_leaf_table(table, keys):
 
 def _check_turned(turned, table, keys):
     """A product's turned leaf table holds exactly the _turns of the
-    leaf's keys, its turned runs keeping their left keys."""
-    turns = _turns(keys)
-    _check_leaf_table(turned, turns)
-    assert turned.runs == {t: key for t, key in turns.items() if key in table.runs}
+    leaf's keys, its turned runs those of its runs, each of which turns
+    back to its run."""
+    _check_leaf_table(turned, _turns(keys))
+    assert turned.runs == _turns(table.runs)
+    assert all(_turn(t)[0] in table.runs for t in turned.runs)
 
 
 def _key_set(node, table, c_bound):
@@ -976,9 +980,9 @@ def _one_key_table(key, t, name):
 
 
 def _turns(left):
-    """{turned key: left key} where _turn keeps it, as the key pass hands
-    a product's left keys to the later passes."""
-    return {_turn(key)[0]: key for key in left if _turn(key)}
+    """The turned keys of those that _turn keeps, as the key pass hands a
+    product's left keys to the later passes."""
+    return {_turn(key)[0] for key in left if _turn(key)}
 
 
 def _merged(merge, left, right, closing=False):
@@ -1072,6 +1076,21 @@ def test_turn_matches_rotate_reflect(a, b, c):
         assert _turn((a, b, c)) is None
         return
     assert _turn((a, b, c)) == (outcome.state.triple(), outcome.tau_prime)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=-80, max_value=80),
+)
+def test_turn_is_its_own_inverse(a, b, c):
+    # the demand pass reads a product's turned keys and gets each left key
+    # back by turning it again, with the same tau'
+    assume(gcd(a, b, c) == 1 and abs(c) >= a)
+    turned, tau_prime = _turn((a, b, c))
+    assert gcd(*turned) == 1
+    assert _turn(turned) == ((a, b, c), tau_prime)
 
 
 # several keys per direction, with gaps and negative c: the one-sheet keys
