@@ -171,14 +171,14 @@ def enumerate_paths(start):
 
     A descent steps to a parent vertex (smaller denominator) each time and
     never cuts across a triangle. An integer start has only its trivial
-    one-vertex path. Sorted by length, then vertices.
+    one-vertex path. In the order of their vertices.
 
     The walk is in (p, q) int pairs on an explicit stack: the parents of
     p/q are r/s < p/q < (p - r)/(q - s) with s = p^-1 mod q, and a step
     cuts across a triangle when the integer determinant of the vertex
-    before and the next one is +-1. The smaller parent is walked first, so
-    the descents are found in the order of their vertices, and a stable
-    sort by length finishes. Each distinct vertex becomes a Fraction once.
+    before and the next one is +-1. The smaller parent is walked first,
+    and no descent is a prefix of another, so the descents are found in
+    the order of their vertices. Each distinct vertex becomes a Fraction once.
     """
     start = Fraction(start)
     if start.denominator == 1:
@@ -195,7 +195,6 @@ def enumerate_paths(start):
         for nxt in ((p - r, q - s), (r, s)):
             if len(vs) < 2 or abs(vs[-2][0] * nxt[1] - vs[-2][1] * nxt[0]) != 1:
                 stack.append(vs + (nxt,))
-    ends.sort(key=len)
     vertex = {v: Fraction(*v) for v in set().union(*ends)}
     return [VertexPath(start, tuple(map(vertex.__getitem__, vs))) for vs in ends]
 

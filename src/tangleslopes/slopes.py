@@ -28,7 +28,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .edgepaths import VertexPath, end_weights, endpoint_state, enumerate_paths, tau, validate
-from .errors import Infeasible, MismatchedWeights, SeifertUndefined, UndefinedCase
+from .errors import MismatchedWeights, SeifertUndefined, TangleSlopesError
 from .tangles import Leaf, Product, montesinos_factors, node_labels, render
 from .transforms import glue_scaled, rotate_reflect
 
@@ -108,7 +108,8 @@ def replay(expr, paths):
 
     Deterministic: gluing always uses the least common (a, b) rescaling, and
     every glued state is reduced to primitive weights. Raises UndefinedCase,
-    Infeasible, or MismatchedWeights when the assignment does not combine.
+    CasePreconditionViolated, Infeasible, or MismatchedWeights when the
+    assignment does not combine.
     """
     paths = tuple(paths)
     want = sum(1 for _ in expr.leaves())
@@ -196,7 +197,8 @@ def seifert_system(expr, descents):
 
 
 def verify_system(system):
-    """Re-derive everything a stored system claims; return found problems."""
+    """Re-derive everything a stored system claims; return found problems.
+    A path that fails validate is not replayed; a failed replay is one problem."""
     problems = []
     leaves = list(system.expr.leaves())
     if len(system.assignment) != len(leaves):
@@ -215,10 +217,12 @@ def verify_system(system):
         if system.slope != 0:
             problems.append("reference slope %s != 0" % (system.slope,))
         return problems
+    if problems:
+        return problems
     try:
         nodes, state, total = replay(system.expr, system.assignment)
-    except (UndefinedCase, Infeasible, MismatchedWeights) as exc:
-        return problems + ["replay failed: %s" % exc]
+    except TangleSlopesError as exc:
+        return ["replay failed: %s" % exc]
     if nodes != system.nodes:
         problems.append("node trace differs on replay")
     if state != system.closure:

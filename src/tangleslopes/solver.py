@@ -64,13 +64,16 @@ them, runs the engine's search and reports.
 A search yields (tau, note, order, build) per candidate and builds no
 path; order is the SN rank or the flat descriptor tuple. _solve keeps the
 least order per (tau, note), plus S0 (slope 0) when the normalization
-exists; a candidate with an empty note adds the slope tau - tau(S0).
-Only a kept candidate's build() makes its leaf picks (key, tau, path),
-and _materialize derives every node's trace from them in integers (_glue,
-_turn). The systems are listed by (slope, note, order), a slope as an int
-over the common denominator. slopes.verify_system, by replay, is the
-independent check; the solve does not call it. All output is exhaustively
-sorted; nothing depends on hash or insertion order.
+exists. Only a kept candidate's build() makes its leaf picks (key, tau,
+path), and _materialize derives every node's trace from them in integers
+(_glue, _turn). The report's slopes are read off the listed systems: the
+slope tau - tau(S0) of each with an empty note, plus S0's 0. The systems
+are listed by (slope, note, order), a slope as an int over the common
+denominator. slopes.verify_system, by replay, is the independent check;
+the solve does not call it. Nothing depends on hash or insertion order:
+the passes visit keys in set and dict order, but each minimum they keep
+is unique, as an order names one (key, tau) or system, and the listing
+sorts.
 """
 
 import logging
@@ -172,6 +175,8 @@ def _solve(expr, c_bound, candidates):
     descents, notes); see the module docstring."""
     if c_bound is None:
         c_bound = default_c_bound(expr)
+    if type(c_bound) is not int:
+        raise TypeError("c_bound must be an int, got %r" % (c_bound,))
     if c_bound < 1:
         raise ValueError("c_bound must be at least 1")
     notes = []
@@ -183,19 +188,17 @@ def _solve(expr, c_bound, candidates):
         seifert = None
     reference = seifert.tau if seifert is not None else None
     grouped = {}  # (tau, note) -> the (order, build) of least order
-    slopes = set()
     for t, note, order, build in candidates(expr, c_bound, descents, notes):
-        if not note and reference is not None:
-            slopes.add(t - reference)
         kept = grouped.get((t, note))
         if kept is None or order < kept[0]:
             grouped[t, note] = order, build
     if not grouped:
         notes.append("no closed systems within c_bound=%d" % c_bound)
     systems = _materialize(expr, grouped, reference)
+    slopes = []
     if seifert is not None:
         systems.append((None, seifert))  # its own note: order never compared
-        slopes.add(ZERO)
+        slopes = [ZERO] + [s.slope for _, s in systems if not s.note]
     scale = lcm(*(s.slope.denominator for _, s in systems if s.slope is not None))
 
     def listing(item):
@@ -211,22 +214,10 @@ def _solve(expr, c_bound, candidates):
 
 
 def _distinct_nodes(expr):
-    """The expression's distinct nodes, each after its children.
-
-    A subtree object shared by several parents is listed once, so reversed
-    the list puts every node after all of its parents.
-    """
-    order, seen, stack = [], set(), [(expr, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack.append((node, True))
-            if not isinstance(node, Leaf):
-                stack += [(node.right, False), (node.left, False)]
-    return order
+    """The distinct nodes, each after its children and before its parents,
+    the root last: reversed preorder, keeping a shared subtree object's
+    first copy, which lies before the first copy of each of its parents."""
+    return list({id(node): node for node in reversed(list(expr.nodes()))}.values())
 
 
 # key pass: the state keys of every node
@@ -284,7 +275,7 @@ def _leaf_table(leaf, c_bound, descents):
     p, q = pq.numerator, pq.denominator
     table = _Leaf(p, q, c_bound // abs(p), {})
     constant = table.constant(1, 0)
-    for rank, descent in enumerate(sorted(descents[pq], key=lambda d: d.vertices)):
+    for rank, descent in enumerate(descents[pq]):
         m, descent_tau = int(descent.vertices[-1]), tau(descent)
         ends = (m,) if q == 1 else u_zero_ends(descent, c_bound)
         for position, end in enumerate(ends):
@@ -503,7 +494,7 @@ def _leaf_witnesses(leaf, table, wanted):
     (enumerate_paths stops at the first integer)."""
     pq = leaf.fraction
     out = {}
-    for key in sorted(wanted):
+    for key in wanted:
         runs = table.runs.get(key)
         if runs is None:
             out[key] = {0: ((0, key), (key, 0, pq, None))}
@@ -521,10 +512,12 @@ def _glue_witnesses(wanted, left, right, product):
     tables.
 
     tau adds at a sum; at a product it is tau' - tau(left) + tau(right),
-    tau' = -2 sign(c) of the left key (_turn).
+    tau' = -2 sign(c) of the left key (_turn). The keys are visited as
+    they come: a child descriptor names one (key, tau) of its node, so no
+    two pairs tie, and _rank orders the table.
     """
     out = {}
-    for key in sorted(wanted):
+    for key in wanted:
         best = {}
         for lkey, rkey in wanted[key]:
             lents, rents = left[lkey].items(), right[rkey].items()

@@ -249,7 +249,7 @@ def test_parents_rejects_integers():
 def _recursive_descents(start):
     """The Fraction walk enumerate_paths replaced: recurse through
     parents, skip a step that is an edge from the vertex before
-    (it would cut across a triangle), sort by length, then vertices."""
+    (it would cut across a triangle), sort by vertices."""
     start = Fraction(start)
     if start.denominator == 1:
         return [VertexPath(start, (start,))]
@@ -266,7 +266,7 @@ def _recursive_descents(start):
             descend(vs + (nxt,))
 
     descend((start,))
-    paths.sort(key=lambda p: (len(p.vertices), p.vertices))
+    paths.sort(key=lambda p: p.vertices)
     return paths
 
 

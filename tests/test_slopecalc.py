@@ -322,6 +322,31 @@ def test_verify_system_catches_tampering():
     assert verify_system(good._replace(tau=good.tau - 2))
 
 
+def _malformed(*paths):
+    """A solved system of (1/2 + 1/3) o 1/4 with its first leaf paths
+    replaced by paths."""
+    good = next(s for s in solve(parse("(1/2 + 1/3) o 1/4")).systems if s.note == "")
+    return good._replace(assignment=paths + good.assignment[len(paths):])
+
+
+def test_verify_system_reports_an_empty_vertex_list():
+    # validate flags it, and its end state does not exist to replay
+    system = _malformed(VertexPath(Fraction(1, 2), ()))
+    assert verify_system(system) == ["1/2: E1: empty vertex list"]
+
+
+def test_verify_system_reports_a_violated_case_precondition():
+    # the left sum closes at (1, 1, 2) with 5 slope-infinity edges, which
+    # rotate_reflect's case 3 rejects (t < a)
+    nf = ConstantPath(Fraction(1, 2), WeightState(1, 1, 1, n_inf=5))
+    assert validate(nf) == []
+    clean = _malformed(nf, VertexPath(Fraction(1, 3), (Fraction(1, 3), Fraction(1, 2))))
+    assert verify_system(clean) == ["replay failed: case 3 needs t < a, got t=5 a=1"]
+    # with a constant off its line the path is flagged and not replayed
+    off = _malformed(nf, ConstantPath(Fraction(1, 3), WeightState(1, 1, 1)))
+    assert verify_system(off) and all(p.startswith("1/3: E1:") for p in verify_system(off))
+
+
 def test_records_are_immutable_and_keep_their_defaults():
     state = WeightState(1, 2, 3)
     assert state.n_inf == 0 and state.has_zero is False

@@ -125,6 +125,22 @@ def test_every_listed_slope_is_realized():
         assert set(rep.slopes) <= realized
 
 
+def test_slopes_are_read_off_the_listed_systems():
+    # the slope of each listed system with an empty note, plus S0's 0;
+    # none without S0, whose systems then have no slope
+    cases = [(_expr(text), c_bound) for text, c_bound, _ in GOLDEN] + _pass_cases()
+    normalized = 0
+    for expr, c_bound in cases:
+        rep = solve(expr, c_bound)
+        counted = {s.slope for s in rep.systems if s.note == ""}
+        if any(s.note == "seifert-reference" for s in rep.systems):
+            normalized += 1
+            assert rep.slopes == tuple(sorted(counted | {0})), (expr, c_bound)
+        else:
+            assert rep.slopes == () and counted <= {None}, (expr, c_bound)
+    assert normalized >= 29
+
+
 def _descents(expr):
     """Each distinct leaf fraction of expr -> its descents, as _solve
     enumerates them."""
@@ -219,6 +235,20 @@ def test_shape_dispatch_and_guards():
         solve_sn(kn(2), c_bound=0)
     with pytest.raises(ValueError):
         solve_montesinos(parse(PRETZEL_237), c_bound=-1)
+
+
+@pytest.mark.parametrize("c_bound", [True, 2.5, "3"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize(
+    "engine, text",
+    [(solve, "1/2 o 1/3"), (solve, PRETZEL_237), (solve_sn, "1/2 o 1/3"),
+     (solve_montesinos, PRETZEL_237)],
+    ids=["solve-product", "solve-sum", "solve_sn", "solve_montesinos"],
+)
+def test_c_bound_must_be_an_int(monkeypatch, engine, text, c_bound):
+    # rejected before any descent is walked
+    monkeypatch.setattr(solver_module, "enumerate_paths", None)
+    with pytest.raises(TypeError, match="c_bound"):
+        engine(parse(text), c_bound)
 
 
 def test_solve_dispatches_by_shape():
@@ -848,6 +878,21 @@ def _pass_cases():
     cases.append((kn(2), 1))
     cases += [(_random_product(rng), rng.choice([2, 4, 8])) for _ in range(22)]
     return cases
+
+
+def test_distinct_nodes_list_each_node_once_children_first():
+    shared = 0
+    for expr in [kn(n) for n in range(2, 6)] + [expr for expr, _ in _pass_cases()]:
+        nodes = _distinct_nodes(expr)
+        place = {id(node): i for i, node in enumerate(nodes)}
+        assert len(place) == len(nodes), expr
+        assert place.keys() == {id(node) for node in expr.nodes()}, expr
+        assert nodes[-1] is expr
+        for node in nodes:
+            if not isinstance(node, Leaf):
+                assert place[id(node.left)] < place[id(node)] > place[id(node.right)], expr
+        shared += len(nodes) < sum(1 for _ in expr.nodes())
+    assert shared >= 12
 
 
 def test_root_witnesses_match_eager_traces():
