@@ -23,22 +23,28 @@ unless the last edge is partial.
 
 `enumerate_paths` lists the descents from <p/q> to the u = 0 line, and
 `u_zero_ends` gives the ends of a descent's vertical runs along that
-line. Each solve walks each distinct leaf fraction once, in ints, and
-both engines and the Seifert reference read that list. The
-product-expression solver builds its per-tangle choices from both, and
-builds a run with `run_to` only where it needs a witness. The Montesinos
-solver uses the descents alone. The Seifert reference path of a tangle is
-one of its descents (slopes.seifert_leaf_path).
+line. The descents depend on p/q alone, so `leaf_descents` walks each
+fraction once per process, in ints, and both engines and the Seifert
+reference read that tuple. The product-expression solver builds its
+per-tangle choices from both, and builds a run with `run_to` only where
+it needs a witness. The Montesinos solver uses the descents alone. The
+Seifert reference path of a tangle is one of its descents
+(slopes.seifert_leaf_path).
 """
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .diagram import WeightState, is_edge, uv_coords, vertex_point, vertex_triple
 from .errors import FractionalEndpoint
 
 ONE = Fraction(1)
+
+# entries kept by each per-fraction lru_cache of the package (here, in
+# slopes and in solver): leaf fractions, or (fraction, c_bound) pairs
+LEAF_MEMO_SIZE = 128
 
 
 class ConstantPath(namedtuple("ConstantPath", "tangle state")):
@@ -197,6 +203,13 @@ def enumerate_paths(start):
                 stack.append(vs + (nxt,))
     vertex = {v: Fraction(*v) for v in set().union(*ends)}
     return [VertexPath(start, tuple(map(vertex.__getitem__, vs))) for vs in ends]
+
+
+@lru_cache(maxsize=LEAF_MEMO_SIZE)
+def leaf_descents(pq):
+    """enumerate_paths(pq) as a tuple, walked once per process: the
+    descents every solve and the Seifert reference read."""
+    return tuple(enumerate_paths(pq))
 
 
 def u_zero_ends(descent, c_bound):

@@ -10,8 +10,11 @@ A candidate's boundary slope is tau(S) - tau(S0), with S0 the Seifert
 surface. tau(S0) is assembled from one reference edgepath per rational
 tangle and summed over the maximal Montesinos factors with a sign per
 reflection parity. The reference edgepath is one of the descents that
-the solve enumerates once per distinct leaf fraction, the list both
-engines read: the one that spells the even-entry continued fraction. The
+edgepaths.leaf_descents walks once per fraction per process, the tuple
+both engines read: the one that spells the even-entry continued
+fraction. It depends on p/q alone, so each fraction's path and leaf
+trace are built once per process too, and seifert_tau, which
+verify_system calls per system, walks no descent again. The
 construction needs an even-denominator tangle in every factor; otherwise
 the normalization is reported as unavailable.
 
@@ -26,8 +29,17 @@ replay; the hand-built family system (solver.kn_system) uses it.
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
-from .edgepaths import VertexPath, end_weights, endpoint_state, enumerate_paths, tau, validate
+from .edgepaths import (
+    LEAF_MEMO_SIZE,
+    VertexPath,
+    end_weights,
+    endpoint_state,
+    leaf_descents,
+    tau,
+    validate,
+)
 from .errors import MismatchedWeights, SeifertUndefined, TangleSlopesError
 from .tangles import Leaf, Product, montesinos_factors, node_labels, render
 from .transforms import glue_scaled, rotate_reflect
@@ -39,9 +51,9 @@ ZERO = Fraction(0)
 # Seifert reference edgepaths
 
 
-def seifert_leaf_path(pq, descents):
+def seifert_leaf_path(pq):
     """Reference edgepath for one rational tangle, picked from its
-    descents, the enumerate_paths(pq) list.
+    descents, leaf_descents(pq).
 
     Every continued fraction of p/q with entries of absolute value at
     least 2 is a descent (Hatcher-Thurston, Invent. Math. 79, 1985), the
@@ -63,14 +75,12 @@ def seifert_leaf_path(pq, descents):
         m = descent.vertices[-1].numerator
         return abs(p - m * q), m % 2
 
-    return min(filter(even, descents), key=distance)
+    return min(filter(even, leaf_descents(pq)), key=distance)
 
 
 def seifert_tau(expr):
-    """tau of the Seifert surface: signed sum over Montesinos factors,
-    from a descent enumeration of its own."""
-    descents = {pq: enumerate_paths(pq) for pq in {l.fraction for l in expr.leaves()}}
-    return seifert_system(expr, descents).tau
+    """tau of the Seifert surface: signed sum over Montesinos factors."""
+    return seifert_system(expr).tau
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +178,19 @@ def build_system(expr, paths, reference_tau=None):
     return CandidateSystem(expr, tuple(paths), nodes, state, total, slope)
 
 
-def seifert_system(expr, descents):
+@lru_cache(maxsize=LEAF_MEMO_SIZE)
+def _seifert_leaf(pq):
+    """(seifert_leaf_path(pq), its leaf NodeTrace), built once per process."""
+    path = seifert_leaf_path(pq)
+    return path, NodeTrace(str(pq), "leaf", endpoint_state(path), tau(path))
+
+
+def seifert_system(expr):
     """The Seifert reference as a stored system: slope 0 by definition.
 
     Its edgepaths are per-factor reference paths, not a closed system in the
     gluing calculus, so the closure slot is empty and replay does not apply.
-    descents maps each leaf fraction to its enumerate_paths list.
+    Each leaf's path and trace come from the per-fraction memo.
     """
     reference = ZERO
     paths = []
@@ -187,10 +204,10 @@ def seifert_system(expr, descents):
             )
         sign = -1 if parity % 2 else 1
         for leaf in leaves:
-            path = seifert_leaf_path(leaf.fraction, descents[leaf.fraction])
+            path, trace = _seifert_leaf(leaf.fraction)
             paths.append(path)
-            nodes.append(NodeTrace(render(leaf), "leaf", endpoint_state(path), tau(path)))
-            reference += sign * nodes[-1].tau
+            nodes.append(trace)
+            reference += sign * trace.tau
     return CandidateSystem(
         expr, tuple(paths), tuple(nodes), None, reference, ZERO, "seifert-reference"
     )

@@ -1,9 +1,17 @@
 """Candidate system enumeration and closure solving.
 
 One pipeline, _solve, serves both engines: it sets c_bound
-(default_c_bound unless given, at least 1), walks each distinct leaf
-fraction's descents once, builds the Seifert reference system S0 from
-them, runs the engine's search and reports.
+(default_c_bound unless given, at least 1), builds the Seifert reference
+system S0, runs the engine's search and reports.
+
+A leaf's analysis depends on its fraction alone, or on (fraction,
+c_bound), never on the expression around it. So each is built once per
+process and kept in a bounded memo (functools.lru_cache, LEAF_MEMO_SIZE
+entries): its descents (edgepaths.leaf_descents), its Seifert path and
+leaf trace (slopes), its type-I segments (_leaf_segments), and per
+c_bound its u = 0 options (_type_ii_options) and SN key table
+(_leaf_table). Each search still asks for them once per leaf; no reader
+mutates what the memo holds.
 
 * solve_sn handles expressions with at least one product, in three
   passes over the distinct nodes; a subtree object shared by several
@@ -79,15 +87,16 @@ sorts.
 import logging
 from collections import namedtuple
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product as iterproduct
 from math import gcd, lcm
 
 from .diagram import WeightState
 from .edgepaths import (
+    LEAF_MEMO_SIZE,
     ConstantPath,
     VertexPath,
-    enumerate_paths,
+    leaf_descents,
     run_to,
     tau,
     u_zero_ends,
@@ -172,7 +181,7 @@ def report(expr, systems, slopes, c_bound, notes=()):
 
 def _solve(expr, c_bound, candidates):
     """Solve expr with the engine search candidates(expr, c_bound,
-    descents, notes); see the module docstring."""
+    notes); see the module docstring."""
     if c_bound is None:
         c_bound = default_c_bound(expr)
     if type(c_bound) is not int:
@@ -180,15 +189,14 @@ def _solve(expr, c_bound, candidates):
     if c_bound < 1:
         raise ValueError("c_bound must be at least 1")
     notes = []
-    descents = {pq: enumerate_paths(pq) for pq in {l.fraction for l in expr.leaves()}}
     try:
-        seifert = seifert_system(expr, descents)
+        seifert = seifert_system(expr)
     except SeifertUndefined as exc:
         notes.append(str(exc))
         seifert = None
     reference = seifert.tau if seifert is not None else None
     grouped = {}  # (tau, note) -> the (order, build) of least order
-    for t, note, order, build in candidates(expr, c_bound, descents, notes):
+    for t, note, order, build in candidates(expr, c_bound, notes):
         kept = grouped.get((t, note))
         if kept is None or order < kept[0]:
             grouped[t, note] = order, build
@@ -261,21 +269,22 @@ class _Leaf(namedtuple("_Leaf", ("p", "q", "bound", "runs"))):
         return _coprime_pairs(self.bound) + len(self.runs)
 
 
-def _leaf_table(leaf, c_bound, descents):
-    """A leaf's _Leaf table, bound c_bound // |p|; its runs map each
+@lru_cache(maxsize=LEAF_MEMO_SIZE)
+def _leaf_table(pq, c_bound):
+    """The _Leaf table of leaf p/q, bound c_bound // |p|; its runs map each
     vertex <end> of its descents and their vertical runs to the [(tau,
     rank, position, descent)] of the runs ending there, by rank: the
     descent's place by vertices; position is end's in u_zero_ends.
+    Memoized: the solves that share it only read it.
 
     A path's state (1, 0, end) is a constant key only for an integer leaf
     p's trivial path, tau 0, whose constant's descriptor, its own triple,
     is smaller.
     """
-    pq = leaf.fraction
     p, q = pq.numerator, pq.denominator
     table = _Leaf(p, q, c_bound // abs(p), {})
     constant = table.constant(1, 0)
-    for rank, descent in enumerate(descents[pq]):
+    for rank, descent in enumerate(leaf_descents(pq)):
         m, descent_tau = int(descent.vertices[-1]), tau(descent)
         ends = (m,) if q == 1 else u_zero_ends(descent, c_bound)
         for position, end in enumerate(ends):
@@ -420,13 +429,13 @@ def _merge_product(turned, right, closing=False):
     return _glued_keys(turned, right, closing)
 
 
-def _key_pass(nodes, c_bound, descents):
+def _key_pass(nodes, c_bound):
     """(id(node) -> key table, id(product) -> its _turned left table),
     bottom-up; the root keeps only the keys that close."""
     keys, turns = {}, {}
     for node in nodes:
         if isinstance(node, Leaf):
-            keys[id(node)] = _leaf_table(node, c_bound, descents)
+            keys[id(node)] = _leaf_table(node.fraction, c_bound)
             continue
         left, right, closing = keys[id(node.left)], keys[id(node.right)], node is nodes[-1]
         if isinstance(node, Sum):
@@ -558,11 +567,11 @@ def _tau_pass(nodes, keys, demand):
     return taus
 
 
-def _root_table(expr, c_bound, descents):
+def _root_table(expr, c_bound):
     """The witness table of the root's closed keys, after all three
     passes."""
     nodes = _distinct_nodes(expr)
-    keys, turns = _key_pass(nodes, c_bound, descents)
+    keys, turns = _key_pass(nodes, c_bound)
     demand = _demand_pass(nodes, keys, turns)
     taus = _tau_pass(nodes, keys, demand)
     if log.isEnabledFor(logging.INFO):
@@ -691,11 +700,11 @@ def _leaf_picks(witness, built):
     return picks
 
 
-def _sn_candidates(expr, c_bound, descents, notes):
+def _sn_candidates(expr, c_bound, notes):
     """The SN search: every closed root witness, ordered by its rank and
     flattened to leaf picks."""
     built = {}
-    for entries in _root_table(expr, c_bound, descents).values():  # all closed: c = 0
+    for entries in _root_table(expr, c_bound).values():  # all closed: c = 0
         for t, (rank, witness) in entries.items():
             yield t, "", rank, partial(_leaf_picks, witness, built)
 
@@ -727,11 +736,14 @@ class _Segment(namedtuple("_Segment", (
     __slots__ = ()
 
 
-def _leaf_segments(pq, descents):
+@lru_cache(maxsize=LEAF_MEMO_SIZE)
+def _leaf_segments(pq):
+    """The type-I segments of leaf p/q: its constant, then one edge
+    segment per distinct descent prefix, as a memoized tuple."""
     p, q = pq.numerator, pq.denominator
     segments = [_Segment("const", (), q, None, 0, p, q)]
     seen = set()
-    for path in descents:
+    for path in leaf_descents(pq):
         vs = path.vertices
         ends = [(v.numerator, v.denominator) for v in vs]
         steps = 0  # tau through vs[j + 1]
@@ -749,7 +761,7 @@ def _leaf_segments(pq, descents):
             segments.append(
                 _Segment("edge", vs[: j + 2], qk, qj, coeff, offset, den, steps - last, last)
             )
-    return segments
+    return tuple(segments)
 
 
 def _segment_path(pq, entry):
@@ -788,7 +800,7 @@ def _u_of(w):
     return ONE if w is None else Fraction(w - 1, w)
 
 
-def _type_i_candidates(leaves, descents, notes):
+def _type_i_candidates(leaves, notes):
     """Solve sum v_i(u) = 0 on every segment combination whose validity
     intervals overlap; yield systems in product order.
 
@@ -797,10 +809,9 @@ def _type_i_candidates(leaves, descents, notes):
     its interval, so a prefix whose interval is empty is dropped together
     with every extension: no combination that can close is skipped. The
     walk is in the segments' ints: intervals in w, coeffs and offsets
-    scaled by the lcm of their denominators. descents maps each leaf
-    fraction to its enumerate_paths list.
+    scaled by the lcm of their denominators.
     """
-    per_leaf = [_leaf_segments(l.fraction, descents[l.fraction]) for l in leaves]
+    per_leaf = [_leaf_segments(l.fraction) for l in leaves]
     scale = lcm(*(s.den for segs in per_leaf for s in segs))
     # each leaf's (w_lo, w_hi, scaled coeff, scaled offset, segment),
     # reversed, so that extensions pop in product order
@@ -846,18 +857,20 @@ def _segment_label(segment):
     return "edge to %s" % segment.prefix[-1]
 
 
-def _type_ii_options(descents, c_bound):
-    """(endpoint m, y, pick, order) for each of a leaf's descents ending
-    within +-c_bound: y is its penultimate vertex's denominator, pick its
-    (key, tau, path), the key <m>, and order its describe()."""
+@lru_cache(maxsize=LEAF_MEMO_SIZE)
+def _type_ii_options(pq, c_bound):
+    """(endpoint m, y, pick, order) for each of leaf p/q's descents ending
+    within +-c_bound, as a memoized tuple: y is its penultimate vertex's
+    denominator, pick its (key, tau, path), the key <m>, and order its
+    describe()."""
     options = []
-    for descent in descents:
+    for descent in leaf_descents(pq):
         vs = descent.vertices
         m = int(vs[-1])
         if abs(m) <= c_bound:
             y = vs[-2].denominator if len(vs) > 1 else 1
             options.append((m, y, ((1, 0, m), tau(descent), descent), descent.describe()))
-    return options
+    return tuple(options)
 
 
 def _essential(ys):
@@ -890,13 +903,13 @@ def _option_picks(combo):
     return [pick for _, _, pick, _ in combo]
 
 
-def _montesinos_candidates(expr, c_bound, descents, notes):
+def _montesinos_candidates(expr, c_bound, notes):
     """The Montesinos search: type-I closures, then the u = 0 systems."""
     leaves = list(expr.leaves())
-    for u0, combo, note in _type_i_candidates(leaves, descents, notes):
+    for u0, combo, note in _type_i_candidates(leaves, notes):
         t, order = _type_i_stage(combo, u0)
         yield t, note, order, partial(_type_i_picks, leaves, combo, order)
-    per_leaf = [_type_ii_options(descents[l.fraction], c_bound) for l in leaves]
+    per_leaf = [_type_ii_options(l.fraction, c_bound) for l in leaves]
     # only the last leaf's options that end at -(sum of the others) close
     by_end = {}
     for option in per_leaf[-1]:

@@ -11,6 +11,7 @@ from tangleslopes.edgepaths import (
     endpoint_point,
     endpoint_state,
     enumerate_paths,
+    leaf_descents,
     run_to,
     tau,
     u_zero_ends,
@@ -204,6 +205,16 @@ def test_enumerate_paths_integer_start_is_trivial():
 def test_enumerate_paths_deterministic():
     assert enumerate_paths(Fraction(3, 7)) == enumerate_paths(Fraction(3, 7))
     assert u_zero(Fraction(3, 7), 5) == u_zero(Fraction(3, 7), 5)
+
+
+def test_enumerate_paths_returns_a_fresh_list():
+    # the memo keeps leaf_descents' tuple; enumerate_paths stays a list
+    # of the caller's own, so changing it changes no later call
+    pq = Fraction(3, 7)
+    first, second = enumerate_paths(pq), enumerate_paths(pq)
+    assert type(first) is list and first == second and first is not second
+    first.clear()
+    assert enumerate_paths(pq) == second == list(leaf_descents(pq))
 
 
 def parents(pq):

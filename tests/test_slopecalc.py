@@ -33,13 +33,7 @@ from tangleslopes.slopes import (
 def _reference_path(pq):
     """The Seifert reference path of one tangle, picked from its descents."""
     pq = Fraction(pq)
-    return seifert_leaf_path(pq, enumerate_paths(pq))
-
-
-def _descents(expr):
-    """Each distinct leaf fraction of expr -> its descents, as a solve
-    enumerates them."""
-    return {l.fraction: enumerate_paths(l.fraction) for l in expr.leaves()}
+    return seifert_leaf_path(pq)
 
 
 def E(pq):
@@ -299,7 +293,7 @@ def test_build_system_and_boundary_slope():
 
 
 def test_seifert_system_shape():
-    system = seifert_system(kn(3), _descents(kn(3)))
+    system = seifert_system(kn(3))
     assert system.note == "seifert-reference"
     assert system.closure is None and system.slope == 0
     assert len(system.assignment) == 4
@@ -307,7 +301,7 @@ def test_seifert_system_shape():
 
 
 def test_verify_system_catches_tampering():
-    system = seifert_system(kn(2), _descents(kn(2)))
+    system = seifert_system(kn(2))
     wrong = system._replace(tau=system.tau + 2)
     assert verify_system(wrong)
 

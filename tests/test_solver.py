@@ -23,8 +23,8 @@ from tangleslopes import (
     solve_sn,
     verify_system,
 )
+from tangleslopes import edgepaths as edgepaths_module
 from tangleslopes import slopes
-from tangleslopes import solver as solver_module
 from tangleslopes.cli import format_json
 from tangleslopes.slopes import replay
 from tangleslopes.solver import (
@@ -53,21 +53,37 @@ from tangleslopes.solver import (
 )
 from tangleslopes.diagram import vertex_point
 from tangleslopes.edgepaths import (
+    LEAF_MEMO_SIZE,
     ConstantPath,
     constant_path,
     end_weights,
     endpoint_state,
     enumerate_paths,
+    leaf_descents,
     run_to,
     tau as path_tau,
     u_zero_ends,
 )
 from tangleslopes.errors import Infeasible, UndefinedCase
-from tangleslopes.tangles import Leaf, Product, Sum, mirror
+from tangleslopes.tangles import Leaf, Product, Sum, mirror, render
 from tangleslopes.transforms import glue_scaled, rotate_reflect
 from test_golden import GOLDEN, _expr
 
 PRETZEL_237 = "-1/2 + 1/3 + 1/7"
+
+# every per-fraction memo of the package
+LEAF_MEMOS = (
+    leaf_descents,
+    slopes._seifert_leaf,
+    _leaf_segments,
+    _type_ii_options,
+    _leaf_table,
+)
+
+
+def _clear_leaf_memos():
+    for memo in LEAF_MEMOS:
+        memo.cache_clear()
 
 
 def test_family_report_n2():
@@ -141,14 +157,8 @@ def test_slopes_are_read_off_the_listed_systems():
     assert normalized >= 29
 
 
-def _descents(expr):
-    """Each distinct leaf fraction of expr -> its descents, as _solve
-    enumerates them."""
-    return {l.fraction: enumerate_paths(l.fraction) for l in expr.leaves()}
-
-
 def _closed_root_taus(expr):
-    table = _root_table(expr, default_c_bound(expr), _descents(expr))
+    table = _root_table(expr, default_c_bound(expr))
     return {Fraction(t) for entries in table.values() for t in entries}
 
 
@@ -246,7 +256,8 @@ def test_shape_dispatch_and_guards():
 )
 def test_c_bound_must_be_an_int(monkeypatch, engine, text, c_bound):
     # rejected before any descent is walked
-    monkeypatch.setattr(solver_module, "enumerate_paths", None)
+    _clear_leaf_memos()
+    monkeypatch.setattr(edgepaths_module, "enumerate_paths", None)
     with pytest.raises(TypeError, match="c_bound"):
         engine(parse(text), c_bound)
 
@@ -354,9 +365,8 @@ def test_type_i_segments_outnumber_u_zero_options():
         for p in range(-3 * q, 3 * q + 1):
             if p and gcd(p, q) == 1:
                 pq = Fraction(p, q)
-                descents = enumerate_paths(pq)
-                segments = _leaf_segments(pq, descents)
-                assert len(segments) >= len(_type_ii_options(descents, 32)), pq
+                segments = _leaf_segments(pq)
+                assert len(segments) >= len(_type_ii_options(pq, 32)), pq
 
 
 def _reference_piece(pq, segment):
@@ -371,10 +381,8 @@ def _reference_piece(pq, segment):
 
 
 def _walk(leaves, notes):
-    """The type-I walk's candidates, each leaf's descents enumerated as
-    solve_montesinos does."""
-    descents = {l.fraction: enumerate_paths(l.fraction) for l in leaves}
-    return list(_type_i_candidates(leaves, descents, notes))
+    """The type-I walk's candidates, as solve_montesinos finds them."""
+    return list(_type_i_candidates(leaves, notes))
 
 
 def _type_i_by_product(leaves, notes):
@@ -382,7 +390,7 @@ def _type_i_by_product(leaves, notes):
     per_leaf = [
         [
             (s, _reference_piece(l.fraction, s))
-            for s in _leaf_segments(l.fraction, enumerate_paths(l.fraction))
+            for s in _leaf_segments(l.fraction)
         ]
         for l in leaves
     ]
@@ -506,8 +514,7 @@ def _check_staged_candidates(pqs):
     sum of its built picks' taus and its order their paths' descriptors.
     Returns the numbers of type-I and of u = 0 candidates."""
     leaves = [Leaf(pq) for pq in pqs]
-    descents = {pq: enumerate_paths(pq) for pq in pqs}
-    staged = list(_montesinos_candidates(reduce(Sum, leaves), 32, descents, []))
+    staged = list(_montesinos_candidates(reduce(Sum, leaves), 32, []))
     for t, note, order, build in staged:
         picks = build()
         assert len(picks) == len(pqs), (pqs, note)
@@ -560,7 +567,7 @@ def test_w_ends_map_back_to_segment_intervals():
     for q in range(1, 13):
         for p in range(-3 * q, 3 * q + 1):
             if p and gcd(p, q) == 1:
-                for s in _leaf_segments(Fraction(p, q), enumerate_paths(Fraction(p, q))):
+                for s in _leaf_segments(Fraction(p, q)):
                     w_lo, w_hi = s.w_lo, s.w_hi
                     assert type(w_lo) is int and w_lo >= 1, (p, q, s)
                     assert w_hi is None or (type(w_hi) is int and w_lo < w_hi), (p, q, s)
@@ -900,7 +907,7 @@ def test_root_witnesses_match_eager_traces():
     # (descriptor, assignment)
     closed_entries = 0
     for expr, c_bound in _pass_cases():
-        table = _root_table(expr, c_bound, _descents(expr))
+        table = _root_table(expr, c_bound)
         eager = _closed(_eager_tables(expr, c_bound, {}))
         assert sorted(table) == sorted(eager), (expr, c_bound)
         for key in sorted(table):
@@ -919,7 +926,7 @@ def test_passes_match_eager_tables_at_every_node():
         nodes = _distinct_nodes(expr)
         assert nodes[-1] is expr
         assert len(nodes) == len({id(node) for node in expr.nodes()})
-        keys, turns = _key_pass(nodes, c_bound, _descents(expr))
+        keys, turns = _key_pass(nodes, c_bound)
         eager = {}
         _eager_tables(expr, c_bound, eager)
         for node in nodes[:-1]:
@@ -979,7 +986,7 @@ def test_demand_pass_recovers_every_pair_of_a_demanded_key():
     pairs = 0
     for expr, c_bound in _pass_cases():
         nodes = _distinct_nodes(expr)
-        keys, turns = _key_pass(nodes, c_bound, _descents(expr))
+        keys, turns = _key_pass(nodes, c_bound)
         demand = _demand_pass(nodes, keys, turns)
         for node in nodes:
             if isinstance(node, Leaf):
@@ -1226,7 +1233,7 @@ def test_key_pass_builds_no_key_without_direction():
     keys = 0
     for expr, c_bound in _pass_cases():
         nodes = _distinct_nodes(expr)
-        tables = _key_pass(nodes, c_bound, _descents(expr))[0]
+        tables = _key_pass(nodes, c_bound)[0]
         for table in (_key_set(node, tables[id(node)], c_bound) for node in nodes):
             assert all(key[0] >= 1 for key in table), (expr, c_bound)
             # primitive, as the demand pass's lookups need
@@ -1246,10 +1253,9 @@ def test_leaf_table_taus_and_keys_match_their_paths(c_bound):
     runs = 0
     for pq in _SMALL_LEAVES:
         leaf = Leaf(pq)
-        descents = enumerate_paths(pq)
-        table = _leaf_table(leaf, c_bound, {pq: descents})
-        # the solve shares the list: the table sorts a copy
-        assert descents == enumerate_paths(pq), pq
+        table = _leaf_table(pq, c_bound)
+        # the solves share the memo's descents: the table leaves them as walked
+        assert leaf_descents(pq) == tuple(enumerate_paths(pq)), pq
         lattice = _lattice_leaf(leaf, c_bound)
         _check_leaf_table(table, lattice)
         # a product turns every constant into the family of
@@ -1310,10 +1316,11 @@ def test_large_denominator_leaf_solves():
 
 
 def test_montesinos_enumerates_each_distinct_leaf_once(monkeypatch):
-    # a solve walks one descent list per distinct leaf fraction, which the
-    # Seifert reference and either engine read: the type-I segments and
-    # the u=0 options, or every SN leaf node. The report bytes are those
-    # pinned before
+    # a process walks one descent tuple per distinct leaf fraction, which
+    # the Seifert reference and either engine read: the type-I segments
+    # and the u=0 options, or every SN leaf node. A solve against cleared
+    # memos walks each once, a second solve walks none; the report bytes
+    # are those pinned before
     pinned = (
         (parse("1/3 + 1/3 + -1/5"), 2,
          "49d6f64087f2d03290ec78ce639ece70ecaafd54d0bdfb76bd38347e08c503be"),
@@ -1330,9 +1337,73 @@ def test_montesinos_enumerates_each_distinct_leaf_once(monkeypatch):
         calls.append(pq)
         return enumerate_paths(pq)
 
-    monkeypatch.setattr(solver_module, "enumerate_paths", counted)
+    monkeypatch.setattr(edgepaths_module, "enumerate_paths", counted)
     for expr, count, digest in pinned:
+        _clear_leaf_memos()
         calls.clear()
         out = format_json(solve(expr))
         assert len(calls) == count == len(set(calls)), expr
         assert hashlib.sha256(out.encode()).hexdigest() == digest, expr
+        calls.clear()
+        assert format_json(solve(expr)) == out, expr
+        assert calls == [], expr
+
+
+def test_warm_memos_give_cold_bytes():
+    # a memo entry depends on its fraction, and on c_bound where c_bound is
+    # part of its key: a report's bytes are the same whether its solve
+    # finds the memos cleared, filled in reverse order, or warm from
+    # solving every other case
+    exprs = [_expr(text) for text, _, _ in GOLDEN] + [expr for expr, _ in _pass_cases()]
+    # descents that end at -3, -2 and 2: the u=0 options differ between
+    # c_bound 1, 2 and 32
+    exprs.append(parse("-5/2 + 1/3 + 1/7 + 2"))
+    cases = [(expr, c_bound) for expr in exprs for c_bound in (None, 1, 2)]
+    cold = []
+    for expr, c_bound in cases:
+        _clear_leaf_memos()
+        cold.append(format_json(solve(expr, c_bound)))
+    for order in (reversed, list):  # reverse, then each after all others
+        for i in order(range(len(cases))):
+            expr, c_bound = cases[i]
+            assert format_json(solve(expr, c_bound)) == cold[i], (render(expr), c_bound)
+
+
+def test_leaf_memos_stay_within_their_bound():
+    fractions = [Fraction(k, 2) for k in range(1, 2 * LEAF_MEMO_SIZE + 40, 2)]
+    assert len(fractions) > LEAF_MEMO_SIZE
+    for pq in fractions:
+        leaf_descents(pq)
+        slopes._seifert_leaf(pq)
+        _leaf_segments(pq)
+        _type_ii_options(pq, 1)
+        _leaf_table(pq, 1)
+    for memo in LEAF_MEMOS:
+        info = memo.cache_info()
+        assert info.maxsize == LEAF_MEMO_SIZE and info.currsize <= LEAF_MEMO_SIZE, memo
+
+
+def test_memo_entries_equal_a_fresh_computation():
+    # no solve mutates what the memos hand it: after a solve, each leaf's
+    # entries, read without a miss, equal a computation from scratch
+    checked = 0
+    exprs = [_expr(text) for text, _, _ in GOLDEN] + [expr for expr, _ in _pass_cases()[:12]]
+    for expr in exprs:
+        _clear_leaf_memos()
+        rep = solve(expr)
+        c_bound = rep.c_bound
+        # without S0 the Seifert paths were not all built
+        normalized = any(s.note == "seifert-reference" for s in rep.systems)
+        lookups = [(slopes._seifert_leaf, ())] if normalized else []
+        if expr.is_montesinos():
+            lookups += [(_leaf_segments, ()), (_type_ii_options, (c_bound,))]
+        else:
+            lookups += [(_leaf_table, (c_bound,))]
+        misses = [memo.cache_info().misses for memo in LEAF_MEMOS]
+        for pq in {leaf.fraction for leaf in expr.leaves()}:
+            assert leaf_descents(pq) == tuple(enumerate_paths(pq)), (render(expr), pq)
+            for memo, rest in lookups:
+                assert memo(pq, *rest) == memo.__wrapped__(pq, *rest), (render(expr), pq)
+                checked += 1
+        assert [memo.cache_info().misses for memo in LEAF_MEMOS] == misses, render(expr)
+    assert checked >= 100
