@@ -22,10 +22,10 @@ counts fractionally when partial. Constants have tau = 0. tau is an int
 unless the last edge is partial.
 
 `enumerate_paths` lists the descents from <p/q> to the u = 0 line, and
-`u_zero_ends` gives the ends of a descent's vertical runs along that
-line. The descents depend on p/q alone, so `leaf_descents` walks each
-fraction once per process, in ints, and both engines and the Seifert
-reference read that tuple. The product-expression solver builds its
+`u_zero_window` gives the integers where a descent and its vertical runs
+along that line end. The descents depend on p/q alone, so `leaf_descents`
+walks each fraction once per process, in ints, and both engines and the
+Seifert reference read that tuple. The product-expression solver builds its
 per-tangle choices from both, and builds a run with `run_to` only where
 it needs a witness. The Montesinos solver uses the descents alone. The
 Seifert reference path of a tangle is one of its descents
@@ -212,25 +212,23 @@ def leaf_descents(pq):
     return tuple(enumerate_paths(pq))
 
 
-def u_zero_ends(descent, c_bound):
-    """The endpoints, within +-c_bound, of the descent and its vertical runs.
+def u_zero_window(descent, c_bound):
+    """(lo, hi): the descent and its vertical runs end at exactly the
+    integers lo..hi, none when lo > hi.
 
     A run walks along u = 0 away from the descent's endpoint m, one integer
-    at a time. Its first step may not cut across a triangle, and a trivial
-    path (integer tangle) does not run. Yields m, then the run ends toward
-    -infinity, then those toward +infinity, each by length; every end
-    occurs once.
+    at a time, unless its first step cuts across a triangle; a trivial
+    path (integer tangle) does not run. Both ends are clipped to +-c_bound.
     """
     vs = descent.vertices
     m = int(vs[-1])
-    if abs(m) <= c_bound:
-        yield m
-    if len(vs) < 2:
-        return
-    if not is_edge(vs[-2], Fraction(m - 1)):
-        yield from range(min(m - 1, c_bound), -c_bound - 1, -1)
-    if not is_edge(vs[-2], Fraction(m + 1)):
-        yield from range(max(m + 1, -c_bound), c_bound + 1)
+    lo = hi = m
+    if len(vs) > 1:
+        if not is_edge(vs[-2], Fraction(m - 1)):
+            lo = -c_bound
+        if not is_edge(vs[-2], Fraction(m + 1)):
+            hi = c_bound
+    return max(lo, -c_bound), min(hi, c_bound)
 
 
 class _Integers(dict):

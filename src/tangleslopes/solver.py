@@ -24,8 +24,9 @@ mutates what the memo holds.
   1. Key pass, bottom-up, integers only. A leaf's keys are the primitive
      states of its constant family, (a, q*k - a, p*k) with
      1 <= a <= k <= c_bound // |p| and gcd(a, k) = 1, and the vertices
-     <m> that end its descents and their vertical runs within +-c_bound
-     (an integer leaf keeps its trivial path regardless). The family has
+     <e> that end its descents and their vertical runs within +-c_bound,
+     a window per descent (an integer leaf keeps its trivial path
+     regardless). The family has
      at most one key per primitive (a : b) direction, given by a formula
      (_Leaf) and never enumerated; a product turns it into the family of
      sign(p) q/|p|. A merge glues the left key (turned, at a product) to
@@ -99,7 +100,7 @@ from .edgepaths import (
     leaf_descents,
     run_to,
     tau,
-    u_zero_ends,
+    u_zero_window,
 )
 from .errors import FamilyCheckFailed, SeifertUndefined, UnsupportedShape
 from .slopes import (
@@ -241,9 +242,9 @@ def _coprime_pairs(n):
     return sum(phi)
 
 
-class _Leaf(namedtuple("_Leaf", ("p", "q", "bound", "runs"))):
+class _Leaf(namedtuple("_Leaf", ("p", "q", "bound", "runs", "windows"), defaults=((),))):
     """A leaf's key table: the constant family of p/q by formula, plus
-    runs, its other keys: each -> its value, or a set once _turned.
+    runs, the set of its other keys, with their windows unless _turned.
 
     The family's primitive keys are (a, q*k - a, p*k), 1 <= a <= k <= bound,
     gcd(a, k) = 1: at most one per primitive direction (da, db). With
@@ -271,30 +272,26 @@ class _Leaf(namedtuple("_Leaf", ("p", "q", "bound", "runs"))):
 
 @lru_cache(maxsize=LEAF_MEMO_SIZE)
 def _leaf_table(pq, c_bound):
-    """The _Leaf table of leaf p/q, bound c_bound // |p|; its runs map each
-    vertex <end> of its descents and their vertical runs to the [(tau,
-    rank, position, descent)] of the runs ending there, by rank: the
-    descent's place by vertices; position is end's in u_zero_ends.
-    Memoized: the solves that share it only read it.
+    """The _Leaf table of leaf p/q, bound c_bound // |p|: windows holds
+    (m, tau, lo, hi, descent) per descent, by rank, its place by vertices,
+    for a descent ending at <m> whose runs end at lo..hi (u_zero_window),
+    and runs each (1, 0, e) of them. Memoized: the solves only read it.
 
-    A path's state (1, 0, end) is a constant key only for an integer leaf
+    A path's state (1, 0, e) is a constant key only for an integer leaf
     p's trivial path, tau 0, whose constant's descriptor, its own triple,
-    is smaller.
+    is smaller: the leaf keeps that path only when |p| > c_bound.
     """
     p, q = pq.numerator, pq.denominator
-    table = _Leaf(p, q, c_bound // abs(p), {})
-    constant = table.constant(1, 0)
-    for rank, descent in enumerate(leaf_descents(pq)):
-        m, descent_tau = int(descent.vertices[-1]), tau(descent)
-        ends = (m,) if q == 1 else u_zero_ends(descent, c_bound)
-        for position, end in enumerate(ends):
-            key = (1, 0, end)
-            if key == constant:
-                continue  # an integer leaf's constant (1, 0, p)
-            # each unit step of a run along u = 0 adds -2 times its rise
-            runs = table.runs.setdefault(key, [])
-            runs.append((descent_tau - 2 * (end - m), rank, position, descent))
-    return table
+    ends, windows = set(), []
+    for descent in leaf_descents(pq):
+        m = int(descent.vertices[-1])
+        if q > 1:
+            lo, hi = u_zero_window(descent, c_bound)
+        else:
+            lo, hi = (m, m) if abs(p) > c_bound else (m + 1, m)
+        ends.update(range(lo, hi + 1))
+        windows.append((m, tau(descent), lo, hi, descent))
+    return _Leaf(p, q, c_bound // abs(p), {(1, 0, e) for e in ends}, tuple(windows))
 
 
 def _turn(key):
@@ -498,20 +495,24 @@ def _demand_pass(nodes, keys, turns):
 def _leaf_witnesses(leaf, table, wanted):
     """{tau: witness} per wanted key of a leaf's _Leaf table: (order,
     (key, tau, leaf fraction, descent)) of the smallest path, descent None
-    for a constant. order, (0, key) or a run's (1, rank, position), sorts
-    as the descriptor: no descent's vertices are a prefix of another's
-    (enumerate_paths stops at the first integer)."""
+    for a constant. A run from <m> to <e> adds -2(e - m) to the descent's
+    tau; its order, (1, rank, m - e if e <= m else e - lo), sorts as the
+    descriptor (a constant's is (0, key)): runs down by length, then up,
+    and no descent is a prefix of another (enumerate_paths)."""
     pq = leaf.fraction
-    out = {}
+    out, runs = {}, []  # (key, its end e, its entries) per wanted run key
     for key in wanted:
-        runs = table.runs.get(key)
-        if runs is None:
+        if key in table.runs:
+            runs.append((key, key[2], out.setdefault(key, {})))
+        else:
             out[key] = {0: ((0, key), (key, 0, pq, None))}
-            continue
-        entries = out[key] = {}
-        for t, rank, position, descent in runs:
-            if t not in entries:
-                entries[t] = ((1, rank, position), (key, t, pq, descent))
+    for rank, (m, t, lo, hi, descent) in enumerate(table.windows):
+        for key, e, entries in runs:
+            if lo <= e <= hi:
+                run_tau = t - 2 * (e - m)
+                if run_tau not in entries:  # else a smaller rank's
+                    order = (1, rank, m - e if e <= m else e - lo)
+                    entries[run_tau] = order, (key, run_tau, pq, descent)
     return out
 
 

@@ -14,7 +14,7 @@ from tangleslopes.edgepaths import (
     leaf_descents,
     run_to,
     tau,
-    u_zero_ends,
+    u_zero_window,
     validate,
 )
 
@@ -160,8 +160,55 @@ def test_tau_signs_steps_as_fraction_comparison():
     assert partial >= 1000
 
 
+def u_zero_ends(descent, c_bound):
+    """The endpoints, within +-c_bound, of the descent and its vertical
+    runs, walked one at a time: the reference for u_zero_window.
+
+    A run walks along u = 0 away from the descent's endpoint m, one integer
+    at a time. Its first step may not cut across a triangle, and a trivial
+    path (integer tangle) does not run. Yields m, then the run ends toward
+    -infinity, then those toward +infinity, each by length; every end
+    occurs once.
+    """
+    vs = descent.vertices
+    m = int(vs[-1])
+    if abs(m) <= c_bound:
+        yield m
+    if len(vs) < 2:
+        return
+    if not is_edge(vs[-2], Fraction(m - 1)):
+        yield from range(min(m - 1, c_bound), -c_bound - 1, -1)
+    if not is_edge(vs[-2], Fraction(m + 1)):
+        yield from range(max(m + 1, -c_bound), c_bound + 1)
+
+
 def u_zero(start, c_bound):
     return [run_to(d, end) for d in enumerate_paths(start) for end in u_zero_ends(d, c_bound)]
+
+
+def test_u_zero_window_holds_exactly_the_run_ends():
+    # every p/q with q <= 13 and |p/q| <= 3, integer starts included
+    starts = [
+        Fraction(p, q) for q in range(1, 14) for p in range(-3 * q, 3 * q + 1) if gcd(p, q) == 1
+    ]
+    empty = clipped = blocked = 0
+    for c_bound in (1, 2, 3, 4, 32):
+        for start in starts:
+            for d in enumerate_paths(start):
+                lo, hi = u_zero_window(d, c_bound)
+                ends = list(u_zero_ends(d, c_bound))
+                assert set(range(lo, hi + 1)) == set(ends), (start, c_bound, d)
+                assert len(ends) == len(set(ends)), (start, c_bound, d)
+                m = int(d.vertices[-1])
+                empty += lo > hi
+                clipped += abs(m) > c_bound and lo <= hi
+                blocked += lo == m < hi or lo < m == hi
+    assert empty and clipped and blocked
+    # 7/2 descends to 3 and 4, past c_bound 1: the run from 3 comes back
+    # to 1, 0 and -1; the one from 4 is blocked toward 3 and stays out
+    assert [u_zero_window(d, 1) for d in enumerate_paths(Fraction(7, 2))] == [(-1, 1), (4, 1)]
+    # -1/2 descends to -1 and 0, each blocked toward the other
+    assert [u_zero_window(d, 3) for d in enumerate_paths(Fraction(-1, 2))] == [(-3, -1), (0, 3)]
 
 
 def test_enumerate_paths_reaches_integer_runs_both_ways():
@@ -200,6 +247,9 @@ def test_enumerate_paths_integer_start_is_trivial():
     # the trivial path neither runs nor survives a bound below its endpoint
     assert [run_to(paths[0], end) for end in u_zero_ends(paths[0], 4)] == paths
     assert list(u_zero_ends(paths[0], 1)) == []
+    assert u_zero_window(paths[0], 4) == (2, 2)
+    lo, hi = u_zero_window(paths[0], 1)
+    assert lo > hi
 
 
 def test_enumerate_paths_deterministic():

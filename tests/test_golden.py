@@ -49,6 +49,9 @@ GOLDEN = (
     # an integer leaf whose constant family is empty at c_bound 2: it
     # keeps its trivial run (1, 0, 3)
     ("(3 + 1/2) o 1/3", 2, "754e29ee13e2759507c370e266a30f0d7736ac2e2d5f4b6276f44fd877114125"),
+    # the 7/2 leaf's descent to 3 ends past c_bound 1; its run comes back
+    # through 2 into the bound, to 1 and 0
+    ("(7/2 + 1/3) o 1/2", 1, "54dee8ce3d26b777f10b5e82d39d105a2864833c82c67d1bd734b3f63665424a"),
     # a turned leaf glued to a sum of two leaves; a root sum with a leaf
     # on the left, over a product of two leaves
     ("1/3 o (1/2 + 1/5)", None, "0d51899a8dac09db227ce993c01f4132deb7f49627c24139395932a8e13a9b77"),

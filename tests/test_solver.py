@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iterproduct
@@ -62,11 +63,11 @@ from tangleslopes.edgepaths import (
     leaf_descents,
     run_to,
     tau as path_tau,
-    u_zero_ends,
 )
 from tangleslopes.errors import Infeasible, UndefinedCase
 from tangleslopes.tangles import Leaf, Product, Sum, mirror, render
 from tangleslopes.transforms import glue_scaled, rotate_reflect
+from test_edgepaths import u_zero_ends
 from test_golden import GOLDEN, _expr
 
 PRETZEL_237 = "-1/2 + 1/3 + 1/7"
@@ -1265,20 +1266,35 @@ def test_leaf_table_taus_and_keys_match_their_paths(c_bound):
         # prefix of another's
         for d1, d2 in iterproduct(enumerate_paths(pq), repeat=2):
             assert d1 is d2 or d2.vertices[: len(d1.vertices)] != d1.vertices, (pq, d1, d2)
+        # one window per descent, by rank, its place by vertices: the
+        # descent, its endpoint and its tau
+        descents = enumerate_paths(pq)
+        assert [d.describe() for d in descents] == sorted(d.describe() for d in descents), pq
+        assert [w[4] for w in table.windows] == descents, pq
+        assert [w[:2] for w in table.windows] == [(int(d.vertices[-1]), path_tau(d)) for d in descents]
         # every constant and run of the table, not only the witnesses, with
-        # the order a witness would carry: the orders are distinct and sort
-        # as the descriptors of the built paths
-        every = []
-        for key in lattice:
-            key_runs = table.runs.get(key)
-            if key_runs is None:
-                every.append(((0, key), (key, 0, pq, None)))
-                continue
-            # by rank, so that the first run of each tau is its smallest
-            ranks = [rank for _, rank, _, _ in key_runs]
-            assert ranks == sorted(ranks), (pq, key)
-            every += [((1, rank, position), (key, t, pq, d)) for t, rank, position, d in key_runs]
+        # the order a witness would carry
+        every = [((0, key), (key, 0, pq, None)) for key in lattice if key not in table.runs]
+        for rank, (m, t, lo, hi, d) in enumerate(table.windows):
+            every += [
+                ((1, rank, m - e if e <= m else e - lo), ((1, 0, e), t - 2 * (e - m), pq, d))
+                for e in range(lo, hi + 1)
+            ]
         every.sort(key=lambda w: w[0])
+        # the runs are the reference walk's, by rank and then by the walk's
+        # order of ends, with their keys and taus; the lattice holds each
+        walked = []
+        for d in descents:
+            # an integer leaf keeps its trivial path whatever the bound
+            ends = (pq.numerator,) if pq.denominator == 1 else u_zero_ends(d, c_bound)
+            for path in (run_to(d, end) for end in ends):
+                key = _key_of(endpoint_state(path).primitive())
+                if key != table.constant(1, 0):  # an integer leaf's constant
+                    walked.append((key, path_tau(path), path))
+        assert [(item[0], item[1], _leaf_path(item)) for _, item in every if item[3]] == walked, pq
+        assert all(Fraction(t) in lattice[key] for key, t, _ in walked), pq
+        # the orders are distinct and sort as the descriptors of the built
+        # paths
         described = [_leaf_path(item).describe() for _, item in every]
         assert described == sorted(described), pq
         assert len({order for order, _ in every}) == len(every), pq
@@ -1290,10 +1306,7 @@ def test_leaf_table_taus_and_keys_match_their_paths(c_bound):
                 pick_key, pick_t, leaf_pq, descent = item
                 assert (pick_key, pick_t, leaf_pq) == (key, t, pq)
                 # the order of its constant or run, as checked above
-                if descent is None:
-                    assert order == (0, key)
-                else:
-                    assert order[0] == 1 and (t, *order[1:], descent) in table.runs[key]
+                assert (order, item) in every, (pq, key, t)
                 path = _leaf_path(item)
                 if path.is_constant:
                     assert (t, key) == (0, _key_of(path.state.primitive()))
@@ -1381,6 +1394,24 @@ def test_leaf_memos_stay_within_their_bound():
     for memo in LEAF_MEMOS:
         info = memo.cache_info()
         assert info.maxsize == LEAF_MEMO_SIZE and info.currsize <= LEAF_MEMO_SIZE, memo
+
+
+@pytest.mark.parametrize("pq", [Fraction(1, 31), Fraction(5, 8)])
+def test_leaf_table_keeps_one_window_per_descent(pq):
+    # a kn(30) leaf and a q = 8 leaf at kn(30)'s c_bound 932: each run
+    # end is one key of the set, its descent's window a few ints; with a
+    # (tau, rank, position, descent) record per end as well, each table
+    # took over 700 KB
+    leaf_descents(pq)  # the memo's, not the table's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = _leaf_table.__wrapped__(pq, 932)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 400 * 1024, retained
+    assert len(table.runs) == 2 * 932 + 1 and len(table.windows) == len(leaf_descents(pq))
 
 
 def test_memo_entries_equal_a_fresh_computation():
