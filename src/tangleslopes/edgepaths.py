@@ -35,7 +35,6 @@ Seifert reference path of a tangle is one of its descents
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .diagram import WeightState, is_edge, uv_coords, vertex_point, vertex_triple
 from .errors import FractionalEndpoint
@@ -68,17 +67,6 @@ class VertexPath(namedtuple("VertexPath", "tangle vertices final_fraction sheets
 
     def describe(self):
         return ("path", self.vertices, self.final_fraction)
-
-
-def constant_path(pq, u):
-    """The constant edgepath for p/q at abscissa u on its horizontal edge,
-    using the smallest integer state that realizes it exactly."""
-    pq = Fraction(pq)
-    p, q = pq.numerator, pq.denominator
-    # a + b = total, b = u * total, c = p * total / q: pick the least total
-    total = u.denominator * q // gcd(q, u.denominator)
-    b = u.numerator * total // u.denominator
-    return ConstantPath(pq, WeightState(total - b, b, p * total // q))
 
 
 def validate(path):

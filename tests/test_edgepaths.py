@@ -6,7 +6,6 @@ import pytest
 from tangleslopes import ConstantPath, FractionalEndpoint, VertexPath, WeightState
 from tangleslopes.diagram import is_edge, vertex_triple
 from tangleslopes.edgepaths import (
-    constant_path,
     end_weights,
     endpoint_point,
     endpoint_state,
@@ -17,6 +16,8 @@ from tangleslopes.edgepaths import (
     u_zero_window,
     validate,
 )
+
+from reference import constant_path, u_zero_ends
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -158,28 +159,6 @@ def test_tau_signs_steps_as_fraction_comparison():
                     assert got == want and type(got) is type(want), (p, got, want)
                     partial += type(got) is Fraction
     assert partial >= 1000
-
-
-def u_zero_ends(descent, c_bound):
-    """The endpoints, within +-c_bound, of the descent and its vertical
-    runs, walked one at a time: the reference for u_zero_window.
-
-    A run walks along u = 0 away from the descent's endpoint m, one integer
-    at a time. Its first step may not cut across a triangle, and a trivial
-    path (integer tangle) does not run. Yields m, then the run ends toward
-    -infinity, then those toward +infinity, each by length; every end
-    occurs once.
-    """
-    vs = descent.vertices
-    m = int(vs[-1])
-    if abs(m) <= c_bound:
-        yield m
-    if len(vs) < 2:
-        return
-    if not is_edge(vs[-2], Fraction(m - 1)):
-        yield from range(min(m - 1, c_bound), -c_bound - 1, -1)
-    if not is_edge(vs[-2], Fraction(m + 1)):
-        yield from range(max(m + 1, -c_bound), c_bound + 1)
 
 
 def u_zero(start, c_bound):

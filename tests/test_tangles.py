@@ -26,7 +26,7 @@ from tangleslopes.tangles import (
     montesinos_factors,
     node_labels,
 )
-from tangleslopes.tangles import MAX_DEPTH, _BINDING
+from tangleslopes.tangles import MAX_DEPTH
 
 # a product under a sum: without its parentheses the text reparses as a
 # different tree, since + binds tighter than o
@@ -255,7 +255,9 @@ def test_crossing_counts():
 
 # ---------------------------------------------------------------------------
 # the parser parse replaced, kept as a reference: a token list, a _Parser
-# class reading it, and _reduce applying the pending operators
+# class reading it, and _reduce applying the pending operators, with its own
+# binding table: o binds looser than +, an open parenthesis binds 0
+_BINDING = {"o": 1, "+": 2}
 
 
 def _tokenize(text):
