@@ -62,13 +62,14 @@ mutates what the memo holds.
   the int q in w = 1/(1 - u). A closing u0 = n/d is staged from the
   segments' ints: its tau is one Fraction, its order holds a constant's
   triple or an edge's prefix and share f, and its leaf picks are built
-  from that order. Systems whose descents, ending within +-c_bound, have
-  integer endpoints summing to zero close at u = 0
-  (type II); one is counted as a slope when the penultimate-vertex
-  denominators y_i satisfy sum 1/y_i <= 1 (sum Y/y_i <= Y, Y their lcm),
-  and flagged as an inessential candidate otherwise. Every leaf has at
-  least as many type-I segments as descents, so the type-II product,
-  enumerated in full, is never larger than the full type-I one.
+  from that order. The same walk closes at u = 0 (type II): a segment
+  valid there ends a descent at an integer m, or is an integer leaf's
+  constant m, so a combination of such segments whose ms sum to zero is
+  a system of descents. It is staged from those descents' u = 0 options
+  (_type_ii_options, by rank), unless one ends beyond +-c_bound, and is
+  counted as a slope when the penultimate-vertex denominators y_i
+  satisfy sum 1/y_i <= 1 (sum Y/y_i <= Y, Y their lcm), and flagged as
+  an inessential candidate otherwise.
 
 A search yields (tau, note, order, build) per candidate and builds no
 path; order is the SN rank or the flat descriptor tuple. _solve keeps the
@@ -89,7 +90,6 @@ import logging
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product as iterproduct
 from math import gcd, lcm
 
 from .diagram import WeightState
@@ -733,7 +733,8 @@ class _Segment(namedtuple("_Segment", (
     "den",
     "steps",  # tau of the whole edges before the partial one
     "last",  # tau of the partial edge taken whole: 2 down, -2 up
-), defaults=(0, 0))):
+    "rank",  # read at u = 0 (w_lo = 1): the rank of the descent it ends
+), defaults=(0, 0, None))):
     __slots__ = ()
 
 
@@ -742,9 +743,9 @@ def _leaf_segments(pq):
     """The type-I segments of leaf p/q: its constant, then one edge
     segment per distinct descent prefix, as a memoized tuple."""
     p, q = pq.numerator, pq.denominator
-    segments = [_Segment("const", (), q, None, 0, p, q)]
+    segments = [_Segment("const", (), q, None, 0, p, q, rank=0 if q == 1 else None)]
     seen = set()
-    for path in leaf_descents(pq):
+    for rank, path in enumerate(leaf_descents(pq)):
         vs = path.vertices
         ends = [(v.numerator, v.denominator) for v in vs]
         steps = 0  # tau through vs[j + 1]
@@ -760,7 +761,7 @@ def _leaf_segments(pq):
             den = qk - qj
             coeff, offset = qj * pk - pj * qk, pj * den + (1 - qj) * (pk - pj)
             segments.append(
-                _Segment("edge", vs[: j + 2], qk, qj, coeff, offset, den, steps - last, last)
+                _Segment("edge", vs[: j + 2], qk, qj, coeff, offset, den, steps - last, last, rank)
             )
     return tuple(segments)
 
@@ -803,7 +804,7 @@ def _u_of(w):
 
 def _type_i_candidates(leaves, notes):
     """Solve sum v_i(u) = 0 on every segment combination whose validity
-    intervals overlap; yield systems in product order.
+    intervals overlap; yield (u0, combination, note) in product order.
 
     A depth-first walk over the leaves carries each prefix's running
     coeff, offset and interval [lo, hi). Extending a prefix only narrows
@@ -834,22 +835,22 @@ def _type_i_candidates(leaves, notes):
         if coeff == 0:
             if offset == 0:
                 # the closure holds along the whole interval; only its
-                # reachable endpoint is kept, flagged, and not counted
+                # lower end is kept: flagged and not counted past u = 0,
+                # and at u = 0 a u = 0 closure
                 labels = "; ".join(_segment_label(s) for s in combo)
                 notes.append(
                     "degenerate closure family on u in [%s, %s) for %s"
                     % (_u_of(lo), _u_of(hi), labels)
                 )
-                if lo > 1:
-                    yield _u_of(lo), combo, "degenerate-family-endpoint"
+                yield (_u_of(lo), combo, "degenerate-family-endpoint") if lo > 1 else (0, combo, "")
             continue
-        # u0 = n / d with d > 0; for 0 < u0 < 1, w0 = d / (d - n), and
+        # u0 = n / d with d > 0; for 0 <= u0 < 1, w0 = d / (d - n), and
         # lo <= w0 < hi cross-multiplies by d - n > 0; unbounded hi is
         # u0 < 1 (only all-constant combinations have it, and they have
-        # coeff 0). u = 0 closures belong to the integer solve
+        # coeff 0). At n = 0 the test is lo = 1
         n, d = (-offset, coeff) if coeff > 0 else (offset, -coeff)
-        if 0 < n < d and lo * (d - n) <= d and (hi is None or d < hi * (d - n)):
-            yield Fraction(n, d), combo, ""
+        if 0 <= n < d and lo * (d - n) <= d and (hi is None or d < hi * (d - n)):
+            yield Fraction(n, d) if n else 0, combo, ""
 
 
 def _segment_label(segment):
@@ -860,17 +861,17 @@ def _segment_label(segment):
 
 @lru_cache(maxsize=LEAF_MEMO_SIZE)
 def _type_ii_options(pq, c_bound):
-    """(endpoint m, y, pick, order) for each of leaf p/q's descents ending
-    within +-c_bound, as a memoized tuple: y is its penultimate vertex's
-    denominator, pick its (key, tau, path), the key <m>, and order its
-    describe()."""
+    """The u = 0 option (y, pick, order) of each of leaf p/q's descents, by
+    rank, as a memoized tuple, None for a descent ending at <m> beyond
+    +-c_bound: y is its penultimate vertex's denominator, pick its (key,
+    tau, path), the key <m>, and order its describe()."""
     options = []
     for descent in leaf_descents(pq):
         vs = descent.vertices
         m = int(vs[-1])
-        if abs(m) <= c_bound:
-            y = vs[-2].denominator if len(vs) > 1 else 1
-            options.append((m, y, ((1, 0, m), tau(descent), descent), descent.describe()))
+        y = vs[-2].denominator if len(vs) > 1 else 1
+        options.append((y, ((1, 0, m), tau(descent), descent), descent.describe())
+                       if abs(m) <= c_bound else None)
     return tuple(options)
 
 
@@ -900,27 +901,25 @@ def _type_i_stage(combo, u0):
     return Fraction(num, den), tuple(order)
 
 
-def _option_picks(combo):
-    return [pick for _, _, pick, _ in combo]
+def _option_picks(options):
+    return [pick for _, pick, _ in options]
 
 
 def _montesinos_candidates(expr, c_bound, notes):
-    """The Montesinos search: type-I closures, then the u = 0 systems."""
+    """The Montesinos search: the type-I walk's closures, staged from their
+    segments at u > 0 and from their descents' u = 0 options at u = 0."""
     leaves = list(expr.leaves())
-    for u0, combo, note in _type_i_candidates(leaves, notes):
-        t, order = _type_i_stage(combo, u0)
-        yield t, note, order, partial(_type_i_picks, leaves, combo, order)
     per_leaf = [_type_ii_options(l.fraction, c_bound) for l in leaves]
-    # only the last leaf's options that end at -(sum of the others) close
-    by_end = {}
-    for option in per_leaf[-1]:
-        by_end.setdefault(option[0], []).append(option)
-    for head in iterproduct(*per_leaf[:-1]):
-        for last in by_end.get(-sum(o[0] for o in head), ()):
-            combo = head + (last,)
-            note = "" if _essential([y for _, y, _, _ in combo]) else "inessential-candidate"
-            yield (sum(pick[1] for _, _, pick, _ in combo), note, tuple(o for _, _, _, o in combo),
-                   partial(_option_picks, combo))
+    for u0, combo, note in _type_i_candidates(leaves, notes):
+        if u0:
+            t, order = _type_i_stage(combo, u0)
+            yield t, note, order, partial(_type_i_picks, leaves, combo, order)
+            continue
+        options = [opts[s.rank] for opts, s in zip(per_leaf, combo)]
+        if None not in options:
+            note = "" if _essential([y for y, _, _ in options]) else "inessential-candidate"
+            yield (sum(pick[1] for _, pick, _ in options), note, tuple(o for _, _, o in options),
+                   partial(_option_picks, options))
 
 
 def solve_montesinos(expr, c_bound=None):
