@@ -30,7 +30,6 @@ from .errors import (
     UnsupportedShape,
     ZeroDenominator,
 )
-from .plotting import render_svg, render_tsv
 from .slopes import CandidateSystem, NodeTrace, verify_system
 from .solver import SlopeReport, kn_system, solve, solve_montesinos, solve_sn
 from .tangles import Leaf, Product, Sum, TangleExpr, kn, parse, render
@@ -77,3 +76,12 @@ __all__ = [
     "ZeroDenominator",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # plotting loads on first use: a CLI call that draws nothing skips it
+    if name in ("render_svg", "render_tsv"):
+        from . import plotting
+
+        return getattr(plotting, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

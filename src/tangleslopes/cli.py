@@ -5,23 +5,23 @@ verify (family invariant checks), plot (SVG/TSV figures). Exit codes:
 0 success, 1 verification failure, 2 usage or parse error, 3 empty
 result, 4 output I/O error. Diagnostics go to stderr; LOG_LEVEL takes any
 of logging's level names in any case (debug, info, warning, error,
-critical, ...) and defaults to warning.
+critical, ...); an unknown name means warning. Without LOG_LEVEL, logging
+is not imported: the package logs nothing at warning or above.
 
-format_json writes a JSON report on every Python version as exactly
-json.dumps(report_document(rep), indent=2) plus a newline; report_document
-is the reference it is tested against.
+format_json writes a JSON report on every Python version as exactly the
+text json.dumps(doc, indent=2) gives, plus a newline, for the report's
+dict doc that the schema describes; tests/reference.py builds that dict
+from the records. report_document(rep) reads it back from that text.
 """
 
 import argparse
 import json
-import logging
 import os
 import re
 import sys
 from fractions import Fraction
 
 from .errors import FamilyCheckFailed, TangleSlopesError
-from .plotting import render_svg, render_tsv
 from .slopes import verify_system
 from .solver import family_nodes, kn_system, solve, solve_sn
 from .tangles import kn, parse, render
@@ -39,79 +39,9 @@ SCHEMA_VERSION = 2
 # report serialization
 
 
-def _frac(value):
-    # every value here is a Fraction, an int or None, and str(x) equals
-    # str(Fraction(x)) for all of them, so no Fraction is built
-    return None if value is None else str(value)
-
-
-def _weights(state):
-    if state is None:
-        return None
-    return {
-        "a": state.a,
-        "b": state.b,
-        "c": state.c,
-        "n_inf": state.n_inf,
-        "has_zero": state.has_zero,
-    }
-
-
-def _path_doc(path):
-    if path.is_constant:
-        return {
-            "kind": "const",
-            "tangle": _frac(path.tangle),
-            "state": list(path.state.triple()),
-        }
-    return {
-        "kind": "path",
-        "tangle": _frac(path.tangle),
-        "vertices": [_frac(v) for v in path.vertices],
-        "final_fraction": _frac(path.final_fraction),
-        "sheets": path.sheets,
-    }
-
-
-def _node_doc(node):
-    return {
-        "label": node.label,
-        "kind": node.kind,
-        "state": _weights(node.state),
-        "tau": _frac(node.tau),
-        "scales": list(node.scales),
-        "case_id": node.case_id,
-        "m": node.m,
-        "tau_prime": _frac(node.tau_prime),
-        "transformed": _weights(node.transformed),
-    }
-
-
-def _system_doc(system):
-    return {
-        "slope": _frac(system.slope),
-        "tau": _frac(system.tau),
-        "note": system.note,
-        "closure": _weights(system.closure),
-        "paths": [_path_doc(p) for p in system.assignment],
-        "nodes": [_node_doc(n) for n in system.nodes],
-    }
-
-
 def report_document(rep):
     """The JSON-ready dict for a SlopeReport; matches the shipped schema."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "expr": render(rep.expr),
-        "c_bound": rep.c_bound,
-        "crossings": {"count": rep.crossings, "source": rep.crossing_source},
-        "slopes": [_frac(s) for s in rep.slopes],
-        "certified": [_frac(s) for s in rep.certified],
-        "diameter": _frac(rep.diameter),
-        "ratio": _frac(rep.ratio),
-        "notes": list(rep.notes),
-        "systems": [_system_doc(s) for s in rep.systems],
-    }
+    return json.loads(format_json(rep))
 
 
 _escape = json.encoder.encode_basestring_ascii
@@ -136,7 +66,8 @@ def _array(items, indent):
 
 
 def _quoted(value):
-    # the JSON text of _frac(value): a Fraction's or an int's str needs no escaping
+    # a Fraction, an int or None as JSON: null or the quoted str, as
+    # str(x) equals str(Fraction(x)) and needs no escaping
     return "null" if value is None else '"%s"' % value
 
 
@@ -153,7 +84,8 @@ _CLOSURE, _STATE = _template(_WEIGHTS, 6), _template(_WEIGHTS, 10)
 
 
 def format_json(rep):
-    """The report as json.dumps(report_document(rep), indent=2) plus a newline.
+    """The report as json.dumps(doc, indent=2) plus a newline, doc being its
+    dict as the schema describes it.
 
     Written straight from the records, one template per record kind. The
     solve shares WeightStates, node traces, paths and vertex tuples between
@@ -344,6 +276,8 @@ def cmd_plot(args):
             print("diagnostic: %s" % note, file=sys.stderr)
         print("nothing to plot", file=sys.stderr)
         return EXIT_EMPTY
+    from .plotting import render_svg, render_tsv
+
     if args.format == "svg":
         text = render_svg(rep.systems, title=render(expr))
     else:
@@ -421,7 +355,14 @@ def main(argv=None):
 
 
 def _configure_logging():
-    level = logging.getLevelName(os.environ.get("LOG_LEVEL", "warning").strip().upper())
+    # the package logs nothing at warning or above, so without LOG_LEVEL
+    # logging is neither imported nor configured
+    name = os.environ.get("LOG_LEVEL", "").strip()
+    if not name:
+        return
+    import logging
+
+    level = logging.getLevelName(name.upper())
     if not isinstance(level, int):
         level = logging.WARNING
     logging.basicConfig(

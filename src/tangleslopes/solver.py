@@ -86,7 +86,7 @@ is unique, as an order names one (key, tau) or system, and the listing
 sorts.
 """
 
-import logging
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -121,8 +121,6 @@ from .tangles import (
     node_labels,
     render,
 )
-
-log = logging.getLogger("tangleslopes.solver")
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -575,7 +573,11 @@ def _root_table(expr, c_bound):
     keys, turns = _key_pass(nodes, c_bound)
     demand = _demand_pass(nodes, keys, turns)
     taus = _tau_pass(nodes, keys, demand)
-    if log.isEnabledFor(logging.INFO):
+    # no handler or level can be set before logging is imported, so the
+    # solver leaves the import to its caller (the CLI's LOG_LEVEL)
+    logging = sys.modules.get("logging")
+    log = logging and logging.getLogger("tangleslopes.solver")
+    if log and log.isEnabledFor(logging.INFO):
         # every child witness pair a merge compared
         pairs = sum(
             len(taus[id(node.left)][lkey]) * len(taus[id(node.right)][rkey])

@@ -22,6 +22,10 @@ UnsupportedShape where solve must: a sum of fewer than three leaves.
   within +-c_bound whose ends sum to 0 closes; it counts when the
   penultimate denominators y satisfy sum 1/y <= 1, and is an inessential
   candidate otherwise.
+
+`report_dict(rep)` is the dict of a report as the shipped schema describes
+it, built field by field from the records; `cli.format_json` must write
+exactly its `json.dumps(indent=2)` text plus a newline.
 """
 
 import random
@@ -31,7 +35,8 @@ from itertools import product as iterproduct
 from math import gcd
 
 from tangleslopes import ConstantPath, Leaf, Product, Sum, UnsupportedShape, VertexPath, WeightState
-from tangleslopes import kn, parse
+from tangleslopes import kn, parse, render
+from tangleslopes.cli import SCHEMA_VERSION
 from tangleslopes.diagram import is_edge, vertex_point
 from tangleslopes.edgepaths import endpoint_point, endpoint_state, enumerate_paths, run_to, tau
 from tangleslopes.errors import Infeasible, UndefinedCase
@@ -256,6 +261,84 @@ def type_i_size(expr):
     for leaf in expr.leaves():
         size *= len(segments(leaf.fraction))
     return size
+
+
+# report dict
+
+
+def _frac(value):
+    # every value here is a Fraction, an int or None, and str(x) equals
+    # str(Fraction(x)) for all of them, so no Fraction is built
+    return None if value is None else str(value)
+
+
+def _weights(state):
+    if state is None:
+        return None
+    return {
+        "a": state.a,
+        "b": state.b,
+        "c": state.c,
+        "n_inf": state.n_inf,
+        "has_zero": state.has_zero,
+    }
+
+
+def _path_doc(path):
+    if path.is_constant:
+        return {
+            "kind": "const",
+            "tangle": _frac(path.tangle),
+            "state": list(path.state.triple()),
+        }
+    return {
+        "kind": "path",
+        "tangle": _frac(path.tangle),
+        "vertices": [_frac(v) for v in path.vertices],
+        "final_fraction": _frac(path.final_fraction),
+        "sheets": path.sheets,
+    }
+
+
+def _node_doc(node):
+    return {
+        "label": node.label,
+        "kind": node.kind,
+        "state": _weights(node.state),
+        "tau": _frac(node.tau),
+        "scales": list(node.scales),
+        "case_id": node.case_id,
+        "m": node.m,
+        "tau_prime": _frac(node.tau_prime),
+        "transformed": _weights(node.transformed),
+    }
+
+
+def _system_doc(system):
+    return {
+        "slope": _frac(system.slope),
+        "tau": _frac(system.tau),
+        "note": system.note,
+        "closure": _weights(system.closure),
+        "paths": [_path_doc(p) for p in system.assignment],
+        "nodes": [_node_doc(n) for n in system.nodes],
+    }
+
+
+def report_dict(rep):
+    """The JSON-ready dict for a SlopeReport; matches the shipped schema."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "expr": render(rep.expr),
+        "c_bound": rep.c_bound,
+        "crossings": {"count": rep.crossings, "source": rep.crossing_source},
+        "slopes": [_frac(s) for s in rep.slopes],
+        "certified": [_frac(s) for s in rep.certified],
+        "diameter": _frac(rep.diameter),
+        "ratio": _frac(rep.ratio),
+        "notes": list(rep.notes),
+        "systems": [_system_doc(s) for s in rep.systems],
+    }
 
 
 # fixed inputs

@@ -265,24 +265,68 @@ def test_parser_defaults():
         ("warn", False),
         ("warning", False),
         ("bogus", False),  # an unknown name means warning
+        (None, False),  # unset: logging is not even imported
     ],
 )
 def test_log_level_reads_logging_level_names(level, shown):
     # the solver logs one info line per SN solve; LOG_LEVEL is read once,
-    # at process start, so each level needs its own process
-    env = dict(os.environ, LOG_LEVEL=level, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    # at process start, so each level needs its own process. The log goes
+    # to stderr, and stdout is the report either way
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("LOG_LEVEL", None)
+    if level is not None:
+        env["LOG_LEVEL"] = level
     done = subprocess.run(
         [sys.executable, "-m", "tangleslopes.cli", "kn", "--n", "2"],
         env=env, capture_output=True, text=True, check=True,
     )
     assert ("INFO tangleslopes.solver: sn solve" in done.stderr) is shown
+    assert json.loads(done.stdout)["certified"] == ["-14", "14"]
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # every CLI call pays this import; -S keeps site's own imports out of it
+def test_library_caller_configures_logging_after_import():
+    # the solver looks logging up at each SN solve, so a logger configured
+    # after `import tangleslopes` still gets the line
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    code = "import sys, tangleslopes.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = (
+        "import tangleslopes, logging\n"
+        "logging.basicConfig(level=logging.INFO)\n"
+        "tangleslopes.solve_sn(tangleslopes.kn(2))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert "INFO:tangleslopes.solver:sn solve" in done.stderr
+
+
+EXPORTS = [
+    "kn", "kn_system", "parse", "render", "render_svg", "render_tsv", "solve",
+    "solve_montesinos", "solve_sn", "uv_coords", "verify_system",
+    "CandidateSystem", "ConstantPath", "Leaf", "NodeTrace", "Product", "SlopeReport", "Sum",
+    "TangleExpr", "VertexPath", "WeightState",
+    "CasePreconditionViolated", "DegeneratePoint", "FamilyCheckFailed", "FamilyRange",
+    "FractionalEndpoint", "Infeasible", "MismatchedWeights", "ParseError", "SeifertUndefined",
+    "TangleSlopesError", "UndefinedCase", "UnsupportedShape", "ZeroDenominator", "__version__",
+]
+
+
+def test_cli_import_leaves_out_unused_modules():
+    # every CLI call pays this import; -S keeps site's own imports out of
+    # it. logging loads only under LOG_LEVEL, plotting only for plot; the
+    # package still exports plotting's functions, loaded on first use
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    unused = {"dataclasses", "inspect", "logging", "tangleslopes.plotting"}
+    code = (
+        "import sys, tangleslopes, tangleslopes.cli\n"
+        "print(sorted(%r & set(sys.modules)))\n"
+        "from tangleslopes import *\n"
+        "from tangleslopes import plotting\n"
+        "print(render_svg is plotting.render_svg and render_tsv is plotting.render_tsv)\n"
+        "from tangleslopes import render_svg as svg, render_tsv as tsv\n"
+        "print(svg is plotting.render_svg and tsv is plotting.render_tsv)\n"
+        "print(tangleslopes.__all__)\n"
+    ) % unused
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout == "[]\n"
+    assert done.stdout.splitlines() == ["[]", "True", "True", repr(EXPORTS)]

@@ -1,12 +1,14 @@
-"""`cli.format_json` against `json.dumps(report_document(rep), indent=2)`.
+"""`cli.format_json` against `json.dumps(report_dict(rep), indent=2)`.
 
 `format_json` writes report text from per-record templates; it must give
-exactly the text `json.dumps` gives for `report_document(rep)`, plus a
-newline, on every Python version. `report_document` and `json.dumps` are
-the reference here. Solved reports give the writer shared records and
-realistic shapes; strings put into their notes and node labels with
-the records' `_replace` keep escaping covered, and a non-string put in
-any of those slots must raise `TypeError`.
+exactly the text `json.dumps` gives for `reference.report_dict(rep)`, plus
+a newline, on every Python version. `report_dict`, built field by field
+from the records, and `json.dumps` are the reference here; the CLI's
+`report_document` reads the dict back from `format_json`'s text. Solved
+reports give the writer shared records and realistic shapes; strings put
+into their notes and node labels with the records' `_replace` keep
+escaping covered, and a non-string put in any of those slots must raise
+`TypeError`.
 """
 
 import json
@@ -21,11 +23,12 @@ from hypothesis import strategies as st
 
 from tangleslopes import WeightState, parse, solve
 from tangleslopes.cli import format_json, report_document
+from reference import report_dict
 from test_golden import GOLDEN, _expr
 
 
 def _reference(rep):
-    return json.dumps(report_document(rep), indent=2) + "\n"
+    return json.dumps(report_dict(rep), indent=2) + "\n"
 
 
 # quotes, backslashes, control characters, DEL, non-ASCII, astral and
@@ -148,13 +151,13 @@ def test_format_json_is_json_dumps_on_reports(text, c_bound):
     rep = solve(_expr(text), c_bound=c_bound)
     written = format_json(rep)
     assert written == _reference(rep)
-    assert json.loads(written) == report_document(rep)
+    assert report_document(rep) == report_dict(rep)
 
 
 def test_null_diameter_and_ratio_reach_the_writer():
     # a golden input: no even-denominator tangle, so no normalization and
     # null diameter and ratio
     rep = solve(parse("2 + 1/3 + 1/7"))
-    doc = report_document(rep)
+    doc = report_dict(rep)
     assert doc["slopes"] == [] and doc["diameter"] is None and doc["ratio"] is None
     assert '"diameter": null,\n  "ratio": null,' in format_json(rep)
