@@ -58,18 +58,18 @@ mutates what the memo holds.
   common endpoint abscissa u is one unknown: each leaf contributes either
   its constant family or a partially traversed final edge, v is affine in
   u on each piece, and sum v = 0 is solved exactly piece by piece
-  (type I, _type_i_candidates), in integers: an interval end (q - 1)/q is
-  the int q in w = 1/(1 - u). A closing u0 = n/d is staged from the
-  segments' ints: its tau is one Fraction, its order holds a constant's
-  triple or an edge's prefix and share f, and its leaf picks are built
-  from that order. The same walk closes at u = 0 (type II): a segment
-  valid there ends a descent at an integer m, or is an integer leaf's
-  constant m, so a combination of such segments whose ms sum to zero is
-  a system of descents. It is staged from those descents' u = 0 options
-  (_type_ii_options, by rank), unless one ends beyond +-c_bound, and is
-  counted as a slope when the penultimate-vertex denominators y_i
-  satisfy sum 1/y_i <= 1 (sum Y/y_i <= Y, Y their lcm), and flagged as
-  an inessential candidate otherwise.
+  (type I, _type_i_candidates) by a merge over the leaves, whose states
+  stand for every combination that reaches them, in integers: an interval
+  end (q - 1)/q is the int q in w = 1/(1 - u). A closing u0 = n/d is
+  staged from its least combination's ints: its tau is one Fraction, its
+  order holds a constant's triple or an edge's prefix and share f, and its
+  leaf picks are built from that order. The same merge closes at u = 0
+  (type II): a segment valid there ends a descent at an integer m, or is
+  an integer leaf's constant m, so such segments whose ms sum to zero are
+  a system of descents, staged from their u = 0 options (_type_ii_options,
+  by rank) unless one ends beyond +-c_bound. It is counted as a slope when
+  the penultimate-vertex denominators y_i satisfy sum 1/y_i <= 1, and
+  flagged as an inessential candidate otherwise.
 
 A search yields (tau, note, order, build) per candidate and builds no
 path; order is the SN rank or the flat descriptor tuple. _solve keeps the
@@ -80,10 +80,10 @@ path), and _materialize derives every node's trace from them in integers
 slope tau - tau(S0) of each with an empty note, plus S0's 0. The systems
 are listed by (slope, note, order), a slope as an int over the common
 denominator. slopes.verify_system, by replay, is the independent check;
-the solve does not call it. Nothing depends on hash or insertion order:
-the passes visit keys in set and dict order, but each minimum they keep
-is unique, as an order names one (key, tau) or system, and the listing
-sorts.
+the solve does not call it. Nothing depends on hash order: the SN passes
+visit keys in set and dict order, but each minimum they keep is unique,
+as an order names one (key, tau) or system; the Montesinos merge reads
+its dicts in insertion order; and the listing sorts.
 """
 
 import sys
@@ -804,55 +804,68 @@ def _u_of(w):
     return ONE if w is None else Fraction(w - 1, w)
 
 
-def _type_i_candidates(leaves, notes):
-    """Solve sum v_i(u) = 0 on every segment combination whose validity
-    intervals overlap; yield (u0, combination, note) in product order.
+def _type_i_candidates(leaves, options, notes):
+    """Solve sum v_i(u) = 0 on the segment combinations whose validity
+    intervals overlap; yield (u0, least combination, note) per closing
+    state. options holds each leaf's _type_ii_options.
 
-    A depth-first walk over the leaves carries each prefix's running
-    coeff, offset and interval [lo, hi). Extending a prefix only narrows
-    its interval, so a prefix whose interval is empty is dropped together
-    with every extension: no combination that can close is skipped. The
-    walk is in the segments' ints: intervals in w, coeffs and offsets
-    scaled by the lcm of their denominators.
-    """
+    A merge over the leaves, left to right, keeps as a prefix's state what
+    its extensions read, in ints: coeff and offset scaled by the lcm of
+    their denominators, the interval [lo, hi) in w (dropped when empty), tau
+    as (ta + tb * w) / scale (an edge adds steps + last * (w - w_hi) / den),
+    and while lo = 1 the sum of whole / y over the u = 0 options, capped at
+    whole + 1, or None once one is past +-c_bound. A state keeps its least
+    prefix and a count: the segments sort as their stage entries and states
+    are visited in insertion order, that of their least prefixes, so a
+    first visit is a least combination. The last leaf keeps only closings."""
     per_leaf = [_leaf_segments(l.fraction) for l in leaves]
     scale = lcm(*(s.den for segs in per_leaf for s in segs))
-    # each leaf's (w_lo, w_hi, scaled coeff, scaled offset, segment),
-    # reversed, so that extensions pop in product order
-    choices = [[(s.w_lo, s.w_hi, s.coeff * (scale // s.den), s.offset * (scale // s.den), s)
-                for s in reversed(segs)] for segs in per_leaf]
-    depth = len(choices)
-    stack = [((), 0, 0, 1, None)]  # u in [0, 1)
-    while stack:
-        combo, coeff, offset, lo, hi = stack.pop()
-        if len(combo) < depth:
-            for slo, shi, c, o, s in choices[len(combo)]:
+    whole = lcm(*(o[0] for opts in options for o in opts if o))
+    # per leaf: (segment, w_lo, w_hi, coeff, offset, ta, tb, share at w = 1)
+    choices = [[(s, s.w_lo, s.w_hi, s.coeff * (k := scale // s.den), s.offset * k,
+                 (s.steps * s.den - s.last * (s.w_hi or 0)) * k, s.last * k,
+                 whole // opts[s.rank][0] if s.w_lo == 1 and opts[s.rank] else None)
+                for s in segs] for segs, opts in zip(per_leaf, options)]
+    states, closed, families = {(0, 0, 1, None, 0, 0, 0): [(), 1]}, {}, {}  # u in [0, 1)
+    for depth, leaf_choices in enumerate(choices, 1):
+        merged, last = {}, depth == len(choices)
+        for (coeff, offset, lo, hi, ta, tb, shares), (combo, count) in states.items():
+            for s, slo, shi, c, o, a, b, share in leaf_choices:
                 if slo < lo:
                     slo = lo
                 if shi is None or (hi is not None and hi < shi):
                     shi = hi
-                if shi is None or slo < shi:
-                    stack.append((combo + (s,), coeff + c, offset + o, slo, shi))
-            continue
-        if coeff == 0:
-            if offset == 0:
-                # the closure holds along the whole interval; only its
-                # lower end is kept: flagged and not counted past u = 0,
-                # and at u = 0 a u = 0 closure
-                labels = "; ".join(_segment_label(s) for s in combo)
-                notes.append(
-                    "degenerate closure family on u in [%s, %s) for %s"
-                    % (_u_of(lo), _u_of(hi), labels)
-                )
-                yield (_u_of(lo), combo, "degenerate-family-endpoint") if lo > 1 else (0, combo, "")
-            continue
-        # u0 = n / d with d > 0; for 0 <= u0 < 1, w0 = d / (d - n), and
-        # lo <= w0 < hi cross-multiplies by d - n > 0; unbounded hi is
-        # u0 < 1 (only all-constant combinations have it, and they have
-        # coeff 0). At n = 0 the test is lo = 1
-        n, d = (-offset, coeff) if coeff > 0 else (offset, -coeff)
-        if 0 <= n < d and lo * (d - n) <= d and (hi is None or d < hi * (d - n)):
-            yield Fraction(n, d) if n else 0, combo, ""
+                if shi is not None and slo >= shi:
+                    continue
+                c, o = coeff + c, offset + o
+                if last and (c or o):
+                    # u0 = n / d, d > 0, w0 = d / (d - n): lo <= w0 < hi times d - n
+                    n, d = (-o, c) if c > 0 else (o, -c)
+                    if not (0 <= n < d and slo * (d - n) <= d and (shi is None or d < shi * (d - n))):
+                        continue
+                share = 0 if slo > 1 else None if None in (shares, share) else min(shares + share, whole + 1)
+                a, b = ta + a, tb + b
+                if not last:
+                    merged.setdefault((c, o, slo, shi, a, b, share), [combo + (s,), 0])[1] += count
+                    continue
+                note = ""
+                if not (c or o):
+                    # closed along the whole interval: one note per interval
+                    # and tau; its lower end u0 = 1 - 1/lo is kept, flagged
+                    families.setdefault((slo, shi, a, b), [combo + (s,), 0])[1] += count
+                    n, d, note = slo - 1, slo, "degenerate-family-endpoint"
+                u0 = Fraction(n, d) if n else 0
+                if not u0:
+                    if share is None:
+                        continue
+                    note = "" if share <= whole else "inessential-candidate"  # sum 1/y <= 1
+                closed.setdefault((u0, note, a, b), combo + (s,))
+        states = merged
+    for (lo, hi, _, _), (combo, count) in families.items():
+        labels = "; ".join(map(_segment_label, combo)) + (" and %d more" % (count - 1) if count > 1 else "")
+        notes.append("degenerate closure family on u in [%s, %s) for %s" % (_u_of(lo), _u_of(hi), labels))
+    for (u0, note, _, _), combo in closed.items():
+        yield u0, combo, note
 
 
 def _segment_label(segment):
@@ -877,12 +890,6 @@ def _type_ii_options(pq, c_bound):
     return tuple(options)
 
 
-def _essential(ys):
-    """sum 1/y <= 1, in integers: sum Y/y <= Y for Y the lcm of the ys."""
-    whole = lcm(*ys)
-    return sum(whole // y for y in ys) <= whole
-
-
 def _type_i_stage(combo, u0):
     """The tau and order of a type-I closure at u0 = n/d from the segments'
     ints, tau over one denominator. Each leaf's order entry is its path's
@@ -903,25 +910,18 @@ def _type_i_stage(combo, u0):
     return Fraction(num, den), tuple(order)
 
 
-def _option_picks(options):
-    return [pick for _, pick, _ in options]
-
-
 def _montesinos_candidates(expr, c_bound, notes):
-    """The Montesinos search: the type-I walk's closures, staged from their
+    """The Montesinos search: the type-I merge's closures, staged from their
     segments at u > 0 and from their descents' u = 0 options at u = 0."""
     leaves = list(expr.leaves())
     per_leaf = [_type_ii_options(l.fraction, c_bound) for l in leaves]
-    for u0, combo, note in _type_i_candidates(leaves, notes):
+    for u0, combo, note in _type_i_candidates(leaves, per_leaf, notes):
         if u0:
             t, order = _type_i_stage(combo, u0)
             yield t, note, order, partial(_type_i_picks, leaves, combo, order)
             continue
-        options = [opts[s.rank] for opts, s in zip(per_leaf, combo)]
-        if None not in options:
-            note = "" if _essential([y for y, _, _ in options]) else "inessential-candidate"
-            yield (sum(pick[1] for _, pick, _ in options), note, tuple(o for _, _, o in options),
-                   partial(_option_picks, options))
+        _, picks, order = zip(*(opts[s.rank] for opts, s in zip(per_leaf, combo)))
+        yield sum(pick[1] for pick in picks), note, order, partial(list, picks)
 
 
 def solve_montesinos(expr, c_bound=None):

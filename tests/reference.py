@@ -17,11 +17,11 @@ UnsupportedShape where solve must: a sum of fewer than three leaves.
   I is the exhaustive product of each leaf's segments, its constant and one
   edge per descent prefix, as lines v(u) over [lo, hi) in Fractions: a
   combination whose intervals overlap closes where the lines sum to 0, or
-  along the whole overlap (a degenerate family, noted, its lower end kept
-  when it is past u = 0). At u = 0 every combination of descents ending
-  within +-c_bound whose ends sum to 0 closes; it counts when the
-  penultimate denominators y satisfy sum 1/y <= 1, and is an inessential
-  candidate otherwise.
+  along the whole overlap (a degenerate family, its lower end kept when it
+  is past u = 0; one note per interval and tau along it). At u = 0 every
+  combination of descents ending within +-c_bound whose ends sum to 0
+  closes; it counts when the penultimate denominators y satisfy
+  sum 1/y <= 1, and is an inessential candidate otherwise.
 
 `report_dict(rep)` is the dict of a report as the shipped schema describes
 it, built field by field from the records; `cli.format_json` must write
@@ -216,10 +216,17 @@ def _path_at(pq, prefix, u):
     return path
 
 
+def _tau_at(leaves, combo, u):
+    return sum(tau(_path_at(pq, s[0], u)) for pq, s in zip(leaves, combo))
+
+
 def type_i_closures(leaves, notes):
     """(u0, the combination's segments, note) per type-I closure of the
-    sum of leaves, over the full segment product; notes gets each
-    degenerate family."""
+    sum of leaves, over the full segment product; notes gets one note per
+    degenerate family, its combinations grouped by interval and tau along
+    it (tau is affine in 1/(1 - u), so its values at the lower end and the
+    midpoint fix it): the least combination's labels, and how many more."""
+    families = {}  # (lo, hi, tau at lo, tau at the midpoint) -> [labels, count]
     for combo in iterproduct(*map(segments, leaves)):
         lo, hi = max(s[3] for s in combo), min(s[4] for s in combo)
         if lo >= hi:
@@ -227,14 +234,18 @@ def type_i_closures(leaves, notes):
         coeff, offset = sum(s[1] for s in combo), sum(s[2] for s in combo)
         if coeff == 0:
             if offset == 0:
+                family = (lo, hi, _tau_at(leaves, combo, lo), _tau_at(leaves, combo, (lo + hi) / 2))
                 labels = "; ".join(_label(pq, s[0]) for pq, s in zip(leaves, combo))
-                notes.add("degenerate closure family on u in [%s, %s) for %s" % (lo, hi, labels))
+                families.setdefault(family, [labels, 0])[1] += 1
                 if lo > 0:
                     yield lo, combo, "degenerate-family-endpoint"
             continue
         u0 = -offset / coeff
         if 0 < u0 and lo <= u0 < hi:
             yield u0, combo, ""
+    for (lo, hi, _, _), (labels, count) in families.items():
+        more = " and %d more" % (count - 1) if count > 1 else ""
+        notes.add("degenerate closure family on u in [%s, %s) for %s%s" % (lo, hi, labels, more))
 
 
 def _type_i_closures(leaves, notes):

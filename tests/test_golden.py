@@ -33,7 +33,7 @@ GOLDEN = (
     ),
     # four tangles: the digest pins the complete u=0 search, no skip note
     ("-3/7 + 5/11 + 2/9 + 1/4", None, "53179aae35a7af62d8a0b7a3cf673cf29e81f26d4a5b52f0b612e0e74521cdb2"),
-    # six tangles: pins the type-I walk over overlapping segment prefixes
+    # six tangles: pins the type-I merge over overlapping segment prefixes
     (
         "3/7 + -5/9 + 2/9 + -4/7 + 5/8 + 1/9",
         None,

@@ -403,7 +403,7 @@ _SHARED = Product(Sum(_HALF, Leaf(Fraction(1, 3))), Sum(_HALF, Leaf(Fraction(2, 
 @example(parse("1/4 o (1/2 + -3/4)"), 2)  # runs up from a descent's end, ordered by length
 @example(parse("1/2 + 1/4 + 1/4"), 4)  # a u = 0 system with sum 1/y = 1 exactly
 @example(parse("5/3 + 1 + -11/4"), 1)  # a degenerate family's endpoint
-@example(parse("-3/2 + 13/8 + 15/8 + -7/5"), 1)  # a closure at an interval's lower end
+@example(parse("-3/2 + 13/8 + 15/8 + -7/5"), 1)  # a lower-end closure; families past c_bound
 @example(parse("(7/2 + 1/3) o 1/2"), 1)  # a run window clipped to c_bound
 @example(parse("(3 + 1/2) o 1/3"), 2)  # an integer leaf with no constant in its bound
 @example(parse("(2 + 1/3) o 1/2"), 4)  # an integer leaf whose constant and path share a key
@@ -555,7 +555,7 @@ def test_key_pass_builds_no_key_without_direction():
     assert states >= 1000
 
 
-def _walk_sums():
+def _merge_sums():
     """25 sums of 3-5 leaves, q <= 9, an integer leaf first in every fourth."""
     rng = random.Random(4)
     sums = [[Fraction(f) for f in ("-3/4", "2/3", "3/5", "-4/5")]]
@@ -572,23 +572,23 @@ def _walk_sums():
     return sums
 
 
-def test_type_i_walk_matches_segment_product():
+def test_type_i_merge_matches_segment_product():
     # the reference's type I is the full segment product; same listed
     # systems, same degenerate-family notes
     degenerate = 0
-    for pqs in _walk_sums():
+    for pqs in _merge_sums():
         rep = _check_reference(_sum_of(pqs), 32)
         degenerate += any(note.startswith("degenerate closure family") for note in rep.notes)
     assert degenerate >= 3
 
 
 def test_integer_type_i_picks_match_fractions():
-    # the walk's sums, and one whose degenerate family yields its endpoint:
+    # the merge's sums, and one whose degenerate family yields its endpoint:
     # each leaf trace holds its path's end weights and tau, from the
     # path's Fractions through edgepaths.end_weights and tau
     family = [Fraction(f) for f in ("5/3", "1", "-11/4")]
     partial = 0
-    for pqs in _walk_sums() + [family]:
+    for pqs in _merge_sums() + [family]:
         for system in solve(_sum_of(pqs)).systems:
             leaves = [trace for trace in system.nodes if trace.kind == "leaf"]
             for trace, path in zip(leaves, system.assignment):
@@ -619,7 +619,7 @@ def _type_i_sums(draw, budget=2000):
 @example([Fraction(f) for f in ("-3/2", "13/8", "15/8", "-7/5")])
 # a degenerate family on [1/2, 2/3), whose endpoint lo > 0 is listed
 @example([Fraction(f) for f in ("5/3", "1", "-11/4")])
-def test_integer_type_i_walk_matches_segment_product(pqs):
+def test_integer_type_i_merge_matches_segment_product(pqs):
     _check_reference(_sum_of(pqs), 32)
 
 
@@ -639,7 +639,7 @@ def _check_staged_candidates(pqs):
 
 def test_staged_candidates_match_built_picks():
     type_i = u_zero = 0
-    for pqs in _walk_sums():
+    for pqs in _merge_sums():
         counts = _check_staged_candidates(pqs)
         type_i, u_zero = type_i + counts[0], u_zero + counts[1]
     assert type_i >= 40 and u_zero >= 80
@@ -670,6 +670,18 @@ def test_type_i_examples_hit_interval_ends():
     assert any(s.note == "degenerate-family-endpoint" for s in rep.systems)
 
 
+def test_degenerate_family_is_one_note_per_interval_and_tau():
+    # on [0, 1/2) three combinations share tau 18 and one has tau 14: one
+    # note each, naming the least combination. Two of the three end past
+    # c_bound 1 at u = 0, which drops their systems, not their family
+    notes = solve(parse("-3/2 + 13/8 + 15/8 + -7/5"), 1).notes
+    family = "degenerate closure family on u in [0, 1/2) for "
+    assert [n for n in notes if n.startswith(family)] == [
+        family + "edge to -1; edge to 1; edge to 1; edge to -1",
+        family + "edge to -2; edge to 2; edge to 1; edge to -1 and 2 more",
+    ]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from((-1, 1)), st.integers(min_value=1, max_value=30)),
                 min_size=3, max_size=6))
@@ -696,6 +708,10 @@ def test_w_ends_map_back_to_segment_intervals():
                 pq = Fraction(p, q)
                 expected = segments(pq)
                 assert len(_leaf_segments(pq)) == len(expected), pq
+                # the merge's least combinations rest on this: the constant
+                # first, then distinct edge prefixes in increasing order
+                prefixes = [s.prefix for s in _leaf_segments(pq)[1:]]
+                assert prefixes == sorted(set(prefixes)), pq
                 for s, (prefix, coeff, offset, lo, hi) in zip(_leaf_segments(pq), expected):
                     assert (s.kind, s.prefix or None) == ("const" if prefix is None else "edge", prefix)
                     assert type(s.w_lo) is int and s.w_lo >= 1, (pq, s)
