@@ -1,7 +1,7 @@
 """Walk the squared-pretzel family and watch its slope diameter grow.
 
-The n-th member closes two copies of -1/2 + 1/(n+1) into a knot with 4n
-crossings. Its candidate boundary slopes spread out quadratically while the
+The n-th member closes the product (-1/n + 1/(n+1)) o (-1/n + 1/(n+1)) into
+a knot with 4n crossings. Its candidate boundary slopes spread out quadratically while the
 crossing number only grows linearly, so diameter / crossings is unbounded.
 """
 

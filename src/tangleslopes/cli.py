@@ -131,7 +131,7 @@ def format_json(rep):
         _array([path_text(p) for p in s.assignment], 6),
         _array([node_text(n) for n in s.nodes], 6)) for s in rep.systems]
     return _REPORT % (
-        SCHEMA_VERSION, _escape(render(rep.expr)), rep.c_bound,
+        SCHEMA_VERSION, _escape(render(rep.expr)), "null" if rep.c_bound is None else rep.c_bound,
         _CROSSINGS % (rep.crossings, _escape(rep.crossing_source)),
         _array([_quoted(s) for s in rep.slopes], 2),
         _array([_quoted(s) for s in rep.certified], 2), _quoted(rep.diameter),
@@ -142,7 +142,7 @@ def format_table(rep):
     rows = [
         ("expression", render(rep.expr)),
         ("crossings", "%d (%s)" % (rep.crossings, rep.crossing_source)),
-        ("c_bound", str(rep.c_bound)),
+        ("c_bound", str(rep.c_bound) if rep.c_bound is not None else "-"),
         ("slopes", " ".join(str(s) for s in rep.slopes) or "(none)"),
         ("certified", " ".join(str(s) for s in rep.certified) or "(none)"),
         ("diameter", str(rep.diameter) if rep.diameter is not None else "-"),
@@ -298,7 +298,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def c_bound_flag(p):
-        p.add_argument("--c-bound", type=int, default=None, dest="c_bound")
+        p.add_argument("--c-bound", type=int, default=None, dest="c_bound", help="bound of the"
+                       " product search; a sum is solved exactly, but the value is still checked")
 
     p_slopes = sub.add_parser("slopes", help="solve one expression")
     p_slopes.add_argument("expr")

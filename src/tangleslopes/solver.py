@@ -1,15 +1,15 @@
 """Candidate system enumeration and closure solving.
 
-One pipeline, _solve, serves both engines: it sets c_bound
-(default_c_bound unless given, at least 1), builds the Seifert reference
-system S0, runs the engine's search and reports.
+One pipeline, _solve, serves both engines: it builds the Seifert
+reference system S0, runs the engine's search and reports. c_bound
+(default_c_bound unless given, at least 1) bounds the SN search alone.
 
 A leaf's analysis depends on its fraction alone, or on (fraction,
 c_bound), never on the expression around it. So each is built once per
 process and kept in a bounded memo (functools.lru_cache, LEAF_MEMO_SIZE
 entries): its descents (edgepaths.leaf_descents), its Seifert path and
-leaf trace (slopes), its type-I segments (_leaf_segments), and per
-c_bound its u = 0 options (_type_ii_options) and SN key table
+leaf trace (slopes), its type-I segments (_leaf_segments) and u = 0
+options (_type_ii_options), and per c_bound its SN key table
 (_leaf_table). Each search still asks for them once per leaf; no reader
 mutates what the memo holds.
 
@@ -67,9 +67,9 @@ mutates what the memo holds.
   (type II): a segment valid there ends a descent at an integer m, or is
   an integer leaf's constant m, so such segments whose ms sum to zero are
   a system of descents, staged from their u = 0 options (_type_ii_options,
-  by rank) unless one ends beyond +-c_bound. It is counted as a slope when
-  the penultimate-vertex denominators y_i satisfy sum 1/y_i <= 1, and
-  flagged as an inessential candidate otherwise.
+  by rank). It is counted as a slope when the penultimate-vertex
+  denominators y_i satisfy sum 1/y_i <= 1, and flagged as an inessential
+  candidate otherwise.
 
 A search yields (tau, note, order, build) per candidate and builds no
 path; order is the SN rank or the flat descriptor tuple. _solve keeps the
@@ -135,7 +135,7 @@ class SlopeReport(namedtuple("SlopeReport", (
     "crossings",
     "crossing_source",  # "family-exact" | "diagram-count"
     "ratio",  # None when no slopes
-    "c_bound",
+    "c_bound",  # None for a sum: its solve takes no bound
     "notes",
 ), defaults=((),))):
     __slots__ = ()
@@ -178,15 +178,16 @@ def report(expr, systems, slopes, c_bound, notes=()):
 # the solve both engines share
 
 
-def _solve(expr, c_bound, candidates):
-    """Solve expr with the engine search candidates(expr, c_bound,
-    notes); see the module docstring."""
-    if c_bound is None:
-        c_bound = default_c_bound(expr)
+def _check_c_bound(c_bound):
     if type(c_bound) is not int:
         raise TypeError("c_bound must be an int, got %r" % (c_bound,))
     if c_bound < 1:
         raise ValueError("c_bound must be at least 1")
+    return c_bound
+
+
+def _solve(expr, c_bound, search):
+    """Solve expr by the engine search search(notes); see the module docstring."""
     notes = []
     try:
         seifert = seifert_system(expr)
@@ -195,12 +196,12 @@ def _solve(expr, c_bound, candidates):
         seifert = None
     reference = seifert.tau if seifert is not None else None
     grouped = {}  # (tau, note) -> the (order, build) of least order
-    for t, note, order, build in candidates(expr, c_bound, notes):
+    for t, note, order, build in search(notes):
         kept = grouped.get((t, note))
         if kept is None or order < kept[0]:
             grouped[t, note] = order, build
     if not grouped:
-        notes.append("no closed systems within c_bound=%d" % c_bound)
+        notes.append("no closed systems" + (" within c_bound=%d" % c_bound if c_bound is not None else ""))
     systems = _materialize(expr, grouped, reference)
     slopes = []
     if seifert is not None:
@@ -718,7 +719,8 @@ def solve_sn(expr, c_bound=None):
         raise UnsupportedShape(
             "expression %s has no product; use solve_montesinos" % render(expr)
         )
-    return _solve(expr, c_bound, _sn_candidates)
+    c_bound = default_c_bound(expr) if c_bound is None else _check_c_bound(c_bound)
+    return _solve(expr, c_bound, partial(_sn_candidates, expr, c_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -814,17 +816,17 @@ def _type_i_candidates(leaves, options, notes):
     their denominators, the interval [lo, hi) in w (dropped when empty), tau
     as (ta + tb * w) / scale (an edge adds steps + last * (w - w_hi) / den),
     and while lo = 1 the sum of whole / y over the u = 0 options, capped at
-    whole + 1, or None once one is past +-c_bound. A state keeps its least
-    prefix and a count: the segments sort as their stage entries and states
-    are visited in insertion order, that of their least prefixes, so a
-    first visit is a least combination. The last leaf keeps only closings."""
+    whole + 1. A state keeps its least prefix and a count: the segments
+    sort as their stage entries and states are visited in insertion order,
+    that of their least prefixes, so a first visit is a least combination.
+    The last leaf keeps only closings."""
     per_leaf = [_leaf_segments(l.fraction) for l in leaves]
     scale = lcm(*(s.den for segs in per_leaf for s in segs))
-    whole = lcm(*(o[0] for opts in options for o in opts if o))
+    whole = lcm(*(o[0] for opts in options for o in opts))
     # per leaf: (segment, w_lo, w_hi, coeff, offset, ta, tb, share at w = 1)
     choices = [[(s, s.w_lo, s.w_hi, s.coeff * (k := scale // s.den), s.offset * k,
                  (s.steps * s.den - s.last * (s.w_hi or 0)) * k, s.last * k,
-                 whole // opts[s.rank][0] if s.w_lo == 1 and opts[s.rank] else None)
+                 whole // opts[s.rank][0] if s.w_lo == 1 else 0)
                 for s in segs] for segs, opts in zip(per_leaf, options)]
     states, closed, families = {(0, 0, 1, None, 0, 0, 0): [(), 1]}, {}, {}  # u in [0, 1)
     for depth, leaf_choices in enumerate(choices, 1):
@@ -843,7 +845,7 @@ def _type_i_candidates(leaves, options, notes):
                     n, d = (-o, c) if c > 0 else (o, -c)
                     if not (0 <= n < d and slo * (d - n) <= d and (shi is None or d < shi * (d - n))):
                         continue
-                share = 0 if slo > 1 else None if None in (shares, share) else min(shares + share, whole + 1)
+                share = 0 if slo > 1 else min(shares + share, whole + 1)
                 a, b = ta + a, tb + b
                 if not last:
                     merged.setdefault((c, o, slo, shi, a, b, share), [combo + (s,), 0])[1] += count
@@ -856,8 +858,6 @@ def _type_i_candidates(leaves, options, notes):
                     n, d, note = slo - 1, slo, "degenerate-family-endpoint"
                 u0 = Fraction(n, d) if n else 0
                 if not u0:
-                    if share is None:
-                        continue
                     note = "" if share <= whole else "inessential-candidate"  # sum 1/y <= 1
                 closed.setdefault((u0, note, a, b), combo + (s,))
         states = merged
@@ -875,18 +875,16 @@ def _segment_label(segment):
 
 
 @lru_cache(maxsize=LEAF_MEMO_SIZE)
-def _type_ii_options(pq, c_bound):
+def _type_ii_options(pq):
     """The u = 0 option (y, pick, order) of each of leaf p/q's descents, by
-    rank, as a memoized tuple, None for a descent ending at <m> beyond
-    +-c_bound: y is its penultimate vertex's denominator, pick its (key,
-    tau, path), the key <m>, and order its describe()."""
+    rank, as a memoized tuple: y is its penultimate vertex's denominator,
+    pick its (key, tau, path), the key <m> of its end, and order its
+    describe()."""
     options = []
     for descent in leaf_descents(pq):
         vs = descent.vertices
-        m = int(vs[-1])
         y = vs[-2].denominator if len(vs) > 1 else 1
-        options.append((y, ((1, 0, m), tau(descent), descent), descent.describe())
-                       if abs(m) <= c_bound else None)
+        options.append((y, ((1, 0, int(vs[-1])), tau(descent), descent), descent.describe()))
     return tuple(options)
 
 
@@ -910,11 +908,11 @@ def _type_i_stage(combo, u0):
     return Fraction(num, den), tuple(order)
 
 
-def _montesinos_candidates(expr, c_bound, notes):
+def _montesinos_candidates(expr, notes):
     """The Montesinos search: the type-I merge's closures, staged from their
     segments at u > 0 and from their descents' u = 0 options at u = 0."""
     leaves = list(expr.leaves())
-    per_leaf = [_type_ii_options(l.fraction, c_bound) for l in leaves]
+    per_leaf = [_type_ii_options(l.fraction) for l in leaves]
     for u0, combo, note in _type_i_candidates(leaves, per_leaf, notes):
         if u0:
             t, order = _type_i_stage(combo, u0)
@@ -924,7 +922,7 @@ def _montesinos_candidates(expr, c_bound, notes):
         yield sum(pick[1] for pick in picks), note, order, partial(list, picks)
 
 
-def solve_montesinos(expr, c_bound=None):
+def solve_montesinos(expr):
     """Full closure solve for a sum of three or more rational tangles."""
     if not expr.is_montesinos():
         raise UnsupportedShape(
@@ -936,14 +934,14 @@ def solve_montesinos(expr, c_bound=None):
             "need at least 3 rational tangles, got %d (two-bridge closures"
             " are out of scope)" % count
         )
-    return _solve(expr, c_bound, _montesinos_candidates)
+    return _solve(expr, None, partial(_montesinos_candidates, expr))
 
 
 def solve(expr, c_bound=None):
-    """Dispatch on expression shape."""
-    if expr.is_montesinos():
-        return solve_montesinos(expr, c_bound)
-    return solve_sn(expr, c_bound)
+    """Dispatch on shape; a given c_bound is checked, but only solve_sn reads it."""
+    if c_bound is not None:
+        _check_c_bound(c_bound)
+    return solve_montesinos(expr) if expr.is_montesinos() else solve_sn(expr, c_bound)
 
 
 # ---------------------------------------------------------------------------

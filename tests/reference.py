@@ -19,9 +19,9 @@ UnsupportedShape where solve must: a sum of fewer than three leaves.
   combination whose intervals overlap closes where the lines sum to 0, or
   along the whole overlap (a degenerate family, its lower end kept when it
   is past u = 0; one note per interval and tau along it). At u = 0 every
-  combination of descents ending within +-c_bound whose ends sum to 0
-  closes; it counts when the penultimate denominators y satisfy
-  sum 1/y <= 1, and is an inessential candidate otherwise.
+  combination of descents whose ends sum to 0 closes; it counts when the
+  penultimate denominators y satisfy sum 1/y <= 1, and is an inessential
+  candidate otherwise. A sum reads no c_bound.
 
 `report_dict(rep)` is the dict of a report as the shipped schema describes
 it, built field by field from the records; `cli.format_json` must write
@@ -91,7 +91,7 @@ def reference(expr, c_bound):
         leaves = [leaf.fraction for leaf in expr.leaves()]
         if len(leaves) < 3:
             raise UnsupportedShape("a sum of %d leaves" % len(leaves))
-        closures = [*_type_i_closures(leaves, notes), *_u_zero_closures(leaves, c_bound)]
+        closures = [*_type_i_closures(leaves, notes), *_u_zero_closures(leaves)]
     for t, note, paths in closures:
         desc = tuple(path.describe() for path in paths)
         kept = systems.get((t, note))
@@ -254,11 +254,8 @@ def _type_i_closures(leaves, notes):
         yield sum(map(tau, paths)), note, paths
 
 
-def _u_zero_closures(leaves, c_bound):
-    per_leaf = [
-        [d for d in enumerate_paths(pq) if abs(d.vertices[-1]) <= c_bound] for pq in leaves
-    ]
-    for paths in iterproduct(*per_leaf):
+def _u_zero_closures(leaves):
+    for paths in iterproduct(*map(enumerate_paths, leaves)):
         if sum(d.vertices[-1] for d in paths) == 0:
             ys = [d.vertices[-2].denominator if len(d.vertices) > 1 else 1 for d in paths]
             note = "" if sum(Fraction(1, y) for y in ys) <= 1 else "inessential-candidate"

@@ -29,11 +29,27 @@ def test_slopes_json_ok(capsys):
     assert doc["schema_version"] == 2
     assert doc["slopes"] == ["0", "16", "37/2", "20"]
     assert doc["crossings"] == {"count": 12, "source": "diagram-count"}
-    # c_bound is the only search bound a report carries
+    # c_bound is the only search bound a report carries, null for a sum
     assert sorted(doc) == [
         "c_bound", "certified", "crossings", "diameter", "expr", "notes",
         "ratio", "schema_version", "slopes", "systems",
     ]
+    assert doc["c_bound"] is None
+
+
+def test_sum_report_does_not_depend_on_c_bound(capsys):
+    # a sum is solved exactly: a given bound is checked, then unused. Slope
+    # 12 is the u = 0 system of descents to 33, -33 and 0, past the SN
+    # default bound 32
+    text = "67/2 + -100/3 + 1/7"
+    code, out, _ = run(capsys, "slopes", text)
+    assert code == 0 and json.loads(out)["slopes"] == ["0", "12", "100/7"]
+    assert run(capsys, "slopes", "--c-bound", "1", text) == (code, out, "")
+    for bound in ("0", "-1"):
+        code, out, err = run(capsys, "slopes", "--c-bound", bound, text)
+        assert code == 2 and out == "" and "c_bound must be at least 1" in err
+    _, table, _ = run(capsys, "slopes", text, "--format", "table")
+    assert "c_bound     -" in table.splitlines()
 
 
 def test_slopes_json_matches_schema(capsys):

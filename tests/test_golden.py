@@ -22,9 +22,9 @@ GOLDEN = (
     ("kn(10)", None, "fccd3a95fd948cd74b823403079246eaec6d8e25e6f9749961dbe66cc5f80535"),
     # c_bound 422: each leaf's constant family holds 55,131 keys
     ("kn(20)", None, "7f4b03148556e81686d3e5536a9a8a07cfa740947fc72a60b29d53d3c601d99a"),
-    ("-1/2 + 1/3 + 1/3", None, "707211ff29b3dc5d4a3f2dec212d156b4f1d02d8b03a351dc5b5c53e5a1e4c79"),
-    ("-1/2 + 1/3 + 1/5", None, "7dee1ae7dbe01a75e270378877bef3ce792928781adefb9087aa369126500743"),
-    ("-1/2 + 1/3 + 1/7", None, "a6fdd7d87c17a5682451c7aa4bf85fc552f6bfa9f21b7474c11f5a1b569ad708"),
+    ("-1/2 + 1/3 + 1/3", None, "60ad564d509082a7a62624d61096578be9b59df3b36664767ed7dbdbc4a5ca65"),
+    ("-1/2 + 1/3 + 1/5", None, "2807d7f6269cb0ad224312b3431ebe9e87bddd7ff8d1328b0e36855f59d71432"),
+    ("-1/2 + 1/3 + 1/7", None, "9bfd07e2e158ccf720ede813730fe29de92d6b6176ed236b43174d3ed5fff3fc"),
     ("(1/2 + 1/3) o 1/4", None, "14fa8bcd088a446e26231c6ce81acbe2182c276c7897f33943f3fcda4d83393e"),
     (
         "(1/2+1/3) o (1/4 + -1/3) o (1/5+1/2)",
@@ -32,18 +32,18 @@ GOLDEN = (
         "0464613e45529e27e49fff89bc80a9365cf0e1aeac8e5ca109c2d9e4bf718159",
     ),
     # four tangles: the digest pins the complete u=0 search, no skip note
-    ("-3/7 + 5/11 + 2/9 + 1/4", None, "53179aae35a7af62d8a0b7a3cf673cf29e81f26d4a5b52f0b612e0e74521cdb2"),
+    ("-3/7 + 5/11 + 2/9 + 1/4", None, "02083ac022018c09cb6c20be9659ef9009800929aa9a6c7bac2028121f5b8b30"),
     # six tangles: pins the type-I merge over overlapping segment prefixes
     (
         "3/7 + -5/9 + 2/9 + -4/7 + 5/8 + 1/9",
         None,
-        "0e295d116edff6be89585d5e8b502b92e86d0a0bc033504cfc9df49622a8a641",
+        "2a78e3a9820b0aa571ec442ff1ce11cafc20457f7547f6422a43024db42a1adc",
     ),
     # no even-denominator tangle and no system: only the note "no closed
-    # systems within c_bound=32"
-    ("2 + 1/3 + 1/7", None, "22b5afdeec80f6a6579c87504de24ff44816c39b650b15119da12cd5d2e0c840"),
+    # systems", which names no bound for a sum
+    ("2 + 1/3 + 1/7", None, "0ecaeba48e9297d92752edac700829c9d01884e1e7a91428eba924989d16b6b0"),
     # no even-denominator tangle: three systems with null slopes
-    ("1/3 + 1/3 + -1/5", None, "49d6f64087f2d03290ec78ce639ece70ecaafd54d0bdfb76bd38347e08c503be"),
+    ("1/3 + 1/3 + -1/5", None, "d13ddfdc0ca59773203427d6b3cfc19347482f9987ac20b9dfba7346f02b87c4"),
     # the integer leaf keeps its trivial path even past c_bound
     ("(2 + 1/3) o 1/2", 1, "4c426dc830dc49b3bf9b32a681f82a34b2a5690376472f0a2e96a3cda2f36d13"),
     # an integer leaf whose constant family is empty at c_bound 2: it

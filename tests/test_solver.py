@@ -227,15 +227,14 @@ def test_shape_dispatch_and_guards():
     with pytest.raises(ValueError):
         solve_sn(kn(2), c_bound=0)
     with pytest.raises(ValueError):
-        solve_montesinos(parse(PRETZEL_237), c_bound=-1)
+        solve(parse(PRETZEL_237), c_bound=-1)  # checked, though a sum reads no bound
 
 
 @pytest.mark.parametrize("c_bound", [True, 2.5, "3"], ids=["bool", "float", "str"])
 @pytest.mark.parametrize(
     "engine, text",
-    [(solve, "1/2 o 1/3"), (solve, PRETZEL_237), (solve_sn, "1/2 o 1/3"),
-     (solve_montesinos, PRETZEL_237)],
-    ids=["solve-product", "solve-sum", "solve_sn", "solve_montesinos"],
+    [(solve, "1/2 o 1/3"), (solve, PRETZEL_237), (solve_sn, "1/2 o 1/3")],
+    ids=["solve-product", "solve-sum", "solve_sn"],
 )
 def test_c_bound_must_be_an_int(monkeypatch, engine, text, c_bound):
     # rejected before any descent is walked
@@ -334,12 +333,26 @@ def test_montesinos_u_zero_search_never_skips():
 
 
 def test_montesinos_slopes_grow_with_c_bound():
+    # a sum is solved exactly: its slopes are the same at every bound
     text = "-1/5 + -2/7 + 5/6 + -3/4"
     default = set(solve_montesinos(parse(text)).slopes)
     assert {Fraction(-10), Fraction(-6)} <= default
     for c_bound in (2, 3, 4):
-        assert set(solve_montesinos(parse(text), c_bound=c_bound).slopes) <= default
+        assert set(solve(parse(text), c_bound).slopes) == default
     assert Fraction(12) in solve_montesinos(parse("3/5 + 1/9 + -7/9 + -3/8")).slopes
+
+
+def test_large_leaf_sums_keep_their_u_zero_slopes():
+    # slopes 12 and 16 are u = 0 systems of descents to 33 and -33, past
+    # the SN default c_bound 32, which a sum does not read
+    for text, expected in (
+        ("67/2 + -100/3 + 1/7", {0, 12, Fraction(100, 7)}),
+        ("131/4 + -98/3 + 1/5", {0, 16, Fraction(58, 3)}),
+    ):
+        rep = solve(parse(text))
+        assert set(rep.slopes) == expected, text
+        for system in rep.systems:
+            assert verify_system(system) == [], (text, system.slope, system.note)
 
 
 # The reference (tests/reference.py) says what a solve must list, from the
@@ -403,7 +416,7 @@ _SHARED = Product(Sum(_HALF, Leaf(Fraction(1, 3))), Sum(_HALF, Leaf(Fraction(2, 
 @example(parse("1/4 o (1/2 + -3/4)"), 2)  # runs up from a descent's end, ordered by length
 @example(parse("1/2 + 1/4 + 1/4"), 4)  # a u = 0 system with sum 1/y = 1 exactly
 @example(parse("5/3 + 1 + -11/4"), 1)  # a degenerate family's endpoint
-@example(parse("-3/2 + 13/8 + 15/8 + -7/5"), 1)  # a lower-end closure; families past c_bound
+@example(parse("-3/2 + 13/8 + 15/8 + -7/5"), 1)  # a lower-end closure; u = 0 descents past +-1
 @example(parse("(7/2 + 1/3) o 1/2"), 1)  # a run window clipped to c_bound
 @example(parse("(3 + 1/2) o 1/3"), 2)  # an integer leaf with no constant in its bound
 @example(parse("(2 + 1/3) o 1/2"), 4)  # an integer leaf whose constant and path share a key
@@ -414,7 +427,7 @@ _SHARED = Product(Sum(_HALF, Leaf(Fraction(1, 3))), Sum(_HALF, Leaf(Fraction(2, 
 @example(parse("3/11 o 1/2"), 1)  # two descents whose runs reach one (key, tau): the first wins
 @example(parse("(-1/3 + 2/3) o (3/2 + 2/3)"), 2)  # two leaves' constants glued up to the largest T
 @example(parse("-1/12 + -31/12 + 8/3"), 1)  # a closure at an upper end belongs to the next segment
-@example(parse("2/5 + -2 + 11/6"), 1)  # a u = 0 family through an integer leaf beyond c_bound
+@example(parse("2/5 + -2 + 11/6"), 1)  # a u = 0 family through an integer leaf beyond +-1
 def test_solve_lists_the_reference_systems(expr, c_bound):
     assume(not expr.is_montesinos() or type_i_size(expr) <= TYPE_I_BUDGET)
     _check_reference(expr, c_bound)
@@ -673,7 +686,7 @@ def test_type_i_examples_hit_interval_ends():
 def test_degenerate_family_is_one_note_per_interval_and_tau():
     # on [0, 1/2) three combinations share tau 18 and one has tau 14: one
     # note each, naming the least combination. Two of the three end past
-    # c_bound 1 at u = 0, which drops their systems, not their family
+    # +-1 at u = 0; a sum reads no bound, so c_bound 1 drops none of them
     notes = solve(parse("-3/2 + 13/8 + 15/8 + -7/5"), 1).notes
     family = "degenerate closure family on u in [0, 1/2) for "
     assert [n for n in notes if n.startswith(family)] == [
@@ -722,10 +735,17 @@ def test_w_ends_map_back_to_segment_intervals():
                     assert (Fraction(s.coeff, s.den), Fraction(s.offset, s.den)) == (coeff, offset)
 
 
-def test_montesinos_monotone_in_c_bound():
-    small = solve_montesinos(parse(PRETZEL_237), c_bound=8)
-    large = solve_montesinos(parse(PRETZEL_237), c_bound=16)
-    assert set(small.slopes) <= set(large.slopes)
+def test_montesinos_systems_do_not_depend_on_c_bound():
+    # a sum is solved exactly: a given c_bound is checked and then unused,
+    # so systems whose descents end past +-1 are listed at c_bound 1 too
+    # (3 of the first sum's 6, and 6 of the second's 17)
+    for text, count in (("2/5 + -2 + 11/6", 6), ("-3/2 + 13/8 + 15/8 + -7/5", 17),
+                        ("5/3 + 1 + -11/4", 5), (PRETZEL_237, 6)):
+        rep = solve(parse(text))
+        assert rep.c_bound is None and len(rep.systems) == count, text
+        for c_bound in (1, 2, 32):
+            bounded = solve(parse(text), c_bound)
+            assert (bounded.systems, bounded.notes) == (rep.systems, rep.notes), (text, c_bound)
 
 
 def test_all_emitted_systems_verify():
@@ -929,9 +949,9 @@ def test_montesinos_enumerates_each_distinct_leaf_once(monkeypatch):
     # are those pinned before
     pinned = (
         (parse("1/3 + 1/3 + -1/5"), 2,
-         "49d6f64087f2d03290ec78ce639ece70ecaafd54d0bdfb76bd38347e08c503be"),
+         "d13ddfdc0ca59773203427d6b3cfc19347482f9987ac20b9dfba7346f02b87c4"),
         (parse(PRETZEL_237), 3,
-         "a6fdd7d87c17a5682451c7aa4bf85fc552f6bfa9f21b7474c11f5a1b569ad708"),
+         "9bfd07e2e158ccf720ede813730fe29de92d6b6176ed236b43174d3ed5fff3fc"),
         (kn(3), 2,
          "33b30918b316472829dee770e1b5a444092512494a8f278f9b47d77812fa194d"),
         (parse(" o ".join(["1/3"] * 19)), 1,
@@ -961,8 +981,7 @@ def test_warm_memos_give_cold_bytes():
     # finds the memos cleared, filled in reverse order, or warm from
     # solving every other case
     exprs = [_expr(text) for text, _, _ in GOLDEN] + [expr for expr, _ in pass_cases()]
-    # descents that end at -3, -2 and 2: the u=0 options differ between
-    # c_bound 1, 2 and 32
+    # descents that end at -3, -2 and 2, past c_bound 1 and 2
     exprs.append(parse("-5/2 + 1/3 + 1/7 + 2"))
     cases = [(expr, c_bound) for expr in exprs for c_bound in (None, 1, 2)]
     cold = []
@@ -982,7 +1001,7 @@ def test_leaf_memos_stay_within_their_bound():
         leaf_descents(pq)
         slopes._seifert_leaf(pq)
         _leaf_segments(pq)
-        _type_ii_options(pq, 1)
+        _type_ii_options(pq)
         _leaf_table(pq, 1)
     for memo in LEAF_MEMOS:
         info = memo.cache_info()
@@ -1015,14 +1034,13 @@ def test_memo_entries_equal_a_fresh_computation():
     for expr in exprs:
         _clear_leaf_memos()
         rep = solve(expr)
-        c_bound = rep.c_bound
         # without S0 the Seifert paths were not all built
         normalized = any(s.note == "seifert-reference" for s in rep.systems)
         lookups = [(slopes._seifert_leaf, ())] if normalized else []
         if expr.is_montesinos():
-            lookups += [(_leaf_segments, ()), (_type_ii_options, (c_bound,))]
+            lookups += [(_leaf_segments, ()), (_type_ii_options, ())]
         else:
-            lookups += [(_leaf_table, (c_bound,))]
+            lookups += [(_leaf_table, (rep.c_bound,))]
         misses = [memo.cache_info().misses for memo in LEAF_MEMOS]
         for pq in {leaf.fraction for leaf in expr.leaves()}:
             assert leaf_descents(pq) == tuple(enumerate_paths(pq)), (render(expr), pq)
