@@ -8,10 +8,10 @@ A leaf's analysis depends on its fraction alone, or on (fraction,
 c_bound), never on the expression around it. So each is built once per
 process and kept in a bounded memo (functools.lru_cache, LEAF_MEMO_SIZE
 entries): its descents (edgepaths.leaf_descents), its Seifert path and
-leaf trace (slopes), its type-I segments (_leaf_segments) and u = 0
-options (_type_ii_options), and per c_bound its SN key table
-(_leaf_table). Each search still asks for them once per leaf; no reader
-mutates what the memo holds.
+leaf trace (slopes), its type-I segments (_leaf_segments) and each
+descent's u = 0 pick and order (_type_ii_options), and per c_bound its
+SN key table (_leaf_table). Each search still asks for them once per
+leaf; no reader mutates what the memo holds.
 
 * solve_sn handles expressions with at least one product, in three
   passes over the distinct nodes; a subtree object shared by several
@@ -60,16 +60,16 @@ mutates what the memo holds.
   u on each piece, and sum v = 0 is solved exactly piece by piece
   (type I, _type_i_candidates) by a merge over the leaves, whose states
   stand for every combination that reaches them, in integers: an interval
-  end (q - 1)/q is the int q in w = 1/(1 - u). A closing u0 = n/d is
-  staged from its least combination's ints: its tau is one Fraction, its
-  order holds a constant's triple or an edge's prefix and share f, and its
-  leaf picks are built from that order. The same merge closes at u = 0
-  (type II): a segment valid there ends a descent at an integer m, or is
-  an integer leaf's constant m, so such segments whose ms sum to zero are
-  a system of descents, staged from their u = 0 options (_type_ii_options,
-  by rank). It is counted as a slope when the penultimate-vertex
-  denominators y_i satisfy sum 1/y_i <= 1, and flagged as an inessential
-  candidate otherwise.
+  end (q - 1)/q is the int q in w = 1/(1 - u). The merge decides each
+  closure, u0 = n/d with its tau and note, from its state's ints, and
+  staging only names the paths: at u0 > 0 its order holds a constant's
+  triple or an edge's prefix and share f, from which its leaf picks are
+  built. The same merge closes at u = 0 (type II): a segment valid there
+  ends a descent at an integer m, or is an integer leaf's constant m, so
+  such segments whose ms sum to zero are a system of descents, of int tau,
+  picked by rank from their u = 0 options (_type_ii_options). It is
+  counted as a slope when the penultimate-vertex denominators y_i satisfy
+  sum 1/y_i <= 1, and flagged as an inessential candidate otherwise.
 
 A search yields (tau, note, order, build) per candidate and builds no
 path; order is the SN rank or the flat descriptor tuple. _solve keeps the
@@ -806,28 +806,29 @@ def _u_of(w):
     return ONE if w is None else Fraction(w - 1, w)
 
 
-def _type_i_candidates(leaves, options, notes):
+def _type_i_candidates(leaves, notes):
     """Solve sum v_i(u) = 0 on the segment combinations whose validity
-    intervals overlap; yield (u0, least combination, note) per closing
-    state. options holds each leaf's _type_ii_options.
+    intervals overlap; yield (n, d, tau, least combination, note) per
+    closing state, u0 = n/d in lowest terms.
 
     A merge over the leaves, left to right, keeps as a prefix's state what
     its extensions read, in ints: coeff and offset scaled by the lcm of
     their denominators, the interval [lo, hi) in w (dropped when empty), tau
     as (ta + tb * w) / scale (an edge adds steps + last * (w - w_hi) / den),
-    and while lo = 1 the sum of whole / y over the u = 0 options, capped at
-    whole + 1. A state keeps its least prefix and a count: the segments
-    sort as their stage entries and states are visited in insertion order,
-    that of their least prefixes, so a first visit is a least combination.
-    The last leaf keeps only closings."""
+    and while lo = 1 the sum of whole / y, capped at whole + 1: y = w_hi
+    for a descent's last edge, its penultimate denominator, and 1 for an
+    integer's constant. A state keeps its least prefix and a count: the
+    segments sort as their stage entries and states are visited in
+    insertion order, that of their least prefixes, so a first visit is a
+    least combination. The last leaf keeps only closings, keyed in ints."""
     per_leaf = [_leaf_segments(l.fraction) for l in leaves]
     scale = lcm(*(s.den for segs in per_leaf for s in segs))
-    whole = lcm(*(o[0] for opts in options for o in opts))
+    whole = lcm(*(s.w_hi or 1 for segs in per_leaf for s in segs if s.w_lo == 1))
     # per leaf: (segment, w_lo, w_hi, coeff, offset, ta, tb, share at w = 1)
     choices = [[(s, s.w_lo, s.w_hi, s.coeff * (k := scale // s.den), s.offset * k,
                  (s.steps * s.den - s.last * (s.w_hi or 0)) * k, s.last * k,
-                 whole // opts[s.rank][0] if s.w_lo == 1 else 0)
-                for s in segs] for segs, opts in zip(per_leaf, options)]
+                 whole // (s.w_hi or 1) if s.w_lo == 1 else 0)
+                for s in segs] for segs in per_leaf]
     states, closed, families = {(0, 0, 1, None, 0, 0, 0): [(), 1]}, {}, {}  # u in [0, 1)
     for depth, leaf_choices in enumerate(choices, 1):
         merged, last = {}, depth == len(choices)
@@ -856,16 +857,17 @@ def _type_i_candidates(leaves, options, notes):
                     # and tau; its lower end u0 = 1 - 1/lo is kept, flagged
                     families.setdefault((slo, shi, a, b), [combo + (s,), 0])[1] += count
                     n, d, note = slo - 1, slo, "degenerate-family-endpoint"
-                u0 = Fraction(n, d) if n else 0
-                if not u0:
+                if not n:
                     note = "" if share <= whole else "inessential-candidate"  # sum 1/y <= 1
-                closed.setdefault((u0, note, a, b), combo + (s,))
+                g = gcd(n, d)
+                closed.setdefault((n // g, d // g, note, a, b), combo + (s,))
         states = merged
     for (lo, hi, _, _), (combo, count) in families.items():
         labels = "; ".join(map(_segment_label, combo)) + (" and %d more" % (count - 1) if count > 1 else "")
         notes.append("degenerate closure family on u in [%s, %s) for %s" % (_u_of(lo), _u_of(hi), labels))
-    for (u0, note, _, _), combo in closed.items():
-        yield u0, combo, note
+    for (n, d, note, a, b), combo in closed.items():
+        # tau at w0 = d / (d - n); at u0 = 0 the sum of whole descents' taus
+        yield n, d, Fraction(a * (d - n) + b * d, scale * (d - n)) if n else (a + b) // scale, combo, note
 
 
 def _segment_label(segment):
@@ -876,50 +878,42 @@ def _segment_label(segment):
 
 @lru_cache(maxsize=LEAF_MEMO_SIZE)
 def _type_ii_options(pq):
-    """The u = 0 option (y, pick, order) of each of leaf p/q's descents, by
-    rank, as a memoized tuple: y is its penultimate vertex's denominator,
-    pick its (key, tau, path), the key <m> of its end, and order its
-    describe()."""
-    options = []
-    for descent in leaf_descents(pq):
-        vs = descent.vertices
-        y = vs[-2].denominator if len(vs) > 1 else 1
-        options.append((y, ((1, 0, int(vs[-1])), tau(descent), descent), descent.describe()))
-    return tuple(options)
+    """The u = 0 option (pick, order) of each of leaf p/q's descents, by
+    rank, as a memoized tuple: pick is its (key, tau, path), the key <m> of
+    its end, and order its describe()."""
+    return tuple((((1, 0, int(path.vertices[-1])), tau(path), path), path.describe())
+                 for path in leaf_descents(pq))
 
 
-def _type_i_stage(combo, u0):
-    """The tau and order of a type-I closure at u0 = n/d from the segments'
-    ints, tau over one denominator. Each leaf's order entry is its path's
-    descriptor, from which _segment_pick builds its pick: a constant's
-    least integer state at u0, or an edge's prefix and last-edge share
-    f = (1/(1 - u0) - qj) / (qk - qj)."""
-    n, d = u0.numerator, u0.denominator
-    e, num, den, order = d - n, 0, 1, []
+def _type_i_stage(combo, n, d):
+    """The order of a type-I closure at u0 = n/d from the segments' ints:
+    each leaf's entry is its path's descriptor, from which _segment_pick
+    builds its pick, a constant's least integer state at u0 or an edge's
+    prefix and last-edge share f = (1/(1 - u0) - qj) / (qk - qj)."""
+    e, order = d - n, []
     for s in combo:
         if s.kind == "const":
             total = lcm(s.den, d)
             b = n * total // d
             order.append(("const", (total - b, b, s.offset * total // s.den)))
-            continue
-        fn, fd = d - s.w_hi * e, e * (s.w_lo - s.w_hi)
-        order.append(("path", s.prefix, Fraction(fn, fd)))
-        num, den = num * fd + (s.steps * fd + s.last * fn) * den, den * fd
-    return Fraction(num, den), tuple(order)
+        else:
+            order.append(("path", s.prefix, Fraction(d - s.w_hi * e, e * (s.w_lo - s.w_hi))))
+    return tuple(order)
 
 
 def _montesinos_candidates(expr, notes):
-    """The Montesinos search: the type-I merge's closures, staged from their
-    segments at u > 0 and from their descents' u = 0 options at u = 0."""
+    """The Montesinos search: the type-I merge's closures with their tau,
+    staged from their segments at u > 0 and from their descents' u = 0
+    options at u = 0."""
     leaves = list(expr.leaves())
     per_leaf = [_type_ii_options(l.fraction) for l in leaves]
-    for u0, combo, note in _type_i_candidates(leaves, per_leaf, notes):
-        if u0:
-            t, order = _type_i_stage(combo, u0)
+    for n, d, t, combo, note in _type_i_candidates(leaves, notes):
+        if n:
+            order = _type_i_stage(combo, n, d)
             yield t, note, order, partial(_type_i_picks, leaves, combo, order)
             continue
-        _, picks, order = zip(*(opts[s.rank] for opts, s in zip(per_leaf, combo)))
-        yield sum(pick[1] for pick in picks), note, order, partial(list, picks)
+        picks, order = zip(*(opts[s.rank] for opts, s in zip(per_leaf, combo)))
+        yield t, note, order, partial(list, picks)
 
 
 def solve_montesinos(expr):

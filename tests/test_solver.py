@@ -332,13 +332,8 @@ def test_montesinos_u_zero_search_never_skips():
         assert not any("skipped" in note for note in rep.notes), text
 
 
-def test_montesinos_slopes_grow_with_c_bound():
-    # a sum is solved exactly: its slopes are the same at every bound
-    text = "-1/5 + -2/7 + 5/6 + -3/4"
-    default = set(solve_montesinos(parse(text)).slopes)
-    assert {Fraction(-10), Fraction(-6)} <= default
-    for c_bound in (2, 3, 4):
-        assert set(solve(parse(text), c_bound).slopes) == default
+def test_montesinos_sums_keep_their_listed_slopes():
+    assert {Fraction(-10), Fraction(-6)} <= set(solve_montesinos(parse("-1/5 + -2/7 + 5/6 + -3/4")).slopes)
     assert Fraction(12) in solve_montesinos(parse("3/5 + 1/9 + -7/9 + -3/8")).slopes
 
 
@@ -683,16 +678,25 @@ def test_type_i_examples_hit_interval_ends():
     assert any(s.note == "degenerate-family-endpoint" for s in rep.systems)
 
 
-def test_degenerate_family_is_one_note_per_interval_and_tau():
-    # on [0, 1/2) three combinations share tau 18 and one has tau 14: one
-    # note each, naming the least combination. Two of the three end past
-    # +-1 at u = 0; a sum reads no bound, so c_bound 1 drops none of them
-    notes = solve(parse("-3/2 + 13/8 + 15/8 + -7/5"), 1).notes
+@pytest.mark.parametrize("text, families", [
+    # a link: on [0, 1/2) three combinations share tau 18 and one has tau
+    # 14. Two of the three end past +-1 at u = 0; a sum reads no bound,
+    # so c_bound 1 drops none of them
+    ("-3/2 + 13/8 + 15/8 + -7/5", [
+        "edge to -1; edge to 1; edge to 1; edge to -1",
+        "edge to -2; edge to 2; edge to 1; edge to -1 and 2 more",
+    ]),
+    # a knot (one even denominator) with families of three and of one
+    ("-1/2 + 6/7 + 11/7 + -8/5", [
+        "edge to -1; edge to 0; edge to 2; edge to -1 and 2 more",
+        "edge to 0; edge to 0; edge to 2; edge to -2",
+    ]),
+], ids=["link", "knot"])
+def test_degenerate_family_is_one_note_per_interval_and_tau(text, families):
+    # one note per (interval, tau), naming the least combination
+    notes = solve(parse(text), 1).notes
     family = "degenerate closure family on u in [0, 1/2) for "
-    assert [n for n in notes if n.startswith(family)] == [
-        family + "edge to -1; edge to 1; edge to 1; edge to -1",
-        family + "edge to -2; edge to 2; edge to 1; edge to -1 and 2 more",
-    ]
+    assert [n for n in notes if n.startswith(family)] == [family + f for f in families]
 
 
 @settings(max_examples=100, deadline=None)
@@ -740,10 +744,10 @@ def test_montesinos_systems_do_not_depend_on_c_bound():
     # so systems whose descents end past +-1 are listed at c_bound 1 too
     # (3 of the first sum's 6, and 6 of the second's 17)
     for text, count in (("2/5 + -2 + 11/6", 6), ("-3/2 + 13/8 + 15/8 + -7/5", 17),
-                        ("5/3 + 1 + -11/4", 5), (PRETZEL_237, 6)):
+                        ("5/3 + 1 + -11/4", 5), (PRETZEL_237, 6), ("-1/5 + -2/7 + 5/6 + -3/4", 9)):
         rep = solve(parse(text))
         assert rep.c_bound is None and len(rep.systems) == count, text
-        for c_bound in (1, 2, 32):
+        for c_bound in (1, 2, 3, 4, 32):
             bounded = solve(parse(text), c_bound)
             assert (bounded.systems, bounded.notes) == (rep.systems, rep.notes), (text, c_bound)
 
