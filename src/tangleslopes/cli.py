@@ -88,9 +88,9 @@ def format_json(rep):
     dict as the schema describes it.
 
     Written straight from the records, one template per record kind. The
-    solve shares WeightStates, node traces, paths and vertex tuples between
-    systems, so each is written once per call, keyed by id(); `rep` keeps
-    every record alive while the call runs.
+    solve shares WeightStates, node traces, paths and vertex tuples across
+    and within systems, so each is written once per call, keyed by id();
+    `rep` keeps every record alive while the call runs.
     """
     states, closures, paths, vertices, nodes, scales = {}, {}, {}, {}, {}, {}
 

@@ -76,14 +76,14 @@ path; order is the SN rank or the flat descriptor tuple. _solve keeps the
 least order per (tau, note), plus S0 (slope 0) when the normalization
 exists. Only a kept candidate's build() makes its leaf picks (key, tau,
 path), and _materialize derives every node's trace from them in integers
-(_glue, _turn). The report's slopes are read off the listed systems: the
-slope tau - tau(S0) of each with an empty note, plus S0's 0. The systems
-are listed by (slope, note, order), a slope as an int over the common
-denominator. slopes.verify_system, by replay, is the independent check;
-the solve does not call it. Nothing depends on hash order: the SN passes
-visit keys in set and dict order, but each minimum they keep is unique,
-as an order names one (key, tau) or system; the Montesinos merge reads
-its dicts in insertion order; and the listing sorts.
+(_glue, _turn), one per subtree label and leaf paths. The report's slopes are
+read off the listed systems: the slope tau - tau(S0) of each with an empty
+note, plus S0's 0. The systems are listed by (slope, note, order), a slope
+as an int over the common denominator. slopes.verify_system, by replay, is
+the independent check; the solve does not call it. Nothing depends on hash
+order: the SN passes visit keys in set and dict order, but each minimum
+they keep is unique, as an order names one (key, tau) or system; the
+Montesinos merge reads its dicts in insertion order; and the listing sorts.
 """
 
 import sys
@@ -629,10 +629,10 @@ def _system(expr, shape, picks, note, reference, states, shared):
     shape is the expression's (node kind, label) pairs in preorder, walked
     backwards: each node after its subtree, the leaves right to left, each
     subtree's (key, tau) left on a stack, the left one on top. The systems
-    of one solve share records: states builds each WeightState once;
-    shared keeps a leaf's (trace, (key, tau), pick) per (index, id(pick)),
-    holding the pick so that its id stays its own, and a merge's (trace,
-    (key, tau)) per (index, ids of its two (key, tau)).
+    of one solve share records: states builds each WeightState once, and
+    shared each node's (trace, (key, tau)), per (label, id(path)) at a leaf,
+    whose path fixes its key and tau, and per (label, ids of its two
+    (key, tau)) at a merge: equal subtrees over the same paths share one.
     """
     nodes = [None] * len(shape)
     done = []
@@ -641,14 +641,13 @@ def _system(expr, shape, picks, note, reference, states, shared):
         kind, label = shape[i]
         if kind == "leaf":
             leaf -= 1
-            pick = picks[leaf]
-            built = shared.get((i, id(pick)))
+            key, t, path = picks[leaf]
+            built = shared.get((label, id(path)))
             if built is None:
-                key, t, _ = pick
-                built = shared[i, id(pick)] = NodeTrace(label, kind, states[key], t), (key, t), pick
+                built = shared[label, id(path)] = NodeTrace(label, kind, states[key], t), (key, t)
         else:
             left, right = done.pop(), done.pop()
-            built = shared.get((i, id(left), id(right)))
+            built = shared.get((label, id(left), id(right)))
             if built is None:
                 (lkey, lt), (rkey, rt) = left, right
                 if kind == "product":
@@ -661,7 +660,7 @@ def _system(expr, shape, picks, note, reference, states, shared):
                     key, scales = _glue(lkey, rkey)
                     t = lt + rt
                     trace = NodeTrace(label, kind, states[key], t, scales)
-                built = shared[i, id(left), id(right)] = trace, (key, t)
+                built = shared[label, id(left), id(right)] = trace, (key, t)
         nodes[i] = built[0]
         done.append(built[1])
     [(key, total)] = done

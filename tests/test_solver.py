@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import logging
 import random
 import tracemalloc
@@ -6,6 +7,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product as iterproduct
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -155,20 +157,64 @@ def test_one_system_per_tau_and_note():
             assert {t for t, _ in listed} == {t for t, _ in expected}, expr
 
 
-def test_leaf_traces_are_shared_per_position_and_path():
-    # within one report a leaf's trace is one object per (position, path
-    # object); S0 builds its own. Both reports do share some
-    for expr in (parse("-3/7 + 5/11 + 2/9 + 1/4"), kn(3)):
-        traces, slots = {}, 0
+def _bench_workloads():
+    """bench/workloads.py, the benchmark's seeded inputs; it imports
+    nothing of the package."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _unshared_traces(rep):
+    """The node slots of rep's systems, S0's aside, whose trace is not the
+    first one seen with the same label over the same leaf path objects."""
+    spans, first = [], 0  # each preorder node's slice of the leaf paths
+    for node in rep.expr.nodes():
+        spans.append(slice(first, first + sum(1 for _ in node.leaves())))
+        first += isinstance(node, Leaf)
+    seen, unshared = {}, 0
+    for system in rep.systems:
+        if system.note != "seifert-reference":
+            for node, span in zip(system.nodes, spans):
+                key = node.label, tuple(map(id, system.assignment[span]))
+                unshared += seen.setdefault(key, node) is not node
+    return unshared
+
+
+def test_node_traces_are_shared_per_label_and_paths():
+    # within one report, S0 aside, a subtree's trace is one object per
+    # label and leaf path objects, wherever it sits: kn(n)'s factor at both
+    # of its positions, P(-2, 3, 3)'s 1/3 at both of its. The corpora are
+    # the seed-1 batches of a 16-second benchmark run
+    workloads = _bench_workloads()
+    texts = (workloads.product_inputs(32, 1) + workloads.montesinos_inputs((3,), 104, 1)
+             + workloads.montesinos_inputs((4, 5), 48, 1)
+             + ["-1/2 + 1/3 + 1/3", "-3/7 + 5/11 + 2/9 + 1/4"])
+    for expr in [kn(n) for n in range(2, 9)] + [parse(text) for text in texts]:
+        assert _unshared_traces(solve(expr)) == 0, render(expr)
+    # records are shared between systems, and at two positions where a
+    # subtree repeats
+    repeats = ((parse("-3/7 + 5/11 + 2/9 + 1/4"), False), (parse("-1/2 + 1/3 + 1/3"), True),
+               (kn(3), True))
+    for expr, repeated in repeats:
+        places = {}
         for system in solve(expr).systems:
-            if system.note == "seifert-reference":
-                continue
-            leaves = [(i, n) for i, n in enumerate(system.nodes) if n.kind == "leaf"]
-            for (i, node), path in zip(leaves, system.assignment):
-                traces.setdefault((i, id(path)), set()).add(id(node))
-                slots += 1
-        assert all(len(ids) == 1 for ids in traces.values()), expr
-        assert len(traces) < slots, expr
+            for i, node in enumerate(system.nodes):
+                places.setdefault(id(node), []).append(i)
+        assert any(len(at) > 1 for at in places.values()), render(expr)
+        assert any(len(set(at)) > 1 for at in places.values()) == repeated, render(expr)
+
+
+def test_a_shared_factor_and_its_copy_print_the_same_report():
+    # kn(n) holds its factor as one object, the parsed text as two equal
+    # copies, whose paths are distinct objects: equal labels over
+    # different paths share no trace, and the bytes agree
+    for n in range(2, 9):
+        shared, copied = kn(n), parse(render(kn(n)))
+        assert shared.left is shared.right and copied.left is not copied.right
+        assert format_json(solve_sn(shared)) == format_json(solve(copied)), n
 
 
 def test_null_slope_systems_list_every_tau():
@@ -208,6 +254,18 @@ def test_monotone_in_bounds():
     small = solve_sn(kn(2), c_bound=6)
     large = solve_sn(kn(2), c_bound=10)
     assert set(small.slopes) <= set(large.slopes)
+
+
+def test_default_c_bound_keeps_the_product_slope_sets():
+    # products-corpus knots (seeds 1-3) whose slope sets at c_bound 64
+    # need at least 21, 21, 21 and 10: below, the first three lose their
+    # extreme slopes (80..84, -80..-74, -70..-64) and the last loses -28.
+    # The rule "2 + the largest floor(|1/v|) over each product's
+    # product-free operands" gives 12, 12, 12 and 3 (ROADMAP item 17b)
+    for text in ("(-2/3 + 1/2) o (-2/5 + 1/2) o -1/2", "(-1/2 + -2/3) o (2/5 + -1/2) o 1/2",
+                 "3/4 o (1/2 + -3/5) o (-1/2 + 1/3)", "-3/4 o (1/2 + 3/5) o (-1/3 + -1/2)"):
+        expr = parse(text)
+        assert solve(expr).slopes == solve(expr, 64).slopes, text
 
 
 def test_deterministic_reports():
