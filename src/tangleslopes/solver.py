@@ -31,9 +31,11 @@ leaf; no reader mutates what the memo holds.
      (_Leaf) and never enumerated; a product turns it into the family of
      sign(p) q/|p|. A merge glues the left key (turned, at a product) to
      each right key of its direction, both rescaled to their least
-     common (a, b) and added, so c_bound is the only bound: one-sheet
-     keys as an integer sumset, a leaf's constant by a lookup per key of
-     the other side, two leaves' constants over their common directions.
+     common (a, b) and added, so c_bound is the only bound. A leaf's
+     constants join a merge once per direction of the other side's
+     explicit keys, as in the demand pass, and two leaves' constants pair
+     over their common directions; one-sheet pairs glue as an integer
+     sumset, all others by _glue; sums and products share this one merge.
      A merge keeps the set of its glued keys, the root only those that
      close (c = 0), and a product the set of its turned left keys.
   2. Demand pass, top-down. The root demands all its keys. Each merge
@@ -305,6 +307,18 @@ def _turn(key):
     return (a, abs(c) - a, sign * (a + b)), -2 * sign
 
 
+def _glue(lw, rkey):
+    """transforms.glue_scaled on two triples of one (a : b) direction: the
+    glued primitive triple and the multipliers (k1, k2). The triples need
+    not be primitive: a Montesinos leaf's end state may not be."""
+    ls, rs = gcd(lw[0], lw[1]), gcd(rkey[0], rkey[1])
+    common = lcm(ls, rs)
+    k1, k2 = common // ls, common // rs
+    c = lw[2] * k1 + rkey[2] * k2
+    g = gcd(common, c)
+    return (lw[0] * k1 // g, lw[1] * k1 // g, c // g), (k1, k2)
+
+
 def _turned(table):
     """A product's left table turned: the set of its turned keys. Every
     constant of a leaf p/q turns, (a, q*k - a, p*k) to (a, |p|*k - a,
@@ -328,55 +342,44 @@ def _sumset(xs, ys):
     return [low + i for i, bit in enumerate(bin(sums)[:1:-1]) if bit == "1"]
 
 
-def _explicit_keys(lws, right, closing):
-    """The set of keys glued from each key of lws and each key of right
-    of its (a : b) direction; when closing, only those with c = 0.
+def _with_constants(table, other):
+    """table's keys in a merge with other: a _Leaf's runs plus its
+    constant of each (a : b) direction among the other side's explicit
+    keys (its runs, if a _Leaf), else the table itself."""
+    if not isinstance(table, _Leaf):
+        return table
+    keys = other.runs if isinstance(other, _Leaf) else other
+    directions = {(a // (s := gcd(a, b)), b // s) for a, b, _ in keys}
+    return [*filter(None, (table.constant(*d) for d in directions)), *table.runs]
 
-    This is transforms.glue_scaled on integer keys. Of one direction
-    (da, db) a primitive key is (s*da, s*db, c), s its sheet count, and
-    stands for the reduced per-sheet value c/s. Both sides go to
-    L = lcm(s1, s2) sheets (multipliers k_i = L / s_i), c adds, and the
-    sum is divided by g = gcd(L, c): a glue adds the values. So a pair
-    closes when the values are negatives: (a, b, c) and (a, b, -c).
-    One-sheet pairs glue as one _sumset per direction.
+
+def _explicit_keys(lws, right, closing):
+    """The set of keys glued (_glue) from each key of lws and each key of
+    right of its (a : b) direction; when closing, only those with c = 0.
+
+    Of one direction (da, db) a primitive key is (s*da, s*db, c), s its
+    sheet count, and stands for the reduced per-sheet value c/s: a glue
+    adds the values. So a pair closes when the values are negatives:
+    (a, b, c) and (a, b, -c). One-sheet pairs glue as one _sumset per
+    direction, every other pair by _glue.
     """
     if closing:
         return {(a // gcd(a, b), b // gcd(a, b), 0) for a, b, c in lws if (a, b, -c) in right}
-    groups = {}
-    for a, b, c in right:
-        s = gcd(a, b)
-        groups.setdefault((a // s, b // s), {}).setdefault(s, []).append(c)
-    out, ones = set(), {}  # direction -> c of its one-sheet left keys
-    for a, b, c in lws:
-        ls = gcd(a, b)
-        direction = (a // ls, b // ls)
-        for rs, rcs in groups.get(direction, {}).items():
-            if ls == rs == 1:
-                ones.setdefault(direction, []).append(c)
-                continue
-            common = lcm(ls, rs)
-            k1, k2 = common // ls, common // rs
-            a1, b1, c1 = a * k1, b * k1, c * k1
-            for rc in rcs:
-                gc = c1 + rc * k2
-                g = gcd(common, gc)
-                out.add((a1 // g, b1 // g, gc // g))
-    for (da, db), lcs in ones.items():
-        out.update([(da, db, c) for c in _sumset(lcs, groups[da, db][1])])
-    return out
-
-
-def _constant_keys(keys, leaf, closing):
-    """The keys glued from each of keys and the leaf constant of its
-    direction, looked up by formula."""
-    out = set()
-    for key in keys:
+    groups = {}  # direction -> sheet count -> keys
+    for key in right:
         s = gcd(key[0], key[1])
-        constant = leaf.constant(key[0] // s, key[1] // s)
-        if constant is not None:
-            glued = _glue(key, constant)[0]
-            if not closing or glued[2] == 0:
-                out.add(glued)
+        groups.setdefault((key[0] // s, key[1] // s), {}).setdefault(s, []).append(key)
+    out, ones = set(), {}  # direction -> c of its one-sheet left keys
+    for key in lws:
+        s = gcd(key[0], key[1])
+        direction = (key[0] // s, key[1] // s)
+        for rs, rkeys in groups.get(direction, {}).items():
+            if s == rs == 1:
+                ones.setdefault(direction, []).append(key[2])
+            else:
+                out.update([_glue(key, rkey)[0] for rkey in rkeys])
+    for direction, lcs in ones.items():
+        out.update([(*direction, c) for c in _sumset(lcs, [key[2] for key in groups[direction][1]])])
     return out
 
 
@@ -397,32 +400,23 @@ def _common_keys(x, y, closing):
     return out
 
 
-def _glued_keys(left, right, closing):
-    """The set of keys glued from each key of left (turned, at a product)
-    and each right key of its (a : b) direction; when closing, only those
-    with c = 0. A leaf's explicit keys glue by _explicit_keys, its
-    constants by formula: a merge with a leaf walks the other side's
-    keys, and two leaves walk their common directions."""
-    lleaf, rleaf = isinstance(left, _Leaf), isinstance(right, _Leaf)
-    lkeys, rkeys = left.runs if lleaf else left, right.runs if rleaf else right
-    out = _explicit_keys(lkeys, rkeys, closing)
-    if lleaf:
-        out |= _constant_keys(rkeys, left, closing)
-    if rleaf:
-        out |= _constant_keys(lkeys, right, closing)
-    if lleaf and rleaf:
+def _merge_sum(left, right, closing=False):
+    """Key pass at a merge: the set of keys glued from each key of left
+    (the _turned left table, at a product) and each right key of its
+    (a : b) direction; when closing, only those with c = 0. A leaf's
+    constants join once per direction of the other side's explicit keys
+    (_with_constants), as in the demand pass, and two leaves' constants
+    pair over their common directions; the closing test asks the right
+    table itself."""
+    rkeys = right if closing else _with_constants(right, left)
+    out = _explicit_keys(_with_constants(left, right), rkeys, closing)
+    if isinstance(left, _Leaf) and isinstance(right, _Leaf):
         out |= _common_keys(left, right, closing)
     return out
 
 
-def _merge_sum(left, right, closing=False):
-    """Key pass at a sum."""
-    return _glued_keys(left, right, closing)
-
-
-def _merge_product(turned, right, closing=False):
-    """Key pass at a product, from the _turned left table."""
-    return _glued_keys(turned, right, closing)
+# a second name, so that bench/tracer.py times product merges apart
+_merge_product = _merge_sum
 
 
 def _key_pass(nodes, c_bound):
@@ -450,11 +444,12 @@ def _demand_pass(nodes, keys, turns):
     it}, None at a leaf, top-down; a shared subtree collects from all its
     parents first.
 
-    A glue adds per-sheet values (_glued_keys), so for a demanded key and
-    a left key of its direction (turned, at a product) the one right key
-    that can glue to it has the reduced difference of their values. A
-    leaf's constants are looked up per demanded direction. At a product
-    the left key is the _turn of the turned one.
+    A glue adds per-sheet values (_explicit_keys), so for a demanded key
+    and a left key of its direction (turned, at a product) the one right
+    key that can glue to it has the reduced difference of their values. A
+    leaf's constants join once per demanded direction (_with_constants),
+    and the right table, a _Leaf's constants included, is asked for that
+    key. At a product the left key is the _turn of the turned one.
     """
     demand = {id(nodes[-1]): dict.fromkeys(keys[id(nodes[-1])])}
     for node in reversed(nodes):
@@ -470,10 +465,7 @@ def _demand_pass(nodes, keys, turns):
             s = gcd(a, b)
             wanted[key] = pairs = []
             by_direction.setdefault((a // s, b // s), []).append((s, c, pairs))
-        if isinstance(left, _Leaf):
-            constants = (left.constant(*direction) for direction in by_direction)
-            left = [*filter(None, constants), *left.runs]
-        for a, b, lc in left:
+        for a, b, lc in _with_constants(left, wanted):
             ls = gcd(a, b)
             da, db = a // ls, b // ls
             for s, c, pairs in by_direction.get((da, db), ()):
@@ -597,21 +589,6 @@ def _root_table(expr, c_bound):
             pairs,
         )
     return taus[id(expr)]
-
-
-def _glue(lw, rkey):
-    """transforms.glue_scaled on two triples of one (a : b) direction: the
-    glued primitive triple and the multipliers (k1, k2). The triples need
-    not be primitive: a Montesinos leaf's end state may not be.
-
-    _explicit_keys inlines the same arithmetic, once per right sheet count.
-    """
-    ls, rs = gcd(lw[0], lw[1]), gcd(rkey[0], rkey[1])
-    common = lcm(ls, rs)
-    k1, k2 = common // ls, common // rs
-    c = lw[2] * k1 + rkey[2] * k2
-    g = gcd(common, c)
-    return (lw[0] * k1 // g, lw[1] * k1 // g, c // g), (k1, k2)
 
 
 class _States(dict):

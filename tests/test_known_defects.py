@@ -58,6 +58,14 @@ def test_torus_knot_2_5():
     assert _up_to_sign(_slopes("-1/2 + 1/3 + 1"), {0, 10})
 
 
+@defect("item 4", "essentiality: a two-bridge product lists invented slopes, diameter 22")
+def test_two_bridge_product_diameter_at_most_2c():
+    # with a o b = 1/a + b, 1/2 o 1/2 o 1/2 is N(2/5 + 1/2), a two-bridge
+    # knot of determinant 9 drawn with 6 crossings, so its slope diameter
+    # is at most 2 * 6 (Hatcher-Thurston; Ichihara-Mizushima)
+    assert solve(parse("1/2 o 1/2 o 1/2")).diameter <= 12
+
+
 @defect("item 7", "type III pieces: same-sign sums report {0}, not diameter 2c")
 @pytest.mark.parametrize("text, c", [("-1/2 + -1/3 + -1/5", 2 + 3 + 5), ("1/2 + 1/3 + 1/3", 2 + 3 + 3)])
 def test_same_sign_sum_has_diameter_2c(text, c):

@@ -503,6 +503,12 @@ def test_reference_examples_reach_their_cases():
     assert any(p.vertices[-3:] == (3, 2, 1) for p in clipped)
     # the leaf 3 has no constant within c_bound 2, so its trivial path
     assert VertexPath(Fraction(3), (Fraction(3),)) in paths("(3 + 1/2) o 1/3", 2)
+    # a -1/2 o -1/2 glues its one-sheet turned key to a two-sheet key
+    rep = solve(parse("-1/2 o ((-1/2 o -1/2) + (-1/2 o -1/2))"), 4)
+    assert any(node.scales != (1, 1) for s in rep.systems for node in s.nodes)
+    # a factor whose two leaves both take their constants
+    rep = solve(parse("(-1/3 + 2/3) o (3/2 + 2/3)"), 2)
+    assert any(all(p.is_constant for p in s.assignment[i:i + 2]) for s in rep.systems for i in (0, 2))
     # a counted u = 0 system of 1/2 + 1/4 + 1/4 has sum 1/y = 1
     rep = solve(parse("1/2 + 1/4 + 1/4"), 4)
     assert any(
