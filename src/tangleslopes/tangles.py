@@ -12,10 +12,12 @@ grammar
     fraction := ['-'] int ['/' int]
 
 with `+` binding tighter than `o` and both operators left-associative.
-An int is ASCII digits 0-9; any other character is a ParseError. `parse`
-does not recurse, but `mirror`, `montesinos_factors` and `slopes.replay`
-do, so a tree deeper than MAX_DEPTH levels is a ParseError and those walks
-stay within Python's recursion limit.
+An int is ASCII digits 0-9; any other character is a ParseError, and so
+is an int longer than `int()` converts (`sys.get_int_max_str_digits()`,
+4,300 digits by default). `parse` does not recurse, but `mirror`,
+`montesinos_factors` and `slopes.replay` do, so a tree deeper than
+MAX_DEPTH levels is a ParseError and those walks stay within Python's
+recursion limit.
 """
 
 import re
@@ -132,6 +134,13 @@ MAX_DEPTH = 500
 _BINDING = {"o": 1, "+": 2}  # an open parenthesis binds 0: reductions stop there
 
 
+def _int(tok, at):
+    try:
+        return int(tok)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError("numeral of %d digits is too long" % len(tok), at) from None
+
+
 def parse(text):
     """Parse expression text into a TangleExpr tree.
 
@@ -159,12 +168,12 @@ def parse(text):
         tok, num_at = tokens[i]
         if tok is None or not tok.isdigit():
             raise ParseError("expected a fraction", num_at)
-        num, den, i = int(tok), 1, i + 1
+        num, den, i = _int(tok, num_at), 1, i + 1
         if tokens[i][0] == "/":
             tok, at = tokens[i + 1]
             if tok is None or not tok.isdigit():
                 raise ParseError("expected a denominator", at)
-            den, i = int(tok), i + 2
+            den, i = _int(tok, at), i + 2
             if den == 0:
                 raise ZeroDenominator("zero denominator", at)
         if num == 0:

@@ -2,11 +2,20 @@
 
 Each case fixes the SHA-256 of `cli.format_json` for one input, so a
 refactor that changes any slope, system, note or ordering shows up here.
-A change that alters output on purpose updates the digest and says why in
-CHANGES.md.
+GOLDEN and DEEP pin hand-picked inputs; tests/corpus_digests.tsv pins
+the benchmark corpora, one row per pair `corpus()` rebuilds from
+bench/workloads.py. A change that alters output on purpose updates the
+digests, rewriting the table with
+
+    PYTHONPATH=src python tests/test_golden.py > tests/corpus_digests.tsv
+
+and says why in CHANGES.md; the table's diff names the inputs it moved.
 """
 
 import hashlib
+import importlib.util
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +65,17 @@ GOLDEN = (
     # on the left, over a product of two leaves
     ("1/3 o (1/2 + 1/5)", None, "0d51899a8dac09db227ce993c01f4132deb7f49627c24139395932a8e13a9b77"),
     ("1/5 + (1/3 o 1/2)", None, "0befa615d8c6bbde70bb1c46c44a6c77f5a982f59070f3b0de2de87471500242"),
+    # the Montesinos merge names each degenerate family by its least
+    # combination: this knot (one even denominator) has families on
+    # [0, 1/2) of one combination and of three
+    ("-1/2 + 6/7 + 11/7 + -8/5", None, "e1d70d44d2aa5e1503d9aa126839cdc2a7b957d0d252d740163f040d636158bd"),
+    # multi-sheet key pairs glue into sets: the -1/2 o -1/2 products glue
+    # a one-sheet turned key to a two-sheet key, scales (2, 1)
+    (
+        "-1/2 o ((-1/2 o -1/2) + (-1/2 o -1/2))",
+        4,
+        "0e6dbfcc45f4ae8fa11dbf919cf72c96370c6b5c780925b9b473ddc4e1786438",
+    ),
 )
 
 
@@ -65,10 +85,67 @@ def _expr(text):
     return parse(text)
 
 
+def _digest(text, c_bound):
+    out = format_json(solve(_expr(text), c_bound=c_bound))
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("text, c_bound, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_report_bytes_are_pinned(text, c_bound, digest):
-    out = format_json(solve(_expr(text), c_bound=c_bound))
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert _digest(text, c_bound) == digest
+
+
+def _bench_workloads():
+    """bench/workloads.py, the benchmark's seeded inputs; it imports
+    nothing of the package."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@lru_cache(maxsize=None)
+def corpus_batches(seed):
+    """The products, montesinos-3 and montesinos-wide inputs of one seed,
+    as many as a `bench/run.py --seconds 16` run draws."""
+    workloads = _bench_workloads()
+    batches = (workloads.product_inputs(32, seed), workloads.montesinos_inputs((3,), 104, seed),
+               workloads.montesinos_inputs((4, 5), 48, seed))
+    return tuple(map(tuple, batches))
+
+
+DIGESTS = Path(__file__).with_name("corpus_digests.tsv")
+
+
+def corpus():
+    """The (text, c_bound) pairs of DIGESTS in row order: the corpora of
+    seeds 1-3, each product also at c_bound 1, 3 and 8, then kn(2..30).
+    Each pair once, and none that GOLDEN pins."""
+    pairs = []
+    for seed in (1, 2, 3):
+        products, sums, wide = corpus_batches(seed)
+        pairs += [(text, c_bound) for c_bound in (None, 1, 3, 8) for text in products]
+        pairs += [(text, None) for text in sums + wide]
+    pairs += [("kn(%d)" % n, None) for n in range(2, 31)]
+    golden = {(text, c_bound) for text, c_bound, _ in GOLDEN}
+    return [pair for pair in dict.fromkeys(pairs) if pair not in golden]
+
+
+def _key(text, c_bound):
+    return "%s\t%s" % (text, "default" if c_bound is None else c_bound)
+
+
+def test_corpus_report_bytes_are_pinned():
+    rows = DIGESTS.read_text(encoding="utf-8").splitlines()[1:]  # after the header
+    pairs = corpus()
+    keys = [_key(*pair) for pair in pairs]
+    assert [row.rsplit("\t", 1)[0] for row in rows] == keys, (
+        "%s does not list corpus() row for row: rewrite it as the module docstring says" % DIGESTS.name
+    )
+    moved = [key for key, row, pair in zip(keys, rows, pairs) if row != "%s\t%s" % (key, _digest(*pair))]
+    assert not moved, "%d of %d corpus reports changed bytes:\n%s" % (
+        len(moved), len(rows), "\n".join(moved))
 
 
 def _right_nested(leaf, levels):
@@ -94,8 +171,7 @@ DEEP = (
 
 @pytest.mark.parametrize("text, c_bound, digest", DEEP, ids=["right-40", "right-100", "chain-20"])
 def test_nested_products_are_pinned(text, c_bound, digest):
-    out = format_json(solve(parse(text), c_bound=c_bound))
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert _digest(text, c_bound) == digest
 
 
 def test_deep_left_nested_product_is_pinned():
@@ -113,3 +189,9 @@ def test_deep_left_nested_product_is_pinned():
     assert rep.systems
     for system in rep.systems:
         assert verify_system(system) == []
+
+
+if __name__ == "__main__":
+    print("input\tc_bound\tsha256")
+    for pair in corpus():
+        print("%s\t%s" % (_key(*pair), _digest(*pair)))

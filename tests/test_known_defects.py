@@ -31,11 +31,13 @@ def _up_to_sign(slopes, expected):
     return slopes in (set(expected), {-s for s in expected})
 
 
-@defect("item 5", "the normalization: P(-2,3,7) spelled otherwise loses or moves slopes")
-@pytest.mark.parametrize("text", ["1/2 + 1/3 + -6/7", "-5/2 + 1/3 + 1/7 + 2"])
+@defect("items 5 and 24a", "the normalization: P(-2,3,7) spelled otherwise loses or moves slopes;"
+        " folding each integer leaf into its left neighbour gives back a spelling of the same knot")
+@pytest.mark.parametrize("text", ["1/2 + 1/3 + -6/7", "-5/2 + 1/3 + 1/7 + 2",
+                                  "-1/2 + 1/3 + 1/7 + 1 + -1", "-1/2 + 1 + 1/3 + -1 + 1/7"])
 def test_pretzel_237_in_other_spellings(text):
     # P(-2, 3, 7), as -1/2 + 1/3 + 1/7 reports it: {0, 16, 37/2, 20}
-    # (Hatcher-Oertel's worked example)
+    # (Hatcher-Oertel's worked example); the last two add cancelling integers
     assert _slopes(text) == {0, 16, Fraction(37, 2), 20}
 
 

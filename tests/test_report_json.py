@@ -139,9 +139,10 @@ def test_writer_matches_json_dumps(rng, product, strings):
 
 _rng = random.Random(20261018)
 SWEEP = [(_sum_input(_rng), 4) for _ in range(20)] + [(_product_input(_rng), 4) for _ in range(10)]
-# every test_golden input, the 500-factor chain of its deep-product pin included
+# every test_golden input, the 500-factor chain of its deep-product pin
+# included, and a leaf whose descent passes all 1200 vertices 1/k
 DEEP = " o ".join(["1/3"] * 500)
-CORPUS = [(text, c_bound) for text, c_bound, _ in GOLDEN] + [(DEEP, 1)] + SWEEP
+CORPUS = [(text, c_bound) for text, c_bound, _ in GOLDEN] + [(DEEP, 1), ("1/1200 + 1/3 + 1/5", 2)] + SWEEP
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import logging
 import random
 import tracemalloc
@@ -7,7 +6,6 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product as iterproduct
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -55,7 +53,7 @@ from reference import (
     u_zero_ends,
 )
 from strategies import trees
-from test_golden import GOLDEN, _expr
+from test_golden import GOLDEN, _expr, corpus_batches
 
 PRETZEL_237 = "-1/2 + 1/3 + 1/7"
 
@@ -157,16 +155,6 @@ def test_one_system_per_tau_and_note():
             assert {t for t, _ in listed} == {t for t, _ in expected}, expr
 
 
-def _bench_workloads():
-    """bench/workloads.py, the benchmark's seeded inputs; it imports
-    nothing of the package."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _unshared_traces(rep):
     """The node slots of rep's systems, S0's aside, whose trace is not the
     first one seen with the same label over the same leaf path objects."""
@@ -188,10 +176,8 @@ def test_node_traces_are_shared_per_label_and_paths():
     # label and leaf path objects, wherever it sits: kn(n)'s factor at both
     # of its positions, P(-2, 3, 3)'s 1/3 at both of its. The corpora are
     # the seed-1 batches of a 16-second benchmark run
-    workloads = _bench_workloads()
-    texts = (workloads.product_inputs(32, 1) + workloads.montesinos_inputs((3,), 104, 1)
-             + workloads.montesinos_inputs((4, 5), 48, 1)
-             + ["-1/2 + 1/3 + 1/3", "-3/7 + 5/11 + 2/9 + 1/4"])
+    products, sums, wide = corpus_batches(1)
+    texts = products + sums + wide + ("-1/2 + 1/3 + 1/3", "-3/7 + 5/11 + 2/9 + 1/4")
     for expr in [kn(n) for n in range(2, 9)] + [parse(text) for text in texts]:
         assert _unshared_traces(solve(expr)) == 0, render(expr)
     # records are shared between systems, and at two positions where a
@@ -211,7 +197,7 @@ def test_a_shared_factor_and_its_copy_print_the_same_report():
     # kn(n) holds its factor as one object, the parsed text as two equal
     # copies, whose paths are distinct objects: equal labels over
     # different paths share no trace, and the bytes agree
-    for n in range(2, 9):
+    for n in range(2, 11):
         shared, copied = kn(n), parse(render(kn(n)))
         assert shared.left is shared.right and copied.left is not copied.right
         assert format_json(solve_sn(shared)) == format_json(solve(copied)), n

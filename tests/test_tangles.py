@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,11 @@ def test_parse_whitespace_insensitive():
     assert parse("1/2+1/3") == parse("1/2 + 1/3")
 
 
+# a numeral one digit past what int() converts; 0 digits is no limit
+_LONG = "9" * (getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1)
+_LIMITED = pytest.mark.skipif(len(_LONG) == 1, reason="int() converts numerals of any length here")
+
+
 @pytest.mark.parametrize(
     "text, position",
     [
@@ -74,6 +80,8 @@ def test_parse_whitespace_insensitive():
         ("1/2 1/3", 4),
         ("1/\u00b2", 2),  # superscript two
         ("\u0663", 0),  # Arabic-Indic three
+        pytest.param("1/" + _LONG, 2, marks=_LIMITED, id="long-denominator"),
+        pytest.param(_LONG + "/7", 0, marks=_LIMITED, id="long-numerator"),
     ],
 )
 def test_parse_errors_carry_positions(text, position):
