@@ -26,23 +26,33 @@ leaf; no reader mutates what the memo holds.
      1 <= a <= k <= c_bound // |p| and gcd(a, k) = 1, and the vertices
      <e> that end its descents and their vertical runs within +-c_bound,
      a window per descent (an integer leaf keeps its trivial path
-     regardless). The family has
-     at most one key per primitive (a : b) direction, given by a formula
-     (_Leaf) and never enumerated; a product turns it into the family of
-     sign(p) q/|p|. A merge glues the left key (turned, at a product) to
-     each right key of its direction, both rescaled to their least
-     common (a, b) and added, so c_bound is the only bound. A leaf's
-     constants join a merge once per direction of the other side's
-     explicit keys, as in the demand pass, and two leaves' constants pair
-     over their common directions; one-sheet pairs glue as an integer
-     sumset, all others by _glue; sums and products share this one merge.
-     A merge keeps the set of its glued keys, the root only those that
-     close (c = 0), and a product the set of its turned left keys.
+     regardless). A formula family (_Family) has at most one key per
+     primitive (a : b) direction, the primitive state of that direction
+     on the plane c = v (a + b) of its value v, and is asked per
+     direction, never enumerated: a leaf's is the family of p/q, a
+     product turns the family of v into that of 1/v, and where both sides
+     of a merge hold a family, their constant pairs are the family of the
+     sum of the values (_Glued). A merge glues the left key (turned, at a
+     product) to each right key of its direction, both rescaled to their
+     least common (a, b) and added, so c_bound is the only bound. A
+     family joins a merge once per direction of the other side's
+     explicit keys, as in the demand pass; one-sheet pairs glue as an
+     integer sumset, all others by _glue; sums and products share this
+     one merge. A sum of two leaves has only one-sheet keys (1, 0, c)
+     besides its family: c runs over the sums of the two leaves' run
+     windows, an integer leaf's constant (1, 0, p) a window of its own.
+     A merge keeps its explicit keys and its family, the root only the
+     keys that close (c = 0), and a product its turned left table.
   2. Demand pass, top-down. The root demands all its keys. Each merge
      recovers the (left key, right key) pairs behind its demanded keys
      and adds both keys of each to its children's demand, after all of
      its own parents have added theirs; a product's left key is the _turn
-     of its turned one, as _turn is its own inverse.
+     of its turned one. A family is asked for its key of each demanded
+     direction. A sum of two leaves recovers one pair per pair of run
+     windows that reaches a demanded (1, 0, c): every split of c in one
+     window pair adds the same tau, and the split of least descriptor
+     takes the left leaf's least feasible end by its run order: its
+     descent's own end, else the nearest below, else the nearest above.
   3. Tau pass, bottom-up, demanded keys only. Each (demanded key, tau)
      keeps the witness of smallest descriptor. A leaf's is (order, (key,
      tau, leaf fraction, descent)), order sorting as the path's
@@ -54,7 +64,8 @@ leaf; no reader mutates what the memo holds.
   A node's witnesses share its tree shape, so nested descriptors and
   ranks sort as the flat tuples of leaf descriptors; the smallest pair is
   that of the smallest child witnesses, and the demand pass gives the
-  merge every child pair.
+  merge every child pair that can be it: all of them, or at a sum of two
+  leaves the least of each window pair.
 
 * solve_montesinos handles sums of three or more rational tangles. The
   common endpoint abscissa u is one unknown: each leaf contributes either
@@ -243,9 +254,41 @@ def _coprime_pairs(n):
     return sum(phi)
 
 
-class _Leaf(namedtuple("_Leaf", ("p", "q", "bound", "runs", "windows"), defaults=((),))):
-    """A leaf's key table: the constant family of p/q by formula, plus
-    runs, the set of its other keys, with their windows unless _turned.
+def _plane_key(p, q, da, db):
+    """The one primitive key of direction (da, db) whose per-sheet value
+    is T p/q, T = da + db: (s*da, s*db, c) with c/s = T p/q in lowest
+    terms, s = q/g and c = p*T/g for g = gcd(q, T) (q > 0, gcd(p, q) = 1)."""
+    t = da + db
+    g = gcd(q, t)
+    return q * da // g, q * db // g, p * t // g
+
+
+class _Family:
+    """A key table that holds a formula family of value p/q: at most one
+    key per primitive (a : b) direction (da, db), its _plane_key where
+    admits(da, db), asked per direction; a solve enumerates (family())
+    only a root's family of value 0, all of whose keys close. Plus runs,
+    the set of its other keys."""
+
+    __slots__ = ()
+
+    def constant(self, da, db):
+        """The family's key of direction (da, db), or None."""
+        return _plane_key(self.p, self.q, da, db) if self.admits(da, db) else None
+
+    def __contains__(self, key):
+        s = gcd(key[0], key[1])
+        da, db = key[0] // s, key[1] // s
+        return key in self.runs or (key == _plane_key(self.p, self.q, da, db) and self.admits(da, db))
+
+    def __len__(self):
+        # counts the family key by key: only bench/tracer.py sizes a table
+        return len(self.runs) + sum(key not in self.runs for key in self.family())
+
+
+class _Leaf(_Family, namedtuple("_Leaf", ("p", "q", "bound", "runs", "windows"), defaults=((),))):
+    """A leaf's key table: the constant family of p/q, plus runs, the set
+    of its other keys, with their windows unless _turned.
 
     The family's primitive keys are (a, q*k - a, p*k), 1 <= a <= k <= bound,
     gcd(a, k) = 1: at most one per primitive direction (da, db). With
@@ -255,20 +298,59 @@ class _Leaf(namedtuple("_Leaf", ("p", "q", "bound", "runs", "windows"), defaults
 
     __slots__ = ()
 
-    def constant(self, da, db):
-        """The constant key of direction (da, db), or None."""
+    def admits(self, da, db):
         t = da + db
-        g = gcd(self.q, t)
-        if da < 1 or self.q * da > t or t > self.bound * g:
-            return None
-        return self.q * da // g, self.q * db // g, self.p * t // g
+        return da >= 1 and self.q * da <= t and t <= self.bound * gcd(self.q, t)
 
-    def __contains__(self, key):
-        s = gcd(key[0], key[1])
-        return key in self.runs or self.constant(key[0] // s, key[1] // s) == key
+    def family(self):
+        for k in range(1, self.bound + 1):
+            for a in range(1, k + 1):
+                if gcd(a, k) == 1:
+                    yield a, self.q * k - a, self.p * k
 
     def __len__(self):
         return _coprime_pairs(self.bound) + len(self.runs)
+
+
+class _Glued(_Family, namedtuple("_Glued", ("p", "q", "left", "right", "runs"))):
+    """A merge's table where both children's tables hold a family: their
+    constant pairs, one per direction that both reach, as the family of
+    p/q, the sum of their values (a glue adds per-sheet values); plus runs,
+    its other keys."""
+
+    __slots__ = ()
+
+    def admits(self, da, db):
+        return self.left.admits(da, db) and self.right.admits(da, db)
+
+    def family(self):
+        for a, b, _ in self.left.family():
+            s = gcd(a, b)
+            if self.right.admits(a // s, b // s):
+                yield _plane_key(self.p, self.q, a // s, b // s)
+
+
+class _Turned(_Family, namedtuple("_Turned", ("p", "q", "table", "runs"))):
+    """A product's left table turned, where it is a _Glued: the family of
+    p/q, the inverse of the table's value (a turn maps the plane of value
+    v onto that of 1/v), admitting a direction where its _plane_key turns
+    (_turn) into the table's family; plus runs, its turned runs."""
+
+    __slots__ = ()
+
+    def admits(self, da, db):
+        back = _turn(_plane_key(self.p, self.q, da, db))
+        if back is None:
+            return False
+        a, b, _ = back[0]
+        s = gcd(a, b)
+        return self.table.admits(a // s, b // s)
+
+    def family(self):
+        for key in self.table.family():
+            turned = _turn(key)
+            if turned:
+                yield turned[0]
 
 
 @lru_cache(maxsize=LEAF_MEMO_SIZE)
@@ -320,13 +402,17 @@ def _glue(lw, rkey):
 
 
 def _turned(table):
-    """A product's left table turned: the set of its turned keys. Every
-    constant of a leaf p/q turns, (a, q*k - a, p*k) to (a, |p|*k - a,
-    sign(p) q*k): the family of sign(p) q/|p|, same bound."""
+    """A product's left table turned: its turned keys. Every constant of a
+    leaf p/q turns, (a, q*k - a, p*k) to (a, |p|*k - a, sign(p) q*k): the
+    family of sign(p) q/|p|, same bound. Any other family of value p/q
+    turns into the family of q/p, a _Turned (none when p = 0: each of its
+    keys has c = 0), and a set into the set of its turned keys."""
+    if not isinstance(table, _Family):
+        return {t[0] for key in table if (t := _turn(key))}
+    p, q, runs = table.p, table.q, _turned(table.runs)
     if isinstance(table, _Leaf):
-        p, q = table.p, table.q
-        return _Leaf(q if p > 0 else -q, abs(p), table.bound, _turned(table.runs))
-    return {t[0] for key in table if (t := _turn(key))}
+        return _Leaf(q if p > 0 else -q, abs(p), table.bound, runs)
+    return _Turned(q if p > 0 else -q, abs(p), table, runs) if p else runs
 
 
 def _sumset(xs, ys):
@@ -342,15 +428,63 @@ def _sumset(xs, ys):
     return [low + i for i, bit in enumerate(bin(sums)[:1:-1]) if bit == "1"]
 
 
-def _with_constants(table, other):
-    """table's keys in a merge with other: a _Leaf's runs plus its
-    constant of each (a : b) direction among the other side's explicit
-    keys (its runs, if a _Leaf), else the table itself."""
-    if not isinstance(table, _Leaf):
-        return table
-    keys = other.runs if isinstance(other, _Leaf) else other
+def _constants(table, keys):
+    """A _Family table's key of each (a : b) direction among keys, but
+    those among its runs."""
     directions = {(a // (s := gcd(a, b)), b // s) for a, b, _ in keys}
-    return [*filter(None, (table.constant(*d) for d in directions)), *table.runs]
+    return [key for d in directions if (key := table.constant(*d)) and key not in table.runs]
+
+
+def _with_constants(table, other):
+    """table's keys in a merge with other: a _Family's runs plus its
+    constant of each (a : b) direction among the other side's explicit
+    keys (its runs, if a _Family), else the table itself."""
+    if not isinstance(table, _Family):
+        return table
+    return [*_constants(table, other.runs if isinstance(other, _Family) else other), *table.runs]
+
+
+def _two_leaves(left, right):
+    """Whether left and right are the tables of a sum of two leaves: a
+    leaf's table has its windows, a _turned one none."""
+    return isinstance(left, _Leaf) and isinstance(right, _Leaf) and bool(left.windows and right.windows)
+
+
+def _sheets(table):
+    """(m, lo, hi) per one-sheet window of a leaf table: each descent's
+    run window that is not empty, ending at <m>, then an integer leaf's
+    constant (1, 0, p) as the window p..p."""
+    out = [(m, lo, hi) for m, _, lo, hi, _ in table.windows if lo <= hi]
+    if table.constant(1, 0):
+        out.append((table.p, table.p, table.p))
+    return out
+
+
+def _window_sums(x, y):
+    """The one-sheet keys (1, 0, c) of a sum of two leaves: the c within
+    lo1 + lo2 .. hi1 + hi2 for some pair of their _sheets."""
+    ends = set()
+    for _, lo1, hi1 in _sheets(x):
+        for _, lo2, hi2 in _sheets(y):
+            ends.update(range(lo1 + lo2, hi1 + hi2 + 1))
+    return {(1, 0, c) for c in ends}
+
+
+def _window_pairs(x, y, c):
+    """The (left key, right key) pairs behind the one-sheet key (1, 0, c)
+    of a sum of two leaves: per pair of their _sheets that reaches it, the
+    split e1 + e2 = c of least e1 by the left leaf's run order
+    (_leaf_witnesses), as every split of one pair adds the same tau, t1 +
+    t2 - 2(c - m1 - m2). The feasible e1 are an interval, so that e1 is m1
+    clamped to it."""
+    out = []
+    for m1, lo1, hi1 in _sheets(x):
+        for _, lo2, hi2 in _sheets(y):
+            low, high = max(lo1, c - hi2), min(hi1, c - lo2)
+            if low <= high:
+                e = min(max(m1, low), high)
+                out.append(((1, 0, e), (1, 0, c - e)))
+    return list(dict.fromkeys(out))
 
 
 def _explicit_keys(lws, right, closing):
@@ -383,36 +517,30 @@ def _explicit_keys(lws, right, closing):
     return out
 
 
-def _common_keys(x, y, closing):
-    """The keys glued from the constants of two leaves, one per direction
-    (da, T - da) that both reach: gcd(da, T) = 1 and 1 <= da <= T / q for
-    the larger q, where T/gcd(q, T) is within each bound. The glued value
-    is T (px/qx + py/qy); reduced to n/d, the key is (d*da, d*(T - da), n)."""
-    num, den, q = x.p * y.q + y.p * x.q, x.q * y.q, max(x.q, y.q)
-    if closing and num:
-        return set()
-    out = set()
-    for t in range(1, min(x.bound * x.q, y.bound * y.q) + 1):
-        if t <= x.bound * gcd(x.q, t) and t <= y.bound * gcd(y.q, t):
-            g = gcd(t * num, den)
-            n, d = t * num // g, den // g
-            out.update([(da * d, (t - da) * d, n) for da in range(1, t // q + 1) if gcd(da, t) == 1])
-    return out
-
-
 def _merge_sum(left, right, closing=False):
-    """Key pass at a merge: the set of keys glued from each key of left
-    (the _turned left table, at a product) and each right key of its
-    (a : b) direction; when closing, only those with c = 0. A leaf's
-    constants join once per direction of the other side's explicit keys
-    (_with_constants), as in the demand pass, and two leaves' constants
-    pair over their common directions; the closing test asks the right
-    table itself."""
-    rkeys = right if closing else _with_constants(right, left)
-    out = _explicit_keys(_with_constants(left, right), rkeys, closing)
-    if isinstance(left, _Leaf) and isinstance(right, _Leaf):
-        out |= _common_keys(left, right, closing)
-    return out
+    """Key pass at a merge: the keys glued from each key of left (the
+    _turned left table, at a product) and each right key of its (a : b)
+    direction; when closing, only those with c = 0, as a set.
+
+    A sum of two leaves glues its one-sheet keys as _window_sums. Else a
+    family joins once per direction of the other side's explicit keys
+    (_with_constants), as in the demand pass, and the closing test asks
+    the right table itself per key. Where both tables hold a family, their
+    constant pairs are the _Glued family, kept by formula: the root keeps
+    all of its keys, each with c = 0, when its value is 0, else none."""
+    if _two_leaves(left, right):  # never the root: it has a product below
+        out = _window_sums(left, right)
+    else:
+        rkeys = right if closing else _with_constants(right, left)
+        out = _explicit_keys(_with_constants(left, right), rkeys, closing)
+    if not (isinstance(left, _Family) and isinstance(right, _Family)):
+        return out
+    p, q = left.p * right.q + right.p * left.q, left.q * right.q
+    g = gcd(p, q)
+    glued = _Glued(p // g, q // g, left, right, out)
+    if closing:
+        return out.union(glued.family()) if p == 0 else out
+    return glued
 
 
 # a second name, so that bench/tracer.py times product merges apart
@@ -447,9 +575,10 @@ def _demand_pass(nodes, keys, turns):
     A glue adds per-sheet values (_explicit_keys), so for a demanded key
     and a left key of its direction (turned, at a product) the one right
     key that can glue to it has the reduced difference of their values. A
-    leaf's constants join once per demanded direction (_with_constants),
-    and the right table, a _Leaf's constants included, is asked for that
-    key. At a product the left key is the _turn of the turned one.
+    family joins once per demanded direction (_constants), and the right
+    table, its family included, is asked for that key. A sum of two leaves
+    takes its one-sheet keys' pairs per pair of windows (_window_pairs),
+    not per run. At a product the left key is the _turn of the turned one.
     """
     demand = {id(nodes[-1]): dict.fromkeys(keys[id(nodes[-1])])}
     for node in reversed(nodes):
@@ -465,7 +594,18 @@ def _demand_pass(nodes, keys, turns):
             s = gcd(a, b)
             wanted[key] = pairs = []
             by_direction.setdefault((a // s, b // s), []).append((s, c, pairs))
-        for a, b, lc in _with_constants(left, wanted):
+        if _two_leaves(left, right):
+            # b = 0 only in a one-sheet key (1, 0, c); the others are
+            # constant pairs
+            lkeys = _constants(left, [key for key in wanted if key[1]])
+            for (a, b, c), pairs in wanted.items():
+                if not b:
+                    pairs += _window_pairs(left, right, c)
+                    for lkey, rkey in pairs:
+                        ldemand[lkey] = rdemand[rkey] = None
+        else:
+            lkeys = _with_constants(left, wanted)
+        for a, b, lc in lkeys:
             ls = gcd(a, b)
             da, db = a // ls, b // ls
             for s, c, pairs in by_direction.get((da, db), ()):
@@ -571,7 +711,14 @@ def _root_table(expr, c_bound):
     logging = sys.modules.get("logging")
     log = logging and logging.getLogger("tangleslopes.solver")
     if log and log.isEnabledFor(logging.INFO):
+        tables = [*keys.values(), *turns.values()]
+        # every pair of one-sheet windows a sum of two leaves compared, and
         # every child witness pair a merge compared
+        windows = sum(
+            len(_sheets(x)) * len(_sheets(y)) * sum(not key[1] for key in demand[id(node)])
+            for node in nodes
+            if isinstance(node, Sum) and _two_leaves(x := keys[id(node.left)], y := keys[id(node.right)])
+        )
         pairs = sum(
             len(taus[id(node.left)][lkey]) * len(taus[id(node.right)][rkey])
             for node in nodes
@@ -580,12 +727,14 @@ def _root_table(expr, c_bound):
             for lkey, rkey in pairs
         )
         log.info(
-            "sn solve, c_bound=%d, %d nodes: %d keys built, %d demanded,"
-            " %d witness pairs compared",
+            "sn solve, c_bound=%d, %d nodes: %d keys built and %d formula families"
+            " never enumerated, %d demanded, %d window pairs and %d witness pairs compared",
             c_bound,
             len(nodes),
-            sum(len(keys[id(node)]) for node in nodes),
+            sum(len(t.runs if isinstance(t, _Family) else t) for t in tables),
+            sum(isinstance(t, _Family) for t in tables),
             sum(len(demand[id(node)]) for node in nodes),
+            windows,
             pairs,
         )
     return taus[id(expr)]

@@ -23,3 +23,17 @@ def trees(draw, max_merges=12):
         kind = draw(st.sampled_from((Sum, Product)))
         pool.append(kind(draw(st.sampled_from(pool)), draw(st.sampled_from(pool))))
     return pool[-1]
+
+
+@st.composite
+def two_leaf_products(draw, q_max=9):
+    """Products of two sums of two leaves. A sum may be one leaf object
+    added to itself, and the right factor may be the left factor object
+    again, as in kn(n)."""
+
+    def factor():
+        x = draw(leaves(q_max))
+        return Sum(x, x if draw(st.integers(0, 4)) == 0 else draw(leaves(q_max)))
+
+    left = factor()
+    return Product(left, left if draw(st.integers(0, 3)) == 0 else factor())

@@ -300,6 +300,26 @@ def test_log_level_reads_logging_level_names(level, shown):
     assert json.loads(done.stdout)["certified"] == ["-14", "14"]
 
 
+def test_info_line_counts_what_the_passes_do():
+    # kn(3) solves at c_bound 14, over 4 distinct nodes. The runs of each
+    # leaf, -1/3 and 1/4, end at -14..14: 29 keys each. Their sum's
+    # one-sheet keys are the sums, -28..28 (57), the product turns the 56
+    # with c != 0, and the root closes 2: 173 keys built. The formula
+    # families are each leaf's constants, the sum's constant pairs and
+    # their turn. Each leaf has two nonempty run windows, so each of the
+    # 3 one-sheet keys demanded of the sum compares 2 x 2 window pairs
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), LOG_LEVEL="info")
+    done = subprocess.run(
+        [sys.executable, "-m", "tangleslopes.cli", "kn", "--n", "3"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    [line] = [line for line in done.stderr.splitlines() if "sn solve" in line]
+    assert line.endswith(
+        "sn solve, c_bound=14, 4 nodes: 173 keys built and 4 formula families never"
+        " enumerated, 17 demanded, 12 window pairs and 60 witness pairs compared"
+    )
+
+
 def test_library_caller_configures_logging_after_import():
     # the solver looks logging up at each SN solve, so a logger configured
     # after `import tangleslopes` still gets the line

@@ -31,6 +31,15 @@ GOLDEN = (
     ("kn(10)", None, "fccd3a95fd948cd74b823403079246eaec6d8e25e6f9749961dbe66cc5f80535"),
     # c_bound 422: each leaf's constant family holds 55,131 keys
     ("kn(20)", None, "7f4b03148556e81686d3e5536a9a8a07cfa740947fc72a60b29d53d3c601d99a"),
+    # past the corpus's kn(30): c_bound 1,642 and 3,662, where the two-leaf
+    # factors' constant pairs and run windows are solved by formula
+    ("kn(40)", None, "a1023ddbd0c6345f5822663525b12e49ab00eacf9bb2dc9bde61f7e2a3d88084"),
+    ("kn(60)", None, "e3380ff29bed9bc83788ad6237470836b37b01e1e2004ed4410b12249633ef80"),
+    # unequal two-leaf factors, at the default c_bound 32 and at kn(8)'s,
+    # 74: every run window of the four leaves is clipped at -c_bound or
+    # +c_bound
+    ("(-1/2 + 1/3) o (-1/8 + 1/9)", None, "5cb4ab895777ebd5dc917d91238b96b43ac4aebba98bc910e33d40053e58966b"),
+    ("(-1/2 + 1/3) o (-1/8 + 1/9)", 74, "99b88e9730628eabb35acfde9f6b57f260d07543f6d2af41dc204eac7156f220"),
     ("-1/2 + 1/3 + 1/3", None, "60ad564d509082a7a62624d61096578be9b59df3b36664767ed7dbdbc4a5ca65"),
     ("-1/2 + 1/3 + 1/5", None, "2807d7f6269cb0ad224312b3431ebe9e87bddd7ff8d1328b0e36855f59d71432"),
     ("-1/2 + 1/3 + 1/7", None, "9bfd07e2e158ccf720ede813730fe29de92d6b6176ed236b43174d3ed5fff3fc"),

@@ -52,7 +52,7 @@ from reference import (
     type_i_size,
     u_zero_ends,
 )
-from strategies import trees
+from strategies import trees, two_leaf_products
 from test_golden import GOLDEN, _expr, corpus_batches
 
 PRETZEL_237 = "-1/2 + 1/3 + 1/7"
@@ -504,6 +504,50 @@ def test_reference_examples_reach_their_cases():
     )
 
 
+_THIRD = Leaf(Fraction(1, 3))
+# one leaf object added to itself, beside a factor with an integer leaf
+_DOUBLED = Product(Sum(_THIRD, _THIRD), Sum(Leaf(Fraction(-1, 2)), Leaf(Fraction(2))))
+
+
+# a sum of two leaves is solved by formula: its one-sheet keys per pair of
+# run windows, its constant pairs as one family, turned at a product
+@settings(max_examples=150, deadline=None)
+@given(two_leaf_products(), st.integers(min_value=1, max_value=12))
+@example(parse("(2 + 1/3) o (-1 + 1/2)"), 4)  # integer leaves: each constant (1, 0, p) joins the runs
+@example(parse("(5/8 + -4/9) o (4/9 + 1/2)"), 6)  # leaves of three or more descents
+@example(parse("(5/8 + 4/9) o (5/8 + 4/9)"), 12)  # the same at the largest c_bound drawn
+@example(parse("(7/2 + -1/3) o (1/2 + -5/2)"), 2)  # descents ending past +-c_bound: clipped windows
+@example(parse("(-1/2 + 1/3) o (-1/8 + 1/9)"), 12)  # unequal factors
+@example(kn(3), 12)  # one factor object on both sides of the product
+@example(_DOUBLED, 6)  # Sum(x, x) of a single Leaf object x
+@example(parse("(1/2 + 1/3) o (-1/5 + -1)"), 8)  # 6/5 - 6/5: every key of the root's family closes
+def test_two_leaf_sums_list_the_reference_systems(expr, c_bound):
+    _check_reference(expr, c_bound)
+
+
+def test_two_leaf_examples_reach_their_cases():
+    # the fixed products of the property above hold what they are there for
+    def assignments(expr, c_bound):
+        return [s.assignment for s in solve(expr, c_bound).systems if s.note != "seifert-reference"]
+
+    # the integer leaf 2 takes its constant (1, 0, 2) beside a run of 1/3
+    assert any(
+        ps[0].is_constant and ps[0].state.triple() == (1, 0, 2) and not ps[1].is_constant
+        for ps in assignments(parse("(2 + 1/3) o (-1 + 1/2)"), 4)
+    )
+    assert all(len(enumerate_paths(Fraction(pq))) >= 3 for pq in ("5/8", "-4/9", "4/9"))
+    # 7/2 descends to 3 or 4, past c_bound 2, and runs back into the bound;
+    # -5/2 descends to -2 or -3
+    listed = assignments(parse("(7/2 + -1/3) o (1/2 + -5/2)"), 2)
+    assert any(ps[0].vertices[-3:] == (3, 2, 1) for ps in listed)
+    assert {int(d.vertices[-1]) for d in enumerate_paths(Fraction(7, 2))} == {3, 4}
+    # both leaves of the left factor take their constants: a key of the
+    # turned constant-pair family closes
+    assert any(ps[0].is_constant and ps[1].is_constant
+               for ps in assignments(parse("(-1/2 + 1/3) o (-1/8 + 1/9)"), 12))
+    assert assignments(_DOUBLED, 6)
+
+
 def test_root_witnesses_match_eager_traces():
     # the fixed products list the reference's systems: the least
     # descriptor per closed tau of its eager merge over the sampled lattice
@@ -927,7 +971,8 @@ def test_sn_solve_logs_one_info_line(caplog):
         solve_sn(kn(3))
     [record] = [r for r in caplog.records if r.name == "tangleslopes.solver"]
     assert record.levelno == logging.INFO
-    assert "267 keys built, 66 demanded, 212 witness pairs compared" in record.getMessage()
+    # tests/test_cli.py checks its numbers
+    assert record.getMessage().startswith("sn solve, c_bound=14, 4 nodes: ")
 
 
 def _check_leaf_table(table, keys):
