@@ -165,8 +165,8 @@ def enumerate_paths(start):
     """Every descent from <start> to an integer vertex on u = 0.
 
     A descent steps to a parent vertex (smaller denominator) each time and
-    never cuts across a triangle. An integer start has only its trivial
-    one-vertex path. In the order of their vertices.
+    never cuts across a triangle. An integer start, on u = 0 already, has
+    only its trivial one-vertex path. In the order of their vertices.
 
     The walk is in (p, q) int pairs on an explicit stack: the parents of
     p/q are r/s < p/q < (p - r)/(q - s) with s = p^-1 mod q, and a step
@@ -176,8 +176,6 @@ def enumerate_paths(start):
     the order of their vertices. Each distinct vertex becomes a Fraction once.
     """
     start = Fraction(start)
-    if start.denominator == 1:
-        return [VertexPath(start, (start,))]
     ends, stack = [], [((start.numerator, start.denominator),)]
     while stack:
         vs = stack.pop()

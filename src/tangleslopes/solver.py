@@ -25,24 +25,24 @@ leaf; no reader mutates what the memo holds.
      states of its constant family, (a, q*k - a, p*k) with
      1 <= a <= k <= c_bound // |p| and gcd(a, k) = 1, and the vertices
      <e> that end its descents and their vertical runs within +-c_bound,
-     a window per descent (an integer leaf keeps its trivial path
-     regardless). A formula family (_Family) has at most one key per
-     primitive (a : b) direction, the primitive state of that direction
-     on the plane c = v (a + b) of its value v, and is asked per
-     direction, never enumerated: a leaf's is the family of p/q, a
-     product turns the family of v into that of 1/v, and where both sides
-     of a merge hold a family, their constant pairs are the family of the
-     sum of the values (_Glued). A merge glues the left key (turned, at a
-     product) to each right key of its direction, both rescaled to their
-     least common (a, b) and added, so c_bound is the only bound. A
-     family joins a merge once per direction of the other side's
-     explicit keys, as in the demand pass; one-sheet pairs glue as an
-     integer sumset, all others by _glue; sums and products share this
-     one merge. A sum of two leaves has only one-sheet keys (1, 0, c)
-     besides its family: c runs over the sums of the two leaves' run
-     windows, an integer leaf's constant (1, 0, p) a window of its own.
-     A merge keeps its explicit keys and its family, the root only the
-     keys that close (c = 0), and a product its turned left table.
+     a window per descent that ends there (an integer leaf p keeps its
+     trivial window p..p regardless). A formula family (_Family) has at
+     most one key per primitive (a : b) direction, the primitive state of
+     that direction on the plane c = v (a + b) of its value v, and is
+     asked per direction, enumerated only where a root's family closes:
+     a leaf's is the family of p/q, a product turns the family of v into
+     that of 1/v (_Turned), and where both sides of a merge hold a
+     family, their constant pairs are the family of the sum of the values
+     (_Glued). A merge glues the left key (turned, at a product) to each
+     right key of its direction, both rescaled to their least common
+     (a, b) and added, so c_bound is the only bound. A family joins a
+     merge once per direction of the other side's explicit keys, as in
+     the demand pass; one-sheet pairs glue as an integer sumset, all
+     others by _glue; sums and products share this one merge. A sum of
+     two leaves has only one-sheet keys (1, 0, c) besides its family: c
+     runs over the sums of the two leaves' run windows. A merge keeps its
+     explicit keys and its family, the root only the keys that close
+     (c = 0), and a product its turned left table.
   2. Demand pass, top-down. The root demands all its keys. Each merge
      recovers the (left key, right key) pairs behind its demanded keys
      and adds both keys of each to its children's demand, after all of
@@ -268,7 +268,8 @@ class _Family:
     key per primitive (a : b) direction (da, db), its _plane_key where
     admits(da, db), asked per direction; a solve enumerates (family())
     only a root's family of value 0, all of whose keys close. Plus runs,
-    the set of its other keys."""
+    the set of its explicit keys, which an integer leaf's (1, 0, p) joins
+    though its family holds it too."""
 
     __slots__ = ()
 
@@ -276,19 +277,23 @@ class _Family:
         """The family's key of direction (da, db), or None."""
         return _plane_key(self.p, self.q, da, db) if self.admits(da, db) else None
 
-    def __contains__(self, key):
+    def holds(self, key):
+        """Whether key is the family's key of its direction."""
         s = gcd(key[0], key[1])
         da, db = key[0] // s, key[1] // s
-        return key in self.runs or (key == _plane_key(self.p, self.q, da, db) and self.admits(da, db))
+        return key == _plane_key(self.p, self.q, da, db) and self.admits(da, db)
+
+    def __contains__(self, key):
+        return key in self.runs or self.holds(key)
 
     def __len__(self):
         # counts the family key by key: only bench/tracer.py sizes a table
         return len(self.runs) + sum(key not in self.runs for key in self.family())
 
 
-class _Leaf(_Family, namedtuple("_Leaf", ("p", "q", "bound", "runs", "windows"), defaults=((),))):
+class _Leaf(_Family, namedtuple("_Leaf", ("p", "q", "bound", "runs", "windows"))):
     """A leaf's key table: the constant family of p/q, plus runs, the set
-    of its other keys, with their windows unless _turned.
+    of its one-sheet keys, and the windows they come from.
 
     The family's primitive keys are (a, q*k - a, p*k), 1 <= a <= k <= bound,
     gcd(a, k) = 1: at most one per primitive direction (da, db). With
@@ -309,7 +314,8 @@ class _Leaf(_Family, namedtuple("_Leaf", ("p", "q", "bound", "runs", "windows"),
                     yield a, self.q * k - a, self.p * k
 
     def __len__(self):
-        return _coprime_pairs(self.bound) + len(self.runs)
+        # an integer's (1, 0, p) is both a constant and a run
+        return _coprime_pairs(self.bound) + len(self.runs) - (self.constant(1, 0) in self.runs)
 
 
 class _Glued(_Family, namedtuple("_Glued", ("p", "q", "left", "right", "runs"))):
@@ -331,10 +337,10 @@ class _Glued(_Family, namedtuple("_Glued", ("p", "q", "left", "right", "runs")))
 
 
 class _Turned(_Family, namedtuple("_Turned", ("p", "q", "table", "runs"))):
-    """A product's left table turned, where it is a _Glued: the family of
-    p/q, the inverse of the table's value (a turn maps the plane of value
-    v onto that of 1/v), admitting a direction where its _plane_key turns
-    (_turn) into the table's family; plus runs, its turned runs."""
+    """A product's left table turned: the family of p/q, the inverse of
+    the table's value (a turn maps the plane of value v onto that of 1/v),
+    admitting a direction where its _plane_key turns (_turn) into the
+    table's family; plus runs, its turned runs."""
 
     __slots__ = ()
 
@@ -356,24 +362,20 @@ class _Turned(_Family, namedtuple("_Turned", ("p", "q", "table", "runs"))):
 @lru_cache(maxsize=LEAF_MEMO_SIZE)
 def _leaf_table(pq, c_bound):
     """The _Leaf table of leaf p/q, bound c_bound // |p|: windows holds
-    (m, tau, lo, hi, descent) per descent, by rank, its place by vertices,
-    for a descent ending at <m> whose runs end at lo..hi (u_zero_window),
-    and runs each (1, 0, e) of them. Memoized: the solves only read it.
-
-    A path's state (1, 0, e) is a constant key only for an integer leaf
-    p's trivial path, tau 0, whose constant's descriptor, its own triple,
-    is smaller: the leaf keeps that path only when |p| > c_bound.
+    (m, tau, lo, hi, descent) per descent whose window is not empty, by
+    rank, its place by vertices, for a descent ending at <m> whose runs end
+    at lo..hi (u_zero_window), and runs each (1, 0, e) of them. An integer
+    leaf p keeps its trivial window p..p, within c_bound or not: within,
+    (1, 0, p) is its constant too. Memoized: the solves only read it.
     """
     p, q = pq.numerator, pq.denominator
     ends, windows = set(), []
     for descent in leaf_descents(pq):
         m = int(descent.vertices[-1])
-        if q > 1:
-            lo, hi = u_zero_window(descent, c_bound)
-        else:
-            lo, hi = (m, m) if abs(p) > c_bound else (m + 1, m)
-        ends.update(range(lo, hi + 1))
-        windows.append((m, tau(descent), lo, hi, descent))
+        lo, hi = u_zero_window(descent, c_bound) if q > 1 else (m, m)
+        if lo <= hi:
+            ends.update(range(lo, hi + 1))
+            windows.append((m, tau(descent), lo, hi, descent))
     return _Leaf(p, q, c_bound // abs(p), {(1, 0, e) for e in ends}, tuple(windows))
 
 
@@ -402,16 +404,13 @@ def _glue(lw, rkey):
 
 
 def _turned(table):
-    """A product's left table turned: its turned keys. Every constant of a
-    leaf p/q turns, (a, q*k - a, p*k) to (a, |p|*k - a, sign(p) q*k): the
-    family of sign(p) q/|p|, same bound. Any other family of value p/q
-    turns into the family of q/p, a _Turned (none when p = 0: each of its
-    keys has c = 0), and a set into the set of its turned keys."""
+    """A product's left table turned: its turned keys. A family of value
+    p/q, a leaf's included, turns into the family of q/p, a _Turned (none
+    when p = 0: each of its keys has c = 0), and a set into the set of its
+    turned keys."""
     if not isinstance(table, _Family):
         return {t[0] for key in table if (t := _turn(key))}
     p, q, runs = table.p, table.q, _turned(table.runs)
-    if isinstance(table, _Leaf):
-        return _Leaf(q if p > 0 else -q, abs(p), table.bound, runs)
     return _Turned(q if p > 0 else -q, abs(p), table, runs) if p else runs
 
 
@@ -445,41 +444,31 @@ def _with_constants(table, other):
 
 
 def _two_leaves(left, right):
-    """Whether left and right are the tables of a sum of two leaves: a
-    leaf's table has its windows, a _turned one none."""
-    return isinstance(left, _Leaf) and isinstance(right, _Leaf) and bool(left.windows and right.windows)
-
-
-def _sheets(table):
-    """(m, lo, hi) per one-sheet window of a leaf table: each descent's
-    run window that is not empty, ending at <m>, then an integer leaf's
-    constant (1, 0, p) as the window p..p."""
-    out = [(m, lo, hi) for m, _, lo, hi, _ in table.windows if lo <= hi]
-    if table.constant(1, 0):
-        out.append((table.p, table.p, table.p))
-    return out
+    """Whether left and right are the tables of a sum of two leaves (a
+    _turned leaf is a _Turned)."""
+    return isinstance(left, _Leaf) and isinstance(right, _Leaf)
 
 
 def _window_sums(x, y):
     """The one-sheet keys (1, 0, c) of a sum of two leaves: the c within
-    lo1 + lo2 .. hi1 + hi2 for some pair of their _sheets."""
+    lo1 + lo2 .. hi1 + hi2 for some pair of their windows."""
     ends = set()
-    for _, lo1, hi1 in _sheets(x):
-        for _, lo2, hi2 in _sheets(y):
+    for _, _, lo1, hi1, _ in x.windows:
+        for _, _, lo2, hi2, _ in y.windows:
             ends.update(range(lo1 + lo2, hi1 + hi2 + 1))
     return {(1, 0, c) for c in ends}
 
 
 def _window_pairs(x, y, c):
     """The (left key, right key) pairs behind the one-sheet key (1, 0, c)
-    of a sum of two leaves: per pair of their _sheets that reaches it, the
+    of a sum of two leaves: per pair of their windows that reaches it, the
     split e1 + e2 = c of least e1 by the left leaf's run order
     (_leaf_witnesses), as every split of one pair adds the same tau, t1 +
     t2 - 2(c - m1 - m2). The feasible e1 are an interval, so that e1 is m1
     clamped to it."""
     out = []
-    for m1, lo1, hi1 in _sheets(x):
-        for _, lo2, hi2 in _sheets(y):
+    for m1, _, lo1, hi1, _ in x.windows:
+        for _, _, lo2, hi2, _ in y.windows:
             low, high = max(lo1, c - hi2), min(hi1, c - lo2)
             if low <= high:
                 e = min(max(m1, low), high)
@@ -595,9 +584,8 @@ def _demand_pass(nodes, keys, turns):
             wanted[key] = pairs = []
             by_direction.setdefault((a // s, b // s), []).append((s, c, pairs))
         if _two_leaves(left, right):
-            # b = 0 only in a one-sheet key (1, 0, c); the others are
-            # constant pairs
-            lkeys = _constants(left, [key for key in wanted if key[1]])
+            # a one-sheet key (1, 0, c) is a run of left, never among lkeys
+            lkeys = _constants(left, wanted)
             for (a, b, c), pairs in wanted.items():
                 if not b:
                     pairs += _window_pairs(left, right, c)
@@ -626,22 +614,23 @@ def _demand_pass(nodes, keys, turns):
 def _leaf_witnesses(leaf, table, wanted):
     """{tau: witness} per wanted key of a leaf's _Leaf table: (order,
     (key, tau, leaf fraction, descent)) of the smallest path, descent None
-    for a constant. A run from <m> to <e> adds -2(e - m) to the descent's
-    tau; its order, (1, rank, m - e if e <= m else e - lo), sorts as the
-    descriptor (a constant's is (0, key)): runs down by length, then up,
-    and no descent is a prefix of another (enumerate_paths)."""
+    for a constant. A key's constant comes first, where the family holds
+    it; then each window adds a run per tau not yet taken. A run from <m>
+    to <e> adds -2(e - m) to the descent's tau; its order, (1, rank, m - e
+    if e <= m else e - lo), sorts as the descriptor (a constant's is (0,
+    key)): runs down by length, then up, and no descent is a prefix of
+    another (enumerate_paths)."""
     pq = leaf.fraction
     out, runs = {}, []  # (key, its end e, its entries) per wanted run key
     for key in wanted:
+        entries = out[key] = {0: ((0, key), (key, 0, pq, None))} if table.holds(key) else {}
         if key in table.runs:
-            runs.append((key, key[2], out.setdefault(key, {})))
-        else:
-            out[key] = {0: ((0, key), (key, 0, pq, None))}
+            runs.append((key, key[2], entries))
     for rank, (m, t, lo, hi, descent) in enumerate(table.windows):
         for key, e, entries in runs:
             if lo <= e <= hi:
                 run_tau = t - 2 * (e - m)
-                if run_tau not in entries:  # else a smaller rank's
+                if run_tau not in entries:  # else the constant's or a smaller rank's
                     order = (1, rank, m - e if e <= m else e - lo)
                     entries[run_tau] = order, (key, run_tau, pq, descent)
     return out
@@ -715,10 +704,21 @@ def _root_table(expr, c_bound):
         # every pair of one-sheet windows a sum of two leaves compared, and
         # every child witness pair a merge compared
         windows = sum(
-            len(_sheets(x)) * len(_sheets(y)) * sum(not key[1] for key in demand[id(node)])
+            len(x.windows) * len(y.windows) * sum(not key[1] for key in demand[id(node)])
             for node in nodes
             if isinstance(node, Sum) and _two_leaves(x := keys[id(node.left)], y := keys[id(node.right)])
         )
+        # a root of value 0 lists the family of its constant pairs
+        # (_merge_sum): that family walks its left table's, which walks its
+        # left side's or turned table's, and so on down to a leaf
+        root = nodes[-1]
+        table = turns[id(root)] if isinstance(root, Product) else keys[id(root.left)]
+        right, walked = keys[id(root.right)], 0
+        if isinstance(table, _Family) and isinstance(right, _Family) and table.p * right.q + right.p * table.q == 0:
+            walked = 2  # the root's family and its left table's
+            while not isinstance(table, _Leaf):
+                walked += 1
+                table = table.table if isinstance(table, _Turned) else table.left
         pairs = sum(
             len(taus[id(node.left)][lkey]) * len(taus[id(node.right)][rkey])
             for node in nodes
@@ -728,11 +728,11 @@ def _root_table(expr, c_bound):
         )
         log.info(
             "sn solve, c_bound=%d, %d nodes: %d keys built and %d formula families"
-            " never enumerated, %d demanded, %d window pairs and %d witness pairs compared",
+            " enumerated, %d demanded, %d window pairs and %d witness pairs compared",
             c_bound,
             len(nodes),
             sum(len(t.runs if isinstance(t, _Family) else t) for t in tables),
-            sum(isinstance(t, _Family) for t in tables),
+            walked,
             sum(len(demand[id(node)]) for node in nodes),
             windows,
             pairs,

@@ -305,19 +305,30 @@ def test_info_line_counts_what_the_passes_do():
     # leaf, -1/3 and 1/4, end at -14..14: 29 keys each. Their sum's
     # one-sheet keys are the sums, -28..28 (57), the product turns the 56
     # with c != 0, and the root closes 2: 173 keys built. The formula
-    # families are each leaf's constants, the sum's constant pairs and
-    # their turn. Each leaf has two nonempty run windows, so each of the
-    # 3 one-sheet keys demanded of the sum compares 2 x 2 window pairs
+    # families (each leaf's constants, the sum's constant pairs and their
+    # turn) are asked per direction: none is enumerated. Each leaf has two
+    # nonempty run windows, so each of the 3 one-sheet keys demanded of
+    # the sum compares 2 x 2 window pairs.
+    # (1/2 + 1/3) o (-1/5 + -1) is 6/5 - 6/5: every key of its root's
+    # family of constant pairs closes, and listing them walks that family,
+    # the turned left factor's, the factor's constant pairs and the leaf
+    # 1/2's constants: 4 families enumerated
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), LOG_LEVEL="info")
-    done = subprocess.run(
-        [sys.executable, "-m", "tangleslopes.cli", "kn", "--n", "3"],
-        env=env, capture_output=True, text=True, check=True,
+    cases = (
+        (["kn", "--n", "3"], 0,
+         "sn solve, c_bound=14, 4 nodes: 173 keys built and 0 formula families"
+         " enumerated, 17 demanded, 12 window pairs and 60 witness pairs compared"),
+        # no even-denominator tangle in its right factor: no slope, exit 3
+        (["slopes", "(1/2 + 1/3) o (-1/5 + -1)", "--c-bound", "8"], 3,
+         "sn solve, c_bound=8, 7 nodes: 136 keys built and 4 formula families"
+         " enumerated, 22 demanded, 12 window pairs and 18 witness pairs compared"),
     )
-    [line] = [line for line in done.stderr.splitlines() if "sn solve" in line]
-    assert line.endswith(
-        "sn solve, c_bound=14, 4 nodes: 173 keys built and 4 formula families never"
-        " enumerated, 17 demanded, 12 window pairs and 60 witness pairs compared"
-    )
+    for args, code, expected in cases:
+        done = subprocess.run(
+            [sys.executable, "-m", "tangleslopes.cli", *args], env=env, capture_output=True, text=True,
+        )
+        [line] = [line for line in done.stderr.splitlines() if "sn solve" in line]
+        assert done.returncode == code and line.endswith(expected), args
 
 
 def test_library_caller_configures_logging_after_import():

@@ -67,6 +67,12 @@ GOLDEN = (
     # an integer leaf whose constant family is empty at c_bound 2: it
     # keeps its trivial run (1, 0, 3)
     ("(3 + 1/2) o 1/3", 2, "754e29ee13e2759507c370e266a30f0d7736ac2e2d5f4b6276f44fd877114125"),
+    # a turned integer leaf: at c_bound 2 the leaf 3 has no constant, only
+    # its trivial window 3..3, and no system closes; at c_bound 3 its
+    # constant (1, 0, 3), the same key as its trivial path, witnesses both
+    # systems listed
+    ("(3 o -2/3) o -2/3", 2, "b9cb92060c5a7a9020aa758c5c5506d6506bfd593cc4ce1070ce6f2563e76214"),
+    ("(3 o -2/3) o -2/3", 3, "bdd8e2327a65691f219510f3b9e11a5b16383ddee03cf5ac68c97db1414443ad"),
     # the 7/2 leaf's descent to 3 ends past c_bound 1; its run comes back
     # through 2 into the bound, to 1 and 0
     ("(7/2 + 1/3) o 1/2", 1, "54dee8ce3d26b777f10b5e82d39d105a2864833c82c67d1bd734b3f63665424a"),

@@ -459,6 +459,8 @@ _SHARED = Product(Sum(_HALF, Leaf(Fraction(1, 3))), Sum(_HALF, Leaf(Fraction(2, 
 @example(parse("(7/2 + 1/3) o 1/2"), 1)  # a run window clipped to c_bound
 @example(parse("(3 + 1/2) o 1/3"), 2)  # an integer leaf with no constant in its bound
 @example(parse("(2 + 1/3) o 1/2"), 4)  # an integer leaf whose constant and path share a key
+@example(parse("(3 o -2/3) o -2/3"), 2)  # a turned integer leaf with no constant in its bound
+@example(parse("(3 o -2/3) o -2/3"), 3)  # a turned integer leaf whose constant and path share a key
 @example(kn(2), 8)
 @example(_SHARED, 4)
 @example(parse("-1/2 + -1/2 + (2/3 o 1/2)"), 2)  # a root whose closing keys pair c with -c only
@@ -489,6 +491,12 @@ def test_reference_examples_reach_their_cases():
     assert any(p.vertices[-3:] == (3, 2, 1) for p in clipped)
     # the leaf 3 has no constant within c_bound 2, so its trivial path
     assert VertexPath(Fraction(3), (Fraction(3),)) in paths("(3 + 1/2) o 1/3", 2)
+    # turned, the leaf 3 closes no system at c_bound 2; at c_bound 3 both
+    # systems take its constant (1, 0, 3), whose descriptor is smaller than
+    # its trivial path's
+    assert solve(parse("(3 o -2/3) o -2/3"), 2).systems == ()
+    turned = [s.assignment[0] for s in solve(parse("(3 o -2/3) o -2/3"), 3).systems]
+    assert len(turned) == 2 and all(p.is_constant and p.state.triple() == (1, 0, 3) for p in turned)
     # a -1/2 o -1/2 glues its one-sheet turned key to a two-sheet key
     rep = solve(parse("-1/2 o ((-1/2 o -1/2) + (-1/2 o -1/2))"), 4)
     assert any(node.scales != (1, 1) for s in rep.systems for node in s.nodes)
@@ -997,38 +1005,50 @@ _SMALL_LEAVES = [
 
 @pytest.mark.parametrize("c_bound", [1, 4, 32])
 def test_leaf_table_taus_and_keys_match_their_paths(c_bound):
-    runs = 0
+    runs = dropped = shared = 0
     for pq in _SMALL_LEAVES:
         table = _leaf_table(pq, c_bound)
         # the solves share the memo's descents: the table leaves them as walked
         assert leaf_descents(pq) == tuple(enumerate_paths(pq)), pq
+        # the lattice holds an integer's (1, 0, p) once, as its constant and
+        # as its trivial path: the table, which keeps it in both its family
+        # and its runs, counts it once too
         lattice = lattice_leaf(pq, c_bound)
         _check_leaf_table(table, lattice)
         # the fact the run order rests on: no descent's vertices are a
         # prefix of another's
         for d1, d2 in iterproduct(enumerate_paths(pq), repeat=2):
             assert d1 is d2 or d2.vertices[: len(d1.vertices)] != d1.vertices, (pq, d1, d2)
-        # one window per descent, by rank, its place by vertices: the
-        # descent, its endpoint and its tau
         descents = enumerate_paths(pq)
         assert [d.describe() for d in descents] == sorted(d.describe() for d in descents), pq
-        assert [w[4] for w in table.windows] == descents, pq
-        assert [w[:2] for w in table.windows] == [(int(d.vertices[-1]), path_tau(d)) for d in descents]
-        for m, _, lo, hi, d in table.windows:
-            if pq.denominator == 1:
-                # an integer leaf keeps its trivial path only past its constant
-                assert (lo <= hi) == (abs(m) > c_bound), (pq, lo, hi)
-                continue
-            # the window holds the reference walk's ends, each a run key
-            # whose path, with its tau, the lattice holds
-            ends = list(u_zero_ends(d, c_bound))
-            assert set(range(lo, hi + 1)) == set(ends), (pq, d)
+        if pq.denominator == 1:
+            # an integer leaf keeps its trivial window p..p, past c_bound
+            # too; within it, (1, 0, p) is its constant as well
+            p = pq.numerator
+            assert table.windows == ((p, 0, p, p, descents[0]),), pq
+            assert table.runs == {(1, 0, p)} and Fraction(0) in lattice[1, 0, p], pq
+            assert (table.constant(1, 0) == (1, 0, p)) == (abs(p) <= c_bound), pq
+            shared += abs(p) <= c_bound
+            continue
+        # one window per descent whose reference walk ends within
+        # +-c_bound, by rank, its place by vertices: the descent, its
+        # endpoint and its tau; a descent that ends nowhere there has none
+        walks = [(d, list(u_zero_ends(d, c_bound))) for d in descents]
+        kept = [(d, ends) for d, ends in walks if ends]
+        dropped += len(walks) - len(kept)
+        assert [w[4] for w in table.windows] == [d for d, _ in kept], pq
+        assert [w[:2] for w in table.windows] == [(int(d.vertices[-1]), path_tau(d)) for d, _ in kept]
+        for (_, _, lo, hi, d), (_, ends) in zip(table.windows, kept):
+            # the window, not empty, holds the reference walk's ends, each a
+            # run key whose path, with its tau, the lattice holds
+            assert lo <= hi and set(range(lo, hi + 1)) == set(ends), (pq, d)
             for path in (run_to(d, end) for end in ends):
                 key = endpoint_state(path).primitive().triple()
                 assert key in table.runs and Fraction(path_tau(path)) in lattice[key], (pq, path)
                 # a descent's penultimate vertex is never an integer
                 runs += path.vertices[-2].denominator == 1
-    assert runs
+    assert runs and shared
+    assert dropped or c_bound > 1
 
 
 def test_large_denominator_leaf_solves():
