@@ -312,7 +312,9 @@ def test_info_line_counts_what_the_passes_do():
     # (1/2 + 1/3) o (-1/5 + -1) is 6/5 - 6/5: every key of its root's
     # family of constant pairs closes, and listing them walks that family,
     # the turned left factor's, the factor's constant pairs and the leaf
-    # 1/2's constants: 4 families enumerated
+    # 1/2's constants: 4 families enumerated.
+    # (1/3 + -1/3) o (1/3 + -1/3) is 0 o 0: the turned left factor holds no
+    # family, so its root lists none: 0 families enumerated
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), LOG_LEVEL="info")
     cases = (
         (["kn", "--n", "3"], 0,
@@ -322,6 +324,9 @@ def test_info_line_counts_what_the_passes_do():
         (["slopes", "(1/2 + 1/3) o (-1/5 + -1)", "--c-bound", "8"], 3,
          "sn solve, c_bound=8, 7 nodes: 136 keys built and 4 formula families"
          " enumerated, 22 demanded, 12 window pairs and 18 witness pairs compared"),
+        (["slopes", "(1/3 + -1/3) o (1/3 + -1/3)"], 3,
+         "sn solve, c_bound=32, 7 nodes: 647 keys built and 0 formula families"
+         " enumerated, 19 demanded, 16 window pairs and 44 witness pairs compared"),
     )
     for args, code, expected in cases:
         done = subprocess.run(

@@ -62,6 +62,10 @@ GOLDEN = (
     ("2 + 1/3 + 1/7", None, "0ecaeba48e9297d92752edac700829c9d01884e1e7a91428eba924989d16b6b0"),
     # no even-denominator tangle: three systems with null slopes
     ("1/3 + 1/3 + -1/5", None, "d13ddfdc0ca59773203427d6b3cfc19347482f9987ac20b9dfba7346f02b87c4"),
+    # both factors have value 0: the product turns a family of value 0,
+    # which turns into no key, and glues that to a family of value 0; no
+    # even-denominator tangle, so six systems with null slopes
+    ("(1/3 + -1/3) o (1/3 + -1/3)", None, "57b85c02ddec2c0556e42de77bb15749d0685166eba9295ee0bba10fd39f1196"),
     # the integer leaf keeps its trivial path even past c_bound
     ("(2 + 1/3) o 1/2", 1, "4c426dc830dc49b3bf9b32a681f82a34b2a5690376472f0a2e96a3cda2f36d13"),
     # an integer leaf whose constant family is empty at c_bound 2: it

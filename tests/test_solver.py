@@ -469,6 +469,7 @@ _SHARED = Product(Sum(_HALF, Leaf(Fraction(1, 3))), Sum(_HALF, Leaf(Fraction(2, 
 @example(parse("(-1/3 + 2/3) o (3/2 + 2/3)"), 2)  # two leaves' constants glued up to the largest T
 @example(parse("-1/12 + -31/12 + 8/3"), 1)  # a closure at an upper end belongs to the next segment
 @example(parse("2/5 + -2 + 11/6"), 1)  # a u = 0 family through an integer leaf beyond +-1
+@example(parse("(1/3 + -1/3) o (1/3 + -1/3)"), 2)  # a turned family of value 0 glued to one of value 0
 def test_solve_lists_the_reference_systems(expr, c_bound):
     assume(not expr.is_montesinos() or type_i_size(expr) <= TYPE_I_BUDGET)
     _check_reference(expr, c_bound)
