@@ -13,6 +13,13 @@ GALLERY = (
     "1/2 + 1/3 + 1/3",
 )
 
+# reports known to be wrong, each a case of tests/test_known_defects.py
+KNOWN_DEFECTS = {
+    "1/2 + 1/3 + 1/3": "an alternating knot whose tangles share a sign has"
+    " diameter 2c = 16 (Curtis-Taylor), but type III pieces are not"
+    " modelled yet (ROADMAP item 7)",
+}
+
 
 def describe(path):
     if path.is_constant:
@@ -28,6 +35,8 @@ def show(text):
     rep = solve(parse(text))
     print("N(%s)" % text)
     print("  slopes: %s" % (" ".join(str(s) for s in rep.slopes) or "(none)"))
+    if text in KNOWN_DEFECTS:
+        print("  known defect: %s" % KNOWN_DEFECTS[text])
     for note in rep.notes:
         print("  note: %s" % note)
     skipped = 0

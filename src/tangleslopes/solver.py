@@ -22,27 +22,30 @@ leaf; no reader mutates what the memo holds.
   tau' = -2 sign(c). So every tau is an integer.
 
   1. Key pass, bottom-up, integers only. A leaf's keys are the primitive
-     states of its constant family, (a, q*k - a, p*k) with
-     1 <= a <= k <= c_bound // |p| and gcd(a, k) = 1, and the vertices
-     <e> that end its descents and their vertical runs within +-c_bound,
-     a window per descent that ends there (an integer leaf p keeps its
-     trivial window p..p regardless). A formula family (_Family) has at
-     most one key per primitive (a : b) direction, the primitive state of
-     that direction on the plane c = v (a + b) of its value v, and is
-     asked per direction, enumerated only where a root's family closes:
-     a leaf's is the family of p/q, a product turns the family of v into
-     that of 1/v (_Turned), and where both sides of a merge hold a
-     family, their constant pairs are the family of the sum of the values
-     (_Glued). A merge glues the left key (turned, at a product) to each
-     right key of its direction, both rescaled to their least common
-     (a, b) and added, so c_bound is the only bound. A family joins a
-     merge once per direction of the other side's explicit keys, as in
-     the demand pass; one-sheet pairs glue as an integer sumset, all
-     others by _glue; sums and products share this one merge. A sum of
-     two leaves has only one-sheet keys (1, 0, c) besides its family: c
-     runs over the sums of the two leaves' run windows. A merge keeps its
-     explicit keys and its family, the root only the keys that close
-     (c = 0), and a product its turned left table.
+     states of its constant family, (a, q*k - a, p*k) with 1 <= a <= k
+     <= c_bound // |p| and gcd(a, k) = 1, and the vertices <e> that end
+     its descents and their vertical runs within +-c_bound, a window per
+     descent that ends there (an integer leaf p keeps its trivial window
+     p..p regardless). Every table below the root is a _Family: its
+     explicit keys, which are its size, and a formula family of at most
+     one key per primitive (a : b) direction, the primitive state of
+     that direction on the plane c = v (a + b) of its value v, asked per
+     direction, enumerated only where a root's family closes. A leaf's
+     is the family of p/q, a product turns the family of v into that of
+     1/v (_Turned), or, where v is 0 or 1/0, into one of value 1/0 that
+     admits nothing (_Keys): a key of value 0 has c = 0 and does not
+     turn. A merge's constant pairs are the family of the sum of its
+     sides' values (_Glued), 1/0 where either is. A merge glues the left
+     key (turned, at a product) to each right key of its direction, both
+     rescaled to their least common (a, b) and added, so c_bound is the
+     only bound. A family joins a merge once per direction of the other
+     side's explicit keys, as in the demand pass; one-sheet pairs glue
+     as an integer sumset, all others by _glue; sums and products share
+     this one merge. A sum of two leaves has only one-sheet keys
+     (1, 0, c) besides its family: c runs over the sums of the two
+     leaves' run windows. A merge keeps its table, the root only the set
+     of its keys that close (c = 0), and a product its turned left
+     table.
   2. Demand pass, top-down. The root demands all its keys. Each merge
      recovers the (left key, right key) pairs behind its demanded keys
      and adds both keys of each to its children's demand, after all of
@@ -244,16 +247,6 @@ def _distinct_nodes(expr):
 # key pass: the state keys of every node
 
 
-def _coprime_pairs(n):
-    """The number of 1 <= a <= k <= n with gcd(a, k) = 1: the sum of the
-    totients up to n, by sieve."""
-    phi = list(range(n + 1))
-    for i in range(2, n + 1):
-        if phi[i] == i:  # a prime
-            phi[i::i] = [f - f // i for f in phi[i::i]]
-    return sum(phi)
-
-
 def _plane_key(p, q, da, db):
     """The one primitive key of direction (da, db) whose per-sheet value
     is T p/q, T = da + db: (s*da, s*db, c) with c/s = T p/q in lowest
@@ -264,12 +257,13 @@ def _plane_key(p, q, da, db):
 
 
 class _Family:
-    """A key table that holds a formula family of value p/q: at most one
-    key per primitive (a : b) direction (da, db), its _plane_key where
+    """A key table: runs, the set of its explicit keys, which is its
+    len(), and a formula family of value p/q: at most one key per
+    primitive (a : b) direction (da, db), its _plane_key where
     admits(da, db), asked per direction; a solve enumerates (family())
-    only a root's family of value 0, all of whose keys close. Plus runs,
-    the set of its explicit keys, which an integer leaf's (1, 0, p) joins
-    though its family holds it too."""
+    only a root's family of value 0, all of whose keys close. An integer
+    leaf's (1, 0, p) is both a run and a key of its family. A family of
+    value 1/0 (q = 0) admits nothing."""
 
     __slots__ = ()
 
@@ -287,8 +281,7 @@ class _Family:
         return key in self.runs or self.holds(key)
 
     def __len__(self):
-        # counts the family key by key: only bench/tracer.py sizes a table
-        return len(self.runs) + sum(key not in self.runs for key in self.family())
+        return len(self.runs)
 
 
 class _Leaf(_Family, namedtuple("_Leaf", ("p", "q", "bound", "runs", "windows"))):
@@ -313,16 +306,12 @@ class _Leaf(_Family, namedtuple("_Leaf", ("p", "q", "bound", "runs", "windows"))
                 if gcd(a, k) == 1:
                     yield a, self.q * k - a, self.p * k
 
-    def __len__(self):
-        # an integer's (1, 0, p) is both a constant and a run
-        return _coprime_pairs(self.bound) + len(self.runs) - (self.constant(1, 0) in self.runs)
-
 
 class _Glued(_Family, namedtuple("_Glued", ("p", "q", "left", "right", "runs"))):
-    """A merge's table where both children's tables hold a family: their
-    constant pairs, one per direction that both reach, as the family of
-    p/q, the sum of their values (a glue adds per-sheet values); plus runs,
-    its other keys."""
+    """A merge's table: its children's constant pairs, one per direction
+    that both admit, as the family of p/q, the sum of their values (a glue
+    adds per-sheet values), 1/0 where either is; plus runs, its other
+    keys."""
 
     __slots__ = ()
 
@@ -336,11 +325,11 @@ class _Glued(_Family, namedtuple("_Glued", ("p", "q", "left", "right", "runs")))
                 yield _plane_key(self.p, self.q, a // s, b // s)
 
 
-class _Turned(_Family, namedtuple("_Turned", ("p", "q", "table", "runs"))):
+class _Turned(_Family, namedtuple("_Turned", ("p", "q", "left", "runs"))):
     """A product's left table turned: the family of p/q, the inverse of
-    the table's value (a turn maps the plane of value v onto that of 1/v),
-    admitting a direction where its _plane_key turns (_turn) into the
-    table's family; plus runs, its turned runs."""
+    left's value (a turn maps the plane of value v onto that of 1/v),
+    admitting a direction where its _plane_key turns (_turn) into left's
+    family; plus runs, its turned runs."""
 
     __slots__ = ()
 
@@ -350,13 +339,25 @@ class _Turned(_Family, namedtuple("_Turned", ("p", "q", "table", "runs"))):
             return False
         a, b, _ = back[0]
         s = gcd(a, b)
-        return self.table.admits(a // s, b // s)
+        return self.left.admits(a // s, b // s)
 
     def family(self):
-        for key in self.table.family():
+        for key in self.left.family():
             turned = _turn(key)
             if turned:
                 yield turned[0]
+
+
+class _Keys(_Family, namedtuple("_Keys", ("runs",))):
+    """A product's left table of value 0 or 1/0 turned: only runs, its
+    turned runs. Each key of a family of value 0 has c = 0, which does not
+    turn, so its family is of value 1/0 and admits nothing."""
+
+    __slots__ = ()
+    p, q = 1, 0
+
+    def admits(self, da, db):
+        return False
 
 
 @lru_cache(maxsize=LEAF_MEMO_SIZE)
@@ -404,14 +405,11 @@ def _glue(lw, rkey):
 
 
 def _turned(table):
-    """A product's left table turned: its turned keys. A family of value
-    p/q, a leaf's included, turns into the family of q/p, a _Turned (none
-    when p = 0: each of its keys has c = 0), and a set into the set of its
-    turned keys."""
-    if not isinstance(table, _Family):
-        return {t[0] for key in table if (t := _turn(key))}
-    p, q, runs = table.p, table.q, _turned(table.runs)
-    return _Turned(q if p > 0 else -q, abs(p), table, runs) if p else runs
+    """A product's left table turned: its turned runs, and its family of
+    value p/q, a leaf's included, turned into the family of q/p, a
+    _Turned, or a _Keys where p/q is 0 or 1/0."""
+    p, q, runs = table.p, table.q, {t[0] for key in table.runs if (t := _turn(key))}
+    return _Turned(q if p > 0 else -q, abs(p), table, runs) if p and q else _Keys(runs)
 
 
 def _sumset(xs, ys):
@@ -434,13 +432,10 @@ def _constants(table, keys):
     return [key for d in directions if (key := table.constant(*d)) and key not in table.runs]
 
 
-def _with_constants(table, other):
-    """table's keys in a merge with other: a _Family's runs plus its
-    constant of each (a : b) direction among the other side's explicit
-    keys (its runs, if a _Family), else the table itself."""
-    if not isinstance(table, _Family):
-        return table
-    return [*_constants(table, other.runs if isinstance(other, _Family) else other), *table.runs]
+def _with_constants(table, keys):
+    """table's keys in a merge: its runs plus its constant of each (a : b)
+    direction among keys, the other side's runs or the demanded keys."""
+    return [*_constants(table, keys), *table.runs]
 
 
 def _two_leaves(left, right):
@@ -507,24 +502,24 @@ def _explicit_keys(lws, right, closing):
 
 
 def _merge_sum(left, right, closing=False):
-    """Key pass at a merge: the keys glued from each key of left (the
-    _turned left table, at a product) and each right key of its (a : b)
-    direction; when closing, only those with c = 0, as a set.
+    """Key pass at a merge: the _Glued table of the keys glued from each
+    key of left (the _turned left table, at a product) and each right key
+    of its (a : b) direction; when closing, only those with c = 0, as a
+    set.
 
     A sum of two leaves glues its one-sheet keys as _window_sums. Else a
-    family joins once per direction of the other side's explicit keys
+    family joins once per direction of the other side's runs
     (_with_constants), as in the demand pass, and the closing test asks
-    the right table itself per key. Where both tables hold a family, their
-    constant pairs are the _Glued family, kept by formula: the root keeps
-    all of its keys, each with c = 0, when its value is 0, else none."""
+    the right table itself per key. The tables' constant pairs are the
+    _Glued family, kept by formula: the root keeps all of its keys, each
+    with c = 0, when its value is 0, else none."""
     if _two_leaves(left, right):  # never the root: it has a product below
         out = _window_sums(left, right)
     else:
-        rkeys = right if closing else _with_constants(right, left)
-        out = _explicit_keys(_with_constants(left, right), rkeys, closing)
-    if not (isinstance(left, _Family) and isinstance(right, _Family)):
-        return out
-    p, q = left.p * right.q + right.p * left.q, left.q * right.q
+        rkeys = right if closing else _with_constants(right, left.runs)
+        out = _explicit_keys(_with_constants(left, right.runs), rkeys, closing)
+    q = left.q * right.q
+    p = left.p * right.q + right.p * left.q if q else 1  # 1/0 plus any value is 1/0
     g = gcd(p, q)
     glued = _Glued(p // g, q // g, left, right, out)
     if closing:
@@ -710,15 +705,15 @@ def _root_table(expr, c_bound):
         )
         # a root of value 0 lists the family of its constant pairs
         # (_merge_sum): that family walks its left table's, which walks its
-        # left side's or turned table's, and so on down to a leaf
+        # own left's, and so on down to a leaf
         root = nodes[-1]
         table = turns[id(root)] if isinstance(root, Product) else keys[id(root.left)]
         right, walked = keys[id(root.right)], 0
-        if isinstance(table, _Family) and isinstance(right, _Family) and table.p * right.q + right.p * table.q == 0:
+        if table.q * right.q and table.p * right.q + right.p * table.q == 0:
             walked = 2  # the root's family and its left table's
             while not isinstance(table, _Leaf):
                 walked += 1
-                table = table.table if isinstance(table, _Turned) else table.left
+                table = table.left
         pairs = sum(
             len(taus[id(node.left)][lkey]) * len(taus[id(node.right)][rkey])
             for node in nodes
@@ -731,7 +726,7 @@ def _root_table(expr, c_bound):
             " enumerated, %d demanded, %d window pairs and %d witness pairs compared",
             c_bound,
             len(nodes),
-            sum(len(t.runs if isinstance(t, _Family) else t) for t in tables),
+            sum(map(len, tables)),
             walked,
             sum(len(demand[id(node)]) for node in nodes),
             windows,

@@ -313,8 +313,11 @@ def test_info_line_counts_what_the_passes_do():
     # family of constant pairs closes, and listing them walks that family,
     # the turned left factor's, the factor's constant pairs and the leaf
     # 1/2's constants: 4 families enumerated.
-    # (1/3 + -1/3) o (1/3 + -1/3) is 0 o 0: the turned left factor holds no
-    # family, so its root lists none: 0 families enumerated
+    # (1/3 + -1/3) o (1/3 + -1/3) is 0 o 0: the left factor's family of
+    # value 0 turns into none, so its root lists none: 0 enumerated. So
+    # does every merge above such a turn, and that merge's own turn: the
+    # left factor of (1/2 + ((1/3 + -1/3) o 1/2)) o (2/3 o -3/2) admits
+    # no direction, and its root of value 0 lists no family either
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), LOG_LEVEL="info")
     cases = (
         (["kn", "--n", "3"], 0,
@@ -327,6 +330,9 @@ def test_info_line_counts_what_the_passes_do():
         (["slopes", "(1/3 + -1/3) o (1/3 + -1/3)"], 3,
          "sn solve, c_bound=32, 7 nodes: 647 keys built and 0 formula families"
          " enumerated, 19 demanded, 16 window pairs and 44 witness pairs compared"),
+        (["slopes", "(1/2 + ((1/3 + -1/3) o 1/2)) o (2/3 o -3/2)"], 3,
+         "sn solve, c_bound=32, 11 nodes: 1418 keys built and 0 formula families"
+         " enumerated, 236 demanded, 16 window pairs and 1024 witness pairs compared"),
     )
     for args, code, expected in cases:
         done = subprocess.run(

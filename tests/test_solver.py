@@ -987,7 +987,7 @@ def test_sn_solve_logs_one_info_line(caplog):
 def _check_leaf_table(table, keys):
     """A leaf's table holds exactly keys: it finds each of them, every
     direction (da, T - da) with T <= bound * q gives no constant or one of
-    them, its runs are among them, and it counts as many."""
+    them, and its runs are among them. Its len() is that of its runs."""
     assert all(key in table for key in keys), table[:3]
     for t in range(1, table.bound * table.q + 1):
         for da in range(t + 1):
@@ -995,7 +995,7 @@ def _check_leaf_table(table, keys):
                 key = table.constant(da, t - da)
                 assert key is None or key in keys, (table[:3], key)
     assert set(table.runs) <= set(keys), table[:3]
-    assert len(table) == len(keys), table[:3]
+    assert len(table) == len(table.runs), table[:3]
 
 
 # every leaf p/q with q <= 7 and |p/q| <= 3, integer leaves included
@@ -1012,8 +1012,8 @@ def test_leaf_table_taus_and_keys_match_their_paths(c_bound):
         # the solves share the memo's descents: the table leaves them as walked
         assert leaf_descents(pq) == tuple(enumerate_paths(pq)), pq
         # the lattice holds an integer's (1, 0, p) once, as its constant and
-        # as its trivial path: the table, which keeps it in both its family
-        # and its runs, counts it once too
+        # as its trivial path; the table keeps it in both its family and
+        # its runs
         lattice = lattice_leaf(pq, c_bound)
         _check_leaf_table(table, lattice)
         # the fact the run order rests on: no descent's vertices are a
