@@ -43,19 +43,26 @@ leaf; no reader mutates what the memo holds.
      as an integer sumset, all others by _glue; sums and products share
      this one merge. A sum of two leaves has only one-sheet keys
      (1, 0, c) besides its family: c runs over the sums of the two
-     leaves' run windows. A merge keeps its table, the root only the set
-     of its keys that close (c = 0), and a product its turned left
-     table.
+     leaves' run windows. A product turns a one-sheet left table, a
+     leaf's or a sum of two leaves', by formula and builds no turned set
+     (_Sheets): a run (1, 0, c) turns to (1, |c| - 1, sign c). Such a root
+     closes on the right table's runs (1, b, +-1), on its family at the
+     one source end c = -p*q of a right value p/q (|p| = 1), and on the
+     left constants per direction of the right runs (_sheet_closings). A
+     merge keeps its table, the root only the set of its keys that close
+     (c = 0), and a product its turned left table.
   2. Demand pass, top-down. The root demands all its keys. Each merge
      recovers the (left key, right key) pairs behind its demanded keys
      and adds both keys of each to its children's demand, after all of
      its own parents have added theirs; a product's left key is the _turn
      of its turned one. A family is asked for its key of each demanded
-     direction. A sum of two leaves recovers one pair per pair of run
-     windows that reaches a demanded (1, 0, c): every split of c in one
-     window pair adds the same tau, and the split of least descriptor
-     takes the left leaf's least feasible end by its run order: its
-     descent's own end, else the nearest below, else the nearest above.
+     direction, and a turned one-sheet table for its runs of each, at
+     most (1, k, 1) and (1, k, -1) in direction (1 : k). A sum of two
+     leaves recovers one pair per pair of run windows that reaches a
+     demanded (1, 0, c): every split of c in one window pair adds the
+     same tau, and the split of least descriptor takes the left leaf's
+     least feasible end by its run order: its descent's own end, else
+     the nearest below, else the nearest above.
   3. Tau pass, bottom-up, demanded keys only. Each (demanded key, tau)
      keeps the witness of smallest descriptor. A leaf's is (order, (key,
      tau, leaf fraction, descent)), order sorting as the path's
@@ -404,11 +411,45 @@ def _glue(lw, rkey):
     return (lw[0] * k1 // g, lw[1] * k1 // g, c // g), (k1, k2)
 
 
+def _one_sheet(table):
+    """Whether every run of table is one-sheet, (1, 0, c): a leaf's, or a
+    sum of two leaves' (_window_sums)."""
+    return isinstance(table, _Leaf) or isinstance(table, _Glued) and _two_leaves(table.left, table.right)
+
+
+class _Sheets:
+    """The turned runs of a one-sheet table, by formula over its run set
+    source: _turn takes a run (1, 0, c), c != 0, to (1, |c| - 1, sign c),
+    so each direction (1 : k) holds at most (1, k, 1) and (1, k, -1). No
+    turned set is built; iterating turns the runs one by one."""
+
+    __slots__ = ("source",)
+
+    def __init__(self, source):
+        self.source = source
+
+    def __contains__(self, key):
+        a, b, c = key
+        return a == 1 and c in (1, -1) and (1, 0, c * (b + 1)) in self.source
+
+    def __len__(self):
+        return len(self.source) - ((1, 0, 0) in self.source)
+
+    def __iter__(self):
+        return ((1, abs(c) - 1, 1 if c > 0 else -1) for _, _, c in self.source if c)
+
+    def along(self, directions):
+        """The runs of the given primitive (a : b) directions."""
+        return [key for da, db in directions if da == 1 for key in ((1, db, 1), (1, db, -1)) if key in self]
+
+
 def _turned(table):
-    """A product's left table turned: its turned runs, and its family of
-    value p/q, a leaf's included, turned into the family of q/p, a
-    _Turned, or a _Keys where p/q is 0 or 1/0."""
-    p, q, runs = table.p, table.q, {t[0] for key in table.runs if (t := _turn(key))}
+    """A product's left table turned: its turned runs, by formula (_Sheets)
+    where it is one-sheet, and its family of value p/q, a leaf's included,
+    turned into the family of q/p, a _Turned, or a _Keys where p/q is 0 or
+    1/0."""
+    p, q = table.p, table.q
+    runs = _Sheets(table.runs) if _one_sheet(table) else {t[0] for key in table.runs if (t := _turn(key))}
     return _Turned(q if p > 0 else -q, abs(p), table, runs) if p and q else _Keys(runs)
 
 
@@ -425,17 +466,21 @@ def _sumset(xs, ys):
     return [low + i for i, bit in enumerate(bin(sums)[:1:-1]) if bit == "1"]
 
 
-def _constants(table, keys):
-    """A _Family table's key of each (a : b) direction among keys, but
+def _directions(keys):
+    """The primitive (a : b) directions of keys."""
+    return {(a // (s := gcd(a, b)), b // s) for a, b, _ in keys}
+
+
+def _constants(table, directions):
+    """A _Family table's key of each primitive (a : b) direction, but
     those among its runs."""
-    directions = {(a // (s := gcd(a, b)), b // s) for a, b, _ in keys}
     return [key for d in directions if (key := table.constant(*d)) and key not in table.runs]
 
 
 def _with_constants(table, keys):
     """table's keys in a merge: its runs plus its constant of each (a : b)
     direction among keys, the other side's runs or the demanded keys."""
-    return [*_constants(table, keys), *table.runs]
+    return [*_constants(table, _directions(keys)), *table.runs]
 
 
 def _two_leaves(left, right):
@@ -501,6 +546,30 @@ def _explicit_keys(lws, right, closing):
     return out
 
 
+def _sheet_closings(left, right):
+    """The closing test of a root product whose left table turns a
+    one-sheet table (_Sheets): the (da, db, 0) of each left key (a, b, c)
+    with (a, b, -c) in right.
+
+    Left's constants are asked per direction of right's runs, as in
+    _explicit_keys; a one-sheet right's are all of direction (1 : 0). A
+    turned run (1, k, +-1) closes on right's key (1, k, -+1): one of
+    right's runs, for a one-sheet right (1, 0, +-1), or the key of right's
+    family of value p/q in direction (1 : k), which is (1, k, -+1) only for
+    k = q - 1 and p = -+1, the turn of the source run (1, 0, -p*q)."""
+    sheets, p, q = left.runs, right.p, right.q
+    if _one_sheet(right):
+        directions = {(1, 0)} if right.runs else ()
+        ones = [key for key in ((1, 0, 1), (1, 0, -1)) if key in right.runs]
+    else:
+        directions, ones = _directions(right.runs), right.runs
+    out = {(a // (s := gcd(a, b)), b // s, 0) for a, b, c in _constants(left, directions) if (a, b, -c) in right}
+    out.update((1, b, 0) for a, b, c in ones if a == 1 and c in (1, -1) and (1, b, -c) in sheets)
+    if q and (1, q - 1, -p) in sheets and right.holds((1, q - 1, p)):
+        out.add((1, q - 1, 0))
+    return out
+
+
 def _merge_sum(left, right, closing=False):
     """Key pass at a merge: the _Glued table of the keys glued from each
     key of left (the _turned left table, at a product) and each right key
@@ -510,11 +579,14 @@ def _merge_sum(left, right, closing=False):
     A sum of two leaves glues its one-sheet keys as _window_sums. Else a
     family joins once per direction of the other side's runs
     (_with_constants), as in the demand pass, and the closing test asks
-    the right table itself per key. The tables' constant pairs are the
-    _Glued family, kept by formula: the root keeps all of its keys, each
-    with c = 0, when its value is 0, else none."""
+    the right table itself per key, or, where left turns a one-sheet
+    table, per formula (_sheet_closings). The tables' constant pairs are
+    the _Glued family, kept by formula: the root keeps all of its keys,
+    each with c = 0, when its value is 0, else none."""
     if _two_leaves(left, right):  # never the root: it has a product below
         out = _window_sums(left, right)
+    elif closing and isinstance(left.runs, _Sheets):
+        out = _sheet_closings(left, right)
     else:
         rkeys = right if closing else _with_constants(right, left.runs)
         out = _explicit_keys(_with_constants(left, right.runs), rkeys, closing)
@@ -559,10 +631,11 @@ def _demand_pass(nodes, keys, turns):
     A glue adds per-sheet values (_explicit_keys), so for a demanded key
     and a left key of its direction (turned, at a product) the one right
     key that can glue to it has the reduced difference of their values. A
-    family joins once per demanded direction (_constants), and the right
-    table, its family included, is asked for that key. A sum of two leaves
-    takes its one-sheet keys' pairs per pair of windows (_window_pairs),
-    not per run. At a product the left key is the _turn of the turned one.
+    family joins once per demanded direction (_constants), as do a turned
+    one-sheet table's runs (_Sheets.along), and the right table, its
+    family included, is asked for that key. A sum of two leaves takes its
+    one-sheet keys' pairs per pair of windows (_window_pairs), not per
+    run. At a product the left key is the _turn of the turned one.
     """
     demand = {id(nodes[-1]): dict.fromkeys(keys[id(nodes[-1])])}
     for node in reversed(nodes):
@@ -580,14 +653,16 @@ def _demand_pass(nodes, keys, turns):
             by_direction.setdefault((a // s, b // s), []).append((s, c, pairs))
         if _two_leaves(left, right):
             # a one-sheet key (1, 0, c) is a run of left, never among lkeys
-            lkeys = _constants(left, wanted)
+            lkeys = _constants(left, by_direction)
             for (a, b, c), pairs in wanted.items():
                 if not b:
                     pairs += _window_pairs(left, right, c)
                     for lkey, rkey in pairs:
                         ldemand[lkey] = rdemand[rkey] = None
+        elif isinstance(left.runs, _Sheets):
+            lkeys = [*_constants(left, by_direction), *left.runs.along(by_direction)]
         else:
-            lkeys = _with_constants(left, wanted)
+            lkeys = [*_constants(left, by_direction), *left.runs]
         for a, b, lc in lkeys:
             ls = gcd(a, b)
             da, db = a // ls, b // ls

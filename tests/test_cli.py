@@ -303,8 +303,9 @@ def test_log_level_reads_logging_level_names(level, shown):
 def test_info_line_counts_what_the_passes_do():
     # kn(3) solves at c_bound 14, over 4 distinct nodes. The runs of each
     # leaf, -1/3 and 1/4, end at -14..14: 29 keys each. Their sum's
-    # one-sheet keys are the sums, -28..28 (57), the product turns the 56
-    # with c != 0, and the root closes 2: 173 keys built. The formula
+    # one-sheet keys are the sums, -28..28 (57); the product's turned table
+    # counts the 56 with c != 0 by formula, (1, 0, c) -> (1, |c| - 1,
+    # sign c), without building them; and the root closes 2: 173. The formula
     # families (each leaf's constants, the sum's constant pairs and their
     # turn) are asked per direction: none is enumerated. Each leaf has two
     # nonempty run windows, so each of the 3 one-sheet keys demanded of

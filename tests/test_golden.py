@@ -66,6 +66,18 @@ GOLDEN = (
     # which turns into no key, and glues that to a family of value 0; no
     # even-denominator tangle, so six systems with null slopes
     ("(1/3 + -1/3) o (1/3 + -1/3)", None, "57b85c02ddec2c0556e42de77bb15749d0685166eba9295ee0bba10fd39f1196"),
+    # a turned leaf's runs are (1, k, +-1), one per sign and direction
+    # (1 : k), so these roots close only through the turned constant:
+    # -1/4's (1, 0, -4) on the run (1, 0, 4) of a sum of two leaves, and
+    # -3/4's (1, 2, -4) on a key of a product, whose runs are not one-sheet
+    ("-1/4 o (3/4 + 3)", 1, "4b217e87803423d3bb048974827b168cefffa9864d8576ec7c7dc134c8252cf0"),
+    ("-3/4 o (2/5 o 1)", None, "3bb9d4b5707f5f9ab632c7bd6bff8283338b0e71b771b6447ca835d788a146d3"),
+    # turned runs closing on a product's runs, at c_bound 1 and 32
+    ("1/2 o (1/3 o 1/4)", 1, "4cebb5e3b3cc69098c2575457eb2423c478c9bf899c6be58c6c47aeb2a991613"),
+    ("1/2 o (1/3 o 1/4)", None, "9c96ed1f1c4e7e977e5817a3e723a6a48ca1205b689bb15719c93af5c9305efa"),
+    # a right factor of value 1/0 (a product over a left factor of value
+    # 0) has no family key for a turned run to close on
+    ("3/4 o ((-2/5 + 2/5) o 1/5)", None, "9e84ff8f7e494a82beb1e5e8a68394edb952900dab6a39796b9a0a7f4dae6fed"),
     # the integer leaf keeps its trivial path even past c_bound
     ("(2 + 1/3) o 1/2", 1, "4c426dc830dc49b3bf9b32a681f82a34b2a5690376472f0a2e96a3cda2f36d13"),
     # an integer leaf whose constant family is empty at c_bound 2: it

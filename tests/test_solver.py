@@ -470,6 +470,10 @@ _SHARED = Product(Sum(_HALF, Leaf(Fraction(1, 3))), Sum(_HALF, Leaf(Fraction(2, 
 @example(parse("-1/12 + -31/12 + 8/3"), 1)  # a closure at an upper end belongs to the next segment
 @example(parse("2/5 + -2 + 11/6"), 1)  # a u = 0 family through an integer leaf beyond +-1
 @example(parse("(1/3 + -1/3) o (1/3 + -1/3)"), 2)  # a turned family of value 0 glued to one of value 0
+@example(parse("-1/4 o (3/4 + 3)"), 1)  # a turned constant closes where no turned run does
+@example(parse("-1/2 o (2/5 o 1)"), 2)  # the same on the keys of a product
+@example(parse("1/2 o (1/3 o 1/4)"), 1)  # turned runs (1, k, +-1) close on a product's runs
+@example(parse("3/4 o ((-2/5 + 2/5) o 1/5)"), 2)  # a right factor of value 1/0
 def test_solve_lists_the_reference_systems(expr, c_bound):
     assume(not expr.is_montesinos() or type_i_size(expr) <= TYPE_I_BUDGET)
     _check_reference(expr, c_bound)
@@ -504,6 +508,12 @@ def test_reference_examples_reach_their_cases():
     # a factor whose two leaves both take their constants
     rep = solve(parse("(-1/3 + 2/3) o (3/2 + 2/3)"), 2)
     assert any(all(p.is_constant for p in s.assignment[i:i + 2]) for s in rep.systems for i in (0, 2))
+    # a product turns a leaf's run (1, 0, c) into (1, |c| - 1, sign c), so
+    # a turned key (1, 0, c) with |c| > 1 is a turned constant: -1/4's
+    # (1, 0, -4) and -1/2's (1, 0, -2) close where no turned run does
+    for text, c_bound in (("-1/4 o (3/4 + 3)", 1), ("-1/2 o (2/5 o 1)", 2)):
+        assert any(s.assignment[0].is_constant and abs(s.nodes[0].transformed.c) > 1
+                   for s in solve(parse(text), c_bound).systems)
     # a counted u = 0 system of 1/2 + 1/4 + 1/4 has sum 1/y = 1
     rep = solve(parse("1/2 + 1/4 + 1/4"), 4)
     assert any(
