@@ -662,7 +662,7 @@ def _demand_pass(nodes, keys, turns):
         elif isinstance(left.runs, _Sheets):
             lkeys = [*_constants(left, by_direction), *left.runs.along(by_direction)]
         else:
-            lkeys = [*_constants(left, by_direction), *left.runs]
+            lkeys = _with_constants(left, wanted)
         for a, b, lc in lkeys:
             ls = gcd(a, b)
             da, db = a // ls, b // ls
