@@ -40,17 +40,17 @@ leaf; no reader mutates what the memo holds.
      rescaled to their least common (a, b) and added, so c_bound is the
      only bound. A family joins a merge once per direction of the other
      side's explicit keys, as in the demand pass; one-sheet pairs glue
-     as an integer sumset, all others by _glue; sums and products share
-     this one merge. A sum of two leaves has only one-sheet keys
-     (1, 0, c) besides its family: c runs over the sums of the two
-     leaves' run windows. A product turns a one-sheet left table, a
-     leaf's or a sum of two leaves', by formula and builds no turned set
-     (_Sheets): a run (1, 0, c) turns to (1, |c| - 1, sign c). Such a root
-     closes on the right table's runs (1, b, +-1), on its family at the
-     one source end c = -p*q of a right value p/q (|p| = 1), and on the
-     left constants per direction of the right runs (_sheet_closings). A
-     merge keeps its table, the root only the set of its keys that close
-     (c = 0), and a product its turned left table.
+     by adding their c, all others by _glue; sums and products share
+     this one merge. A leaf's runs are one-sheet, (1, 0, c), kept as
+     spans of c (_Runs), and so are those of a sum of two such sides: the
+     sums of their spans. A product turns a one-sheet left table by
+     formula and builds no turned set (_Sheets): a run (1, 0, c) turns to
+     (1, |c| - 1, sign c). Such a root closes on the right table's runs
+     (1, b, +-1), on its family at the one source end c = -p*q of a right
+     value p/q (|p| = 1), and on the left constants per direction of the
+     right runs (_sheet_closings). A merge keeps its table, the root only
+     the set of its keys that close (c = 0), and a product its turned
+     left table.
   2. Demand pass, top-down. The root demands all its keys. Each merge
      recovers the (left key, right key) pairs behind its demanded keys
      and adds both keys of each to its children's demand, after all of
@@ -110,10 +110,11 @@ Montesinos merge reads its dicts in insertion order; and the listing sorts.
 """
 
 import sys
+from bisect import bisect
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .diagram import WeightState
 from .edgepaths import (
@@ -264,13 +265,13 @@ def _plane_key(p, q, da, db):
 
 
 class _Family:
-    """A key table: runs, the set of its explicit keys, which is its
-    len(), and a formula family of value p/q: at most one key per
-    primitive (a : b) direction (da, db), its _plane_key where
-    admits(da, db), asked per direction; a solve enumerates (family())
-    only a root's family of value 0, all of whose keys close. An integer
-    leaf's (1, 0, p) is both a run and a key of its family. A family of
-    value 1/0 (q = 0) admits nothing."""
+    """A key table: runs, its explicit keys, which are its len(), and a
+    formula family of value p/q: at most one key per primitive (a : b)
+    direction (da, db), its _plane_key where admits(da, db), asked per
+    direction; a solve enumerates (family()) only a root's family of
+    value 0, all of whose keys close. An integer leaf's (1, 0, p) is both
+    a run and a key of its family. A family of value 1/0 (q = 0) admits
+    nothing."""
 
     __slots__ = ()
 
@@ -292,8 +293,8 @@ class _Family:
 
 
 class _Leaf(_Family, namedtuple("_Leaf", ("p", "q", "bound", "runs", "windows"))):
-    """A leaf's key table: the constant family of p/q, plus runs, the set
-    of its one-sheet keys, and the windows they come from.
+    """A leaf's key table: the constant family of p/q, plus runs, its
+    one-sheet keys (_Runs), and the windows they come from.
 
     The family's primitive keys are (a, q*k - a, p*k), 1 <= a <= k <= bound,
     gcd(a, k) = 1: at most one per primitive direction (da, db). With
@@ -367,24 +368,57 @@ class _Keys(_Family, namedtuple("_Keys", ("runs",))):
         return False
 
 
+class _Runs:
+    """The one-sheet keys (1, 0, c) for c in spans, sorted, disjoint and
+    non-adjacent ranges (lo, hi): len() counts them, iteration is by c,
+    and the sum of two is the union of their pairwise span sums, as a glue
+    of two one-sheet keys adds their c."""
+
+    __slots__ = ("spans",)
+
+    def __init__(self, spans):
+        self.spans = []
+        for lo, hi in sorted(spans):
+            if self.spans and lo <= self.spans[-1][1] + 1:
+                lo, top = self.spans.pop()
+                hi = max(hi, top)
+            self.spans.append((lo, hi))
+
+    def __contains__(self, key):
+        a, b, c = key
+        i = bisect(self.spans, (c, inf))  # the spans with lo <= c
+        return a == 1 and b == 0 and i > 0 and c <= self.spans[i - 1][1]
+
+    def __len__(self):
+        return sum(hi - lo + 1 for lo, hi in self.spans)
+
+    def __iter__(self):
+        return ((1, 0, c) for lo, hi in self.spans for c in range(lo, hi + 1))
+
+    def __eq__(self, other):
+        return isinstance(other, _Runs) and self.spans == other.spans
+
+    def __add__(self, other):
+        return _Runs([(lo + olo, hi + ohi) for lo, hi in self.spans for olo, ohi in other.spans])
+
+
 @lru_cache(maxsize=LEAF_MEMO_SIZE)
 def _leaf_table(pq, c_bound):
     """The _Leaf table of leaf p/q, bound c_bound // |p|: windows holds
     (m, tau, lo, hi, descent) per descent whose window is not empty, by
     rank, its place by vertices, for a descent ending at <m> whose runs end
-    at lo..hi (u_zero_window), and runs each (1, 0, e) of them. An integer
+    at lo..hi (u_zero_window), and runs the (1, 0, e) of them. An integer
     leaf p keeps its trivial window p..p, within c_bound or not: within,
     (1, 0, p) is its constant too. Memoized: the solves only read it.
     """
     p, q = pq.numerator, pq.denominator
-    ends, windows = set(), []
+    windows = []
     for descent in leaf_descents(pq):
         m = int(descent.vertices[-1])
         lo, hi = u_zero_window(descent, c_bound) if q > 1 else (m, m)
         if lo <= hi:
-            ends.update(range(lo, hi + 1))
             windows.append((m, tau(descent), lo, hi, descent))
-    return _Leaf(p, q, c_bound // abs(p), {(1, 0, e) for e in ends}, tuple(windows))
+    return _Leaf(p, q, c_bound // abs(p), _Runs(w[2:4] for w in windows), tuple(windows))
 
 
 def _turn(key):
@@ -411,14 +445,8 @@ def _glue(lw, rkey):
     return (lw[0] * k1 // g, lw[1] * k1 // g, c // g), (k1, k2)
 
 
-def _one_sheet(table):
-    """Whether every run of table is one-sheet, (1, 0, c): a leaf's, or a
-    sum of two leaves' (_window_sums)."""
-    return isinstance(table, _Leaf) or isinstance(table, _Glued) and _two_leaves(table.left, table.right)
-
-
 class _Sheets:
-    """The turned runs of a one-sheet table, by formula over its run set
+    """The turned runs of a one-sheet table, by formula over its _Runs
     source: _turn takes a run (1, 0, c), c != 0, to (1, |c| - 1, sign c),
     so each direction (1 : k) holds at most (1, k, 1) and (1, k, -1). No
     turned set is built; iterating turns the runs one by one."""
@@ -445,25 +473,12 @@ class _Sheets:
 
 def _turned(table):
     """A product's left table turned: its turned runs, by formula (_Sheets)
-    where it is one-sheet, and its family of value p/q, a leaf's included,
-    turned into the family of q/p, a _Turned, or a _Keys where p/q is 0 or
-    1/0."""
-    p, q = table.p, table.q
-    runs = _Sheets(table.runs) if _one_sheet(table) else {t[0] for key in table.runs if (t := _turn(key))}
+    where they are one-sheet (_Runs), and its family of value p/q, a
+    leaf's included, turned into the family of q/p, a _Turned, or a _Keys
+    where p/q is 0 or 1/0."""
+    p, q, runs = table.p, table.q, table.runs
+    runs = _Sheets(runs) if isinstance(runs, _Runs) else {t[0] for key in runs if (t := _turn(key))}
     return _Turned(q if p > 0 else -q, abs(p), table, runs) if p and q else _Keys(runs)
-
-
-def _sumset(xs, ys):
-    """The distinct x + y: bit i of the ORed shifts of the ys' mask is
-    min(xs) + min(ys) + i."""
-    xlow, ylow = min(xs), min(ys)
-    mask = sums = 0
-    for y in ys:
-        mask |= 1 << (y - ylow)
-    for x in xs:
-        sums |= mask << (x - xlow)
-    low = xlow + ylow
-    return [low + i for i, bit in enumerate(bin(sums)[:1:-1]) if bit == "1"]
 
 
 def _directions(keys):
@@ -481,22 +496,6 @@ def _with_constants(table, keys):
     """table's keys in a merge: its runs plus its constant of each (a : b)
     direction among keys, the other side's runs or the demanded keys."""
     return [*_constants(table, _directions(keys)), *table.runs]
-
-
-def _two_leaves(left, right):
-    """Whether left and right are the tables of a sum of two leaves (a
-    _turned leaf is a _Turned)."""
-    return isinstance(left, _Leaf) and isinstance(right, _Leaf)
-
-
-def _window_sums(x, y):
-    """The one-sheet keys (1, 0, c) of a sum of two leaves: the c within
-    lo1 + lo2 .. hi1 + hi2 for some pair of their windows."""
-    ends = set()
-    for _, _, lo1, hi1, _ in x.windows:
-        for _, _, lo2, hi2, _ in y.windows:
-            ends.update(range(lo1 + lo2, hi1 + hi2 + 1))
-    return {(1, 0, c) for c in ends}
 
 
 def _window_pairs(x, y, c):
@@ -523,8 +522,8 @@ def _explicit_keys(lws, right, closing):
     Of one direction (da, db) a primitive key is (s*da, s*db, c), s its
     sheet count, and stands for the reduced per-sheet value c/s: a glue
     adds the values. So a pair closes when the values are negatives:
-    (a, b, c) and (a, b, -c). One-sheet pairs glue as one _sumset per
-    direction, every other pair by _glue.
+    (a, b, c) and (a, b, -c). One-sheet pairs glue by adding their c,
+    every other pair by _glue.
     """
     if closing:
         return {(a // gcd(a, b), b // gcd(a, b), 0) for a, b, c in lws if (a, b, -c) in right}
@@ -532,17 +531,15 @@ def _explicit_keys(lws, right, closing):
     for key in right:
         s = gcd(key[0], key[1])
         groups.setdefault((key[0] // s, key[1] // s), {}).setdefault(s, []).append(key)
-    out, ones = set(), {}  # direction -> c of its one-sheet left keys
+    out = set()
     for key in lws:
         s = gcd(key[0], key[1])
         direction = (key[0] // s, key[1] // s)
         for rs, rkeys in groups.get(direction, {}).items():
             if s == rs == 1:
-                ones.setdefault(direction, []).append(key[2])
+                out.update([(*direction, key[2] + rkey[2]) for rkey in rkeys])
             else:
                 out.update([_glue(key, rkey)[0] for rkey in rkeys])
-    for direction, lcs in ones.items():
-        out.update([(*direction, c) for c in _sumset(lcs, [key[2] for key in groups[direction][1]])])
     return out
 
 
@@ -558,7 +555,7 @@ def _sheet_closings(left, right):
     family of value p/q in direction (1 : k), which is (1, k, -+1) only for
     k = q - 1 and p = -+1, the turn of the source run (1, 0, -p*q)."""
     sheets, p, q = left.runs, right.p, right.q
-    if _one_sheet(right):
+    if isinstance(right.runs, _Runs):
         directions = {(1, 0)} if right.runs else ()
         ones = [key for key in ((1, 0, 1), (1, 0, -1)) if key in right.runs]
     else:
@@ -576,15 +573,15 @@ def _merge_sum(left, right, closing=False):
     of its (a : b) direction; when closing, only those with c = 0, as a
     set.
 
-    A sum of two leaves glues its one-sheet keys as _window_sums. Else a
-    family joins once per direction of the other side's runs
-    (_with_constants), as in the demand pass, and the closing test asks
-    the right table itself per key, or, where left turns a one-sheet
-    table, per formula (_sheet_closings). The tables' constant pairs are
-    the _Glued family, kept by formula: the root keeps all of its keys,
-    each with c = 0, when its value is 0, else none."""
-    if _two_leaves(left, right):  # never the root: it has a product below
-        out = _window_sums(left, right)
+    Two one-sheet sides add their _Runs, which hold their constants of
+    direction (1 : 0). Else a family joins once per direction of the
+    other side's runs (_with_constants), as in the demand pass, and the
+    closing test asks the right table itself per key, or, where left
+    turns a one-sheet table, per formula (_sheet_closings). The tables'
+    constant pairs are the _Glued family, kept by formula: the root keeps
+    all of its keys, each with c = 0, when its value is 0, else none."""
+    if isinstance(left.runs, _Runs) and isinstance(right.runs, _Runs):  # never the root: it has a product below
+        out = left.runs + right.runs
     elif closing and isinstance(left.runs, _Sheets):
         out = _sheet_closings(left, right)
     else:
@@ -651,7 +648,7 @@ def _demand_pass(nodes, keys, turns):
             s = gcd(a, b)
             wanted[key] = pairs = []
             by_direction.setdefault((a // s, b // s), []).append((s, c, pairs))
-        if _two_leaves(left, right):
+        if isinstance(left, _Leaf) and isinstance(right, _Leaf):  # a _turned leaf is a _Turned
             # a one-sheet key (1, 0, c) is a run of left, never among lkeys
             lkeys = _constants(left, by_direction)
             for (a, b, c), pairs in wanted.items():
@@ -776,7 +773,8 @@ def _root_table(expr, c_bound):
         windows = sum(
             len(x.windows) * len(y.windows) * sum(not key[1] for key in demand[id(node)])
             for node in nodes
-            if isinstance(node, Sum) and _two_leaves(x := keys[id(node.left)], y := keys[id(node.right)])
+            if isinstance(node, Sum) and isinstance(x := keys[id(node.left)], _Leaf)
+            and isinstance(y := keys[id(node.right)], _Leaf)
         )
         # a root of value 0 lists the family of its constant pairs
         # (_merge_sum): that family walks its left table's, which walks its
@@ -797,7 +795,7 @@ def _root_table(expr, c_bound):
             for lkey, rkey in pairs
         )
         log.info(
-            "sn solve, c_bound=%d, %d nodes: %d keys built and %d formula families"
+            "sn solve, c_bound=%d, %d nodes: %d keys counted and %d formula families"
             " enumerated, %d demanded, %d window pairs and %d witness pairs compared",
             c_bound,
             len(nodes),

@@ -303,13 +303,14 @@ def test_log_level_reads_logging_level_names(level, shown):
 def test_info_line_counts_what_the_passes_do():
     # kn(3) solves at c_bound 14, over 4 distinct nodes. The runs of each
     # leaf, -1/3 and 1/4, end at -14..14: 29 keys each. Their sum's
-    # one-sheet keys are the sums, -28..28 (57); the product's turned table
-    # counts the 56 with c != 0 by formula, (1, 0, c) -> (1, |c| - 1,
-    # sign c), without building them; and the root closes 2: 173. The formula
-    # families (each leaf's constants, the sum's constant pairs and their
-    # turn) are asked per direction: none is enumerated. Each leaf has two
-    # nonempty run windows, so each of the 3 one-sheet keys demanded of
-    # the sum compares 2 x 2 window pairs.
+    # one-sheet keys are the sums, -28..28 (57). Each of these three run
+    # sets is one span, counted without building its keys; the product's
+    # turned table counts the 56 with c != 0 by formula, (1, 0, c) ->
+    # (1, |c| - 1, sign c), and builds none either; the root closes 2:
+    # 173. The formula families (each leaf's constants, the sum's constant
+    # pairs and their turn) are asked per direction: none is enumerated.
+    # Each leaf has two nonempty run windows, so each of the 3 one-sheet
+    # keys demanded of the sum compares 2 x 2 window pairs.
     # (1/2 + 1/3) o (-1/5 + -1) is 6/5 - 6/5: every key of its root's
     # family of constant pairs closes, and listing them walks that family,
     # the turned left factor's, the factor's constant pairs and the leaf
@@ -322,17 +323,17 @@ def test_info_line_counts_what_the_passes_do():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), LOG_LEVEL="info")
     cases = (
         (["kn", "--n", "3"], 0,
-         "sn solve, c_bound=14, 4 nodes: 173 keys built and 0 formula families"
+         "sn solve, c_bound=14, 4 nodes: 173 keys counted and 0 formula families"
          " enumerated, 17 demanded, 12 window pairs and 60 witness pairs compared"),
         # no even-denominator tangle in its right factor: no slope, exit 3
         (["slopes", "(1/2 + 1/3) o (-1/5 + -1)", "--c-bound", "8"], 3,
-         "sn solve, c_bound=8, 7 nodes: 136 keys built and 4 formula families"
+         "sn solve, c_bound=8, 7 nodes: 136 keys counted and 4 formula families"
          " enumerated, 22 demanded, 12 window pairs and 18 witness pairs compared"),
         (["slopes", "(1/3 + -1/3) o (1/3 + -1/3)"], 3,
-         "sn solve, c_bound=32, 7 nodes: 647 keys built and 0 formula families"
+         "sn solve, c_bound=32, 7 nodes: 647 keys counted and 0 formula families"
          " enumerated, 19 demanded, 16 window pairs and 44 witness pairs compared"),
         (["slopes", "(1/2 + ((1/3 + -1/3) o 1/2)) o (2/3 o -3/2)"], 3,
-         "sn solve, c_bound=32, 11 nodes: 1418 keys built and 0 formula families"
+         "sn solve, c_bound=32, 11 nodes: 1418 keys counted and 0 formula families"
          " enumerated, 236 demanded, 16 window pairs and 1024 witness pairs compared"),
     )
     for args, code, expected in cases:

@@ -96,6 +96,13 @@ GOLDEN = (
     # on the left, over a product of two leaves
     ("1/3 o (1/2 + 1/5)", None, "0d51899a8dac09db227ce993c01f4132deb7f49627c24139395932a8e13a9b77"),
     ("1/5 + (1/3 o 1/2)", None, "0befa615d8c6bbde70bb1c46c44a6c77f5a982f59070f3b0de2de87471500242"),
+    # a sum of three leaves has one-sheet runs too: as a left factor its
+    # runs turn by formula, and as a right factor the root's closing test
+    # asks its runs only for (1, 0, +-1)
+    ("(1/2 + 1/3 + -1/5) o (-1/4 + 1/5)", None,
+     "720966e5dbaa9e26dc1a887b8e3922ff9ffb228d8da53d8d0a5b31e357360ff0"),
+    ("(-1/4 + 1/5) o (1/2 + 1/3 + -1/5)", None,
+     "70d3c546e7d3bd875d4feb309072ea62829da073c62370d3d354d2b92c3525c9"),
     # the Montesinos merge names each degenerate family by its least
     # combination: this knot (one even denominator) has families on
     # [0, 1/2) of one combination and of three

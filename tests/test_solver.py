@@ -994,10 +994,16 @@ def test_sn_solve_logs_one_info_line(caplog):
     assert record.getMessage().startswith("sn solve, c_bound=14, 4 nodes: ")
 
 
+def _window_ends(table):
+    """The run ends of a leaf's table, read off its windows."""
+    return {e for _, _, lo, hi, _ in table.windows for e in range(lo, hi + 1)}
+
+
 def _check_leaf_table(table, keys):
     """A leaf's table holds exactly keys: it finds each of them, every
     direction (da, T - da) with T <= bound * q gives no constant or one of
-    them, and its runs are among them. Its len() is that of its runs."""
+    them, and its runs are among them. Its runs are exactly the (1, 0, e)
+    of its windows' integers, and its len() counts them."""
     assert all(key in table for key in keys), table[:3]
     for t in range(1, table.bound * table.q + 1):
         for da in range(t + 1):
@@ -1005,7 +1011,13 @@ def _check_leaf_table(table, keys):
                 key = table.constant(da, t - da)
                 assert key is None or key in keys, (table[:3], key)
     assert set(table.runs) <= set(keys), table[:3]
-    assert len(table) == len(table.runs), table[:3]
+    ends = _window_ends(table)
+    assert set(table.runs) == {(1, 0, e) for e in ends}, table[:3]
+    assert len(table) == len(table.runs) == len(ends), table[:3]
+    # just past a window's ends the runs hold nothing no other window holds
+    for _, _, lo, hi, _ in table.windows:
+        for e in (lo - 1, hi + 1):
+            assert ((1, 0, e) in table.runs) == (e in ends), (table[:3], e)
 
 
 # every leaf p/q with q <= 7 and |p/q| <= 3, integer leaves included
@@ -1037,7 +1049,7 @@ def test_leaf_table_taus_and_keys_match_their_paths(c_bound):
             # too; within it, (1, 0, p) is its constant as well
             p = pq.numerator
             assert table.windows == ((p, 0, p, p, descents[0]),), pq
-            assert table.runs == {(1, 0, p)} and Fraction(0) in lattice[1, 0, p], pq
+            assert set(table.runs) == {(1, 0, p)} and Fraction(0) in lattice[1, 0, p], pq
             assert (table.constant(1, 0) == (1, 0, p)) == (abs(p) <= c_bound), pq
             shared += abs(p) <= c_bound
             continue
@@ -1060,6 +1072,22 @@ def test_leaf_table_taus_and_keys_match_their_paths(c_bound):
                 runs += path.vertices[-2].denominator == 1
     assert runs and shared
     assert dropped or c_bound > 1
+
+
+@pytest.mark.parametrize("c_bound", [1, 4, 32])
+def test_leaf_run_sums_are_the_sums_of_their_ends(c_bound):
+    # the one-sheet keys of a sum of two leaves, x.runs + y.runs, are the
+    # (1, 0, e1 + e2) of every run end e1 of x and e2 of y, and len()
+    # counts them; each distinct pair of end sets is summed once
+    tables = [_leaf_table(pq, c_bound) for pq in _SMALL_LEAVES]
+    ends = [frozenset(_window_ends(table)) for table in tables]
+    sums = {}
+    for x, xs in zip(tables, ends):
+        for y, ys in zip(tables, ends):
+            if (xs, ys) not in sums:
+                sums[xs, ys] = {(1, 0, e1 + e2) for e1 in xs for e2 in ys}
+            both = x.runs + y.runs
+            assert set(both) == sums[xs, ys] and len(both) == len(sums[xs, ys]), (x[:2], y[:2])
 
 
 def test_large_denominator_leaf_solves():
@@ -1140,10 +1168,11 @@ def test_leaf_memos_stay_within_their_bound():
 
 @pytest.mark.parametrize("pq", [Fraction(1, 31), Fraction(5, 8)])
 def test_leaf_table_keeps_one_window_per_descent(pq):
-    # a kn(30) leaf and a q = 8 leaf at kn(30)'s c_bound 932: each run
-    # end is one key of the set, its descent's window a few ints; with a
-    # (tau, rank, position, descent) record per end as well, each table
-    # took over 700 KB
+    # a kn(30) leaf and a q = 8 leaf at kn(30)'s c_bound 932: the runs
+    # are spans of their ends, each descent's window a few ints, so the
+    # table keeps a few hundred bytes; a set of (1, 0, e) keys, one per
+    # end, took about 300 KB, and a (tau, rank, position, descent)
+    # record per end as well over 700 KB
     leaf_descents(pq)  # the memo's, not the table's
     tracemalloc.start()
     try:
@@ -1152,7 +1181,7 @@ def test_leaf_table_keeps_one_window_per_descent(pq):
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert retained < 400 * 1024, retained
+    assert retained < 4 * 1024, retained
     assert len(table.runs) == 2 * 932 + 1 and len(table.windows) == len(leaf_descents(pq))
 
 
