@@ -5,17 +5,21 @@ No test module may import a private tangleslopes name, read one as an
 attribute of a tangleslopes module, or name one to getattr, setattr or
 monkeypatch, unless it is allowed below. The allowed names are the
 per-fraction memos, which the tests clear and whose bounds they check.
+
+The engine modules, sn and montesinos, import neither solver, whose
+pipeline runs them, nor each other.
 """
 
 import ast
 from pathlib import Path
 
 ALLOWED = {
-    "tangleslopes.solver._leaf_table",
-    "tangleslopes.solver._leaf_segments",
-    "tangleslopes.solver._type_ii_options",
+    "tangleslopes.sn._leaf_table",
+    "tangleslopes.montesinos._leaf_segments",
+    "tangleslopes.montesinos._type_ii_options",
     "tangleslopes.slopes._seifert_leaf",
 }
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "tangleslopes"
 
 
 def _private(name):
@@ -52,6 +56,22 @@ def private_reads(path):
     return found
 
 
+def imported_modules(path):
+    """The tangleslopes modules that the package module at path imports
+    from, relative imports resolved; a name imported from a module is
+    listed as module.name too, as it may be a submodule."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["tangleslopes" if node.level else None, node.module]))
+            found.add(module)
+            found.update("%s.%s" % (module, alias.name) for alias in node.names)
+    return {name for name in found if name.split(".")[0] == "tangleslopes"}
+
+
 def test_tests_read_no_private_name_but_the_memos():
     found = [
         (path.name, line, name)
@@ -78,3 +98,14 @@ def test_private_reads_finds_each_kind_of_read(tmp_path):
         (4, "tangleslopes.solver._merge_sum"),
         (5, "tangleslopes.edgepaths._INTEGERS"),
     ]
+
+
+def test_engines_import_neither_the_pipeline_nor_each_other():
+    # solver imports the engines; an engine that imported solver, or the
+    # other engine, would tie the modules back into one
+    engines = {"tangleslopes.sn", "tangleslopes.montesinos"}
+    for engine in sorted(engines):
+        imported = imported_modules(SOURCE / (engine.split(".")[1] + ".py"))
+        assert imported & (engines | {"tangleslopes.solver"}) == set(), engine
+        assert "tangleslopes.edgepaths" in imported  # the reader resolves relative imports
+    assert engines <= imported_modules(SOURCE / "solver.py")

@@ -36,9 +36,10 @@ from tangleslopes.edgepaths import (
     run_to,
     tau as path_tau,
 )
-from tangleslopes.slopes import replay
 # the per-fraction memos, read only to clear them and to check their bounds
-from tangleslopes.solver import _leaf_segments, _leaf_table, _type_ii_options
+from tangleslopes.montesinos import _leaf_segments, _type_ii_options
+from tangleslopes.slopes import replay
+from tangleslopes.sn import _leaf_table
 from tangleslopes.tangles import Leaf, Product, Sum, mirror, render
 from tangleslopes.transforms import glue_scaled, rotate_reflect
 
