@@ -13,7 +13,7 @@ tau' = -2 sign(c). So every tau is an integer.
    <= c_bound // |p| and gcd(a, k) = 1, and the vertices <e> that end
    its descents and their vertical runs within +-c_bound, a window per
    descent that ends there (an integer leaf p keeps its trivial window
-   p..p regardless). Every table below the root is a _Family: its
+   p..p regardless). Every table, the root's too, is a _Family: its
    explicit keys, which are its size, and a formula family of at most
    one key per primitive (a : b) direction, the primitive state of
    that direction on the plane c = v (a + b) of its value v, asked per
@@ -35,21 +35,21 @@ tau' = -2 sign(c). So every tau is an integer.
    (1, |c| - 1, sign c). Such a root closes on the right table's runs
    (1, b, +-1), on its family at the one source end c = -p*q of a right
    value p/q (|p| = 1), and on the left constants per direction of the
-   right runs (_sheet_closings). A merge keeps its table, the root only
-   the set of its keys that close (c = 0), and a product its turned
-   left table.
-2. Demand pass, top-down. The root demands all its keys. Each merge
+   right runs (_sheet_closings). Every merge keeps a _Glued table of
+   the two sides it glued, a product's left one turned; the root's runs
+   are only its keys that close (c = 0).
+2. Demand pass, top-down. The root demands all its runs. Each merge
    recovers the (left key, right key) pairs behind its demanded keys
-   and adds both keys of each to its children's demand, after all of
-   its own parents have added theirs; a product's left key is the _turn
-   of its turned one. A family is asked for its key of each demanded
-   direction, and a turned one-sheet table for its runs of each, at
-   most (1, k, 1) and (1, k, -1) in direction (1 : k). A sum of two
-   leaves recovers one pair per pair of run windows that reaches a
-   demanded (1, 0, c): every split of c in one window pair adds the
-   same tau, and the split of least descriptor takes the left leaf's
-   least feasible end by its run order: its descent's own end, else
-   the nearest below, else the nearest above.
+   from its table's sides and adds both keys of each to its children's
+   demand, after all of its own parents have added theirs; a product's
+   left key is the _turn of its turned one. A family is asked for its
+   key of each demanded direction, and a turned one-sheet table for its
+   runs of each, at most (1, k, 1) and (1, k, -1) in direction (1 : k).
+   A sum of two leaves recovers one pair per pair of run windows that
+   reaches a demanded (1, 0, c): every split of c in one window pair
+   adds the same tau, and the split of least descriptor takes the left
+   leaf's least feasible end by its run order: its descent's own end,
+   else the nearest below, else the nearest above.
 3. Tau pass, bottom-up, demanded keys only. Each (demanded key, tau)
    keeps the witness of smallest descriptor. A leaf's is (order, (key,
    tau, leaf fraction, descent)), order sorting as the path's
@@ -147,10 +147,10 @@ class _Leaf(_Family, namedtuple("_Leaf", ("p", "q", "bound", "runs", "windows"))
 
 
 class _Glued(_Family, namedtuple("_Glued", ("p", "q", "left", "right", "runs"))):
-    """A merge's table: its children's constant pairs, one per direction
-    that both admit, as the family of p/q, the sum of their values (a glue
-    adds per-sheet values), 1/0 where either is; plus runs, its other
-    keys."""
+    """A merge's table: the two sides it glued, left (turned, at a
+    product) and right; their constant pairs, one per direction that both
+    admit, as the family of p/q, the sum of their values (a glue adds
+    per-sheet values), 1/0 where either is; plus runs, its other keys."""
 
     __slots__ = ()
 
@@ -399,18 +399,18 @@ def _sheet_closings(left, right):
 
 
 def _merge_sum(left, right, closing=False):
-    """Key pass at a merge: the _Glued table of the keys glued from each
-    key of left (the _turned left table, at a product) and each right key
-    of its (a : b) direction; when closing, only those with c = 0, as a
-    set.
+    """Key pass at a merge: the _Glued table of left (the _turned left
+    table, at a product), right, and the keys glued from each key of left
+    and each right key of its (a : b) direction, as its runs; when
+    closing, only those with c = 0.
 
     Two one-sheet sides add their _Runs, which hold their constants of
     direction (1 : 0). Else a family joins once per direction of the
     other side's runs (_with_constants), as in the demand pass, and the
     closing test asks the right table itself per key, or, where left
     turns a one-sheet table, per formula (_sheet_closings). The tables'
-    constant pairs are the _Glued family, kept by formula: the root keeps
-    all of its keys, each with c = 0, when its value is 0, else none."""
+    constant pairs are the _Glued family, kept by formula: the root adds
+    all of its keys, each with c = 0, to its runs when its value is 0."""
     if isinstance(left.runs, _Runs) and isinstance(right.runs, _Runs):  # never the root: it has a product below
         out = left.runs + right.runs
     elif closing and isinstance(left.runs, _Sheets):
@@ -422,9 +422,7 @@ def _merge_sum(left, right, closing=False):
     p = left.p * right.q + right.p * left.q if q else 1  # 1/0 plus any value is 1/0
     g = gcd(p, q)
     glued = _Glued(p // g, q // g, left, right, out)
-    if closing:
-        return out.union(glued.family()) if p == 0 else out
-    return glued
+    return _Glued(*glued[:4], out.union(glued.family())) if closing and p == 0 else glued
 
 
 # a second name, so that bench/tracer.py times product merges apart
@@ -432,9 +430,9 @@ _merge_product = _merge_sum
 
 
 def _key_pass(nodes, c_bound):
-    """(id(node) -> key table, id(product) -> its _turned left table),
-    bottom-up; the root keeps only the keys that close."""
-    keys, turns = {}, {}
+    """id(node) -> key table, bottom-up; a product's holds its _turned
+    left table, and the root's runs are only the keys that close."""
+    keys = {}
     for node in nodes:
         if isinstance(node, Leaf):
             keys[id(node)] = _leaf_table(node.fraction, c_bound)
@@ -443,18 +441,17 @@ def _key_pass(nodes, c_bound):
         if isinstance(node, Sum):
             keys[id(node)] = _merge_sum(left, right, closing)
         else:
-            turned = turns[id(node)] = _turned(left)
-            keys[id(node)] = _merge_product(turned, right, closing)
-    return keys, turns
+            keys[id(node)] = _merge_product(_turned(left), right, closing)
+    return keys
 
 
 # demand pass: the keys that a closed root key reaches, and their pairs
 
 
-def _demand_pass(nodes, keys, turns):
-    """id(node) -> {demanded key: the (left key, right key) pairs glued to
-    it}, None at a leaf, top-down; a shared subtree collects from all its
-    parents first.
+def _demand_pass(nodes, keys):
+    """(id(node) -> {demanded key: the (left key, right key) pairs glued
+    to it}, None at a leaf, and the window pairs compared), top-down from
+    the root's runs; a shared subtree collects from all its parents first.
 
     A glue adds per-sheet values (_explicit_keys), so for a demanded key
     and a left key of its direction (turned, at a product) the one right
@@ -463,14 +460,15 @@ def _demand_pass(nodes, keys, turns):
     one-sheet table's runs (_Sheets.along), and the right table, its
     family included, is asked for that key. A sum of two leaves takes its
     one-sheet keys' pairs per pair of windows (_window_pairs), not per
-    run. At a product the left key is the _turn of the turned one.
+    run. A merge reads its sides off its table, a product's left one
+    turned: there the left key is the _turn of the turned one.
     """
-    demand = {id(nodes[-1]): dict.fromkeys(keys[id(nodes[-1])])}
+    demand, windows = {id(nodes[-1]): dict.fromkeys(keys[id(nodes[-1])].runs)}, 0
     for node in reversed(nodes):
         if isinstance(node, Leaf):
             continue
-        right, product = keys[id(node.right)], isinstance(node, Product)
-        left = turns[id(node)] if product else keys[id(node.left)]
+        table, product = keys[id(node)], isinstance(node, Product)
+        left, right = table.left, table.right
         ldemand = demand.setdefault(id(node.left), {})
         rdemand = demand.setdefault(id(node.right), {})
         wanted, by_direction = demand[id(node)], {}
@@ -485,6 +483,7 @@ def _demand_pass(nodes, keys, turns):
             for (a, b, c), pairs in wanted.items():
                 if not b:
                     pairs += _window_pairs(left, right, c)
+                    windows += len(left.windows) * len(right.windows)
                     for lkey, rkey in pairs:
                         ldemand[lkey] = rdemand[rkey] = None
         elif isinstance(left.runs, _Sheets):
@@ -503,7 +502,7 @@ def _demand_pass(nodes, keys, turns):
                     lkey = _turn((a, b, lc))[0] if product else (a, b, lc)
                     pairs.append((lkey, rkey))
                     ldemand[lkey] = rdemand[rkey] = None
-    return demand
+    return demand, windows
 
 
 # tau pass: one witness per (demanded key, tau)
@@ -535,20 +534,21 @@ def _leaf_witnesses(leaf, table, wanted):
 
 
 def _glue_witnesses(wanted, left, right, product):
-    """{tau: witness} per demanded key of a merge, from its
-    {key: (left key, right key) pairs} and the children's {tau: witness}
-    tables.
+    """({tau: witness} per demanded key of a merge, the child witness
+    pairs compared), from its {key: (left key, right key) pairs} and the
+    children's {tau: witness} tables.
 
     tau adds at a sum; at a product it is tau' - tau(left) + tau(right),
     tau' = -2 sign(c) of the left key (_turn). The keys are visited as
     they come: a child descriptor names one (key, tau) of its node, so no
     two pairs tie, and _rank orders the table.
     """
-    out = {}
+    out, compared = {}, 0
     for key in wanted:
         best = {}
         for lkey, rkey in wanted[key]:
             lents, rents = left[lkey].items(), right[rkey].items()
+            compared += len(lents) * len(rents)
             if product:
                 turn = -2 if lkey[2] > 0 else 2
                 lents = [(turn - lt, lw) for lt, lw in lents]
@@ -559,7 +559,7 @@ def _glue_witnesses(wanted, left, right, product):
                     if kept is None or desc < kept[0]:
                         best[lt + rt] = desc, (lpicks, rpicks)
         out[key] = best
-    return out
+    return out, compared
 
 
 def _rank(table):
@@ -573,64 +573,47 @@ def _rank(table):
 
 
 def _tau_pass(nodes, keys, demand):
-    """id(node) -> its witness table over its demanded keys, bottom-up."""
-    taus = {}
+    """(id(node) -> its witness table over its demanded keys, the child
+    witness pairs compared), bottom-up."""
+    taus, compared = {}, 0
     for node in nodes:
         wanted = demand[id(node)]
         if isinstance(node, Leaf):
             taus[id(node)] = _leaf_witnesses(node, keys[id(node)], wanted)
         else:
             left, right = taus[id(node.left)], taus[id(node.right)]
-            table = _glue_witnesses(wanted, left, right, isinstance(node, Product))
+            table, pairs = _glue_witnesses(wanted, left, right, isinstance(node, Product))
             taus[id(node)] = _rank(table)
-    return taus
+            compared += pairs
+    return taus, compared
 
 
 def _root_table(expr, c_bound):
     """The witness table of the root's closed keys, after all three
     passes."""
     nodes = _distinct_nodes(expr)
-    keys, turns = _key_pass(nodes, c_bound)
-    demand = _demand_pass(nodes, keys, turns)
-    taus = _tau_pass(nodes, keys, demand)
+    keys = _key_pass(nodes, c_bound)
+    demand, windows = _demand_pass(nodes, keys)
+    taus, pairs = _tau_pass(nodes, keys, demand)
     # no handler or level can be set before logging is imported, so the
     # solver leaves the import to its caller (the CLI's LOG_LEVEL)
     logging = sys.modules.get("logging")
     log = logging and logging.getLogger("tangleslopes.solver")
     if log and log.isEnabledFor(logging.INFO):
-        tables = [*keys.values(), *turns.values()]
-        # every pair of one-sheet windows a sum of two leaves compared, and
-        # every child witness pair a merge compared
-        windows = sum(
-            len(x.windows) * len(y.windows) * sum(not key[1] for key in demand[id(node)])
-            for node in nodes
-            if isinstance(node, Sum) and isinstance(x := keys[id(node.left)], _Leaf)
-            and isinstance(y := keys[id(node.right)], _Leaf)
-        )
-        # a root of value 0 lists the family of its constant pairs
-        # (_merge_sum): that family walks its left table's, which walks its
-        # own left's, and so on down to a leaf
-        root = nodes[-1]
-        table = turns[id(root)] if isinstance(root, Product) else keys[id(root.left)]
-        right, walked = keys[id(root.right)], 0
-        if table.q * right.q and table.p * right.q + right.p * table.q == 0:
-            walked = 2  # the root's family and its left table's
+        turned = [keys[id(node)].left for node in nodes if isinstance(node, Product)]
+        # a root of value 0 lists its family (_merge_sum), which walks its
+        # left table's, and so on down to a leaf
+        table, walked = keys[id(expr)], 0
+        if table.p == 0:
+            walked = 1
             while not isinstance(table, _Leaf):
-                walked += 1
-                table = table.left
-        pairs = sum(
-            len(taus[id(node.left)][lkey]) * len(taus[id(node.right)][rkey])
-            for node in nodes
-            if not isinstance(node, Leaf)
-            for pairs in demand[id(node)].values()
-            for lkey, rkey in pairs
-        )
+                table, walked = table.left, walked + 1
         log.info(
             "sn solve, c_bound=%d, %d nodes: %d keys counted and %d formula families"
             " enumerated, %d demanded, %d window pairs and %d witness pairs compared",
             c_bound,
             len(nodes),
-            sum(map(len, tables)),
+            sum(map(len, [*keys.values(), *turned])),
             walked,
             sum(len(demand[id(node)]) for node in nodes),
             windows,

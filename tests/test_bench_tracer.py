@@ -30,6 +30,10 @@ print(json.dumps({
     "missing": tracer.missing,
     "stages": [name for _, name, _ in TARGETS if name.startswith("_")],
     "recorded": sorted({tracer.names[span[0]] for span in tracer.spans}),
+    "sizes": {
+        name: sum(span[5] for span in tracer.spans if tracer.names[span[0]] == name)
+        for name in ("_leaf_table", "_merge_sum", "_merge_product", "_materialize")
+    },
 }))
 """
 
@@ -43,3 +47,8 @@ def test_tracer_reaches_every_solver_stage():
     assert found["missing"] == []
     assert len(found["stages"]) == 8
     assert set(found["stages"]) <= set(found["recorded"])
+    # the sizes of the tables each stage returned, summed: the benchmark's
+    # leaf_table.states, merge_sum.states_out, merge_product.states_out and
+    # materialize.systems read them, so a change of table form that moves
+    # a len() shows here
+    assert found["sizes"] == {"_leaf_table": 68, "_merge_sum": 66, "_merge_product": 2, "_materialize": 26}

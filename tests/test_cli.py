@@ -319,7 +319,10 @@ def test_info_line_counts_what_the_passes_do():
     # value 0 turns into none, so its root lists none: 0 enumerated. So
     # does every merge above such a turn, and that merge's own turn: the
     # left factor of (1/2 + ((1/3 + -1/3) o 1/2)) o (2/3 o -3/2) admits
-    # no direction, and its root of value 0 lists no family either
+    # no direction, and its root of value 0 lists no family either.
+    # (1/2 o 1/3) + (-1/2 o -1/3) is 7/3 - 7/3, a sum root of value 0: its
+    # family walks the left factor's constant pairs, the turned leaf 1/2's
+    # family and the leaf's constants, 4 families enumerated
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), LOG_LEVEL="info")
     cases = (
         (["kn", "--n", "3"], 0,
@@ -335,6 +338,9 @@ def test_info_line_counts_what_the_passes_do():
         (["slopes", "(1/2 + ((1/3 + -1/3) o 1/2)) o (2/3 o -3/2)"], 3,
          "sn solve, c_bound=32, 11 nodes: 1418 keys counted and 0 formula families"
          " enumerated, 236 demanded, 16 window pairs and 1024 witness pairs compared"),
+        (["slopes", "(1/2 o 1/3) + (-1/2 o -1/3)"], 3,
+         "sn solve, c_bound=32, 7 nodes: 752 keys counted and 4 formula families"
+         " enumerated, 1262 demanded, 0 window pairs and 1719 witness pairs compared"),
     )
     for args, code, expected in cases:
         done = subprocess.run(
