@@ -17,27 +17,28 @@ tau' = -2 sign(c). So every tau is an integer.
    explicit keys, which are its size, and a formula family of at most
    one key per primitive (a : b) direction, the primitive state of
    that direction on the plane c = v (a + b) of its value v, asked per
-   direction, enumerated only where a root's family closes. A leaf's
-   is the family of p/q, a product turns the family of v into that of
-   1/v (_Turned), or, where v is 0 or 1/0, into one of value 1/0 that
-   admits nothing (_Keys): a key of value 0 has c = 0 and does not
-   turn. A merge's constant pairs are the family of the sum of its
-   sides' values (_Glued), 1/0 where either is. A merge glues the left
-   key (turned, at a product) to each right key of its direction, both
-   rescaled to their least common (a, b) and added, so c_bound is the
-   only bound. A family joins a merge once per direction of the other
-   side's explicit keys, as in the demand pass; one-sheet pairs glue
-   by adding their c, all others by _glue; sums and products share
-   this one merge. A leaf's runs are one-sheet, (1, 0, c), kept as
-   spans of c (_Runs), and so are those of a sum of two such sides: the
-   sums of their spans. A product turns a one-sheet left table by
-   formula and builds no turned set (_Sheets): a run (1, 0, c) turns to
-   (1, |c| - 1, sign c). Such a root closes on the right table's runs
-   (1, b, +-1), on its family at the one source end c = -p*q of a right
-   value p/q (|p| = 1), and on the left constants per direction of the
-   right runs (_sheet_closings). Every merge keeps a _Glued table of
-   the two sides it glued, a product's left one turned; the root's runs
-   are only its keys that close (c = 0).
+   direction and never listed. A leaf's is the family of p/q, a product
+   turns the family of v into that of 1/v (_Turned), or, where v is 0
+   or 1/0, into one of value 1/0 that admits nothing: a key of value 0
+   has c = 0 and does not turn. A merge's constant pairs are the family
+   of the sum of its sides' values (_Glued), 1/0 where either is. A
+   merge glues the left key (turned, at a product) to each right key of
+   its direction, both rescaled to their least common (a, b) and added,
+   so c_bound is the only bound. A family joins a merge once per
+   direction of the other side's explicit keys, as in the demand pass;
+   one-sheet pairs glue by adding their c, all others by _glue; sums
+   and products share this one merge. A leaf's runs are one-sheet,
+   (1, 0, c), kept as spans of c (_Runs), and so are those of a sum of
+   two such sides: the sums of their spans. A product turns a one-sheet
+   left table by formula and builds no turned set (_Sheets): a run
+   (1, 0, c) turns to (1, |c| - 1, sign c). Such a root closes on the
+   right table's runs (1, b, +-1), on its family at the one source end
+   c = -p*q of a right value p/q (|p| = 1), and on the left constants
+   per direction of the right runs (_sheet_closings). Every merge keeps
+   a _Glued table of the two sides it glued, a product's left one
+   turned; the root's runs are only its keys that close (c = 0), and of
+   a root of value 0, all of whose family keys close, only the first
+   (below).
 2. Demand pass, top-down. The root demands all its runs. Each merge
    recovers the (left key, right key) pairs behind its demanded keys
    from its table's sides and adds both keys of each to its children's
@@ -63,12 +64,22 @@ ranks sort as the flat tuples of leaf descriptors; the smallest pair is
 that of the smallest child witnesses, and the demand pass gives the
 merge every child pair that can be it: all of them, or at a sum of two
 leaves the least of each window pair.
+
+The first family key of a root of value 0 stands for them all. A root
+key that no pair with a run on either side glues to has only
+constant-pair witnesses: each side's key is then no run, so its own
+pairs hold none either, down to the leaves' constants. Constants add
+tau 0, and each product's tau' is -2 sign of its left value in every
+direction (_turn), so all these witnesses share one tau, and they order
+by the leftmost leaf's constant key, the order of family(). Every other
+root key is an explicit closing, which the root keeps anyway.
 """
 
 import sys
 from bisect import bisect
 from collections import namedtuple
 from functools import lru_cache, partial
+from itertools import islice
 from math import gcd, inf, lcm
 
 from .diagram import WeightState
@@ -99,10 +110,10 @@ class _Family:
     """A key table: runs, its explicit keys, which are its len(), and a
     formula family of value p/q: at most one key per primitive (a : b)
     direction (da, db), its _plane_key where admits(da, db), asked per
-    direction; a solve enumerates (family()) only a root's family of
-    value 0, all of whose keys close. An integer leaf's (1, 0, p) is both
-    a run and a key of its family. A family of value 1/0 (q = 0) admits
-    nothing."""
+    direction. family() yields the keys in the descriptor order of their
+    leftmost leaf's constant; a solve takes only the first, of a root of
+    value 0. An integer leaf's (1, 0, p) is both a run and a key of its
+    family. A family of value 1/0 (q = 0) admits nothing."""
 
     __slots__ = ()
 
@@ -140,8 +151,9 @@ class _Leaf(_Family, namedtuple("_Leaf", ("p", "q", "bound", "runs", "windows"))
         return da >= 1 and self.q * da <= t and t <= self.bound * gcd(self.q, t)
 
     def family(self):
-        for k in range(1, self.bound + 1):
-            for a in range(1, k + 1):
+        """The keys in descriptor order, as (0, key) sorts: by a, then by k."""
+        for a in range(1, self.bound + 1):
+            for k in range(a, self.bound + 1):
                 if gcd(a, k) == 1:
                     yield a, self.q * k - a, self.p * k
 
@@ -168,13 +180,15 @@ class _Turned(_Family, namedtuple("_Turned", ("p", "q", "left", "runs"))):
     """A product's left table turned: the family of p/q, the inverse of
     left's value (a turn maps the plane of value v onto that of 1/v),
     admitting a direction where its _plane_key turns (_turn) into left's
-    family; plus runs, its turned runs."""
+    family; plus runs, its turned runs. Where left's value is 0 or 1/0,
+    p/q is 1/0: each key of a family of value 0 has c = 0, which does not
+    turn."""
 
     __slots__ = ()
 
     def admits(self, da, db):
-        back = _turn(_plane_key(self.p, self.q, da, db))
-        if back is None:
+        back = self.q and _turn(_plane_key(self.p, self.q, da, db))
+        if not back:
             return False
         a, b, _ = back[0]
         s = gcd(a, b)
@@ -185,18 +199,6 @@ class _Turned(_Family, namedtuple("_Turned", ("p", "q", "left", "runs"))):
             turned = _turn(key)
             if turned:
                 yield turned[0]
-
-
-class _Keys(_Family, namedtuple("_Keys", ("runs",))):
-    """A product's left table of value 0 or 1/0 turned: only runs, its
-    turned runs. Each key of a family of value 0 has c = 0, which does not
-    turn, so its family is of value 1/0 and admits nothing."""
-
-    __slots__ = ()
-    p, q = 1, 0
-
-    def admits(self, da, db):
-        return False
 
 
 class _Runs:
@@ -305,11 +307,11 @@ class _Sheets:
 def _turned(table):
     """A product's left table turned: its turned runs, by formula (_Sheets)
     where they are one-sheet (_Runs), and its family of value p/q, a
-    leaf's included, turned into the family of q/p, a _Turned, or a _Keys
-    where p/q is 0 or 1/0."""
+    leaf's included, turned into the family of q/p, or of 1/0 where p/q
+    is 0 or 1/0."""
     p, q, runs = table.p, table.q, table.runs
     runs = _Sheets(runs) if isinstance(runs, _Runs) else {t[0] for key in runs if (t := _turn(key))}
-    return _Turned(q if p > 0 else -q, abs(p), table, runs) if p and q else _Keys(runs)
+    return _Turned(q if p > 0 else -q, abs(p), table, runs) if p and q else _Turned(1, 0, table, runs)
 
 
 def _directions(keys):
@@ -409,8 +411,9 @@ def _merge_sum(left, right, closing=False):
     other side's runs (_with_constants), as in the demand pass, and the
     closing test asks the right table itself per key, or, where left
     turns a one-sheet table, per formula (_sheet_closings). The tables'
-    constant pairs are the _Glued family, kept by formula: the root adds
-    all of its keys, each with c = 0, to its runs when its value is 0."""
+    constant pairs are the _Glued family, kept by formula: a root of
+    value 0 adds only its first key, with c = 0, to its runs (module
+    docstring)."""
     if isinstance(left.runs, _Runs) and isinstance(right.runs, _Runs):  # never the root: it has a product below
         out = left.runs + right.runs
     elif closing and isinstance(left.runs, _Sheets):
@@ -422,7 +425,9 @@ def _merge_sum(left, right, closing=False):
     p = left.p * right.q + right.p * left.q if q else 1  # 1/0 plus any value is 1/0
     g = gcd(p, q)
     glued = _Glued(p // g, q // g, left, right, out)
-    return _Glued(*glued[:4], out.union(glued.family())) if closing and p == 0 else glued
+    if closing and p == 0:
+        out.update(islice(glued.family(), 1))
+    return glued
 
 
 # a second name, so that bench/tracer.py times product merges apart
@@ -601,20 +606,12 @@ def _root_table(expr, c_bound):
     log = logging and logging.getLogger("tangleslopes.solver")
     if log and log.isEnabledFor(logging.INFO):
         turned = [keys[id(node)].left for node in nodes if isinstance(node, Product)]
-        # a root of value 0 lists its family (_merge_sum), which walks its
-        # left table's, and so on down to a leaf
-        table, walked = keys[id(expr)], 0
-        if table.p == 0:
-            walked = 1
-            while not isinstance(table, _Leaf):
-                table, walked = table.left, walked + 1
         log.info(
-            "sn solve, c_bound=%d, %d nodes: %d keys counted and %d formula families"
-            " enumerated, %d demanded, %d window pairs and %d witness pairs compared",
+            "sn solve, c_bound=%d, %d nodes: %d keys counted, %d demanded, %d window"
+            " pairs and %d witness pairs compared",
             c_bound,
             len(nodes),
             sum(map(len, [*keys.values(), *turned])),
-            walked,
             sum(len(demand[id(node)]) for node in nodes),
             windows,
             pairs,

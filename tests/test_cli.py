@@ -308,39 +308,41 @@ def test_info_line_counts_what_the_passes_do():
     # turned table counts the 56 with c != 0 by formula, (1, 0, c) ->
     # (1, |c| - 1, sign c), and builds none either; the root closes 2:
     # 173. The formula families (each leaf's constants, the sum's constant
-    # pairs and their turn) are asked per direction: none is enumerated.
+    # pairs and their turn) are asked per direction, never listed.
     # Each leaf has two nonempty run windows, so each of the 3 one-sheet
     # keys demanded of the sum compares 2 x 2 window pairs.
     # (1/2 + 1/3) o (-1/5 + -1) is 6/5 - 6/5: every key of its root's
-    # family of constant pairs closes, and listing them walks that family,
-    # the turned left factor's, the factor's constant pairs and the leaf
-    # 1/2's constants: 4 families enumerated.
-    # (1/3 + -1/3) o (1/3 + -1/3) is 0 o 0: the left factor's family of
-    # value 0 turns into none, so its root lists none: 0 enumerated. So
-    # does every merge above such a turn, and that merge's own turn: the
-    # left factor of (1/2 + ((1/3 + -1/3) o 1/2)) o (2/3 o -3/2) admits
-    # no direction, and its root of value 0 lists no family either.
-    # (1/2 o 1/3) + (-1/2 o -1/3) is 7/3 - 7/3, a sum root of value 0: its
-    # family walks the left factor's constant pairs, the turned leaf 1/2's
-    # family and the leaf's constants, 4 families enumerated
+    # family of constant pairs closes, but the root keeps only the first
+    # beside its explicit closings (sn docstring), here the family's one
+    # key at c_bound 8. (1/3 + -1/3) o (1/3 + -1/3) is 0 o 0: the left
+    # factor's family of value 0 turns into none, and so does every merge
+    # above such a turn, and that merge's own turn: the left factor of
+    # (1/2 + ((1/3 + -1/3) o 1/2)) o (2/3 o -3/2) admits no direction.
+    # (1/2 o 1/3) + (-1/2 o -1/3) is 7/3 - 7/3, a sum root of value 0,
+    # whose family holds 107 keys at c_bound 32. The family of
+    # -1/2 o (-1/4 + 3/4) o 2/3, 2 - 2, holds 401,635 keys at c_bound
+    # 4096: the counts show that none is listed, with no timing
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), LOG_LEVEL="info")
     cases = (
         (["kn", "--n", "3"], 0,
-         "sn solve, c_bound=14, 4 nodes: 173 keys counted and 0 formula families"
-         " enumerated, 17 demanded, 12 window pairs and 60 witness pairs compared"),
+         "sn solve, c_bound=14, 4 nodes: 173 keys counted, 17 demanded, 12 window"
+         " pairs and 60 witness pairs compared"),
         # no even-denominator tangle in its right factor: no slope, exit 3
         (["slopes", "(1/2 + 1/3) o (-1/5 + -1)", "--c-bound", "8"], 3,
-         "sn solve, c_bound=8, 7 nodes: 136 keys counted and 4 formula families"
-         " enumerated, 22 demanded, 12 window pairs and 18 witness pairs compared"),
+         "sn solve, c_bound=8, 7 nodes: 136 keys counted, 22 demanded, 12 window"
+         " pairs and 18 witness pairs compared"),
         (["slopes", "(1/3 + -1/3) o (1/3 + -1/3)"], 3,
-         "sn solve, c_bound=32, 7 nodes: 647 keys counted and 0 formula families"
-         " enumerated, 19 demanded, 16 window pairs and 44 witness pairs compared"),
+         "sn solve, c_bound=32, 7 nodes: 647 keys counted, 19 demanded, 16 window"
+         " pairs and 44 witness pairs compared"),
         (["slopes", "(1/2 + ((1/3 + -1/3) o 1/2)) o (2/3 o -3/2)"], 3,
-         "sn solve, c_bound=32, 11 nodes: 1418 keys counted and 0 formula families"
-         " enumerated, 236 demanded, 16 window pairs and 1024 witness pairs compared"),
+         "sn solve, c_bound=32, 11 nodes: 1418 keys counted, 236 demanded, 16 window"
+         " pairs and 1024 witness pairs compared"),
         (["slopes", "(1/2 o 1/3) + (-1/2 o -1/3)"], 3,
-         "sn solve, c_bound=32, 7 nodes: 752 keys counted and 4 formula families"
-         " enumerated, 1262 demanded, 0 window pairs and 1719 witness pairs compared"),
+         "sn solve, c_bound=32, 7 nodes: 675 keys counted, 723 demanded, 0 window"
+         " pairs and 1488 witness pairs compared"),
+        (["slopes", "-1/2 o (-1/4 + 3/4) o 2/3", "--c-bound", "4096"], 3,
+         "sn solve, c_bound=4096, 7 nodes: 99674 keys counted, 35 demanded, 20 window"
+         " pairs and 54 witness pairs compared"),
     )
     for args, code, expected in cases:
         done = subprocess.run(

@@ -78,6 +78,13 @@ GOLDEN = (
     # a right factor of value 1/0 (a product over a left factor of value
     # 0) has no family key for a turned run to close on
     ("3/4 o ((-2/5 + 2/5) o 1/5)", None, "9e84ff8f7e494a82beb1e5e8a68394edb952900dab6a39796b9a0a7f4dae6fed"),
+    # roots of value 0 at c_bound 1024: every key of the root's family
+    # closes (25,182 in the first, 35,486 in the second, whose inner
+    # factor -1/3 + 1/3 has value 0 too), and the root keeps only the
+    # first beside its explicit closings
+    ("-1/2 o (-1/4 + 3/4) o 2/3", 1024, "03050d1760d1bcf3ca65d56121cfe4d207d05431d0e10e5221b30d9835e840c9"),
+    ("(-1/4 + -1/2) o (-1/3 + 1/3) o 3/4", 1024,
+     "43e6b0acaf438ccc0a3af402e334e1541b03ee192292476e56ee62108ea14874"),
     # the integer leaf keeps its trivial path even past c_bound
     ("(2 + 1/3) o 1/2", 1, "4c426dc830dc49b3bf9b32a681f82a34b2a5690376472f0a2e96a3cda2f36d13"),
     # an integer leaf whose constant family is empty at c_bound 2: it

@@ -475,6 +475,11 @@ _SHARED = Product(Sum(_HALF, Leaf(Fraction(1, 3))), Sum(_HALF, Leaf(Fraction(2, 
 @example(parse("-1/2 o (2/5 o 1)"), 2)  # the same on the keys of a product
 @example(parse("1/2 o (1/3 o 1/4)"), 1)  # turned runs (1, k, +-1) close on a product's runs
 @example(parse("3/4 o ((-2/5 + 2/5) o 1/5)"), 2)  # a right factor of value 1/0
+# roots of value 0 keep only their family's first key: there it wins a tau
+# in the first two, and an explicit closing wins the family's tau in the third
+@example(parse("(-1/4 + -1/2) o (-1/3 + 1/3) o 3/4"), 6)
+@example(parse("(1/2 + 1/3) o (-1/5 + -1)"), 10)
+@example(parse("-1/2 o (-1/4 + 3/4) o 2/3"), 4)
 def test_solve_lists_the_reference_systems(expr, c_bound):
     assume(not expr.is_montesinos() or type_i_size(expr) <= TYPE_I_BUDGET)
     _check_reference(expr, c_bound)
