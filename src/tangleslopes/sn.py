@@ -31,21 +31,28 @@ tau' = -2 sign(c). So every tau is an integer.
    (1, 0, c), kept as spans of c (_Runs), and so are those of a sum of
    two such sides: the sums of their spans. A product turns a one-sheet
    left table by formula and builds no turned set (_Sheets): a run
-   (1, 0, c) turns to (1, |c| - 1, sign c). Such a root closes on the
-   right table's runs (1, b, +-1), on its family at the one source end
-   c = -p*q of a right value p/q (|p| = 1), and on the left constants
-   per direction of the right runs (_sheet_closings). Every merge keeps
-   a _Glued table of the two sides it glued, a product's left one
-   turned; the root's runs are only its keys that close (c = 0), and of
-   a root of value 0, all of whose family keys close, only the first
-   (below).
+   (1, 0, c) turns to (1, |c| - 1, sign c). Below the root it glues
+   these to a one-sheet right side by formula too (_Shifted): of
+   direction (1 : 0), spans of c and a few other keys; of each (1 : k),
+   k >= 1, at most the glues of (1, k, +-1) to the right family's key,
+   of per-sheet value +-1 + (1 + k) v for the right value v. The next
+   product turns that table by formula as well. A key (a, b, c) has
+   value c/(a + b): a glue adds values within a direction, and a turn
+   maps v to 1/v. So a root whose left runs are turned by formula closes
+   by value (_closings): on the right runs, per their direction, and on
+   the right family of value v, only where a left run has value -v, of
+   each formula piece at most one. Every merge keeps a _Glued table of
+   the two sides it glued, a product's left one turned; the root's runs
+   are only its keys that close (c = 0), and of a root of value 0, all
+   of whose family keys close, only the first (below).
 2. Demand pass, top-down. The root demands all its runs. Each merge
    recovers the (left key, right key) pairs behind its demanded keys
    from its table's sides and adds both keys of each to its children's
    demand, after all of its own parents have added theirs; a product's
    left key is the _turn of its turned one. A family is asked for its
-   key of each demanded direction, and a turned one-sheet table for its
-   runs of each, at most (1, k, 1) and (1, k, -1) in direction (1 : k).
+   key of each demanded direction, and runs turned by formula for theirs
+   (_Sheets.along), at most (1, k, 1) and (1, k, -1) in direction
+   (1 : k) of turned one-sheet runs.
    A sum of two leaves recovers one pair per pair of run windows that
    reaches a demanded (1, 0, c): every split of c in one window pair
    adds the same tau, and the split of least descriptor takes the left
@@ -79,7 +86,7 @@ import sys
 from bisect import bisect
 from collections import namedtuple
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import chain, islice
 from math import gcd, inf, lcm
 
 from .diagram import WeightState
@@ -234,6 +241,17 @@ class _Runs:
     def __add__(self, other):
         return _Runs([(lo + olo, hi + ohi) for lo, hi in self.spans for olo, ohi in other.spans])
 
+    def valued(self, p, q):
+        """The keys of value c/(a + b) = p/q, which is also their
+        per-sheet value c/a: at most (1, 0, p)."""
+        return [(1, 0, p)] if q == 1 and (1, 0, p) in self else []
+
+    per_sheet = valued
+
+    def stuck(self):
+        """How many keys have |c| < a, so do not turn: (1, 0, 0) or none."""
+        return (1, 0, 0) in self
+
 
 @lru_cache(maxsize=LEAF_MEMO_SIZE)
 def _leaf_table(pq, c_bound):
@@ -279,10 +297,13 @@ def _glue(lw, rkey):
 
 
 class _Sheets:
-    """The turned runs of a one-sheet table, by formula over its _Runs
-    source: _turn takes a run (1, 0, c), c != 0, to (1, |c| - 1, sign c),
-    so each direction (1 : k) holds at most (1, k, 1) and (1, k, -1). No
-    turned set is built; iterating turns the runs one by one."""
+    """The turned runs of a table, by formula over source, its runs: a
+    one-sheet table's (_Runs), or the keys glued from turned one-sheet runs
+    (_Shifted). Every source key (s, s*k, c) is of direction (1 : k), so
+    gcd(s, c) = 1, and _turn takes it to (s, |c| - s, sign(c) s (1 + k)),
+    of one sheet: a run (1, 0, c), c != 0, to (1, |c| - 1, sign c). _turn
+    is its own inverse, so a key is here where its _turn is in source.
+    No turned set is built; iterating turns the source keys one by one."""
 
     __slots__ = ("source",)
 
@@ -290,27 +311,111 @@ class _Sheets:
         self.source = source
 
     def __contains__(self, key):
-        a, b, c = key
-        return a == 1 and c in (1, -1) and (1, 0, c * (b + 1)) in self.source
+        back = _turn(key)
+        return back is not None and back[0] in self.source
 
     def __len__(self):
-        return len(self.source) - ((1, 0, 0) in self.source)
+        return len(self.source) - self.source.stuck()
 
     def __iter__(self):
-        return ((1, abs(c) - 1, 1 if c > 0 else -1) for _, _, c in self.source if c)
+        return (t[0] for key in self.source if (t := _turn(key)))
 
     def along(self, directions):
-        """The runs of the given primitive (a : b) directions."""
-        return [key for da, db in directions if da == 1 for key in ((1, db, 1), (1, db, -1)) if key in self]
+        """The keys of the given primitive (a : b) directions: (da, db, c)
+        turns into a source key (da, |c| - da, +-(da + db)), whose
+        per-sheet value is +-(da + db)/da."""
+        return [_turn(key)[0] for da, db in directions for n in (da + db, -da - db)
+                for key in self.source.per_sheet(n, da)]
+
+    def valued(self, p, q):
+        """The keys of value c/(a + b) = p/q (q > 0): a turn maps a key of
+        value v to one of value 1/v, and no key of value 0 turns."""
+        keys = self.source.valued(q if p > 0 else -q, abs(p)) if p else ()
+        return [t[0] for key in keys if (t := _turn(key))]
+
+
+class _Shifted:
+    """The keys a non-root merge glues from turned one-sheet runs (sheets,
+    a _Sheets of _Runs) and a one-sheet right table (family), by formula,
+    all of direction (1 : k): runs, its one-sheet keys (1, 0, c) (_Runs);
+    others, its few other keys of direction (1 : 0); and the glue of each
+    turned run (1, k, t), k >= 1, to family's key of direction (1 : k). A
+    glue adds per-sheet values c/a, so that one is the key of per-sheet
+    value t + (1 + k) p/q, p/q the family's value."""
+
+    __slots__ = ("runs", "others", "sheets", "family")
+
+    def __init__(self, runs, others, sheets, family):
+        self.runs, self.others, self.sheets, self.family = runs, others, sheets, family
+
+    def _at(self, k, t):
+        """[the glue of the turned run (1, k, t), k >= 1], or [] where
+        sheets lacks it or family admits no key of direction (1 : k)."""
+        p, q = self.family.p, self.family.q
+        if k < 1 or not self.family.admits(1, k) or (1, k, t) not in self.sheets:
+            return []
+        g = gcd(n := t * q + (1 + k) * p, q)
+        return [(q // g, k * q // g, n // g)]
+
+    def _glued(self):
+        return (key for _, k, t in self.sheets for key in self._at(k, t))
+
+    def __contains__(self, key):
+        a, b, c = key
+        if not b:
+            return key in self.runs or key in self.others
+        # c/a = t + (1 + k) p/q for t = +-1
+        k, p, q = b // a, self.family.p, self.family.q
+        n, d = c * q - a * (1 + k) * p, a * q
+        return n in (d, -d) and key in self._at(k, n // d)
+
+    def __len__(self):
+        admits = self.family.admits
+        return len(self.runs) + len(self.others) + sum(k >= 1 and admits(1, k) for _, k, _ in self.sheets)
+
+    def __iter__(self):
+        return chain(self.runs, self.others, self._glued())
+
+    def per_sheet(self, n, d):
+        """The keys of per-sheet value c/a = n/d, in lowest terms (d > 0):
+        n/d = t + (1 + k) p/q fixes k for each t, or, where p = 0, holds
+        for every k."""
+        p, q = self.family.p, self.family.q
+        out = [key for key in self.others if key[2] * d == n * key[0]] + self.runs.per_sheet(n, d)
+        for t in (1, -1):
+            if p:
+                k, rest = divmod((n - t * d) * q, d * p)
+                out += [] if rest else self._at(k - 1, t)
+            elif n == t * d:
+                out += [key for key in self._glued() if key[2] == t]
+        return out
+
+    def valued(self, p, q):
+        """The keys of value c/(a + b) = p/q (q > 0): p/q less the
+        family's value is t/(1 + k), which fixes t and k."""
+        fp, fq = self.family.p, self.family.q
+        out = [key for key in self.others if key[2] * q == p * key[0]] + self.runs.valued(p, q)
+        n = p * fq - fp * q
+        if n:
+            k, rest = divmod(q * fq, abs(n))
+            out += [] if rest else self._at(k - 1, 1 if n > 0 else -1)
+        return out
+
+    def stuck(self):
+        """How many keys have |c| < a, so do not turn."""
+        return sum(abs(c) < a for a, _, c in self)
 
 
 def _turned(table):
     """A product's left table turned: its turned runs, by formula (_Sheets)
-    where they are one-sheet (_Runs), and its family of value p/q, a
-    leaf's included, turned into the family of q/p, or of 1/0 where p/q
-    is 0 or 1/0."""
+    where they are one-sheet (_Runs) or glued from such (_Shifted), and its
+    family of value p/q, a leaf's included, turned into the family of q/p,
+    or of 1/0 where p/q is 0 or 1/0."""
     p, q, runs = table.p, table.q, table.runs
-    runs = _Sheets(runs) if isinstance(runs, _Runs) else {t[0] for key in runs if (t := _turn(key))}
+    if isinstance(runs, (_Runs, _Shifted)):
+        runs = _Sheets(runs)
+    else:
+        runs = {t[0] for key in runs if (t := _turn(key))}
     return _Turned(q if p > 0 else -q, abs(p), table, runs) if p and q else _Turned(1, 0, table, runs)
 
 
@@ -376,28 +481,38 @@ def _explicit_keys(lws, right, closing):
     return out
 
 
-def _sheet_closings(left, right):
-    """The closing test of a root product whose left table turns a
-    one-sheet table (_Sheets): the (da, db, 0) of each left key (a, b, c)
-    with (a, b, -c) in right.
+def _shifted(left, right):
+    """The _Shifted keys of a non-root merge of turned one-sheet runs
+    (left.runs, a _Sheets of _Runs) and a one-sheet right table: those
+    _explicit_keys glues from each side's _with_constants. Of direction
+    (1 : 0) they are spans of c, plus the glues of left's constant where it
+    has more than one sheet (right's, as a family admits (1 : 0) only of
+    integer leaves, has one); of (1 : k), k >= 1, left's runs glue only to
+    right's constant."""
+    ones = left.runs.along([(1, 0)])
+    lkeys = [*_constants(left, [(1, 0)] if right.runs else ()), *ones]
+    rkeys = _constants(right, [(1, 0)] if ones else ())
+    spans = [*right.runs.spans, *((c, c) for _, _, c in rkeys)]
+    multi = [key for key in lkeys if key[0] > 1]  # left's constant, or none
+    others = _explicit_keys(multi, chain(right.runs, rkeys), False) if multi else ()
+    runs = _Runs((lo + c, hi + c) for a, _, c in lkeys if a == 1 for lo, hi in spans)
+    return _Shifted(runs, frozenset(others), left.runs, right)
 
-    Left's constants are asked per direction of right's runs, as in
-    _explicit_keys; a one-sheet right's are all of direction (1 : 0). A
-    turned run (1, k, +-1) closes on right's key (1, k, -+1): one of
-    right's runs, for a one-sheet right (1, 0, +-1), or the key of right's
-    family of value p/q in direction (1 : k), which is (1, k, -+1) only for
-    k = q - 1 and p = -+1, the turn of the source run (1, 0, -p*q)."""
-    sheets, p, q = left.runs, right.p, right.q
+
+def _closings(left, right):
+    """The closing test of a root product whose left runs are turned by
+    formula (_Sheets): the (da, db, 0) of each left key (a, b, c) with
+    (a, b, -c) in right. Left's constants and runs are asked per direction
+    of right's runs, as in _explicit_keys, and its runs of value -p/q,
+    which close on right's family of value p/q where it admits them."""
     if isinstance(right.runs, _Runs):
         directions = {(1, 0)} if right.runs else ()
-        ones = [key for key in ((1, 0, 1), (1, 0, -1)) if key in right.runs]
     else:
-        directions, ones = _directions(right.runs), right.runs
-    out = {(a // (s := gcd(a, b)), b // s, 0) for a, b, c in _constants(left, directions) if (a, b, -c) in right}
-    out.update((1, b, 0) for a, b, c in ones if a == 1 and c in (1, -1) and (1, b, -c) in sheets)
-    if q and (1, q - 1, -p) in sheets and right.holds((1, q - 1, p)):
-        out.add((1, q - 1, 0))
-    return out
+        directions = _directions(right.runs)
+    keys = [*_constants(left, directions), *left.runs.along(directions)]
+    if right.q:
+        keys += left.runs.valued(-right.p, right.q)
+    return {(a // (s := gcd(a, b)), b // s, 0) for a, b, c in keys if (a, b, -c) in right}
 
 
 def _merge_sum(left, right, closing=False):
@@ -407,17 +522,21 @@ def _merge_sum(left, right, closing=False):
     closing, only those with c = 0.
 
     Two one-sheet sides add their _Runs, which hold their constants of
-    direction (1 : 0). Else a family joins once per direction of the
-    other side's runs (_with_constants), as in the demand pass, and the
-    closing test asks the right table itself per key, or, where left
-    turns a one-sheet table, per formula (_sheet_closings). The tables'
-    constant pairs are the _Glued family, kept by formula: a root of
-    value 0 adds only its first key, with c = 0, to its runs (module
+    direction (1 : 0), and turned one-sheet runs glue to a one-sheet
+    right side by formula (_shifted). Else a family joins once per
+    direction of the other side's runs (_with_constants), as in the demand
+    pass, and the closing test asks the right table itself per key, or,
+    where left's runs are turned by formula, per value (_closings). The
+    tables' constant pairs are the _Glued family, kept by formula: a root
+    of value 0 adds only its first key, with c = 0, to its runs (module
     docstring)."""
-    if isinstance(left.runs, _Runs) and isinstance(right.runs, _Runs):  # never the root: it has a product below
+    one_sheet = isinstance(right.runs, _Runs)
+    if isinstance(left.runs, _Runs) and one_sheet:  # never the root: it has a product below
         out = left.runs + right.runs
     elif closing and isinstance(left.runs, _Sheets):
-        out = _sheet_closings(left, right)
+        out = _closings(left, right)
+    elif one_sheet and isinstance(left.runs, _Sheets) and isinstance(left.runs.source, _Runs):
+        out = _shifted(left, right)
     else:
         rkeys = right if closing else _with_constants(right, left.runs)
         out = _explicit_keys(_with_constants(left, right.runs), rkeys, closing)
@@ -461,8 +580,8 @@ def _demand_pass(nodes, keys):
     A glue adds per-sheet values (_explicit_keys), so for a demanded key
     and a left key of its direction (turned, at a product) the one right
     key that can glue to it has the reduced difference of their values. A
-    family joins once per demanded direction (_constants), as do a turned
-    one-sheet table's runs (_Sheets.along), and the right table, its
+    family joins once per demanded direction (_constants), as do runs
+    turned by formula (_Sheets.along), and the right table, its
     family included, is asked for that key. A sum of two leaves takes its
     one-sheet keys' pairs per pair of windows (_window_pairs), not per
     run. A merge reads its sides off its table, a product's left one

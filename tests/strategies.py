@@ -37,3 +37,22 @@ def two_leaf_products(draw, q_max=9):
 
     left = factor()
     return Product(left, left if draw(st.integers(0, 3)) == 0 else factor())
+
+
+@st.composite
+def one_sheet_chains(draw, q_max=5):
+    """Chains of factors whose runs are one-sheet, each a leaf or a sum of
+    two leaves: A o B o C, sometimes with a fourth factor, or right-nested
+    as A o (B o C)."""
+
+    def factor():
+        x = draw(leaves(q_max))
+        return Sum(x, draw(leaves(q_max))) if draw(st.booleans()) else x
+
+    a, b, c = factor(), factor(), factor()
+    shape = draw(st.integers(0, 3))
+    if shape == 0:
+        return Product(Product(Product(a, b), c), factor())
+    if shape == 1:
+        return Product(a, Product(b, c))
+    return Product(Product(a, b), c)

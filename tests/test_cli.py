@@ -321,7 +321,10 @@ def test_info_line_counts_what_the_passes_do():
     # (1/2 o 1/3) + (-1/2 o -1/3) is 7/3 - 7/3, a sum root of value 0,
     # whose family holds 107 keys at c_bound 32. The family of
     # -1/2 o (-1/4 + 3/4) o 2/3, 2 - 2, holds 401,635 keys at c_bound
-    # 4096: the counts show that none is listed, with no timing
+    # 4096: the counts show that none is listed, with no timing. The two
+    # chains at c_bound 16384 glue a product of one-sheet factors below the
+    # root by formula; their counts of keys are what listing them built, and
+    # the demand and tau passes do the same work as at c_bound 32
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), LOG_LEVEL="info")
     cases = (
         (["kn", "--n", "3"], 0,
@@ -343,6 +346,12 @@ def test_info_line_counts_what_the_passes_do():
         (["slopes", "-1/2 o (-1/4 + 3/4) o 2/3", "--c-bound", "4096"], 3,
          "sn solve, c_bound=4096, 7 nodes: 99674 keys counted, 35 demanded, 20 window"
          " pairs and 54 witness pairs compared"),
+        (["slopes", "(-2/5 + -1/5) o (-2/3 + 1/2) o (1/4 + -1/3)", "--c-bound", "16384"], 3,
+         "sn solve, c_bound=16384, 11 nodes: 638979 keys counted, 59 demanded, 50 window"
+         " pairs and 300 witness pairs compared"),
+        (["slopes", "(1/2+1/3) o (1/4 + -1/3) o (1/5+1/2)", "--c-bound", "16384"], 0,
+         "sn solve, c_bound=16384, 11 nodes: 666267 keys counted, 44 demanded, 36 window"
+         " pairs and 170 witness pairs compared"),
     )
     for args, code, expected in cases:
         done = subprocess.run(

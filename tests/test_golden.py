@@ -49,6 +49,17 @@ GOLDEN = (
         None,
         "0464613e45529e27e49fff89bc80a9365cf0e1aeac8e5ca109c2d9e4bf718159",
     ),
+    # products of one-sheet factors below the root, whose glued keys are
+    # kept by formula and turned by formula at the root: the first has 26
+    # slopes, the same at c_bound 32 and 16,384, the second none (no
+    # even-denominator tangle in its first factor)
+    ("(1/2+1/3) o (1/4 + -1/3) o (1/5+1/2)", 1024,
+     "c155e6a55b9fe4109f46e51ce8d4e61da7c7d2ade2d4af9ce11932e566d702de"),
+    ("(-2/5 + -1/5) o (-2/3 + 1/2) o (1/4 + -1/3)", 1024,
+     "e6dd802ace07848a9858a381eae30241d3f1e05433ea57361e20c6a49d878963"),
+    # four factors: the second product glues the first's keys, turned by
+    # formula, to the one-sheet leaf -1/3
+    ("1/3 o 1/2 o -1/3 o 2/5", 32, "f14bfbb0b4e3154a2db60a2e871ba022c694ecac06f1aab2bb1c516f3d89036b"),
     # four tangles: the digest pins the complete u=0 search, no skip note
     ("-3/7 + 5/11 + 2/9 + 1/4", None, "02083ac022018c09cb6c20be9659ef9009800929aa9a6c7bac2028121f5b8b30"),
     # six tangles: pins the type-I merge over overlapping segment prefixes

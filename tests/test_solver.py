@@ -53,7 +53,7 @@ from reference import (
     type_i_size,
     u_zero_ends,
 )
-from strategies import trees, two_leaf_products
+from strategies import one_sheet_chains, trees, two_leaf_products
 from test_golden import GOLDEN, _expr, corpus_batches
 
 PRETZEL_237 = "-1/2 + 1/3 + 1/7"
@@ -571,6 +571,54 @@ def test_two_leaf_examples_reach_their_cases():
     assert any(ps[0].is_constant and ps[1].is_constant
                for ps in assignments(parse("(-1/2 + 1/3) o (-1/8 + 1/9)"), 12))
     assert assignments(_DOUBLED, 6)
+
+
+# a product of one-sheet factors below the root keeps its glued keys by
+# formula: its runs plus sums of spans, and per direction (1 : k) the glue
+# of a turned run to the right factor's constant; the next product turns
+# them by formula and closes on them by value
+@settings(max_examples=150, deadline=None)
+@given(one_sheet_chains(), st.integers(min_value=1, max_value=8))
+@example(parse("(2 + 5/2) o -1/4 o 1/4"), 8)  # an integer left leaf; a turned run glued to a constant
+@example(parse("(1/2 + -1/3) o (-1/3 + 1/3) o 2/3"), 8)  # a factor of value 0
+@example(parse("3/4 o ((-2/5 + 2/5) o 1/5)"), 6)  # a right factor of value 1/0
+@example(parse("(-1/3 + 1/5) o (1 + 1/2) o (1/3 + -1/5)"), 6)  # two-sheet glues in direction (1 : 0)
+@example(parse("(1/2+1/3) o (1/4 + -1/3) o (1/5+1/2)"), 8)  # a GOLDEN chain
+def test_one_sheet_chains_list_the_reference_systems(expr, c_bound):
+    _check_reference(expr, c_bound)
+
+
+def test_one_sheet_chain_examples_reach_their_cases():
+    # the fixed chains of the property above hold what they are there for
+    def nodes(text, c_bound):
+        return [[n.state.triple() for n in s.nodes] for s in solve(parse(text), c_bound).systems
+                if s.note != "seifert-reference"]
+
+    def transformed(text, c_bound):
+        return [s.nodes[1].transformed.triple() for s in solve(parse(text), c_bound).systems
+                if s.note != "seifert-reference"]
+
+    # the run (1, 0, 8) of 2 + 5/2 turns into (1, 7, 1), which glues to
+    # -1/4's constant (1, 7, -2) into (1, 7, -1); the leaf 2 takes its
+    # trivial path (1, 0, 2)
+    assert [(1, 7, -1), (1, 0, 8), (1, 0, 2), (1, 0, 6), (1, 7, -2), (1, 0, 8)] in [
+        ns[1:] for ns in nodes("(2 + 5/2) o -1/4 o 1/4", 8)]
+    # 1/2 + -1/3 has value 1/6: its constant (1, 5, 1) turns into one sheet,
+    # (1, 0, 6), and glues to a run of the value-0 factor -1/3 + 1/3
+    assert (1, 0, 6) in transformed("(1/2 + -1/3) o (-1/3 + 1/3) o 2/3", 8)
+    # (-2/5 + 2/5) o 1/5 has value 1/0 and no constant: the root closes on
+    # its one-sheet keys
+    listed = nodes("3/4 o ((-2/5 + 2/5) o 1/5)", 6)
+    assert listed and all(ns[2][:2] == (1, 0) for ns in listed)
+    # -1/3 + 1/5 has value -2/15: its constant turns into two sheets,
+    # (2, 0, -15), and glues to the run (1, 0, 0) of 1 + 1/2
+    assert any(ns[1] == (2, 0, -15) and ns[5] == (1, 0, 0)
+               for ns in nodes("(-1/3 + 1/5) o (1 + 1/2) o (1/3 + -1/5)", 6))
+    # a knot: every system has a slope, and the inner product closes the
+    # root through its runs (1, 0, +-1), sums of spans
+    rep = solve(parse("(1/2+1/3) o (1/4 + -1/3) o (1/5+1/2)"), 8)
+    assert all(s.slope is not None for s in rep.systems)
+    assert {s.nodes[1].state.triple() for s in rep.systems if s.nodes[1].transformed} == {(1, 0, 1), (1, 0, -1)}
 
 
 def test_root_witnesses_match_eager_traces():
