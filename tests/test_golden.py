@@ -52,8 +52,9 @@ GOLDEN = (
     # products of one-sheet factors below the root, whose glued keys are
     # kept by formula and turned by formula at the root: the first has 26
     # slopes, the same at c_bound 32 and 16,384, the second none (no
-    # even-denominator tangle in its first factor)
-    ("(1/2+1/3) o (1/4 + -1/3) o (1/5+1/2)", 1024,
+    # even-denominator tangle in its first factor); the first is spaced
+    # apart from the c_bound-32 row above so the two test ids differ
+    ("(1/2 + 1/3) o (1/4 + -1/3) o (1/5 + 1/2)", 1024,
      "c155e6a55b9fe4109f46e51ce8d4e61da7c7d2ade2d4af9ce11932e566d702de"),
     ("(-2/5 + -1/5) o (-2/3 + 1/2) o (1/4 + -1/3)", 1024,
      "e6dd802ace07848a9858a381eae30241d3f1e05433ea57361e20c6a49d878963"),
