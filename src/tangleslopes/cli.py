@@ -11,11 +11,12 @@ is not imported: the package logs nothing at warning or above.
 format_json writes a JSON report on every Python version as exactly the
 text json.dumps(doc, indent=2) gives, plus a newline, for the report's
 dict doc that the schema describes; tests/reference.py builds that dict
-from the records. report_document(rep) reads it back from that text.
+from the records. It needs only json's C string escaper, so importing this
+module does not load the json package; report_document(rep), which reads
+the dict back from that text, imports it when called.
 """
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -41,28 +42,37 @@ SCHEMA_VERSION = 2
 
 def report_document(rep):
     """The JSON-ready dict for a SlopeReport; matches the shipped schema."""
+    import json  # only reading back needs the json package
+
     return json.loads(format_json(rep))
 
 
-_escape = json.encoder.encode_basestring_ascii
+try:
+    from _json import encode_basestring_ascii as _escape  # what json.encoder uses
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii as _escape
 
 
 def _template(keys, indent):
-    # the `%` template of an object with these keys as json.dumps(indent=2)
-    # writes it with its braces `indent` spaces in; values go in as JSON text
+    # an object with these keys as json.dumps(indent=2) writes it, braces
+    # `indent` spaces in, cut where its values go in as JSON text: part t[i]
+    # precedes value i. An f-string copies the parts, where a `%` format
+    # would scan the whole layout for each record
     pad = "\n" + " " * indent
-    return "{" + ",".join('%s  "%s": %%s' % (pad, key) for key in keys) + pad + "}"
+    heads = ['%s  "%s": ' % (pad, key) for key in keys]
+    return ("{" + heads[0],) + tuple("," + head for head in heads[1:]) + (pad + "}",)
 
 
-def _array(items, indent):
-    # the list of JSON texts `items` as an array, brackets `indent` spaces
-    # in; wraps the end items in place, not the joined text (megabytes, at times)
+def _array(items, indent, quote="", before="", after=""):
+    # the list of texts `items` as an array, each between two `quote`s,
+    # brackets `indent` spaces in, between `before` and `after`; wraps the
+    # end items in place, not the joined text (megabytes, at times)
+    pad = "\n" + " " * indent
     if not items:
-        return "[]"
-    pad = "\n" + " " * indent
-    items[0] = "[" + pad + "  " + items[0]
-    items[-1] += pad + "]"
-    return ("," + pad + "  ").join(items)
+        return before + "[]" + after
+    items[0] = before + "[" + pad + "  " + quote + items[0]
+    items[-1] += quote + pad + "]" + after
+    return (quote + "," + pad + "  " + quote).join(items)
 
 
 def _quoted(value):
@@ -73,13 +83,16 @@ def _quoted(value):
 
 _WEIGHTS = ("a", "b", "c", "n_inf", "has_zero")
 _REPORT = _template(("schema_version", "expr", "c_bound", "crossings", "slopes", "certified",
-                     "diameter", "ratio", "notes", "systems"), 0) + "\n"
+                     "diameter", "ratio", "notes", "systems"), 0)
 _CROSSINGS = _template(("count", "source"), 2)
 _SYSTEM = _template(("slope", "tau", "note", "closure", "paths", "nodes"), 4)
 _CONST = _template(("kind", "tangle", "state"), 8)
 _PATH = _template(("kind", "tangle", "vertices", "final_fraction", "sheets"), 8)
 _NODE = _template(("label", "kind", "state", "tau", "scales", "case_id", "m", "tau_prime",
                    "transformed"), 8)
+# a node holding NodeTrace's defaults in its last four fields, as leaves
+# and sums do, with those written in
+_PLAIN = _NODE[:5] + ("%s0%s0%snull%snull%s" % _NODE[5:],)
 _CLOSURE, _STATE = _template(_WEIGHTS, 6), _template(_WEIGHTS, 10)
 
 
@@ -87,55 +100,78 @@ def format_json(rep):
     """The report as json.dumps(doc, indent=2) plus a newline, doc being its
     dict as the schema describes it.
 
-    Written straight from the records, one template per record kind. The
-    solve shares WeightStates, node traces, paths and vertex tuples across
-    and within systems, so each is written once per call, keyed by id();
-    `rep` keeps every record alive while the call runs.
+    Written straight from the records, one template per record kind, plus
+    one for a node that holds a leaf's or sum's defaults exactly. The solve
+    shares WeightStates, node traces, paths and vertex tuples across and
+    within systems, so each is written once per call, keyed by id(), and
+    looked up inline after; `rep` keeps every record alive while the call
+    runs.
     """
-    states, closures, paths, vertices, nodes, scales = {}, {}, {}, {}, {}, {}
+    # id(record) -> its text; a state's text depends on where it sits
+    states, closures = {id(None): "null"}, {id(None): "null"}
+    paths, vertices, nodes, scales = {}, {}, {}, {}
 
-    def weights(state, written, template):
-        if state is None:
-            return "null"
-        if id(state) not in written:
-            written[id(state)] = template % (
-                state.a, state.b, state.c, state.n_inf, "true" if state.has_zero else "false")
-        return written[id(state)]
+    def weights(state, written, t):
+        a, b, c, n_inf, has_zero = state
+        has_zero = "true" if has_zero else "false"
+        text = f"{t[0]}{a}{t[1]}{b}{t[2]}{c}{t[3]}{n_inf}{t[4]}{has_zero}{t[5]}"
+        written[id(state)] = text
+        return text
 
     def path_text(path):
-        if id(path) not in paths:
-            if path.is_constant:
-                state = [str(x) for x in path.state.triple()]
-                text = _CONST % ('"const"', _quoted(path.tangle), _array(state, 10))
-            else:
-                vs = path.vertices
-                if id(vs) not in vertices:
-                    vertices[id(vs)] = _array([_quoted(v) for v in vs], 10)
-                text = _PATH % ('"path"', _quoted(path.tangle), vertices[id(vs)],
-                                _quoted(path.final_fraction), path.sheets)
-            paths[id(path)] = text
-        return paths[id(path)]
+        tangle = _quoted(path.tangle)
+        if path.is_constant:
+            t, state = _CONST, _array(list(map(str, path.state.triple())), 10)
+            text = f'{t[0]}"const"{t[1]}{tangle}{t[2]}{state}{t[3]}'
+        else:
+            t, vs = _PATH, path.vertices
+            array = vertices.get(id(vs))
+            if array is None:
+                array = vertices[id(vs)] = _array(list(map(str, vs)), 10, '"')
+            text = (f'{t[0]}"path"{t[1]}{tangle}{t[2]}{array}{t[3]}{_quoted(path.final_fraction)}'
+                    f'{t[4]}{path.sheets}{t[5]}')
+        paths[id(path)] = text
+        return text
 
     def node_text(node):
-        if id(node) not in nodes:
-            if node.scales not in scales:
-                scales[node.scales] = _array([str(x) for x in node.scales], 10)
-            nodes[id(node)] = _NODE % (
-                _escape(node.label), _escape(node.kind), weights(node.state, states, _STATE),
-                _quoted(node.tau), scales[node.scales], node.case_id, node.m,
-                _quoted(node.tau_prime), weights(node.transformed, states, _STATE))
-        return nodes[id(node)]
+        label, kind, state, tau, scale, case_id, m, tau_prime, transformed = node
+        array = scales.get(scale)
+        if array is None:
+            array = scales[scale] = _array(list(map(str, scale)), 10)
+        label, kind = _escape(label), _escape(kind)
+        state = states.get(id(state)) or weights(state, states, _STATE)
+        tau = "null" if tau is None else '"%s"' % tau
+        if (tau_prime is None and transformed is None and type(case_id) is int
+                and type(m) is int and case_id == m == 0):
+            t = _PLAIN
+            text = f"{t[0]}{label}{t[1]}{kind}{t[2]}{state}{t[3]}{tau}{t[4]}{array}{t[5]}"
+        else:
+            t = _NODE
+            transformed = states.get(id(transformed)) or weights(transformed, states, _STATE)
+            text = (f"{t[0]}{label}{t[1]}{kind}{t[2]}{state}{t[3]}{tau}{t[4]}{array}{t[5]}{case_id}"
+                    f"{t[6]}{m}{t[7]}{_quoted(tau_prime)}{t[8]}{transformed}{t[9]}")
+        nodes[id(node)] = text
+        return text
 
-    systems = [_SYSTEM % (
-        _quoted(s.slope), _quoted(s.tau), _escape(s.note), weights(s.closure, closures, _CLOSURE),
-        _array([path_text(p) for p in s.assignment], 6),
-        _array([node_text(n) for n in s.nodes], 6)) for s in rep.systems]
-    return _REPORT % (
-        SCHEMA_VERSION, _escape(render(rep.expr)), "null" if rep.c_bound is None else rep.c_bound,
-        _CROSSINGS % (rep.crossings, _escape(rep.crossing_source)),
-        _array([_quoted(s) for s in rep.slopes], 2),
-        _array([_quoted(s) for s in rep.certified], 2), _quoted(rep.diameter),
-        _quoted(rep.ratio), _array([_escape(n) for n in rep.notes], 2), _array(systems, 2))
+    t, systems = _SYSTEM, []
+    for _, assignment, trace, closure, tau, slope, note in rep.systems:
+        slope = "null" if slope is None else '"%s"' % slope
+        tau = "null" if tau is None else '"%s"' % tau
+        closure = closures.get(id(closure)) or weights(closure, closures, _CLOSURE)
+        assignment = _array([paths.get(id(p)) or path_text(p) for p in assignment], 6)
+        trace = _array([nodes.get(id(n)) or node_text(n) for n in trace], 6)
+        systems.append(f"{t[0]}{slope}{t[1]}{tau}{t[2]}{_escape(note)}{t[3]}{closure}{t[4]}"
+                       f"{assignment}{t[5]}{trace}{t[6]}")
+    t, c = _REPORT, _CROSSINGS
+    crossings = f"{c[0]}{rep.crossings}{c[1]}{_escape(rep.crossing_source)}{c[2]}"
+    c_bound = "null" if rep.c_bound is None else rep.c_bound
+    slopes = _array(list(map(str, rep.slopes)), 2, '"')
+    certified = _array(list(map(str, rep.certified)), 2, '"')
+    notes = _array([_escape(n) for n in rep.notes], 2)
+    head = (f"{t[0]}{SCHEMA_VERSION}{t[1]}{_escape(render(rep.expr))}{t[2]}{c_bound}{t[3]}"
+            f"{crossings}{t[4]}{slopes}{t[5]}{certified}{t[6]}{_quoted(rep.diameter)}{t[7]}"
+            f"{_quoted(rep.ratio)}{t[8]}{notes}{t[9]}")
+    return _array(systems, 2, before=head, after=t[10] + "\n")
 
 
 def format_table(rep):

@@ -22,10 +22,12 @@ path; order is the SN rank or the flat descriptor tuple. _solve keeps the
 least order per (tau, note), plus S0 (slope 0) when the normalization
 exists. Only a kept candidate's build() makes its leaf picks (key, tau,
 path), and _materialize derives every node's trace from them in integers
-(_glue, _turn), one per subtree label and leaf paths. The report's slopes are
-read off the listed systems: the slope tau - tau(S0) of each with an empty
-note, plus S0's 0. The systems are listed by (slope, note, order), a slope
-as an int over the common denominator. slopes.verify_system, by replay, is
+(_glue, _turn), one per subtree label and leaf paths. The systems are
+listed by (slope, note, order), a slope as an int over the common
+denominator, each key computed once. The report's slopes are read off the
+listed systems in that order: the slope tau - tau(S0) of each with an
+empty note, plus S0's 0, equal slopes told apart by their int keys, so no
+Fraction is hashed or sorted. slopes.verify_system, by replay, is
 the independent check; the solve does not call it. Nothing depends on hash
 order: the SN passes visit keys in set and dict order, but each minimum
 they keep is unique, as an order names one (key, tau) or system; the
@@ -36,6 +38,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from math import lcm
+from operator import itemgetter
 
 from .diagram import WeightState
 from .edgepaths import ConstantPath, VertexPath
@@ -80,18 +83,26 @@ class SlopeReport(namedtuple("SlopeReport", (
 
 def default_c_bound(expr):
     """Family expressions get room for their long vertical runs."""
-    n = family_index(expr)
+    return _family_c_bound(family_index(expr))
+
+
+def _family_c_bound(n):
+    # default_c_bound of an expression whose family index is n
     return n * n + n + 2 if n is not None else 32
 
 
-def report(expr, systems, slopes, c_bound, notes=()):
-    """Aggregate systems and slopes into a SlopeReport."""
-    slopes = tuple(sorted(set(slopes)))
-    n = family_index(expr)
+def report(expr, n, systems, slopes, c_bound, notes=()):
+    """Aggregate systems and slopes into a SlopeReport.
+
+    n is expr's family index (tangles.family_index), None outside the
+    family; the slopes arrive sorted and distinct.
+    """
+    slopes = tuple(slopes)
     if n is not None:
         crossings, source = family_crossing_count(n), "family-exact"
-        family = (Fraction(-2 * (n + 1) ** 2 + 4), Fraction(2 * (n + 1) ** 2 - 4))
-        certified = tuple(s for s in family if s in slopes)
+        # the family's slopes -+(2(n + 1)^2 - 4), found by an int test
+        extreme = 2 * (n + 1) ** 2 - 4
+        certified = tuple(s for s in slopes if s.denominator == 1 and abs(s.numerator) == extreme)
     else:
         crossings, source = crossing_count(expr), "diagram-count"
         certified = ()
@@ -123,8 +134,9 @@ def _check_c_bound(c_bound):
     return c_bound
 
 
-def _solve(expr, c_bound, search):
-    """Solve expr by the engine search search(notes); see the module docstring."""
+def _solve(expr, n, c_bound, search):
+    """Solve expr, of family index n, by the engine search search(notes);
+    see the module docstring."""
     notes = []
     try:
         seifert = seifert_system(expr)
@@ -140,18 +152,23 @@ def _solve(expr, c_bound, search):
     if not grouped:
         notes.append("no closed systems" + (" within c_bound=%d" % c_bound if c_bound is not None else ""))
     systems = _materialize(expr, grouped, reference)
-    slopes = []
     if seifert is not None:
         systems.append((None, seifert))  # its own note: order never compared
-        slopes = [ZERO] + [s.slope for _, s in systems if not s.note]
     scale = lcm(*(s.slope.denominator for _, s in systems if s.slope is not None))
-
-    def listing(item):
-        slope = item[1].slope or ZERO  # None without S0
-        return slope.numerator * scale // slope.denominator, item[1].note, item[0]
-
-    systems.sort(key=listing)
-    return report(expr, [s for _, s in systems], slopes, c_bound, sorted(set(notes)))
+    listed = []
+    for order, system in systems:
+        slope = system.slope or ZERO  # None without S0
+        listed.append(((slope.numerator * scale // slope.denominator, system.note, order), system))
+    listed.sort(key=itemgetter(0))
+    # S0's 0 and the slope of each system with an empty note, each once:
+    # the listing puts equal slopes next to each other
+    slopes, last = [], None
+    if seifert is not None:
+        for (key, note, _), system in listed:
+            if key != last and (not note or system is seifert):
+                slopes.append(system.slope)
+                last = key
+    return report(expr, n, [s for _, s in listed], slopes, c_bound, sorted(set(notes)))
 
 
 class _States(dict):
@@ -230,8 +247,9 @@ def solve_sn(expr, c_bound=None):
         raise UnsupportedShape(
             "expression %s has no product; use solve_montesinos" % render(expr)
         )
-    c_bound = default_c_bound(expr) if c_bound is None else _check_c_bound(c_bound)
-    return _solve(expr, c_bound, partial(_sn_candidates, expr, c_bound))
+    n = family_index(expr)
+    c_bound = _family_c_bound(n) if c_bound is None else _check_c_bound(c_bound)
+    return _solve(expr, n, c_bound, partial(_sn_candidates, expr, c_bound))
 
 
 def solve_montesinos(expr):
@@ -246,7 +264,8 @@ def solve_montesinos(expr):
             "need at least 3 rational tangles, got %d (two-bridge closures"
             " are out of scope)" % count
         )
-    return _solve(expr, None, partial(_montesinos_candidates, expr))
+    # a sum is never a family knot, whose root is a product
+    return _solve(expr, None, None, partial(_montesinos_candidates, expr))
 
 
 def solve(expr, c_bound=None):

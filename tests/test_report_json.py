@@ -73,6 +73,45 @@ def test_writer_on_fixed_edge_cases():
     assert '"has_zero": true' in format_json(rep._replace(systems=(system,)))
 
 
+def test_writer_templates_follow_the_values_not_the_kind():
+    # format_json writes a node whose last four fields hold a leaf's or a
+    # sum's defaults from a template with those written in, and each state,
+    # path and vertex tuple once per call: records built against both
+    rep = solve(parse("(1/2 + 1/3) o 1/4"))
+    system = rep.systems[0]
+    root, total, first, second, third = system.nodes
+    assert (root.kind, total.kind, first.kind) == ("product", "sum", "leaf")
+    state = WeightState(3, 4, -5)
+    # values equal to a default but not the default itself: 0.0 for an
+    # int 0, a tau' of 0 for None
+    changed = [dict(case_id=2), dict(m=-3), dict(tau_prime=Fraction(1, 2)), dict(transformed=state),
+               dict(case_id=0.0), dict(m=0.0), dict(tau_prime=0), dict(case_id=2, m=0.0)]
+    defaults = dict(case_id=0, m=0, tau_prime=None, transformed=None)
+    systems = [
+        system._replace(nodes=(root, total._replace(**fields), first._replace(**fields), second,
+                               third))
+        for fields in changed
+    ]
+    # a product node holding all the defaults
+    systems.append(system._replace(nodes=(root._replace(**defaults),) + system.nodes[1:]))
+    # one WeightState as a node state, a transformed state and the closure
+    shared = (root._replace(transformed=state), total._replace(state=state)) + system.nodes[2:]
+    systems.append(system._replace(closure=state, nodes=shared))
+    # one vertex tuple under two paths with different final fractions, and
+    # one path under two systems
+    path = system.assignment[2]
+    other = path._replace(final_fraction=Fraction(1, 2))
+    assert other.vertices is path.vertices
+    systems.append(system._replace(assignment=(path, other, path)))
+    systems.append(system._replace(assignment=(other,) + system.assignment[1:]))
+    case = rep._replace(systems=tuple(systems))
+    assert format_json(case) == _reference(case)
+    # and each built record on its own, where it is the first of its kind
+    for built in systems:
+        case = rep._replace(systems=(built,))
+        assert format_json(case) == _reference(case)
+
+
 @pytest.mark.parametrize(
     "value",
     [
@@ -98,13 +137,17 @@ def test_writer_refuses_other_types(value):
     # or an empty tuple or set as 0, () or set()
     rep = solve(parse("-1/2 + 1/3 + 1/5"), c_bound=4)
     system = rep.systems[0]
-    node = system.nodes[0]
+    # a node written from the template with a sum's defaults, and one that
+    # is not
+    nodes = system.nodes[0], system.nodes[0]._replace(case_id=1, m=2)
     cases = [
         rep._replace(notes=(value,)),
         rep._replace(crossing_source=value),
         rep._replace(systems=(system._replace(note=value),)),
-        rep._replace(systems=(system._replace(nodes=(node._replace(label=value),)),)),
-        rep._replace(systems=(system._replace(nodes=(node._replace(kind=value),)),)),
+    ] + [
+        rep._replace(systems=(system._replace(nodes=(node._replace(**{field: value}),)),))
+        for node in nodes
+        for field in ("label", "kind")
     ]
     for case in cases:
         with pytest.raises(TypeError):

@@ -144,6 +144,59 @@ def test_slopes_are_read_off_the_listed_systems():
     assert normalized >= 29
 
 
+def _check_slopes_from_fractions(rep):
+    """rep's slopes, listing order, diameter and ratio, recomputed from the
+    systems' Fraction slopes."""
+    counted = {s.slope for s in rep.systems if s.note == ""}
+    if any(s.note == "seifert-reference" for s in rep.systems):
+        slopes = tuple(sorted({Fraction(0), *counted}))
+    else:
+        slopes = ()
+    assert rep.slopes == slopes and all(type(s) is Fraction for s in rep.slopes)
+    keys = [(s.slope if s.slope is not None else 0, s.note) for s in rep.systems]
+    assert keys == sorted(keys)
+    diameter = slopes[-1] - slopes[0] if slopes else None
+    assert rep.diameter == diameter
+    assert rep.ratio == (diameter / rep.crossings if slopes else None)
+
+
+@st.composite
+def _half_integer_sums(draw):
+    """Sums of three or four leaves, one of them +-1/2 and the others 1/q
+    or -1/q with q odd, as in -1/2 + 1/3 + 1/7, whose slopes include 37/2."""
+    odd = st.sampled_from((3, 5, 7, 9)).flatmap(
+        lambda q: st.sampled_from((Fraction(1, q), Fraction(-1, q))))
+    fractions = [draw(st.sampled_from((Fraction(1, 2), Fraction(-1, 2))))]
+    fractions += draw(st.lists(odd, min_size=2, max_size=3))
+    return _sum_of(draw(st.permutations(fractions)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(trees(max_merges=4), _half_integer_sums()), st.integers(min_value=1, max_value=4))
+@example(parse("-1/2 + 1/3 + 1/7"), 1)  # slopes 0, 16, 37/2 and 20
+@example(parse("5/3 + 1 + -11/4"), 1)  # a degenerate family's endpoint at a counted slope
+def test_slopes_are_ordered_as_their_fractions(expr, c_bound):
+    try:
+        rep = solve(expr, c_bound)
+    except UnsupportedShape:
+        return
+    _check_slopes_from_fractions(rep)
+
+
+def test_family_certification_reads_the_extreme_slopes():
+    # kn(n) and its mirror certify -+(2(n + 1)^2 - 4); a knot outside the
+    # family certifies nothing
+    for n in range(2, 13):
+        extreme = Fraction(2 * (n + 1) ** 2 - 4)
+        for expr in (kn(n), mirror(kn(n))):
+            rep = solve_sn(expr)
+            _check_slopes_from_fractions(rep)
+            assert rep.certified == (-extreme, extreme), (n, render(expr))
+            assert all(type(s) is Fraction for s in rep.certified)
+            assert rep.crossing_source == "family-exact"
+    assert solve(parse("(-1/2 + 1/3) o (-1/2 + 1/4)")).certified == ()
+
+
 def test_one_system_per_tau_and_note():
     texts = ("1/3 o 1/2", "(1/2 + 1/3) o 1/4", PRETZEL_237, "-1/2 + 1/3 + 1/3")
     for expr in (kn(3),) + tuple(parse(text) for text in texts):
