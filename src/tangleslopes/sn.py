@@ -38,10 +38,12 @@ tau' = -2 sign(c). So every tau is an integer.
    of per-sheet value +-1 + (1 + k) v for the right value v. The next
    product turns that table by formula as well. A key (a, b, c) has
    value c/(a + b): a glue adds values within a direction, and a turn
-   maps v to 1/v. So a root whose left runs are turned by formula closes
-   by value (_closings): on the right runs, per their direction, and on
-   the right family of value v, only where a left run has value -v, of
-   each formula piece at most one. Every merge keeps a _Glued table of
+   maps v to 1/v. Every root closes through one test (_closings), which
+   lists its left keys per direction of the right runs as the demand
+   pass does (_keys_along): constants, then runs, asked per direction
+   where turned by formula, else whole. Runs turned by formula also close
+   by value: on the right family of value v, only a left run of value -v,
+   of each formula piece at most one. Every merge keeps a _Glued table of
    the two sides it glued, a product's left one turned; the root's runs
    are only its keys that close (c = 0), and of a root of value 0, all
    of whose family keys close, only the first (below).
@@ -49,15 +51,15 @@ tau' = -2 sign(c). So every tau is an integer.
    recovers the (left key, right key) pairs behind its demanded keys
    from its table's sides and adds both keys of each to its children's
    demand, after all of its own parents have added theirs; a product's
-   left key is the _turn of its turned one. A family is asked for its
-   key of each demanded direction, and runs turned by formula for theirs
-   (_Sheets.along), at most (1, k, 1) and (1, k, -1) in direction
-   (1 : k) of turned one-sheet runs.
-   A sum of two leaves recovers one pair per pair of run windows that
-   reaches a demanded (1, 0, c): every split of c in one window pair
-   adds the same tau, and the split of least descriptor takes the left
-   leaf's least feasible end by its run order: its descent's own end,
-   else the nearest below, else the nearest above.
+   left key is the _turn of its turned one. Its left keys are listed as
+   the closing test lists them, per demanded direction (_keys_along):
+   turned one-sheet runs give at most (1, k, 1) and (1, k, -1) in
+   direction (1 : k). A sum of two leaves lists only its constants and
+   recovers its other pairs one per pair of run windows that reaches a
+   demanded (1, 0, c): every split of c in one window pair adds the
+   same tau, and the split of least descriptor takes the left leaf's
+   least feasible end by its run order: its descent's own end, else the
+   nearest below, else the nearest above.
 3. Tau pass, bottom-up, demanded keys only. Each (demanded key, tau)
    keeps the witness of smallest descriptor. A leaf's is (order, (key,
    tau, leaf fraction, descent)), order sorting as the path's
@@ -131,8 +133,7 @@ class _Family:
     def holds(self, key):
         """Whether key is the family's key of its direction."""
         s = gcd(key[0], key[1])
-        da, db = key[0] // s, key[1] // s
-        return key == _plane_key(self.p, self.q, da, db) and self.admits(da, db)
+        return key == self.constant(key[0] // s, key[1] // s)
 
     def __contains__(self, key):
         return key in self.runs or self.holds(key)
@@ -420,7 +421,9 @@ def _turned(table):
 
 
 def _directions(keys):
-    """The primitive (a : b) directions of keys."""
+    """The primitive (a : b) directions of keys, of one-sheet runs by formula."""
+    if isinstance(keys, _Runs):  # (1 : 0), or none where there are none
+        return {(1, 0)} if keys.spans else set()
     return {(a // (s := gcd(a, b)), b // s) for a, b, _ in keys}
 
 
@@ -430,10 +433,13 @@ def _constants(table, directions):
     return [key for d in directions if (key := table.constant(*d)) and key not in table.runs]
 
 
-def _with_constants(table, keys):
-    """table's keys in a merge: its runs plus its constant of each (a : b)
-    direction among keys, the other side's runs or the demanded keys."""
-    return [*_constants(table, _directions(keys)), *table.runs]
+def _keys_along(table, directions):
+    """A side's keys for keys of the given primitive (a : b) directions,
+    as _closings, the demand pass and a merge's right side list them: its
+    constant of each direction, then its runs, asked per direction
+    (_Sheets.along) where they are turned by formula, else whole."""
+    runs = table.runs
+    return [*_constants(table, directions), *(runs.along(directions) if isinstance(runs, _Sheets) else runs)]
 
 
 def _window_pairs(x, y, c):
@@ -453,18 +459,16 @@ def _window_pairs(x, y, c):
     return list(dict.fromkeys(out))
 
 
-def _explicit_keys(lws, right, closing):
+def _explicit_keys(lws, right):
     """The set of keys glued (_glue) from each key of lws and each key of
-    right of its (a : b) direction; when closing, only those with c = 0.
+    right of its (a : b) direction, below the root (the root closes
+    through _closings).
 
     Of one direction (da, db) a primitive key is (s*da, s*db, c), s its
     sheet count, and stands for the reduced per-sheet value c/s: a glue
-    adds the values. So a pair closes when the values are negatives:
-    (a, b, c) and (a, b, -c). One-sheet pairs glue by adding their c,
-    every other pair by _glue.
+    adds the values. One-sheet pairs glue by adding their c, every other
+    pair by _glue.
     """
-    if closing:
-        return {(a // gcd(a, b), b // gcd(a, b), 0) for a, b, c in lws if (a, b, -c) in right}
     groups = {}  # direction -> sheet count -> keys
     for key in right:
         s = gcd(key[0], key[1])
@@ -484,7 +488,7 @@ def _explicit_keys(lws, right, closing):
 def _shifted(left, right):
     """The _Shifted keys of a non-root merge of turned one-sheet runs
     (left.runs, a _Sheets of _Runs) and a one-sheet right table: those
-    _explicit_keys glues from each side's _with_constants. Of direction
+    _explicit_keys glues from each side's runs and constants. Of direction
     (1 : 0) they are spans of c, plus the glues of left's constant where it
     has more than one sheet (right's, as a family admits (1 : 0) only of
     integer leaves, has one); of (1 : k), k >= 1, left's runs glue only to
@@ -494,23 +498,19 @@ def _shifted(left, right):
     rkeys = _constants(right, [(1, 0)] if ones else ())
     spans = [*right.runs.spans, *((c, c) for _, _, c in rkeys)]
     multi = [key for key in lkeys if key[0] > 1]  # left's constant, or none
-    others = _explicit_keys(multi, chain(right.runs, rkeys), False) if multi else ()
+    others = _explicit_keys(multi, chain(right.runs, rkeys)) if multi else ()
     runs = _Runs((lo + c, hi + c) for a, _, c in lkeys if a == 1 for lo, hi in spans)
     return _Shifted(runs, frozenset(others), left.runs, right)
 
 
 def _closings(left, right):
-    """The closing test of a root product whose left runs are turned by
-    formula (_Sheets): the (da, db, 0) of each left key (a, b, c) with
-    (a, b, -c) in right. Left's constants and runs are asked per direction
-    of right's runs, as in _explicit_keys, and its runs of value -p/q,
+    """The closing test of every root, a sum's or a product's: the
+    (da, db, 0) of each left key (a, b, c), listed per direction of
+    right's runs (_keys_along), with (a, b, -c) in right; where left's
+    runs are turned by formula (_Sheets), also of those of value -p/q,
     which close on right's family of value p/q where it admits them."""
-    if isinstance(right.runs, _Runs):
-        directions = {(1, 0)} if right.runs else ()
-    else:
-        directions = _directions(right.runs)
-    keys = [*_constants(left, directions), *left.runs.along(directions)]
-    if right.q:
+    keys = _keys_along(left, _directions(right.runs))
+    if right.q and isinstance(left.runs, _Sheets):
         keys += left.runs.valued(-right.p, right.q)
     return {(a // (s := gcd(a, b)), b // s, 0) for a, b, c in keys if (a, b, -c) in right}
 
@@ -521,25 +521,25 @@ def _merge_sum(left, right, closing=False):
     and each right key of its (a : b) direction, as its runs; when
     closing, only those with c = 0.
 
-    Two one-sheet sides add their _Runs, which hold their constants of
-    direction (1 : 0), and turned one-sheet runs glue to a one-sheet
-    right side by formula (_shifted). Else a family joins once per
-    direction of the other side's runs (_with_constants), as in the demand
-    pass, and the closing test asks the right table itself per key, or,
-    where left's runs are turned by formula, per value (_closings). The
-    tables' constant pairs are the _Glued family, kept by formula: a root
-    of value 0 adds only its first key, with c = 0, to its runs (module
-    docstring)."""
+    Every root closes through one test, _closings. Below it, two one-sheet
+    sides add their _Runs, which hold their constants of direction
+    (1 : 0), and turned one-sheet runs glue to a one-sheet right side by
+    formula (_shifted). Else a family joins once per direction of the
+    other side's runs, and left's runs are listed whole, not per
+    direction (_keys_along) where turned by formula: a run glues to the
+    other side's constant in any direction. The tables' constant pairs
+    are the _Glued family, kept by formula: a root of value 0 adds only
+    its first key, with c = 0, to its runs (module docstring)."""
     one_sheet = isinstance(right.runs, _Runs)
-    if isinstance(left.runs, _Runs) and one_sheet:  # never the root: it has a product below
-        out = left.runs + right.runs
-    elif closing and isinstance(left.runs, _Sheets):
+    if closing:
         out = _closings(left, right)
+    elif isinstance(left.runs, _Runs) and one_sheet:
+        out = left.runs + right.runs
     elif one_sheet and isinstance(left.runs, _Sheets) and isinstance(left.runs.source, _Runs):
         out = _shifted(left, right)
-    else:
-        rkeys = right if closing else _with_constants(right, left.runs)
-        out = _explicit_keys(_with_constants(left, right.runs), rkeys, closing)
+    else:  # left's runs whole, even where turned by formula (right's never are)
+        out = _explicit_keys([*_constants(left, _directions(right.runs)), *left.runs],
+                             _keys_along(right, _directions(left.runs)))
     q = left.q * right.q
     p = left.p * right.q + right.p * left.q if q else 1  # 1/0 plus any value is 1/0
     g = gcd(p, q)
@@ -579,13 +579,13 @@ def _demand_pass(nodes, keys):
 
     A glue adds per-sheet values (_explicit_keys), so for a demanded key
     and a left key of its direction (turned, at a product) the one right
-    key that can glue to it has the reduced difference of their values. A
-    family joins once per demanded direction (_constants), as do runs
-    turned by formula (_Sheets.along), and the right table, its
-    family included, is asked for that key. A sum of two leaves takes its
-    one-sheet keys' pairs per pair of windows (_window_pairs), not per
-    run. A merge reads its sides off its table, a product's left one
-    turned: there the left key is the _turn of the turned one.
+    key that can glue to it has the reduced difference of their values.
+    Left's keys are listed per demanded direction (_keys_along), and the
+    right table, its family included, is asked for that key. A sum of two
+    leaves takes its one-sheet keys' pairs per pair of windows
+    (_window_pairs), not per run. A merge reads its sides off its table, a
+    product's left one turned: there the left key is the _turn of the
+    turned one.
     """
     demand, windows = {id(nodes[-1]): dict.fromkeys(keys[id(nodes[-1])].runs)}, 0
     for node in reversed(nodes):
@@ -610,10 +610,8 @@ def _demand_pass(nodes, keys):
                     windows += len(left.windows) * len(right.windows)
                     for lkey, rkey in pairs:
                         ldemand[lkey] = rdemand[rkey] = None
-        elif isinstance(left.runs, _Sheets):
-            lkeys = [*_constants(left, by_direction), *left.runs.along(by_direction)]
         else:
-            lkeys = _with_constants(left, wanted)
+            lkeys = _keys_along(left, by_direction)
         for a, b, lc in lkeys:
             ls = gcd(a, b)
             da, db = a // ls, b // ls

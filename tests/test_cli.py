@@ -324,7 +324,9 @@ def test_info_line_counts_what_the_passes_do():
     # 4096: the counts show that none is listed, with no timing. The two
     # chains at c_bound 16384 glue a product of one-sheet factors below the
     # root by formula; their counts of keys are what listing them built, and
-    # the demand and tau passes do the same work as at c_bound 32
+    # the demand and tau passes do the same work as at c_bound 32. The last
+    # two close through the same root test on an explicit left set and on
+    # right runs kept by formula; only their key counts grow with c_bound
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), LOG_LEVEL="info")
     cases = (
         (["kn", "--n", "3"], 0,
@@ -352,6 +354,12 @@ def test_info_line_counts_what_the_passes_do():
         (["slopes", "(1/2+1/3) o (1/4 + -1/3) o (1/5+1/2)", "--c-bound", "16384"], 0,
          "sn solve, c_bound=16384, 11 nodes: 666267 keys counted, 44 demanded, 36 window"
          " pairs and 170 witness pairs compared"),
+        (["slopes", "(1/2+1/3) o (1/4 + -1/3) o (1/5+1/2) o (1/3 + -1/2)", "--c-bound", "4096"], 0,
+         "sn solve, c_bound=4096, 15 nodes: 269026 keys counted, 82 demanded, 64 window"
+         " pairs and 592 witness pairs compared"),
+        (["slopes", "(1/2 + 1/3) o ((1/4 + -1/3) o (1/5 + 1/2))", "--c-bound", "4096"], 0,
+         "sn solve, c_bound=4096, 11 nodes: 156484 keys counted, 46 demanded, 36 window"
+         " pairs and 200 witness pairs compared"),
     )
     for args, code, expected in cases:
         done = subprocess.run(

@@ -533,6 +533,12 @@ _SHARED = Product(Sum(_HALF, Leaf(Fraction(1, 3))), Sum(_HALF, Leaf(Fraction(2, 
 @example(parse("(-1/4 + -1/2) o (-1/3 + 1/3) o 3/4"), 6)
 @example(parse("(1/2 + 1/3) o (-1/5 + -1)"), 10)
 @example(parse("-1/2 o (-1/4 + 3/4) o 2/3"), 4)
+# every root closes through one test (sn._closings), whatever its sides hold
+@example(parse("1/3 o 1/2 o -1/3 o 2/5"), 4)  # a root's left side an explicit set
+@example(parse("1/5 + (1/3 o 1/2)"), 4)  # a root sum over a product
+@example(parse("(1/2 + 1/3) o ((1/4 + -1/3) o (1/5 + 1/2))"), 3)  # right runs kept by formula
+@example(parse("(1/5 + (1/3 o 1/2)) o 2/7"), 4)  # a merge below the root with a one-sheet side
+@example(parse("(1/2+1/3) o (1/4 + -1/3) o (1/5+1/2) o (1/3 + -1/2)"), 3)  # a four-factor chain
 def test_solve_lists_the_reference_systems(expr, c_bound):
     assume(not expr.is_montesinos() or type_i_size(expr) <= TYPE_I_BUDGET)
     _check_reference(expr, c_bound)
