@@ -75,6 +75,16 @@ def _array(items, indent, quote="", before="", after=""):
     return (quote + "," + pad + "  " + quote).join(items)
 
 
+def _number(value):
+    # a number as json.dumps writes it: str() for an int, as a solve builds;
+    # json, loaded here, for what only a hand-built record holds (a bool)
+    if type(value) is int:
+        return str(value)
+    import json
+
+    return json.dumps(value)
+
+
 def _quoted(value):
     # a Fraction, an int or None as JSON: null or the quoted str, as
     # str(x) equals str(Fraction(x)) and needs no escaping
@@ -113,7 +123,10 @@ def format_json(rep):
 
     def weights(state, written, t):
         a, b, c, n_inf, has_zero = state
-        has_zero = "true" if has_zero else "false"
+        if type(a) is type(b) is type(c) is type(n_inf) is int and type(has_zero) is bool:
+            has_zero = "true" if has_zero else "false"
+        else:  # a hand-built state
+            a, b, c, n_inf, has_zero = map(_number, state)
         text = f"{t[0]}{a}{t[1]}{b}{t[2]}{c}{t[3]}{n_inf}{t[4]}{has_zero}{t[5]}"
         written[id(state)] = text
         return text
@@ -148,6 +161,7 @@ def format_json(rep):
         else:
             t = _NODE
             transformed = states.get(id(transformed)) or weights(transformed, states, _STATE)
+            case_id, m = _number(case_id), _number(m)
             text = (f"{t[0]}{label}{t[1]}{kind}{t[2]}{state}{t[3]}{tau}{t[4]}{array}{t[5]}{case_id}"
                     f"{t[6]}{m}{t[7]}{_quoted(tau_prime)}{t[8]}{transformed}{t[9]}")
         nodes[id(node)] = text

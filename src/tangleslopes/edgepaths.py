@@ -27,9 +27,10 @@ along that line end. The descents depend on p/q alone, so `leaf_descents`
 walks each fraction once per process, in ints, and both engines and the
 Seifert reference read that tuple. The product-expression solver builds its
 per-tangle choices from both, and builds a run with `run_to` only where
-it needs a witness; runs share their integer vertices through _INTEGERS,
-a process cache with no bound. The Montesinos solver uses the descents
-alone. The Seifert reference path of a tangle is one of its descents
+it needs a witness. A descent's vertices are Fractions; the integers a
+run adds past its end are plain ints, which read, compare and print as
+the equal Fractions do. The Montesinos solver uses the descents alone.
+The Seifert reference path of a tangle is one of its descents
 (slopes.seifert_leaf_path).
 """
 
@@ -211,33 +212,19 @@ def u_zero_window(descent, c_bound):
     m = int(vs[-1])
     lo = hi = m
     if len(vs) > 1:
-        if not is_edge(vs[-2], Fraction(m - 1)):
+        if not is_edge(vs[-2], m - 1):
             lo = -c_bound
-        if not is_edge(vs[-2], Fraction(m + 1)):
+        if not is_edge(vs[-2], m + 1):
             hi = c_bound
     return max(lo, -c_bound), min(hi, c_bound)
 
 
-class _Integers(dict):
-    """k -> Fraction(k), each built once: the runs share their vertices.
-    Unlike the memos it has no bound: one entry per integer a run reached
-    in the process (933 after solve_sn(kn(30)), 3,663 after kn(60))."""
-
-    def __missing__(self, k):
-        value = self[k] = Fraction(k)
-        return value
-
-
-_INTEGERS = _Integers()
-
-
 def run_to(descent, end):
     """The descent continued along u = 0 to the integer `end`; the descent
-    itself when it already ends there."""
+    itself when it already ends there. The vertices the run adds are ints."""
     vs = descent.vertices
     m = int(vs[-1])
     if end == m:
         return descent
     d = 1 if end > m else -1
-    run = tuple(map(_INTEGERS.__getitem__, range(m + d, end + d, d)))
-    return VertexPath(descent.tangle, vs + run)
+    return VertexPath(descent.tangle, vs + tuple(range(m + d, end + d, d)))

@@ -301,9 +301,7 @@ def kn_system(n):
     lneg = ConstantPath(Fraction(-1, n), WeightState(1, nn - 1, -(n + 1)))
     lpos = ConstantPath(Fraction(1, n + 1), WeightState(1, nn - 1, n))
     short = VertexPath(Fraction(-1, n), (Fraction(-1, n), ZERO))
-    climb = tuple(Fraction(1, q) for q in range(n + 1, 0, -1)) + tuple(
-        Fraction(m) for m in range(2, nn + 1)
-    )
+    climb = tuple(Fraction(1, q) for q in range(n + 1, 0, -1)) + tuple(range(2, nn + 1))
     long = VertexPath(Fraction(1, n + 1), climb)
     reference = seifert_tau(expr)
     system = build_system(expr, (lneg, lpos, short, long), reference_tau=reference)

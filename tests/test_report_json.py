@@ -71,6 +71,22 @@ def test_writer_on_fixed_edge_cases():
     for case in (bare, rep._replace(systems=(system,)), _relabel(rep, ['"\\\x01é😀\ud800'])):
         assert format_json(case) == _reference(case)
     assert '"has_zero": true' in format_json(rep._replace(systems=(system,)))
+    # bools in a node's case_id and m and in a state's ints, and a has_zero
+    # that is not a bool, which no solve builds either: json writes true,
+    # not True, and a has_zero of 1 as 1
+    node, plain = rep.systems[0].nodes[0], WeightState(1, 0, 0)
+    built = [
+        dict(case_id=True), dict(m=False), dict(case_id=True, m=True, transformed=plain),
+        dict(state=WeightState(True, False, -5, True, 1)), dict(state=WeightState(2, 3, -5, 0, 0)),
+        dict(state=WeightState(2, 3, -5, 0, None), transformed=WeightState(1, 0, 0, 0, 1)),
+    ]
+    for fields in built:
+        for closure in (plain, fields.get("state", plain)):
+            case = rep._replace(systems=(rep.systems[0]._replace(
+                closure=closure, nodes=(node._replace(**fields),) + rep.systems[0].nodes[1:]),))
+            text = format_json(case)
+            assert text == _reference(case), fields
+            assert json.loads(text) == report_dict(case), fields
 
 
 def test_writer_templates_follow_the_values_not_the_kind():

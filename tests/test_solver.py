@@ -98,6 +98,32 @@ def test_distinguished_system_appears_in_enumeration():
         assert listed == [kn_system(n)], n
 
 
+def test_runs_add_int_vertices_and_kn_system_holds_the_solved_long_path():
+    # a run adds the integers past its descent's end as ints, one step at a
+    # time to its end; the descent's own vertices stay Fractions
+    runs = 0
+    for start in (Fraction(-1, 2), Fraction(3, 7), Fraction(7, 2), Fraction(-5, 3)):
+        for descent in enumerate_paths(start):
+            k, m = len(descent.vertices), int(descent.vertices[-1])
+            for end in range(m - 6, m + 7):
+                vs = run_to(descent, end).vertices
+                assert vs[:k] == descent.vertices
+                assert all(type(v) is Fraction for v in vs[:k])
+                assert all(type(v) is int for v in vs[k:])
+                d = 1 if end > m else -1
+                assert vs[k:] == tuple(range(m + d, end + d, d))
+                runs += len(vs) > k
+    assert runs == 12 * 9
+    # kn_system's long path is the solved one, value by value and type by type
+    for n in (2, 5, 12):
+        low = -(2 * (n + 1) ** 2 - 4)
+        [solved] = [s for s in solve_sn(kn(n)).systems if s.slope == low]
+        built, solved = kn_system(n).assignment[3], solved.assignment[3]
+        assert built.tangle == solved.tangle == Fraction(1, n + 1)
+        assert len(built.vertices) == n + 1 + n * n + n - 1
+        assert [(type(v), v) for v in built.vertices] == [(type(v), v) for v in solved.vertices]
+
+
 def test_kn_system_values():
     system = kn_system(4)
     assert system.nodes[2].state == WeightState(1, 19, -5)
